@@ -38,7 +38,7 @@ def aliquot_window(lo: int, hi: int, threads: int = 1) -> AliquotWindow:
     # crude growth cap: sigma(n) <= n * (1 + log n)
     top = float(np.max(s / np.maximum(ns, 2)))
     if top > 1.0 + math.log(hi):
-        raise AssertionError("aliquot sums exceed the crude growth cap")
+        raise OverflowError("aliquot sums exceed the crude growth cap")
     return AliquotWindow(lo=lo, hi=hi, s_values=s)
 
 

@@ -229,11 +229,19 @@ def tail_masses(
 
 @dataclass
 class DeviationReport:
-    """Mass at |g - M| >= lam * sqrt(M), normalized, with Gaussian reference."""
+    """Mass at |g - M| >= lam * sqrt(M), normalized, with Gaussian reference.
+
+    The masses are taken at the integer cutoffs k_low = floor(M - lam*sqrt(M))
+    (bins k <= k_low) and k_high = ceil(M + lam*sqrt(M)) (bins k >= k_high).
+    On the degenerate report (M <= 0) all mass is low: k_low is the largest
+    occupied bin and k_high = k_low + 1 leaves the high tail empty.
+    """
 
     x: int
     lam: float
     M: float
+    k_low: int                  # largest g in the low tail
+    k_high: int                 # smallest g in the high tail
     mass_low: float
     mass_high: float
     total: float
@@ -259,9 +267,10 @@ def deviation(
         M = mertens_sum(hist.f, x, hist.E, table)
     if M <= 0:
         # every bin deviates; flag rather than divide by zero in the reference
-        mass = hist.total
+        k_low = max(hist.bins)
         return DeviationReport(
-            x=x, lam=lam, M=M, mass_low=mass, mass_high=0.0, total=hist.total,
+            x=x, lam=lam, M=M, k_low=k_low, k_high=k_low + 1,
+            mass_low=hist.total, mass_high=0.0, total=hist.total,
             normalized=1.0, gauss_ref=math.inf, degenerate=True,
         )
     if lam > math.sqrt(M) / 2.0:
@@ -271,10 +280,11 @@ def deviation(
             stacklevel=2,
         )
     t = lam * math.sqrt(M)
-    mass_low = hist.mass_low(M - t)
-    mass_high = hist.mass_high(M + t)
+    k_low, k_high = math.floor(M - t), math.ceil(M + t)
+    mass_low = hist.mass_low(k_low)
+    mass_high = hist.mass_high(k_high)
     return DeviationReport(
-        x=x, lam=lam, M=M,
+        x=x, lam=lam, M=M, k_low=k_low, k_high=k_high,
         mass_low=mass_low, mass_high=mass_high, total=hist.total,
         normalized=(mass_low + mass_high) / hist.total,
         gauss_ref=math.exp(-lam * lam / 2.0) / lam,

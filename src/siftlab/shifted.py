@@ -329,26 +329,12 @@ def joint_poly_omega(
         ok = True
         for q, k in zip(polys, targets):
             val = abs(poly_eval(q, p))
-            if val == 0 or _omega_by_trial(val, table) != k:
+            if val == 0 or len(factorize(val, table).parts) != k:
                 ok = False
                 break
         if ok:
             count += 1
     return count
-
-
-def _omega_by_trial(m: int, table: PrimeTable) -> int:
-    om = 0
-    for p in table.primes.tolist():
-        if p * p > m:
-            break
-        if m % p == 0:
-            om += 1
-            while m % p == 0:
-                m //= p
-    if m > 1:
-        om += 1
-    return om
 
 
 def ap_prime_factor_count(

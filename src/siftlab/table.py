@@ -4,7 +4,7 @@ A(N) counts distinct entries of the N by N multiplication table; the shifted
 variant keeps only entries adjacent to a prime.  Product bitmaps are built
 segment by segment so memory stays flat in N.  The weighted refinement sums
 f(n) over survivors of a sieve that factor as a*b with both factors at most
-sqrt(x).
+sqrt(x): per window, the same product bitmap ANDed with the survivor bitmap.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from math import isqrt
 import numpy as np
 
 from . import bulk
-from .arith import FactorWindow, PrimeTable, divisors
+from .arith import PrimeTable
 from .errors import ResourceBudgetError
 from .hist import q_rate
-from .multfunc import MultiplicativeFunction, eval_mf, mertens_sum
+from .multfunc import MultiplicativeFunction, mertens_sum
 from .sift import SiftedSet, nu_sum
 
 DEFAULT_SEGMENT = 1 << 26
@@ -122,27 +122,25 @@ def sifted_table_sum(
 ) -> SiftedTableReport:
     """Weighted count of survivors lying in the sqrt(x) multiplication table.
 
-    A survivor n qualifies when some divisor d satisfies n / sqrt(x) <= d
-    <= sqrt(x); divisors are enumerated from the factorization and the
-    largest divisor not exceeding sqrt(x) decides.
+    Each window ANDs the survivor bitmap with the bitmap of products a*b,
+    a <= b <= isqrt(x).  Weights come from the window sieve and are added
+    one by one in ascending n, so the value is the same double as summing
+    f(n) survivor by survivor.
     """
     x = sset.x
     if x < 3:
         raise ValueError("need x >= 3")
     B = isqrt(x)
     table = table if table is not None and table.limit >= x else PrimeTable(x)
-    window = FactorWindow(1, x + 1, table)
-    weigh = not f.is_one()
 
     def worker(lo: int, hi: int) -> float:
-        total = 0.0
-        for n in np.flatnonzero(sset.bitmap[lo:hi]):
-            n = int(n) + lo
-            fac = window.factorize(n)
-            best = max(d for d in divisors(fac, limit=B))
-            if best * B >= n:
-                total += eval_mf(f, fac) if weigh else 1.0
-        return total
+        keep = np.zeros(hi - lo, dtype=bool)
+        _mark_products(keep, lo, hi, B)
+        keep &= sset.bitmap[lo:hi]
+        if f.is_one():
+            return float(np.count_nonzero(keep))
+        fv = bulk.mult_window(lo, hi, table.primes, f.rule, f.at_primes)
+        return float(sum(fv[keep].tolist()))
 
     ranges = bulk.window_ranges(1, x + 1)
     value = float(sum(bulk.run_windows(worker, ranges, threads)))

@@ -103,6 +103,29 @@ def brute_table_counts(limit: int) -> list[int]:
     return out
 
 
+def osifted_table_sum(members, x: int, rule) -> float:
+    """Sum of f(n) over members n that split as a*b with a, b <= isqrt(x).
+
+    The factor-and-divisor test: n qualifies when its largest divisor d <=
+    isqrt(x) has d * isqrt(x) >= n.  f(n) multiplies rule(p, e) over the
+    factorization in ascending p starting from 1.0, and the weights are
+    added in the order of members (ascending n) starting from 0.0.
+    """
+    B = isqrt(x)
+    total = 0.0
+    for n in members:
+        parts = ofactor(n)
+        divs = [1]
+        for p, e in parts:
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        if max(d for d in divs if d <= B) * B >= n:
+            w = 1.0
+            for p, e in parts:
+                w *= float(rule(p, e))
+            total += w
+    return total
+
+
 def is_prime_slow(n: int) -> bool:
     if n < 2:
         return False

@@ -41,6 +41,14 @@ def test_aliquot_window_high_range():
         assert int(w.s_values[n - lo]) == sig - n
 
 
+def test_aliquot_window_overflowed_sigma_raises(monkeypatch):
+    # sigma far above n * (1 + log n) can only come from an overflow
+    real = egps.bulk.sigma_window
+    monkeypatch.setattr(egps.bulk, "sigma_window", lambda a, b: real(a, b) * 1000)
+    with pytest.raises(OverflowError):
+        egps.aliquot_window(1, 100)
+
+
 def test_aliquot_window_input_errors():
     with pytest.raises(ValueError):
         egps.aliquot_window(0, 10)

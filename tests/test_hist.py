@@ -299,6 +299,26 @@ def test_deviation_degenerate_mean(t1e5):
     assert rep.M == 0.0
 
 
+def test_deviation_integer_cutoffs(t1e5):
+    x = 3000
+    omegas = [len(ofactor(n)) for n in range(1, x + 1)]
+    h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
+    M = mf.mertens_sum(mf.one(), x, table=t1e5)
+    for lam in (0.3, 0.5, 0.7):
+        rep = H.deviation(h, lam, table=t1e5)
+        assert rep.k_low == math.floor(M - lam * math.sqrt(M))
+        assert rep.k_high == math.ceil(M + lam * math.sqrt(M))
+        assert rep.mass_low == sum(1 for k in omegas if k <= rep.k_low)
+        assert rep.mass_high == sum(1 for k in omegas if k >= rep.k_high)
+    # degenerate report: every n sits in bin 0, all of it in the low tail
+    h0 = H.weighted_histogram(
+        sf.everything(100), mf.one(), E=Complement(ALL_PRIMES), table=t1e5
+    )
+    rep = H.deviation(h0, 1.0, table=t1e5)
+    assert (rep.k_low, rep.k_high) == (0, 1)
+    assert (rep.mass_low, rep.mass_high) == (100.0, 0.0)
+
+
 def test_deviation_input_errors(t1e5):
     h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
     with pytest.raises(ValueError):

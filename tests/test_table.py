@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from siftlab import multfunc as mf, sift as sf, table as tb
+from siftlab import arith, multfunc as mf, sift as sf, table as tb
 from siftlab.errors import ResourceBudgetError
 
-from oracles import brute_table_counts, is_prime_slow, ofactor
+from oracles import brute_table_counts, is_prime_slow, ofactor, osifted_table_sum
 
 
 def test_eta0_closed_form():
@@ -164,3 +164,27 @@ def test_sifted_table_sum_thread_invariant(t1e5):
 def test_sifted_table_sum_rejects_tiny_x(t1e5):
     with pytest.raises(ValueError):
         tb.sifted_table_sum(sf.everything(2), mf.one(), table=t1e5)
+
+
+def test_sifted_table_sum_across_two_windows():
+    x = (1 << 20) + 4097
+    B = math.isqrt(x)
+    prods = {a * b for a in range(1, B + 1) for b in range(a, B + 1) if a * b <= x}
+    t = arith.PrimeTable(x)
+    rep = tb.sifted_table_sum(sf.everything(x), mf.one(), table=t)
+    assert rep.value == len(prods)
+    # {2: (1,)} removes the odd residue class, so the even products survive
+    even = sf.sift(x, sf.condition({2: (1,)}))
+    rep = tb.sifted_table_sum(even, mf.one(), table=t, threads=2)
+    assert rep.value == len({n for n in prods if n % 2 == 0})
+
+
+@pytest.mark.parametrize("f", [mf.z_omega(1.3), mf.phi_over_n()], ids=lambda f: f.spec)
+def test_sifted_table_sum_equals_divisor_oracle_bitwise(f, t1e5):
+    # the weights are summed one by one in ascending n, exactly as the
+    # factor-and-divisor oracle does, so the doubles agree to the last bit
+    x = 2 * 10**4
+    sset = sf.everything(x)
+    expect = osifted_table_sum(range(1, x + 1), x, f.rule)
+    for threads in (1, 2):
+        assert tb.sifted_table_sum(sset, f, table=t1e5, threads=threads).value == expect
