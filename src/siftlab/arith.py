@@ -12,6 +12,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from . import bulk
+from .bulk import lambda_of_prime_power
 
 # Strong-pseudoprime test with this base set is exact below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -189,12 +190,6 @@ def squarefull_part(fac: Factorization) -> int:
         if e >= 2:
             out *= p**e
     return out
-
-
-def lambda_of_prime_power(p: int, e: int) -> int:
-    if p == 2:
-        return 1 if e == 1 else (2 if e == 2 else 1 << (e - 2))
-    return p ** (e - 1) * (p - 1)
 
 
 def carmichael_lambda(fac: Factorization) -> int:

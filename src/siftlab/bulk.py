@@ -6,10 +6,12 @@ run each window with numpy slice arithmetic, and write results back in
 ascending window order.  Window width never depends on the thread count, so
 output is bit-identical whether windows run serially or on a pool.
 
-Per-window work uses only primes up to sqrt(hi-1): each window keeps a
-residual cofactor array, divides out small primes with shrinking index
-sets, and classifies whatever is left (either 1 or a single prime above
-the root).
+Per-window work uses only primes up to sqrt(hi-1).  The factor kernels
+(counts, mult, lambda, lpf) share one prime-power walk: for each small
+prime it steps through the multiples of p, p**2, ... as strided slices,
+hands the kernel the exponent of p at each multiple, and finally divides
+every n by its small part, which leaves either 1 or a single prime above
+the root for the kernel to classify.
 """
 
 from __future__ import annotations
@@ -104,20 +106,47 @@ def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
-def _divide_out(sub: np.ndarray, p: int):
-    """Divide one factor p out of every multiple, then extract the rest.
+def _walk(lo: int, hi: int, primes: np.ndarray, visit, exps: bool = True) -> np.ndarray:
+    """Visit every small prime of [lo, hi) once; return the cofactors above the root.
 
-    sub holds n/p for the multiples of p in the window.  Returns (idx, extra)
-    where extra[i] counts additional factors of p removed at position idx[i].
+    For each p <= isqrt(hi-1) with a multiple in the window, in ascending
+    order, calls visit(p, sl, exp): sl slices the window positions that p
+    divides, and exp holds the exponent of p at each of them (uint8, or
+    None when exps is false).  The small part of every n is multiplied up
+    along strided slices over the multiples of p, p**2, ..., so nothing is
+    divided until the end, where n // small part is 1 or the one prime
+    factor above the root.
     """
-    idx = np.flatnonzero(sub % p == 0)
-    extra = np.zeros(len(idx), dtype=np.int8)
-    live = np.arange(len(idx))
-    while live.size:
-        sub[idx[live]] //= p
-        extra[live] += 1
-        live = live[sub[idx[live]] % p == 0]
-    return idx, extra
+    n = hi - lo
+    acc = np.ones(n, dtype=np.int64)
+    for p in _small_primes(primes, hi).tolist():
+        off = -lo % p
+        if off >= n:
+            continue
+        sl = slice(off, n, p)
+        acc[sl] *= p
+        exp = np.ones((n - off + p - 1) // p, dtype=np.uint8) if exps else None
+        q = p * p
+        while q < hi:
+            off_q = -lo % q
+            if off_q >= n:
+                break
+            acc[off_q::q] *= p
+            if exps:
+                exp[(off_q - off) // p :: q // p] += 1
+            q *= p
+        visit(p, sl, exp)
+    rem = np.arange(lo, hi, dtype=np.int64)
+    rem //= acc
+    return rem
+
+
+def _max_exp(p: int, hi: int) -> int:
+    """The largest e with p**e < hi, at least 1."""
+    e = 1
+    while p ** (e + 1) < hi:
+        e += 1
+    return e
 
 
 def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndarray:
@@ -131,25 +160,16 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
     if kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown count kind {kind!r}")
     counts = np.zeros(hi - lo, dtype=np.uint8)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    small = _small_primes(primes, hi)
-    if selector is None:
-        selected = np.ones(len(small), dtype=bool)
-    else:
-        selected = np.asarray(selector.mask(small), dtype=bool)
-    for p, sel in zip(small.tolist(), selected.tolist()):
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        sl = slice(start - lo, hi - lo, p)
-        sub = rem[sl]
-        sub //= p
-        idx, extra = _divide_out(sub, p)
-        if sel:
-            cv = counts[sl]
-            cv += 1
-            if kind == "bigomega" and idx.size:
-                cv[idx] += extra.astype(np.uint8)
+    chosen = None
+    if selector is not None:
+        small = _small_primes(primes, hi)
+        chosen = set(small[np.asarray(selector.mask(small), dtype=bool)].tolist())
+
+    def visit(p, sl, exp):
+        if chosen is None or p in chosen:
+            counts[sl] += 1 if exp is None else exp
+
+    rem = _walk(lo, hi, primes, visit, exps=kind == "bigomega")
     big = rem > 1
     if selector is None:
         counts[big] += 1
@@ -161,24 +181,21 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
     return counts
 
 
-def mult_window(lo, hi, primes, rule, prime_vec, max_exp_hint: int = 64) -> np.ndarray:
+def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     """Values of a multiplicative function on [lo, hi) as float64.
 
     rule(p, e) gives the value at p**e; prime_vec maps an int64 array of
     primes to values at the first power.  Exponents are extracted exactly,
     so rules with zeros (square-free indicators and the like) are safe.
+    Factors are multiplied in ascending p, so every value is one fixed
+    product of doubles.
     """
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     vals = np.ones(hi - lo, dtype=np.float64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in _small_primes(primes, hi).tolist():
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        emax = 1
-        while p ** (emax + 1) < hi:
-            emax += 1
+
+    def visit(p, sl, exp):
+        emax = _max_exp(p, hi)
         table = np.empty(emax + 1, dtype=np.float64)
         table[0] = 1.0
         for e in range(1, emax + 1):
@@ -186,15 +203,9 @@ def mult_window(lo, hi, primes, rule, prime_vec, max_exp_hint: int = 64) -> np.n
             if r < 0:
                 raise ValueError(f"multiplicative rule negative at ({p},{e})")
             table[e] = r
-        sl = slice(start - lo, hi - lo, p)
-        sub = rem[sl]
-        exp = np.ones(len(sub), dtype=np.int8)
-        sub //= p
-        idx, extra = _divide_out(sub, p)
-        if idx.size:
-            exp[idx] += extra
-        fv = vals[sl]
-        fv *= table[exp]
+        vals[sl] *= table[exp]
+
+    rem = _walk(lo, hi, primes, visit)
     big = np.flatnonzero(rem > 1)
     if big.size:
         pv = np.asarray(prime_vec(rem[big]), dtype=np.float64)
@@ -223,37 +234,30 @@ def sigma_window(lo: int, hi: int) -> np.ndarray:
     return sig
 
 
+def lambda_of_prime_power(p: int, e: int) -> int:
+    """Carmichael lambda of p**e."""
+    if p == 2:
+        return 1 if e == 1 else (2 if e == 2 else 1 << (e - 2))
+    return p ** (e - 1) * (p - 1)
+
+
 def lambda_window(lo, hi, primes) -> np.ndarray:
     """Carmichael lambda for [lo, hi) as int64, exact via running lcm."""
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
-
-    def lam_pp(p: int, e: int) -> int:
-        if p == 2:
-            return 1 if e == 1 else (2 if e == 2 else 1 << (e - 2))
-        return p ** (e - 1) * (p - 1)
-
     lam = np.ones(hi - lo, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in _small_primes(primes, hi).tolist():
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        emax = 1
-        while p ** (emax + 1) < hi:
-            emax += 1
-        table = np.array([1] + [lam_pp(p, e) for e in range(1, emax + 1)], dtype=np.int64)
-        sl = slice(start - lo, hi - lo, p)
-        sub = rem[sl]
-        exp = np.ones(len(sub), dtype=np.int8)
-        sub //= p
-        idx, extra = _divide_out(sub, p)
-        if idx.size:
-            exp[idx] += extra
+
+    def visit(p, sl, exp):
+        table = np.array(
+            [1] + [lambda_of_prime_power(p, e) for e in range(1, _max_exp(p, hi) + 1)],
+            dtype=np.int64,
+        )
         lv = lam[sl]
         pe = table[exp]
         np.floor_divide(lv, np.gcd(lv, pe), out=lv)
         lv *= pe
+
+    rem = _walk(lo, hi, primes, visit)
     big = np.flatnonzero(rem > 1)
     if big.size:
         pe = rem[big] - 1
@@ -267,16 +271,11 @@ def lpf_window(lo, hi, primes) -> np.ndarray:
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     lpf = np.ones(hi - lo, dtype=np.int64)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in _small_primes(primes, hi).tolist():
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        sl = slice(start - lo, hi - lo, p)
-        sub = rem[sl]
-        sub //= p
-        _divide_out(sub, p)
+
+    def visit(p, sl, exp):
         lpf[sl] = p
+
+    rem = _walk(lo, hi, primes, visit, exps=False)
     big = rem > 1
     lpf[big] = rem[big]
     return lpf

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 
@@ -24,6 +25,8 @@ from .sift import QuadraticForm
 from .specs import parse_primeset, parse_set_spec, parse_weight
 
 _TWIN_LIMIT = 10**7
+
+_NEGATIVE_LIST = re.compile(r"-\d+(,-?\d+)*")
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -87,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                "dest": "lam"}})
     add("qf-dev", _cmd_qf_dev, **{"--form": {"required": True},
                                   "--shift": {"type": int, "default": None},
-                                  "--g": G, "--e": E, "--x": X,
+                                  "--g": G, "--x": X,
+                                  "--e": {"default": None,
+                                          "help": "prime subset (default kron:D:+1)"},
                                   "--lambda": {"type": float, "required": True,
                                                "dest": "lam"}})
     add("jointpoly", _cmd_jointpoly, **{"--q": {"action": "append", "required": True},
@@ -252,8 +257,11 @@ def _cmd_sp_dev(args):
 
 def _cmd_qf_dev(args):
     a, b, c = (int(tok) for tok in args.form.split(","))
+    form = QuadraticForm(a, b, c)
+    if args.e is None:
+        args.e = f"kron:{form.disc}:+1"
     rep = shifted.qf_deviation(
-        QuadraticForm(a, b, c), parse_primeset(args.e), args.x, args.lam,
+        form, parse_primeset(args.e), args.x, args.lam,
         shift=args.shift, g_kind=args.g, threads=args.threads,
     )
     return _DEV_HEADER, [_dev_row(rep)]
@@ -358,8 +366,20 @@ def render(header: list[str], rows: list[list], fmt: str) -> str:
     return buf.getvalue()
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join `--flag -1,1` into `--flag=-1,1`; argparse reads -1,1 as an unknown option."""
+    out: list[str] = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_LIST.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def dispatch(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     start = time.monotonic()
     header, rows = args.fn(args)
     text = render(header, rows, args.format)

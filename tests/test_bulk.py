@@ -210,3 +210,42 @@ def test_range_builders_thread_invariant():
         lambda t: bulk.lpf_range(60000, primes, threads=t, width=8192),
     ):
         assert build(1).tobytes() == build(8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2**30 - 48, 2**30 + 48),
+        (3**19 - 48, 3**19 + 48),
+        (5**13 - 48, 5**13 + 48),
+        (2**30, 2**30 + 1),
+        (3**19, 3**19 + 1),
+        (5**13, 5**13 + 1),
+        (2**30 - 1, 2**30),
+        (1, 2),
+        (1, 1500),
+    ],
+)
+def test_factor_kernels_against_oracle_at_dense_prime_powers(lo, hi):
+    # windows around p**k for small p put high exponents of 2, 3 and 5 at
+    # their centres; width-1 windows and lo = 1 are edges of the walk
+    primes = bulk.primes_upto(40000)
+    E = ResidueClasses(4, (1,))
+    om = bulk.counts_window(lo, hi, primes, "omega")
+    bo = bulk.counts_window(lo, hi, primes, "bigomega", selector=E)
+    fv = bulk.mult_window(
+        lo, hi, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64)
+    )
+    lam = bulk.lambda_window(lo, hi, primes)
+    lp = bulk.lpf_window(lo, hi, primes)
+    for n in range(lo, hi):
+        parts = ofactor(n)
+        i = n - lo
+        assert om[i] == len(parts)
+        assert bo[i] == sum(e for p, e in parts if p % 4 == 1)
+        w = 1.0
+        for p, e in parts:
+            w *= e + 1 / p
+        assert fv[i] == w
+        assert lam[i] == olam(n)
+        assert lp[i] == (parts[-1][0] if parts else 1)

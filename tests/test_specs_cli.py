@@ -360,3 +360,21 @@ def test_cli_render_formats():
     assert text == "a,b\n1,0.1\n0,2\n"
     jl = cli.render(["a"], [[1]], "jsonl")
     assert jl == '{"a": 1}\n'
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cli_qf_dev_default_prime_set_is_the_split_primes(capsys):
+    # the default must not include primes that do not split, such as 2 for x^2 + y^2
+    base = ["qf-dev", "--form", "1,0,1", "--x", "200000", "--lambda", "0.5"]
+    default = _run(capsys, base)
+    explicit = _run(capsys, base + ["--e", "kron:-4:+1"])
+    assert default == explicit
+
+
+def test_cli_jointpoly_accepts_negative_leading_coefficient(capsys):
+    spaced = _run(capsys, ["jointpoly", "--q", "1,1", "--q", "-1,1",
+                           "--x", "20000", "--y", "5000", "--k", "3,3"])
+    joined = _run(capsys, ["jointpoly", "--q", "1,1", "--q=-1,1",
+                           "--x", "20000", "--y", "5000", "--k", "3,3"])
+    assert spaced == joined
+    assert spaced.splitlines()[1].split(",")[-1] == "116"
