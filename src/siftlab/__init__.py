@@ -11,9 +11,7 @@ from .arith import (
     FactorWindow,
     Factorization,
     PrimeTable,
-    build_primes,
     carmichael_lambda,
-    factor_window,
     factorize,
     is_prime,
     kronecker,
@@ -86,7 +84,6 @@ __all__ = [
     "ResourceBudgetError",
     "SieveCondition",
     "SiftedSet",
-    "build_primes",
     "builtin",
     "carmichael_lambda",
     "class_check",
@@ -99,7 +96,6 @@ __all__ = [
     "exact_qf_shifted",
     "exact_qf_values",
     "exact_shifted_primes",
-    "factor_window",
     "factorize",
     "ford_ratio",
     "hr_constant",

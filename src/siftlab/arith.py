@@ -52,8 +52,9 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def build_primes(limit: int) -> PrimeTable:
-    return PrimeTable(limit)
+def table_upto(table: PrimeTable | None, limit: int) -> PrimeTable:
+    """The given table when it reaches limit, else a new PrimeTable(limit)."""
+    return table if table is not None and table.limit >= limit else PrimeTable(limit)
 
 
 class FactorWindow:
@@ -107,10 +108,6 @@ class FactorWindow:
             parts.append((p, e))
         parts.sort()
         return Factorization(n, tuple(parts))
-
-
-def factor_window(lo: int, hi: int, table: PrimeTable) -> FactorWindow:
-    return FactorWindow(lo, hi, table)
 
 
 def factorize(n: int, src: FactorWindow | PrimeTable) -> Factorization:
@@ -282,8 +279,7 @@ __all__ = [
     "Factorization",
     "PrimeTable",
     "FactorWindow",
-    "build_primes",
-    "factor_window",
+    "table_upto",
     "factorize",
     "omega_in",
     "big_omega_in",

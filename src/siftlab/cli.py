@@ -116,12 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------- handlers
 
-def _table_for(x: int) -> PrimeTable:
-    return PrimeTable(max(x, 2))
-
-
 def _cmd_primes(args):
-    t = _table_for(args.x)
+    t = PrimeTable(max(args.x, 2))
     header = ["x", "pi", "mertens", "hr_constant"]
     row = [args.x, t.pi(args.x),
            multfunc.mertens_sum(multfunc.one(), args.x, table=t),
@@ -130,7 +126,7 @@ def _cmd_primes(args):
 
 
 def _hist_setup(args):
-    t = _table_for(args.x)
+    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
     E = parse_primeset(args.e)
     ss = parse_set_spec(args.sieve, args.x)
@@ -147,14 +143,9 @@ def _hist_rows(args, variant: str, C: float | None, beta: float):
     rows = []
     for k in sorted(h.bins):
         mass = h.bins[k]
-        if k in ratios:
-            ratio = ratios[k]
-            rows.append([args.subcommand, args.x, f.spec_string(), args.g,
-                         E.spec_string(), ss.spec_string(), k, mass,
-                         mass / ratio, ratio])
-        else:
-            rows.append([args.subcommand, args.x, f.spec_string(), args.g,
-                         E.spec_string(), ss.spec_string(), k, mass, "", ""])
+        bound = [mass / ratios[k], ratios[k]] if k in ratios else ["", ""]
+        rows.append([args.subcommand, args.x, f.spec_string(), args.g,
+                     E.spec_string(), ss.spec_string(), k, mass] + bound)
     header = ["experiment", "x", "f", "g", "E", "sieve", "k", "mass", "bound", "ratio"]
     return header, rows
 
@@ -168,7 +159,7 @@ def _cmd_hr_check(args):
 
 
 def _cmd_mgf(args):
-    t = _table_for(args.x)
+    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
     E = parse_primeset(args.e)
     ss = parse_set_spec(args.sieve, args.x)
@@ -216,7 +207,7 @@ def _cmd_table(args):
 
 
 def _cmd_table_sifted(args):
-    t = _table_for(args.x)
+    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
     ss = parse_set_spec(args.sieve, args.x)
     rep = table.sifted_table_sum(ss.realize(args.x, t), f, t, args.threads)

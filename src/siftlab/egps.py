@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable
+from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, mertens_sum, values_upto
 from .primesets import ALL_PRIMES
 
@@ -105,7 +105,7 @@ def egps_deviation(
     if lam <= 0:
         raise ValueError("lam must be positive")
 
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     sig = bulk.sigma_range(x, threads=threads)
     ns = np.arange(x + 1, dtype=np.int64)
     s = sig - ns
@@ -162,7 +162,7 @@ def count_p_divides_sigma(
         raise ValueError("need x >= 3")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     if p not in table:
         raise ValueError(f"{p} is not prime")
     sig = bulk.sigma_range(x, threads=threads)
@@ -193,7 +193,7 @@ def count_d_divides_s(
         raise ValueError("need x >= 3")
     if not 1 <= d <= z <= y <= x:
         raise ValueError("need 1 <= d <= z <= y <= x")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     sig = bulk.sigma_range(x, threads=threads)
     ns = np.arange(x + 1, dtype=np.int64)
     s = sig - ns
@@ -215,7 +215,7 @@ def mean_omega_gcd_sigma(
     """Weighted sum of omega(gcd(sigma(n), n)) with its slow-growth bound."""
     if x < 3:
         raise ValueError("need x >= 3")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     sig = bulk.sigma_range(x, threads=threads)
     ns = np.arange(x + 1, dtype=np.int64)
     g = np.gcd(sig, ns)

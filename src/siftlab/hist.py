@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable
+from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 from .sift import SiftedSet, nu_sum
@@ -55,7 +55,7 @@ def weighted_histogram(
     x = sset.x
     if g_kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown statistic {g_kind!r}")
-    table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+    table = table_upto(table, max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
     g = bulk.counts_range(x, table.primes, g_kind, selector, threads=threads)
     sel = sset.bitmap
@@ -100,7 +100,7 @@ def hr_ratio(
     x = hist.x
     if x < 3:
         raise ValueError("need x >= 3 so log log x > 0")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     M = mertens_sum(hist.f, x, hist.E, table)
     m_out = mertens_sum(hist.f, x, hist.E.complement(), table)
     nu = nu_sum(cond, x) if cond is not None else 0.0
@@ -159,7 +159,7 @@ def mgf_sum(
         raise ValueError("need x >= 3")
     if z <= 0:
         raise ValueError("z must be positive")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     if g_kind == "bigomega":
         ps = table.primes[table.primes <= x]
         p0 = E.smallest(ps)
@@ -208,7 +208,7 @@ def tail_masses(
     x = hist.x
     if x < 3:
         raise ValueError("need x >= 3")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     M = mertens_sum(hist.f, x, hist.E, table)
     if M <= 0:
         raise ValueError("prime sum M vanishes; tails are degenerate")
@@ -263,7 +263,7 @@ def deviation(
         raise ValueError("empty set: total mass is zero")
     x = hist.x
     if M is None:
-        table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+        table = table_upto(table, max(x, 2))
         M = mertens_sum(hist.f, x, hist.E, table)
     if M <= 0:
         # every bin deviates; flag rather than divide by zero in the reference

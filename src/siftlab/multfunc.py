@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import bulk
-from .arith import Factorization, PrimeTable, factorize
+from .arith import Factorization, PrimeTable, factorize, table_upto
 from .primesets import ALL_PRIMES, PrimeSubset
 
 
@@ -210,7 +210,7 @@ def mertens_sum(
     """Sum of f(p)/p over primes p <= x restricted to E."""
     if x < 2:
         return 0.0
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     ps = table.primes[table.primes <= x]
     m = np.asarray(E.mask(ps), dtype=bool)
     ps = ps[m]
@@ -227,7 +227,7 @@ def hr_constant(x: int, table: PrimeTable | None = None) -> float:
     """
     if x < 2:
         raise ValueError("need x >= 2")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     ps = table.primes[table.primes <= x].astype(np.float64)
     csum = np.cumsum(1.0 / ps)
     ll = np.log(np.log(ps))
@@ -245,7 +245,7 @@ def harmonic_mean_ratio(
     """(sum_{n <= x} f(n)/n) / exp(sum_{p <= x} f(p)/p)."""
     if x < 1:
         raise ValueError("need x >= 1")
-    table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+    table = table_upto(table, max(x, 2))
     fv = values_upto(f, x, table, threads)
     num = float(np.sum(fv[1:] / np.arange(1, x + 1, dtype=np.float64)))
     return num / math.exp(mertens_sum(f, x, table=table))
@@ -278,7 +278,7 @@ def class_check(
         raise ValueError("need x >= 2")
     if A1 is None:
         A1 = f.A1
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     fv = values_upto(f, x, table, threads)
     big = bulk.counts_range(x, table.primes, "bigomega", threads=threads)
     denom = np.power(A1, big[1:].astype(np.float64))
@@ -305,7 +305,7 @@ def coprimality_factor(
     series are truncated once terms fall below 1e-18 of the partial sum.
     """
     fac = d if isinstance(d, Factorization) else factorize(
-        int(d), table if table is not None else PrimeTable(max(isqrt_ceil(int(d)), 2))
+        int(d), table_upto(table, max(isqrt_ceil(int(d)), 2))
     )
     out = 1.0
     for p, _ in fac.parts:

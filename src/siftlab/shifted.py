@@ -12,12 +12,12 @@ import numpy as np
 
 from . import bulk
 from .arith import (
-    FactorWindow,
     PrimeTable,
     divisors,
     factorize,
     is_prime,
     kronecker,
+    table_upto,
     valuation,
 )
 from .errors import ResourceBudgetError
@@ -41,11 +41,45 @@ class ShiftedDivisorReport:
     bound_ratio: float    # normalized * (log y)**eta0 * sqrt(log log y)
 
 
+def _lcm_window(lo: int, hi: int, cs: np.ndarray) -> np.ndarray:
+    """For m in [lo, hi), the lcm of the c in the sorted cs that divide m (1 if none).
+
+    A c up to isqrt(hi - 1) strides over its multiples; the larger c go one
+    cofactor j at a time, so both loops stay below the root.  The lcm
+    divides m, so uint32 holds it below 2**32.
+    """
+    acc = np.ones(hi - lo, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+    cut = np.searchsorted(cs, isqrt(hi - 1), side="right")
+    for c in cs[:cut].tolist():
+        view = acc[-lo % c :: c]
+        np.lcm(view, c, out=view)
+    big = cs[cut:]
+    for j in range(1, (hi - 1) // int(big[0]) + 1 if big.size else 1):
+        i0, i1 = np.searchsorted(big, (-(-lo // j), (hi - 1) // j + 1))
+        pos = big[i0:i1] * j - lo
+        acc[pos] = np.lcm(acc[pos], big[i0:i1])
+    return acc
+
+
+def _count_hits(ms: np.ndarray, cs: np.ndarray, hit, threads: int) -> int:
+    """How many m in the sorted ms have hit(_lcm_window value at m, m), window by window."""
+    def worker(lo: int, hi: int) -> int:
+        i0, i1 = np.searchsorted(ms, (lo, hi))
+        m = ms[i0:i1]
+        return int(np.count_nonzero(hit(_lcm_window(lo, hi, cs)[m - lo], m))) if m.size else 0
+
+    top = int(ms[-1]) if ms.size else 0
+    return sum(bulk.run_windows(worker, bulk.window_ranges(1, top + 1), threads))
+
+
 def shifted_divisor_count(
     a: int, u: int, v: int, x: int, y: int,
     table: PrimeTable | None = None, threads: int = 1,
 ) -> ShiftedDivisorReport:
-    """Count primes p <= x such that u*p + v has a divisor d > y with d + a prime."""
+    """Count primes p <= x such that u*p + v has a divisor d > y with d + a prime.
+
+    Each such d is q - a for a prime q; p counts when one divides m = |u*p + v|.
+    """
     if a == 0:
         raise ValueError("shift a must be nonzero")
     if u < 1:
@@ -53,28 +87,13 @@ def shifted_divisor_count(
     if x < 3 or y < 3:
         raise ValueError("need x, y >= 3")
     hi = u * x + abs(v) + abs(a) + 1
-    table = table if table is not None and table.limit >= hi else PrimeTable(hi)
-    window = FactorWindow(1, hi, table)
-    ps = table.primes[table.primes <= x].tolist()
-
-    def worker(i0: int, i1: int) -> int:
-        hits = 0
-        for p in ps[i0:i1]:
-            m = u * p + v
-            if m < 0:
-                m = -m
-            if m <= 1:
-                continue
-            for d in sorted(divisors(window.factorize(m)), reverse=True):
-                if d <= y:
-                    break
-                if is_prime(d + a, table):
-                    hits += 1
-                    break
-        return hits
-
-    blocks = bulk.window_ranges(0, len(ps), max(1, len(ps) // 64 + 1))
-    count = sum(bulk.run_windows(worker, blocks, threads))
+    table = table_upto(table, hi)
+    ps = table.primes[table.primes <= x]
+    ms = np.abs(u * ps + v)
+    ms = np.sort(ms[ms > 1])
+    ds = table.primes - a
+    ds = ds[(ds > y) & (ds <= (ms[-1] if ms.size else 0))]
+    count = _count_hits(ms, ds, lambda lcm_d, m: lcm_d > 1, threads)
     pi_x = len(ps)
     normalized = count / pi_x if pi_x else 0.0
     lly = math.log(math.log(y))
@@ -85,7 +104,7 @@ def shifted_divisor_count(
     )
 
 
-def is_lambda_value(n: int, src=None, table: PrimeTable | None = None) -> bool:
+def is_lambda_value(n: int, table: PrimeTable | None = None) -> bool:
     """Whether n is a value of the Carmichael lambda function.
 
     n is a value iff n equals the lcm of the prime-power lambda values that
@@ -96,13 +115,9 @@ def is_lambda_value(n: int, src=None, table: PrimeTable | None = None) -> bool:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return True
     if n % 2 == 1:
-        return False  # lambda is even everywhere past 2
-    fac = factorize(n, src) if src is not None else factorize(
-        n, table if table is not None and table.limit >= isqrt(n) else PrimeTable(max(isqrt(n), 2))
-    )
+        return n == 1  # lambda is even everywhere past 2
+    fac = factorize(n, table_upto(table, max(isqrt(n), 2)))
     L = 1 << valuation(n, 2)
     for d in divisors(fac):
         if d < 2 or not is_prime(d + 1, table):
@@ -115,37 +130,40 @@ def is_lambda_value(n: int, src=None, table: PrimeTable | None = None) -> bool:
     return L == n
 
 
+def _lambda_classes(primes: np.ndarray, top: int) -> np.ndarray:
+    """The c <= top, 2**k and (q - 1) * q**e for odd primes q, whose lcm over c | m
+    is the L(m) is_lambda_value compares with m: of 2**v_2(m) and of
+    (q - 1) * q**v_q(m) over the q with (q - 1) | m."""
+    parts = [1 << np.arange(1, top.bit_length(), dtype=np.int64)]
+    qs = primes[(primes >= 3) & (primes <= top + 1)]
+    cs = qs - 1
+    while cs.size:
+        parts.append(cs)
+        keep = cs <= top // qs
+        cs, qs = cs[keep] * qs[keep], qs[keep]
+    cs = np.sort(np.concatenate(parts))
+    return cs[np.diff(cs, prepend=0) > 0]
+
+
 def lambda_image_intersection(
     u: int, v: int, x: int, table: PrimeTable | None = None, threads: int = 1
 ) -> tuple[int, int]:
     """(count, pi) where count = #{p prime : u*p + v in [1, x] is a lambda value}.
 
-    pi counts the primes p with u*p + v in [1, x].
+    pi counts the primes p with u*p + v in [1, x].  Each window of m sieves
+    L(m) by divisor class, and m is a lambda value iff L(m) == m.
     """
     if u < 1:
         raise ValueError("need u >= 1")
     if x < 1:
         raise ValueError("need x >= 1")
     p_hi = (x - v) // u
-    if p_hi < 2:
-        return 0, 0
-    need = max(p_hi, x, 2)
-    table = table if table is not None and table.limit >= need else PrimeTable(need)
-    window = FactorWindow(1, x + 1, table)
-    ps = table.primes[table.primes <= p_hi].tolist()
-
-    def worker(i0: int, i1: int) -> int:
-        hits = 0
-        for p in ps[i0:i1]:
-            m = u * p + v
-            if 1 <= m <= x and is_lambda_value(m, src=window, table=table):
-                hits += 1
-        return hits
-
-    blocks = bulk.window_ranges(0, len(ps), max(1, len(ps) // 64 + 1))
-    count = sum(bulk.run_windows(worker, blocks, threads))
-    pi = sum(1 for p in ps if 1 <= u * p + v <= x)
-    return count, pi
+    # q - 1 = m reaches x, so the odd primes q run to x + 1
+    table = table_upto(table, max(p_hi, x + 1))
+    ms = u * table.primes[table.primes <= p_hi] + v
+    ms = ms[(ms >= 1) & (ms <= x)]
+    classes = _lambda_classes(table.primes, int(ms[-1]) if ms.size else 0)
+    return _count_hits(ms, classes, np.equal, threads), len(ms)
 
 
 def weighted_sp_deviation(
@@ -158,7 +176,7 @@ def weighted_sp_deviation(
     threads: int = 1,
 ) -> DeviationReport:
     """Deviation of g(a*p + b, E) from its prime-sum mean over shifted primes."""
-    table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+    table = table_upto(table, max(x, 2))
     sset = exact_shifted_primes(a, b, x, table)
     hist = weighted_histogram(sset, f, g_kind, E, table, threads)
     return deviation(hist, lam, table=table)
@@ -179,7 +197,7 @@ def qf_deviation(
     E must consist of primes splitting for the form's discriminant; this is
     validated against the Kronecker symbol before any counting.
     """
-    table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+    table = table_upto(table, max(x, 2))
     ps = table.primes[table.primes <= x]
     sel = ps[np.asarray(E.mask(ps), dtype=bool)].tolist()
     for p in sel:
@@ -238,7 +256,7 @@ def poly_mertens_deviation(
         raise ValueError("need x >= 2")
     if x > 10**5:
         raise ResourceBudgetError("residue scans above 1e5 are quadratic work")
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
     ps = table.primes[table.primes <= x]
     acc = 0.0
     best = 0.0
@@ -321,7 +339,7 @@ def joint_poly_omega(
             f"factoring needs primes to {root}, over the limit {trial_limit}"
         )
     need = max(x, root, 2)
-    table = table if table is not None and table.limit >= need else PrimeTable(need)
+    table = table_upto(table, need)
     lo = x - y
     ps = table.primes[(table.primes > lo) & (table.primes <= x)]
     count = 0
@@ -348,7 +366,7 @@ def ap_prime_factor_count(
         raise ValueError("need gcd(a, d) = 1")
     if g_kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown statistic {g_kind!r}")
-    table = table if table is not None and table.limit >= max(x, 2) else PrimeTable(max(x, 2))
+    table = table_upto(table, max(x, 2))
     g = bulk.counts_range(x, table.primes, g_kind, threads=threads)
     ns = np.arange(x + 1, dtype=np.int64)
     mask = (g == k) & (ns % d == a % d)

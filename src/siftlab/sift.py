@@ -15,7 +15,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import bulk
-from .arith import Factorization, PrimeTable, is_prime
+from .arith import Factorization, PrimeTable, is_prime, table_upto
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class SieveCondition:
         return tuple(sorted(p for p, rs in self.exclusions if rs))
 
     def nu(self, p: int) -> int:
-        for q, rs in self.exclusions:
-            if q == p:
-                return len(rs)
-        return 0
+        return len(self.residues_at(p))
 
     def residues_at(self, p: int) -> tuple[int, ...]:
         for q, rs in self.exclusions:
@@ -172,7 +169,7 @@ def exact_shifted_primes(
     p_hi = (x - b) // a
     bitmap = np.zeros(x + 1, dtype=bool)
     if p_hi >= 2:
-        table = table if table is not None and table.limit >= p_hi else PrimeTable(p_hi)
+        table = table_upto(table, p_hi)
         ps = table.primes[table.primes <= p_hi]
         vals = a * ps + b
         vals = vals[(vals >= 1) & (vals <= x)]
@@ -230,7 +227,7 @@ def exact_qf_shifted(
     """Represented values n in [1, x] with n + k prime."""
     base = exact_qf_values(form, x)
     hi = x + max(k, 0) + 1
-    table = table if table is not None and table.limit >= hi else PrimeTable(max(hi, 2))
+    table = table_upto(table, max(hi, 2))
     ns = base.members()
     keep = np.array([is_prime(int(n) + k, table) for n in ns], dtype=bool)
     bitmap = np.zeros(x + 1, dtype=bool)

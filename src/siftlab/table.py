@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable
+from .arith import PrimeTable, table_upto
 from .errors import ResourceBudgetError
 from .hist import q_rate
 from .multfunc import MultiplicativeFunction, mertens_sum
@@ -131,7 +131,7 @@ def sifted_table_sum(
     if x < 3:
         raise ValueError("need x >= 3")
     B = isqrt(x)
-    table = table if table is not None and table.limit >= x else PrimeTable(x)
+    table = table_upto(table, x)
 
     def worker(lo: int, hi: int) -> float:
         keep = np.zeros(hi - lo, dtype=bool)

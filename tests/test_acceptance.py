@@ -69,7 +69,7 @@ def test_check_01_arithmetic_oracle_suite(t1e5):
     start = time.monotonic()
     x = 10**5
     spf = _oracle_spf(x)
-    window = arith.factor_window(1, x + 1, t1e5)
+    window = arith.FactorWindow(1, x + 1, t1e5)
     om_a = bulk.counts_range(x, t1e5.primes, "omega")
     bo_a = bulk.counts_range(x, t1e5.primes, "bigomega")
     sig_a = bulk.sigma_range(x)

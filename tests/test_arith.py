@@ -38,7 +38,7 @@ def test_prime_table_rejects_tiny_limit():
     with pytest.raises(ValueError):
         arith.PrimeTable(1)
     with pytest.raises(ValueError):
-        arith.build_primes(-5)
+        arith.PrimeTable(-5)
 
 
 def test_prime_table_limit_two():
@@ -59,7 +59,7 @@ def test_prime_table_matches_slow_sieve(t1e5):
 
 
 def test_factor_window_spf_values(t1e5):
-    w = arith.factor_window(10, 14, t1e5)
+    w = arith.FactorWindow(10, 14, t1e5)
     assert w.spf.tolist() == [2, 11, 2, 13]
     assert w.spf_of(12) == 2
     assert w.spf_of(13) == 13
@@ -67,13 +67,13 @@ def test_factor_window_spf_values(t1e5):
 
 def test_factor_window_bounds_errors(t1e5):
     with pytest.raises(ValueError):
-        arith.factor_window(5, 5, t1e5)
+        arith.FactorWindow(5, 5, t1e5)
     with pytest.raises(ValueError):
-        arith.factor_window(0, 10, t1e5)
+        arith.FactorWindow(0, 10, t1e5)
     small = arith.PrimeTable(7)
     with pytest.raises(ValueError):
-        arith.factor_window(2, 100, small)
-    w = arith.factor_window(10, 14, t1e5)
+        arith.FactorWindow(2, 100, small)
+    w = arith.FactorWindow(10, 14, t1e5)
     with pytest.raises(ValueError):
         w.spf_of(14)
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_factorize_known_values(t1e5):
 
 
 def test_factorize_against_trial_division_oracle(t1e5):
-    w = arith.factor_window(1, 10001, t1e5)
+    w = arith.FactorWindow(1, 10001, t1e5)
     for n in range(1, 10001):
         expect = tuple(ofactor(n))
         assert w.factorize(n).parts == expect
@@ -99,7 +99,7 @@ def test_factorize_against_trial_division_oracle(t1e5):
 
 def test_factor_window_cofactor_fallback(t1e5):
     # window starts above 1, so repeated division drops below lo
-    w = arith.factor_window(50, 100, t1e5)
+    w = arith.FactorWindow(50, 100, t1e5)
     assert w.factorize(96).parts == ((2, 5), (3, 1))
     assert w.factorize(97).parts == ((97, 1),)
     assert w.factorize(90).parts == ((2, 1), (3, 2), (5, 1))
@@ -107,7 +107,7 @@ def test_factor_window_cofactor_fallback(t1e5):
 
 def test_factor_window_high_range_matches_trial(t1e6):
     lo = 10**6
-    w = arith.factor_window(lo, lo + 4096, t1e6)
+    w = arith.FactorWindow(lo, lo + 4096, t1e6)
     for n in range(lo, lo + 4096, 97):
         assert w.factorize(n).parts == tuple(ofactor(n))
 
@@ -146,7 +146,7 @@ def test_classical_functions_at_45(t1e5):
 
 
 def test_classical_functions_against_oracles(t1e5):
-    w = arith.factor_window(1, 3001, t1e5)
+    w = arith.FactorWindow(1, 3001, t1e5)
     for n in range(1, 3001):
         f = w.factorize(n)
         assert arith.sigma(f) == osigma(n)
@@ -185,7 +185,7 @@ def test_lambda_of_prime_power():
 
 
 def test_carmichael_divides_totient(t1e5):
-    w = arith.factor_window(1, 10001, t1e5)
+    w = arith.FactorWindow(1, 10001, t1e5)
     for n in range(1, 10001):
         f = w.factorize(n)
         assert arith.phi(f) % arith.carmichael_lambda(f) == 0
@@ -306,6 +306,6 @@ def test_valuation():
 
 
 def test_spf_array_is_int64(t1e5):
-    w = arith.factor_window(2, 100, t1e5)
+    w = arith.FactorWindow(2, 100, t1e5)
     assert w.spf.dtype == np.int64
     assert int(w.spf[0]) == 2

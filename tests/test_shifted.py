@@ -5,6 +5,7 @@ over exact sets, and prime-factor counts at polynomial values.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from siftlab import bulk, shifted as sh
@@ -105,6 +106,67 @@ def test_lambda_image_intersection_input_errors(t1e6):
         sh.lambda_image_intersection(0, 1, 100, t1e6)
     with pytest.raises(ValueError):
         sh.lambda_image_intersection(1, 1, 0, t1e6)
+
+
+@pytest.mark.parametrize("a, u, v, x, y", [
+    (-1, 1, -3, 60, 3), (-2, 2, -5, 80, 3), (-3, 3, -7, 90, 4), (1, 1, -5, 100, 3), (-1, 2, -9, 200, 5),
+])
+def test_shifted_divisor_count_skips_m_at_most_1(t1e6, a, u, v, x, y):
+    ps = [p for p in range(2, x + 1) if is_prime_slow(p)]
+    assert any(abs(u * p + v) <= 1 for p in ps)
+    rep = sh.shifted_divisor_count(a, u, v, x, y, table=t1e6)
+    assert rep.count == _brute_shifted_divisor(a, u, v, x, y)
+    assert rep.pi_x == len(ps)
+
+
+@pytest.mark.parametrize("u, v, x, want", [(1, 1, 102, (19, 26)), (2, 2, 28, (6, 6))])
+def test_lambda_image_intersection_reaches_q_at_x_plus_1(u, v, x, want):
+    # m = x is a value only through q = x + 1 = 103 or 29, one past max(p_hi, x)
+    assert sh.lambda_image_intersection(u, v, x) == want
+    table = PrimeTable(max((x - v) // u, x))
+    assert sh.lambda_image_intersection(u, v, x, table) == want
+
+
+def test_lambda_image_intersection_sweep_x_plus_1_prime(t1e5):
+    top = 4000
+    value = [False] + [sh.is_lambda_value(m, table=t1e5) for m in range(1, top + 1)]
+    ps = t1e5.primes[t1e5.primes <= top].tolist()
+    xs = [q - 1 for q in ps if q - 1 < top]
+    for u, v in [(1, 1), (1, 0), (2, 1), (2, 2), (1, -1)]:
+        for x in xs:
+            ms = [u * p + v for p in ps if 1 <= u * p + v <= x]
+            want = (sum(value[m] for m in ms), len(ms))
+            assert sh.lambda_image_intersection(u, v, x) == want, (u, v, x)
+
+
+def test_lambda_and_spd_sieves_across_two_windows():
+    x = 2**20 + 5000
+    table = PrimeTable(x + 3)
+    windows = bulk.window_ranges(1, x + 1)
+    assert len(windows) == 2 and windows[0][1] == 2**20 + 1
+    for v in (1, -1):
+        counts = {sh.lambda_image_intersection(1, v, x, table, threads=t) for t in (1, 2)}
+        assert len(counts) == 1
+    for a, v in ((1, -1), (-1, 1)):
+        counts = {sh.shifted_divisor_count(a, 1, v, x, 1000, table, threads=t).count
+                  for t in (1, 2)}
+        assert len(counts) == 1
+    ds = table.primes - 1
+    ds = ds[(ds > 1000) & (ds <= x + 1)]
+    classes = sh._lambda_classes(table.primes, x)
+    rng = np.random.default_rng(5)
+    for lo, hi in windows:
+        # both ends of each window, where a slipped offset lands, and a random sample
+        ends = range(lo, min(lo + 150, hi)), range(max(lo, hi - 1100), hi)
+        sample = [*ends[0], *ends[1], *rng.integers(lo, hi, 150).tolist()]
+        lam = sh._lcm_window(lo, hi, classes)
+        marked = sh._lcm_window(lo, hi, ds) > 1
+        for m in sample:
+            assert (lam[m - lo] == m) == sh.is_lambda_value(m, table=table), m
+            divs = [1]
+            for q, e in ofactor(m):
+                divs = [d * q**i for d in divs for i in range(e + 1)]
+            assert marked[m - lo] == any(d > 1000 and is_prime_slow(d + 1) for d in divs), m
 
 
 def test_weighted_sp_deviation_matches_brute(t1e6):
