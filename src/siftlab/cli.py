@@ -195,13 +195,20 @@ def _cmd_dev(args):
 
 
 def _cmd_table(args):
-    budget = None if args.budget_mb is None else args.budget_mb * (1 << 20) * 8
-    kw = {} if budget is None else {"budget_cells": budget}
-    A = table.table_count(args.n, threads=args.threads, **kw)
+    if args.budget_mb is not None:
+        # each worker holds a bool product segment; with --shift also the
+        # window's prime flags and their AND, all one byte per cell
+        cells, seg = args.n * args.n, table.DEFAULT_SEGMENT
+        need = min(max(args.threads, 1), -(-cells // seg)) * min(cells, seg)
+        need *= 1 if args.shift is None else 3
+        if need > args.budget_mb << 20:
+            raise ResourceBudgetError(f"table segments need {need} bytes, "
+                                      f"over the budget of {args.budget_mb} MiB")
+    A = table.table_count(args.n, threads=args.threads)
     fr = table.ford_ratio(args.n, A) if args.n >= 3 else ""
     if args.shift is None:
         return ["N", "A", "ford_ratio"], [[args.n, A, fr]]
-    As = table.table_count_shifted(args.n, args.shift, threads=args.threads, **kw)
+    As = table.table_count_shifted(args.n, args.shift, threads=args.threads)
     return (["N", "A", "ford_ratio", "s", "A_shifted"],
             [[args.n, A, fr, args.shift, As]])
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, table_upto
-from .multfunc import MultiplicativeFunction, mertens_sum, values_upto
+from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
 
 
@@ -106,20 +106,14 @@ def egps_deviation(
         raise ValueError("lam must be positive")
 
     table = table_upto(table, x)
-    sig = bulk.sigma_range(x, threads=threads)
-    ns = np.arange(x + 1, dtype=np.int64)
-    s = sig - ns
-    del sig
+    s = bulk.sigma_range(x, threads=threads)
+    s -= np.arange(x + 1, dtype=np.int64)
     s[:2] = 0
     oms = _omega_of_values(s, threads)
     del s
-
-    if f.is_one():
-        fv = None
-        total = float(x)  # n = 1 stays in the normalization
-    else:
-        fv = values_upto(f, x, table, threads)
-        total = float(fv[1:].sum())
+    # bins[k] = sum of f(n) over 2 <= n <= x with omega(s(n)) = k
+    bins = weighted_bins(f, oms, slice(2, None), table, threads)
+    total = 1.0 + float(bins.sum())  # n = 1 (f(1) = 1) stays in the normalization
 
     def cutoffs(lam_: float) -> tuple[int, int]:
         thr = lam_ * math.sqrt(llx)
@@ -127,11 +121,7 @@ def egps_deviation(
 
     def mass_at(lam_: float) -> float:
         k_low, k_high = cutoffs(lam_)
-        mask = (oms <= k_low) | (oms >= k_high)
-        mask[:2] = False  # n = 1 excluded; index 0 is padding
-        if fv is None:
-            return float(np.count_nonzero(mask))
-        return float(fv[mask].sum())
+        return float(bins[: max(k_low + 1, 0)].sum() + bins[k_high:].sum())
 
     k_low, k_high = cutoffs(lam)
     mass = mass_at(lam)
@@ -166,13 +156,8 @@ def count_p_divides_sigma(
     if p not in table:
         raise ValueError(f"{p} is not prime")
     sig = bulk.sigma_range(x, threads=threads)
-    mask = sig % p == 0
-    mask[0] = False
-    if f.is_one():
-        value = float(np.count_nonzero(mask))
-    else:
-        fv = values_upto(f, x, table, threads)
-        value = float(fv[mask].sum())
+    bins = weighted_bins(f, sig % p == 0, slice(1, None), table, threads)
+    value = float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     bound = (
         (p ** (-(1.0 - eps) / 2.0) + math.log(math.log(x)) / p)
@@ -199,11 +184,8 @@ def count_d_divides_s(
     s = sig - ns
     lpf = bulk.lpf_range(x, table.primes, threads=threads)
     mask = (lpf > y) & (ns % np.maximum(lpf * lpf, 1) != 0) & (s % d == 0)
-    mask[0] = False
-    if f.is_one():
-        return float(np.count_nonzero(mask))
-    fv = values_upto(f, x, table, threads)
-    return float(fv[mask].sum())
+    bins = weighted_bins(f, mask, slice(1, None), table, threads)
+    return float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
 
 
 def mean_omega_gcd_sigma(
@@ -220,13 +202,10 @@ def mean_omega_gcd_sigma(
     ns = np.arange(x + 1, dtype=np.int64)
     g = np.gcd(sig, ns)
     om = bulk.counts_range(x, table.primes, "omega", threads=threads)
-    omg = om[g].astype(np.float64)
-    omg[0] = 0.0
-    if f.is_one():
-        value = float(omg[1:].sum())
-    else:
-        fv = values_upto(f, x, table, threads)
-        value = float(np.dot(omg[1:], fv[1:]))
+    bins = weighted_bins(f, om[g], slice(1, None), table, threads)
+    value = 0.0
+    for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time
+        value += k * mass
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     lll = math.log(math.log(math.log(x))) if math.log(math.log(x)) > 1 else None
     l4 = math.log(lll) if lll is not None and lll > 1 else None

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, table_upto
-from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto
+from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 from .sift import SiftedSet, nu_sum
 
@@ -59,11 +59,7 @@ def weighted_histogram(
     selector = None if isinstance(E, AllPrimes) else E
     g = bulk.counts_range(x, table.primes, g_kind, selector, threads=threads)
     sel = sset.bitmap
-    if f.is_one():
-        raw = np.bincount(g[sel])
-    else:
-        fv = values_upto(f, x, table, threads)
-        raw = np.bincount(g[sel], weights=fv[sel])
+    raw = weighted_bins(f, g, sel, table, threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
     return WeightedHistogram(
         x=x, g_kind=g_kind, E=E, f=f, set_label=sset.label,
@@ -170,12 +166,11 @@ def mgf_sum(
     selector = None if isinstance(E, AllPrimes) else E
     g = bulk.counts_range(x, table.primes, g_kind, selector, threads=threads)
     sel = sset.bitmap
-    zg = np.power(float(z), g[sel].astype(np.float64))
-    if f.is_one():
-        value = float(zg.sum())
-    else:
-        fv = values_upto(f, x, table, threads)
-        value = float(np.dot(zg, fv[sel]))
+    # summed per n, not read off the bins: the tests check this value
+    # against the histogram identity sum_k z**k * bins[k]
+    terms = values_upto(f, x, table, threads)[sel]
+    terms *= np.power(float(z), g[sel], dtype=np.float64)
+    value = float(terms.sum())
     m_in = mertens_sum(f, x, E, table)
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     nu = nu_sum(sset.cond, x) if sset.cond is not None else 0.0

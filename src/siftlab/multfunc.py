@@ -69,6 +69,19 @@ def values_upto(
     return bulk.mult_range(x, table.primes, f.rule, f.at_primes, threads=threads)
 
 
+def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: PrimeTable,
+                  threads: int = 1) -> np.ndarray:
+    """bins[k] = sum of f(n), added in ascending n, over the n in sel with keys[n] = k.
+
+    sel is a slice or bool mask over n = 0..len(keys) - 1.  For f = one the
+    bins are exact int64 counts and no weight array is built.
+    """
+    if f.is_one():
+        return np.bincount(keys[sel])
+    fv = values_upto(f, len(keys) - 1, table, threads)
+    return np.bincount(keys[sel], weights=fv[sel])
+
+
 # ---------------------------------------------------------------- builtins
 
 def one() -> MultiplicativeFunction:
@@ -334,6 +347,7 @@ __all__ = [
     "MultiplicativeFunction",
     "eval_mf",
     "values_upto",
+    "weighted_bins",
     "one",
     "mu_sq",
     "z_omega",

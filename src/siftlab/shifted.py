@@ -368,10 +368,8 @@ def ap_prime_factor_count(
         raise ValueError(f"unknown statistic {g_kind!r}")
     table = table_upto(table, max(x, 2))
     g = bulk.counts_range(x, table.primes, g_kind, threads=threads)
-    ns = np.arange(x + 1, dtype=np.int64)
-    mask = (g == k) & (ns % d == a % d)
-    mask[0] = False
-    return int(np.count_nonzero(mask))
+    start = a % d or d  # 0 only when d = 1; n = 0 is not counted
+    return int(np.count_nonzero(g[start::d] == k))
 
 
 __all__ = [

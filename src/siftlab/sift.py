@@ -229,9 +229,9 @@ def exact_qf_shifted(
     hi = x + max(k, 0) + 1
     table = table_upto(table, max(hi, 2))
     ns = base.members()
-    keep = np.array([is_prime(int(n) + k, table) for n in ns], dtype=bool)
+    ns = ns[ns + k >= 0]  # a negative index would wrap to the end of flags
     bitmap = np.zeros(x + 1, dtype=bool)
-    bitmap[ns[keep]] = True
+    bitmap[ns[table.flags[ns + k]]] = True
     return SiftedSet(
         x=x, bitmap=bitmap, cond=None, label=f"{form.spec_string()},shift={k}"
     )

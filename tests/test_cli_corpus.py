@@ -3,15 +3,27 @@
 The hashes were recorded before the shifted-prime sieves replaced the
 per-prime factoring loops; every invocation must print the same bytes with
 one thread and with two.  A change that moves a hash names and explains it.
+The two non-integer weights (`mgf --f zomega:1.3`, `omega-gcd --f phioverN`)
+were recorded once their masses became ascending-n sums owned by numpy.
+
+Output bytes must not depend on the machine either: no reduction in
+`src/siftlab` may go through BLAS, whose thread count reorders the sum.
 """
 
+import ast
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from siftlab import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CORPUS = [
     ("lambda-image --u 1 --v -1 --x 20000",
@@ -38,7 +50,15 @@ CORPUS = [
      "9e423bec8a834a36de884166931254944959cfb60db63273ea4db56e715fb8a5"),
     ("dev --x 100000 --lambda 1.0",
      "dc671b8d2b2a41125602ba57fb4be6f9412cf3791e5feba61fef8e16ae1809a8"),
+    ("mgf --x 200000 --z 1.5 --f zomega:1.3",
+     "1c746a742c590d35da554a31a8b92af7ed205ce84092faa0ba4da0838dfd7d97"),
+    ("omega-gcd --x 200000 --f phioverN",
+     "1c7f76a7e32e07c632a664ada728348bb5925c18310451f5a9f11bf615f0d446"),
 ]
+
+# weights that are not integers, so any reordering of the sum shows in the bytes
+BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
+                  "omega-gcd --x 200000 --f phioverN"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -49,3 +69,48 @@ def test_cli_output_bytes_unchanged(argv, digest, threads):
     with redirect_stdout(buf):
         assert cli.dispatch(argv.split() + ["--threads", threads]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", BLAS_SENSITIVE)
+def test_cli_output_bytes_ignore_blas_threads(argv):
+    outs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "siftlab.cli", *argv.split()],
+                             env=env, capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(tree):
+    """`@`, `.dot(`, numpy's BLAS-backed functions, any linalg, and imports of them."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ("dot", "linalg")
+                or (node.attr in _BLAS_NAMES and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))):
+            yield node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any(_BLAS_NAMES & set(n.split(".")) for n in names):
+                yield node
+
+
+def test_no_blas_reduction_in_source():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "siftlab").glob("*.py"))
+             for node in _blas_uses(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_blas_scan_sees_every_form():
+    src = ("import numpy as np\nfrom numpy import inner\nfrom numpy.linalg import norm\n"
+           "a @ b\nc @= d\nnp.dot(a, b)\na.dot(b)\nnp.einsum('i,i', a, b)\n"
+           "np.linalg.norm(a)\nself.inner\n")
+    assert sorted(n.lineno for n in _blas_uses(ast.parse(src))) == [2, 3, 4, 5, 6, 7, 8, 9]

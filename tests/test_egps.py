@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from siftlab import egps
-from siftlab.multfunc import one, z_omega
+from siftlab.multfunc import mu_sq, one, z_omega
 
 from oracles import ofactor, osigma
 
@@ -17,6 +17,10 @@ def _aliquot(n):
 
 def _omega(n):
     return len(ofactor(n))
+
+
+def _weight(f, n):
+    return math.prod(f.rule(p, e) for p, e in ofactor(n))
 
 
 def test_aliquot_window_values():
@@ -88,6 +92,43 @@ def test_egps_deviation_weighted(t1e5):
     total = sum(2.0 ** _omega(n) for n in range(1, x + 1))
     assert rep.mass == pytest.approx(mass, rel=1e-12)
     assert rep.total == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("f", [one(), mu_sq(), z_omega(1.3)], ids=lambda f: f.spec)
+def test_egps_grid_matches_per_n_masks(f, t1e5):
+    x = 3000
+    rep = egps.egps_deviation(x, f, lam=3.0, table=t1e5)
+    llx = math.log(math.log(x))
+    om = {n: _omega(_aliquot(n)) for n in range(2, x + 1)}
+    fv = {n: _weight(f, n) for n in range(1, x + 1)}
+    # lam = 3 puts k_low below zero (an empty low tail) and k_high above
+    # every omega(s(n)) that occurs, so the whole grid point is empty
+    assert rep.k_low == -3 and rep.k_high > max(om.values())
+    rel = 1e-12 if f.spec == "zomega:1.3" else 0.0  # one and musq are exact
+    total = sum(fv.values())
+    assert rep.total == pytest.approx(total, rel=rel, abs=0.0)
+    assert rep.mass == 0.0
+    for lam, norm in rep.grid:
+        thr = lam * math.sqrt(llx)
+        mass = sum(fv[n] for n in om if abs(om[n] - llx) >= thr)
+        assert norm == pytest.approx(mass / total, rel=rel, abs=0.0)
+    assert [lam for lam, _ in rep.grid] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+def test_weighted_sigma_masses_match_oracle_sums(t1e5):
+    x, f = 600, z_omega(1.3)
+    sig = {n: osigma(n) for n in range(1, x + 1)}
+    fv = {n: _weight(f, n) for n in range(1, x + 1)}
+    got = egps.count_p_divides_sigma(x, 3, f, table=t1e5).value
+    assert got == pytest.approx(sum(fv[n] for n in sig if sig[n] % 3 == 0), rel=1e-12)
+    got = egps.count_d_divides_s(x, 20, 10, 5, f, table=t1e5)
+    expect = sum(fv[n] for n in range(2, x + 1)
+                 if ofactor(n)[-1][0] > 20 and ofactor(n)[-1][1] == 1
+                 and (sig[n] - n) % 5 == 0)
+    assert got == pytest.approx(expect, rel=1e-12)
+    got = egps.mean_omega_gcd_sigma(x, f, table=t1e5).value
+    expect = sum(_omega(math.gcd(sig[n], n)) * fv[n] for n in sig)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_egps_deviation_grid_is_nonincreasing(t1e5):

@@ -370,6 +370,20 @@ def test_ap_prime_factor_count_multiplicity(t1e6):
     assert got == expect
 
 
+@pytest.mark.parametrize("d, a", [(1, 0), (4, 3)])
+def test_ap_prime_factor_count_brute(d, a, t1e6):
+    # d = 1 strides from n = 1 (a % d = 0 would otherwise start at n = 0)
+    x = 300
+    for g_kind in ("omega", "bigomega"):
+        for k in range(5):
+            expect = sum(
+                1 for n in range(1, x + 1) if n % d == a % d and (
+                    len(ofactor(n)) if g_kind == "omega"
+                    else sum(e for _, e in ofactor(n))) == k
+            )
+            assert sh.ap_prime_factor_count(x, d, a, g_kind, k, t1e6) == expect
+
+
 def test_ap_prime_factor_count_input_errors(t1e6):
     with pytest.raises(ValueError):
         sh.ap_prime_factor_count(100, 4, 2, "omega", 1, t1e6)

@@ -194,10 +194,13 @@ def test_qf_shifted(t1e5):
     assert set(s.members().tolist()) == expect
 
 
-def test_qf_shifted_negative_shift(t1e5):
-    s = sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), -1, 50, t1e5)
+# with k = -3, n = 1 and n = 2 give n + k < 0; the table then reaches x + 1 = 53,
+# a prime, so an index that wrapped to the end of the flags would keep n = 2
+@pytest.mark.parametrize("k, x", [(-1, 50), (-3, 52)])
+def test_qf_shifted_negative_shift(k, x):
+    s = sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), k, x)
     expect = {
-        n for n in range(1, 51) if or_lattice(n) > 0 and is_prime_slow(n - 1)
+        n for n in range(1, x + 1) if or_lattice(n) > 0 and is_prime_slow(n + k)
     }
     assert set(s.members().tolist()) == expect
 

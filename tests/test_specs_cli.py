@@ -304,6 +304,19 @@ def test_cli_budget_mb():
         cli.dispatch(["table", "--n", "100000", "--budget-mb", "1"])
 
 
+@pytest.mark.parametrize("argv, over", [
+    (["--n", "8000", "--budget-mb", "8"], True),        # one 64 MB segment
+    (["--n", "3000", "--budget-mb", "16"], False),      # one 9 MB segment
+    (["--n", "3000", "--budget-mb", "16", "--shift", "1"], True),  # three of them
+])
+def test_cli_table_budget_counts_segment_bytes(argv, over):
+    if over:
+        with pytest.raises(ResourceBudgetError):
+            cli.dispatch(["table", *argv])
+    else:
+        assert cli.dispatch(["table", *argv]) == 0
+
+
 def test_cli_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["siftlab", "mgf", "--x", "100", "--z", "0"])
     with pytest.raises(SystemExit) as ei:
