@@ -6,12 +6,12 @@ run each window with numpy slice arithmetic, and write results back in
 ascending window order.  Window width never depends on the thread count, so
 output is bit-identical whether windows run serially or on a pool.
 
-Per-window work uses only primes up to sqrt(hi-1).  The factor kernels
-(counts, mult, lambda, lpf) share one prime-power walk: for each small
-prime it steps through the multiples of p, p**2, ... as strided slices,
-hands the kernel the exponent of p at each multiple, and finally divides
-every n by its small part, which leaves either 1 or a single prime above
-the root for the kernel to classify.
+Per-window work uses only primes up to sqrt(hi-1).  All five factor
+kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk: for
+each small prime it steps through the multiples of p, p**2, ... as strided
+slices, hands the kernel the exponent of p at each multiple, and finally
+divides every n by its small part, which leaves either 1 or a single prime
+above the root for one whole-array finish.
 """
 
 from __future__ import annotations
@@ -141,12 +141,14 @@ def _walk(lo: int, hi: int, primes: np.ndarray, visit, exps: bool = True) -> np.
     return rem
 
 
-def _max_exp(p: int, hi: int) -> int:
-    """The largest e with p**e < hi, at least 1."""
-    e = 1
-    while p ** (e + 1) < hi:
-        e += 1
-    return e
+def _power_table(p: int, hi: int, value, dtype) -> np.ndarray:
+    """[1, value(p, 1), ...] through the largest e with p**e < hi, for indexing by exp."""
+    vals = [1]
+    q = p
+    while q < hi:
+        vals.append(value(p, len(vals)))
+        q *= p
+    return np.array(vals, dtype=dtype)
 
 
 def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndarray:
@@ -170,11 +172,10 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
             counts[sl] += 1 if exp is None else exp
 
     rem = _walk(lo, hi, primes, visit, exps=kind == "bigomega")
-    big = rem > 1
     if selector is None:
-        counts[big] += 1
+        counts += rem > 1
     else:
-        pos = np.flatnonzero(big)
+        pos = np.flatnonzero(rem > 1)
         if pos.size:
             keep = np.asarray(selector.mask(rem[pos]), dtype=bool)
             counts[pos[keep]] += 1
@@ -195,14 +196,9 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     vals = np.ones(hi - lo, dtype=np.float64)
 
     def visit(p, sl, exp):
-        emax = _max_exp(p, hi)
-        table = np.empty(emax + 1, dtype=np.float64)
-        table[0] = 1.0
-        for e in range(1, emax + 1):
-            r = float(rule(p, e))
-            if r < 0:
-                raise ValueError(f"multiplicative rule negative at ({p},{e})")
-            table[e] = r
+        table = _power_table(p, hi, rule, np.float64)
+        if (table < 0).any():
+            raise ValueError(f"multiplicative rule negative at ({p},{np.argmax(table < 0)})")
         vals[sl] *= table[exp]
 
     rem = _walk(lo, hi, primes, visit)
@@ -216,21 +212,23 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
 
 
 def sigma_window(lo: int, hi: int) -> np.ndarray:
-    """Divisor sums sigma(n) for [lo, hi) via paired small/large divisors."""
+    """Divisor sums sigma(n) for [lo, hi) as int64; sieves its own primes.
+
+    A cofactor left by the walk is 1 or a prime q, so rem += rem > 1 gives sigma(rem).
+    """
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     if hi > 1 << 55:
         raise OverflowError("sigma window above 2**55 could overflow int64")
-    sig = np.zeros(hi - lo, dtype=np.int64)
-    for d in range(1, isqrt(hi - 1) + 1):
-        m0 = max(d, -(-lo // d))
-        m1 = (hi - 1) // d
-        if m0 > m1:
-            continue
-        ms = np.arange(m0, m1 + 1, dtype=np.int64)
-        sig[d * m0 - lo : d * m1 - lo + 1 : d] += ms + d
-        if lo <= d * d < hi:
-            sig[d * d - lo] -= d
+    sig = np.ones(hi - lo, dtype=np.int64)
+
+    def visit(p, sl, exp):
+        table = _power_table(p, hi, lambda q, e: (q ** (e + 1) - 1) // (q - 1), np.int64)
+        sig[sl] *= table[exp]
+
+    rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), visit)
+    rem += rem > 1
+    sig *= rem
     return sig
 
 
@@ -248,12 +246,8 @@ def lambda_window(lo, hi, primes) -> np.ndarray:
     lam = np.ones(hi - lo, dtype=np.int64)
 
     def visit(p, sl, exp):
-        table = np.array(
-            [1] + [lambda_of_prime_power(p, e) for e in range(1, _max_exp(p, hi) + 1)],
-            dtype=np.int64,
-        )
         lv = lam[sl]
-        pe = table[exp]
+        pe = _power_table(p, hi, lambda_of_prime_power, np.int64)[exp]
         np.floor_divide(lv, np.gcd(lv, pe), out=lv)
         lv *= pe
 
@@ -276,8 +270,7 @@ def lpf_window(lo, hi, primes) -> np.ndarray:
         lpf[sl] = p
 
     rem = _walk(lo, hi, primes, visit, exps=False)
-    big = rem > 1
-    lpf[big] = rem[big]
+    np.maximum(lpf, rem, out=lpf)
     return lpf
 
 

@@ -290,8 +290,8 @@ def _cmd_egps(args):
               "excluded", "unfactored"]
     rows = [[args.x, args.f, rep.lam, rep.mass, rep.total, rep.normalized,
              rep.excluded, rep.unfactored]]
-    for lam, norm in rep.grid:
-        rows.append([args.x, args.f, lam, norm * rep.total, rep.total, norm,
+    for (lam, norm), mass in zip(rep.grid, rep.grid_mass):
+        rows.append([args.x, args.f, lam, mass, rep.total, norm,
                      rep.excluded, rep.unfactored])
     return header, rows
 

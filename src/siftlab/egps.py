@@ -74,6 +74,7 @@ class EgpsReport:
     excluded: int               # n = 1, where s(n) = 0
     unfactored: int             # always 0: the sigma table path is exact
     grid: list[tuple[float, float]] = field(default_factory=list)
+    grid_mass: list[float] = field(default_factory=list)  # unnormalized mass per grid lam
 
 
 def egps_deviation(
@@ -125,11 +126,12 @@ def egps_deviation(
 
     k_low, k_high = cutoffs(lam)
     mass = mass_at(lam)
+    grid_mass = [mass_at(g) for g in grid]
     return EgpsReport(
         x=x, lam=lam, loglog=llx, k_low=k_low, k_high=k_high,
         mass=mass, total=total, normalized=mass / total,
         excluded=1, unfactored=0,
-        grid=[(g, mass_at(g) / total) for g in grid],
+        grid=[(g, m / total) for g, m in zip(grid, grid_mass)], grid_mass=grid_mass,
     )
 
 
@@ -179,9 +181,9 @@ def count_d_divides_s(
     if not 1 <= d <= z <= y <= x:
         raise ValueError("need 1 <= d <= z <= y <= x")
     table = table_upto(table, x)
-    sig = bulk.sigma_range(x, threads=threads)
+    s = bulk.sigma_range(x, threads=threads)
     ns = np.arange(x + 1, dtype=np.int64)
-    s = sig - ns
+    s -= ns
     lpf = bulk.lpf_range(x, table.primes, threads=threads)
     mask = (lpf > y) & (ns % np.maximum(lpf * lpf, 1) != 0) & (s % d == 0)
     bins = weighted_bins(f, mask, slice(1, None), table, threads)

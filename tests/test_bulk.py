@@ -204,12 +204,20 @@ def test_lpf_range_against_oracle():
 
 def test_range_builders_thread_invariant():
     primes = bulk.primes_upto(500)
+    E = ResidueClasses(4, (1,))
     for build in (
-        lambda t: bulk.sigma_range(60000, threads=t, width=8192),
-        lambda t: bulk.lambda_range(60000, primes, threads=t, width=8192),
-        lambda t: bulk.lpf_range(60000, primes, threads=t, width=8192),
+        lambda t, w: bulk.counts_range(60000, primes, "bigomega", E, threads=t, width=w),
+        lambda t, w: bulk.mult_range(
+            60000, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64),
+            threads=t, width=w,
+        ),
+        lambda t, w: bulk.sigma_range(60000, threads=t, width=w),
+        lambda t, w: bulk.lambda_range(60000, primes, threads=t, width=w),
+        lambda t, w: bulk.lpf_range(60000, primes, threads=t, width=w),
     ):
-        assert build(1).tobytes() == build(8).tobytes()
+        ref = build(1, bulk.DEFAULT_WINDOW).tobytes()
+        assert build(1, 8192).tobytes() == ref
+        assert build(8, 8192).tobytes() == ref
 
 
 @pytest.mark.parametrize(
@@ -236,6 +244,7 @@ def test_factor_kernels_against_oracle_at_dense_prime_powers(lo, hi):
     fv = bulk.mult_window(
         lo, hi, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64)
     )
+    sig = bulk.sigma_window(lo, hi)
     lam = bulk.lambda_window(lo, hi, primes)
     lp = bulk.lpf_window(lo, hi, primes)
     for n in range(lo, hi):
@@ -243,9 +252,11 @@ def test_factor_kernels_against_oracle_at_dense_prime_powers(lo, hi):
         i = n - lo
         assert om[i] == len(parts)
         assert bo[i] == sum(e for p, e in parts if p % 4 == 1)
-        w = 1.0
+        w, sg = 1.0, 1
         for p, e in parts:
             w *= e + 1 / p
+            sg *= (p ** (e + 1) - 1) // (p - 1)
         assert fv[i] == w
+        assert sig[i] == sg
         assert lam[i] == olam(n)
         assert lp[i] == (parts[-1][0] if parts else 1)

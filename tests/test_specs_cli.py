@@ -252,6 +252,16 @@ def test_cli_egps_rows(capsys):
     assert first[3] == "31.0" and first[4] == "100.0"
 
 
+def test_cli_egps_grid_rows_print_exact_masses(capsys):
+    # each grid row prints its own mass, not normalized * total
+    out = _run(capsys, ["egps", "--x", "5000", "--lambda", "1.0"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[2], r[3]) for r in rows] == [
+        ("1.0", "1012.0"), ("0.5", "3097.0"), ("1.0", "1012.0"), ("1.5", "8.0"),
+        ("2.0", "0.0"), ("2.5", "0.0"), ("3.0", "0.0"),
+    ]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_cli_dev_thread_invariant(capsys):
     a = _run(capsys, ["dev", "--x", "5000", "--lambda", "2.0", "--threads", "1"])
