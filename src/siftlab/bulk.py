@@ -7,11 +7,17 @@ ascending window order.  Window width never depends on the thread count, so
 output is bit-identical whether windows run serially or on a pool.
 
 Per-window work uses only primes up to sqrt(hi-1).  All five factor
-kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk: for
-each small prime it steps through the multiples of p, p**2, ... as strided
-slices, hands the kernel the exponent of p at each multiple, and finally
-divides every n by its small part, which leaves either 1 or a single prime
-above the root for one whole-array finish.
+kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk: it
+hands the kernel the exponent of each small prime at each of its multiples,
+and finally divides every n by its small part, which leaves either 1 or a
+single prime above the root for one whole-array finish.
+
+The walk splits the small primes at p = width >> 7.  A prime below the
+split has at least 128 multiples in the window and gets its own strided
+slices over the multiples of p, p**2, ...; the primes above it, most of
+them at 1e9 and beyond, have a few multiples each and go through one
+vectorized batch per window, whose entries the kernels apply with
+ufunc.at.  flags_window takes the same split.
 """
 
 from __future__ import annotations
@@ -50,11 +56,14 @@ def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     flags = np.ones(hi - lo, dtype=bool)
     if lo < 2:
         flags[: min(2 - lo, hi - lo)] = False
-    root = isqrt(hi - 1)
-    for p in primes[primes <= root].tolist():
+    small = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
+    k = _split(small, hi - lo)
+    for p in small[:k].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             flags[start - lo :: p] = False
+    if k < small.size:
+        flags[_multiples(lo, hi, small[k:], from_square=True)[1]] = False
     return flags
 
 
@@ -85,7 +94,31 @@ def _small_primes(primes: np.ndarray, hi: int) -> np.ndarray:
             r = isqrt(m)
             if all(m % int(p) for p in primes[primes <= r]):
                 raise ValueError(f"prime table must cover sqrt({hi - 1})")
-    return primes[primes <= root]
+    return primes[: np.searchsorted(primes, root, side="right")]
+
+
+def _split(small: np.ndarray, width: int) -> int:
+    """Index of the first prime above width >> 7, i.e. with fewer than 128 multiples in the window."""
+    return int(np.searchsorted(small, width >> 7, side="right"))
+
+
+def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
+    """Every multiple in [lo, hi) of each of the ascending primes: (its prime, its position).
+
+    The entries are prime-major with ascending positions within a prime, so
+    each n meets its primes in ascending order.  from_square starts every
+    prime at p*p, as the sieve of Eratosthenes does.
+    """
+    off = -lo % primes
+    if from_square:
+        np.maximum(off, primes * primes - lo, out=off)
+    cnt = (hi - lo - 1 - off) // primes + 1
+    np.maximum(cnt, 0, out=cnt)
+    p = np.repeat(primes, cnt)
+    pos = np.arange(p.size, dtype=np.int64)
+    pos *= p
+    pos += np.repeat(off - (np.cumsum(cnt) - cnt) * primes, cnt)
+    return p, pos
 
 
 def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -109,17 +142,23 @@ def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 def _walk(lo: int, hi: int, primes: np.ndarray, visit, exps: bool = True) -> np.ndarray:
     """Visit every small prime of [lo, hi) once; return the cofactors above the root.
 
-    For each p <= isqrt(hi-1) with a multiple in the window, in ascending
-    order, calls visit(p, sl, exp): sl slices the window positions that p
-    divides, and exp holds the exponent of p at each of them (uint8, or
-    None when exps is false).  The small part of every n is multiplied up
-    along strided slices over the multiples of p, p**2, ..., so nothing is
-    divided until the end, where n // small part is 1 or the one prime
-    factor above the root.
+    Each p <= isqrt(hi-1) with a multiple in the window is visited in
+    ascending order, through visit(p, where, exp): where picks the window
+    positions that p divides, and exp holds the exponent of p at each of
+    them (uint8, or None when exps is false).  A prime below the split
+    (_split) is visited alone, with an int p and a slice.  All primes above
+    it come in one last visit, with a prime array and an index array, one
+    entry per (prime, multiple), prime-major; an n divisible by two of them
+    appears twice, so kernels apply batched entries with ufunc.at (_apply).
+    The small part of every n is multiplied up, so nothing is divided until
+    the end, where n // small part is 1 or the one prime factor above the
+    root.
     """
     n = hi - lo
     acc = np.ones(n, dtype=np.int64)
-    for p in _small_primes(primes, hi).tolist():
+    small = _small_primes(primes, hi)
+    k = _split(small, n)
+    for p in small[:k].tolist():
         off = -lo % p
         if off >= n:
             continue
@@ -136,19 +175,67 @@ def _walk(lo: int, hi: int, primes: np.ndarray, visit, exps: bool = True) -> np.
                 exp[(off_q - off) // p :: q // p] += 1
             q *= p
         visit(p, sl, exp)
+    if k < small.size:
+        p, pos = _multiples(lo, hi, small[k:])
+        if p.size:
+            exp = np.ones(p.size, dtype=np.uint8)
+            pe = p.copy()  # p**exp at each entry
+            at = np.flatnonzero((lo + pos) % (p * p) == 0)
+            while at.size:
+                exp[at] += 1
+                pe[at] *= p[at]
+                at = at[(lo + pos[at]) // pe[at] % p[at] == 0]
+            np.multiply.at(acc, pos, pe)
+            visit(p, pos, exp if exps else None)
     rem = np.arange(lo, hi, dtype=np.int64)
     rem //= acc
     return rem
 
 
-def _power_table(p: int, hi: int, value, dtype) -> np.ndarray:
+def _apply(ufunc, out: np.ndarray, where, values) -> None:
+    """out[where] = ufunc(out[where], values) in place, where is a slice or an index array.
+
+    An index array may repeat a position; ufunc.at applies its entries one
+    after another in array order.
+    """
+    if isinstance(where, slice):
+        view = out[where]
+        ufunc(view, values, out=view)
+    else:
+        ufunc.at(out, where, values)
+
+
+def _distinct(p: np.ndarray):
+    """The distinct primes of a prime-major batch, and the row of each entry's prime among them."""
+    first = np.empty(p.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(p[1:], p[:-1], out=first[1:])
+    return p[first], np.cumsum(first) - 1
+
+
+def _power_row(p: int, hi: int, value) -> list:
     """[1, value(p, 1), ...] through the largest e with p**e < hi, for indexing by exp."""
-    vals = [1]
-    q = p
+    row, q = [1], p
     while q < hi:
-        vals.append(value(p, len(vals)))
+        row.append(value(p, len(row)))
         q *= p
-    return np.array(vals, dtype=dtype)
+    return row
+
+
+def _values(p, exp, hi: int, value, dtype):
+    """value(p, e) at each visited position, the primes, and the table t[i, e] it came from.
+
+    The table holds every e with p**e < hi, whether or not the window holds
+    p**e; past a prime's last power its row reads 1.
+    """
+    if isinstance(p, int):
+        table = np.array([_power_row(p, hi, value)], dtype=dtype)
+        return table[0][exp], [p], table
+    ps, rows = _distinct(p)
+    table = [_power_row(q, hi, value) for q in ps.tolist()]
+    width = len(table[0])  # the smallest prime has the most powers below hi
+    table = np.array([row + [1] * (width - len(row)) for row in table], dtype=dtype)
+    return table[rows, exp], ps, table
 
 
 def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndarray:
@@ -167,9 +254,17 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
         small = _small_primes(primes, hi)
         chosen = set(small[np.asarray(selector.mask(small), dtype=bool)].tolist())
 
-    def visit(p, sl, exp):
-        if chosen is None or p in chosen:
-            counts[sl] += 1 if exp is None else exp
+    def visit(p, where, exp):
+        if chosen is not None:
+            if isinstance(where, slice):
+                if p not in chosen:
+                    return
+            else:
+                ps, rows = _distinct(p)
+                keep = np.asarray(selector.mask(ps), dtype=bool)[rows]
+                where = where[keep]
+                exp = None if exp is None else exp[keep]
+        _apply(np.add, counts, where, np.uint8(1) if exp is None else exp)
 
     rem = _walk(lo, hi, primes, visit, exps=kind == "bigomega")
     if selector is None:
@@ -195,11 +290,13 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
         raise ValueError("need 1 <= lo < hi")
     vals = np.ones(hi - lo, dtype=np.float64)
 
-    def visit(p, sl, exp):
-        table = _power_table(p, hi, rule, np.float64)
-        if (table < 0).any():
-            raise ValueError(f"multiplicative rule negative at ({p},{np.argmax(table < 0)})")
-        vals[sl] *= table[exp]
+    def visit(p, where, exp):
+        f, ps, table = _values(p, exp, hi, rule, np.float64)
+        neg = table < 0
+        if neg.any():
+            i, e = np.unravel_index(np.argmax(neg), neg.shape)
+            raise ValueError(f"multiplicative rule negative at ({ps[i]},{e})")
+        _apply(np.multiply, vals, where, f)
 
     rem = _walk(lo, hi, primes, visit)
     big = np.flatnonzero(rem > 1)
@@ -222,9 +319,9 @@ def sigma_window(lo: int, hi: int) -> np.ndarray:
         raise OverflowError("sigma window above 2**55 could overflow int64")
     sig = np.ones(hi - lo, dtype=np.int64)
 
-    def visit(p, sl, exp):
-        table = _power_table(p, hi, lambda q, e: (q ** (e + 1) - 1) // (q - 1), np.int64)
-        sig[sl] *= table[exp]
+    def visit(p, where, exp):
+        f = _values(p, exp, hi, lambda q, e: (q ** (e + 1) - 1) // (q - 1), np.int64)[0]
+        _apply(np.multiply, sig, where, f)
 
     rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), visit)
     rem += rem > 1
@@ -245,11 +342,8 @@ def lambda_window(lo, hi, primes) -> np.ndarray:
         raise ValueError("need 1 <= lo < hi")
     lam = np.ones(hi - lo, dtype=np.int64)
 
-    def visit(p, sl, exp):
-        lv = lam[sl]
-        pe = _power_table(p, hi, lambda_of_prime_power, np.int64)[exp]
-        np.floor_divide(lv, np.gcd(lv, pe), out=lv)
-        lv *= pe
+    def visit(p, where, exp):
+        _apply(np.lcm, lam, where, _values(p, exp, hi, lambda_of_prime_power, np.int64)[0])
 
     rem = _walk(lo, hi, primes, visit)
     big = np.flatnonzero(rem > 1)
@@ -266,8 +360,8 @@ def lpf_window(lo, hi, primes) -> np.ndarray:
         raise ValueError("need 1 <= lo < hi")
     lpf = np.ones(hi - lo, dtype=np.int64)
 
-    def visit(p, sl, exp):
-        lpf[sl] = p
+    def visit(p, where, exp):
+        _apply(np.maximum, lpf, where, p)
 
     rem = _walk(lo, hi, primes, visit, exps=False)
     np.maximum(lpf, rem, out=lpf)

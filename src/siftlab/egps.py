@@ -200,10 +200,9 @@ def mean_omega_gcd_sigma(
     if x < 3:
         raise ValueError("need x >= 3")
     table = table_upto(table, x)
-    sig = bulk.sigma_range(x, threads=threads)
-    ns = np.arange(x + 1, dtype=np.int64)
-    g = np.gcd(sig, ns)
-    om = bulk.counts_range(x, table.primes, "omega", threads=threads)
+    g = bulk.sigma_range(x, threads=threads)
+    np.gcd(g, np.arange(x + 1, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
+    om =bulk.counts_range(x, table.primes, "omega", threads=threads)
     bins = weighted_bins(f, om[g], slice(1, None), table, threads)
     value = 0.0
     for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time

@@ -5,11 +5,15 @@ oracle on a small range, then checked for window-width and thread-count
 invariance on a larger one.
 """
 
+import hashlib
+from math import isqrt
+
 import numpy as np
 import pytest
 
 from siftlab import bulk
 from siftlab.primesets import ResidueClasses
+from siftlab.specs import parse_weight
 
 from oracles import ofactor, olam, osigma
 
@@ -260,3 +264,116 @@ def test_factor_kernels_against_oracle_at_dense_prime_powers(lo, hi):
         assert sig[i] == sg
         assert lam[i] == olam(n)
         assert lp[i] == (parts[-1][0] if parts else 1)
+
+
+# Primes above DEFAULT_WINDOW >> 7 = 8192 go through the walk's batch, one
+# vectorized pass per window; these windows put p**2 and p**3 for such a p
+# at their centres.
+BATCHED_POWERS = [8209**2, 8209**3, 99991**2]
+
+
+def _kernels(lo, hi, primes):
+    E = ResidueClasses(4, (1,))
+    return {
+        "flags": bulk.flags_window(lo, hi, primes),
+        "omega": bulk.counts_window(lo, hi, primes, "omega"),
+        "bigomega": bulk.counts_window(lo, hi, primes, "bigomega"),
+        "omega_sel": bulk.counts_window(lo, hi, primes, "omega", selector=E),
+        "bigomega_sel": bulk.counts_window(lo, hi, primes, "bigomega", selector=E),
+        "mult": bulk.mult_window(
+            lo, hi, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64)
+        ),
+        "sigma": bulk.sigma_window(lo, hi),
+        "lambda": bulk.lambda_window(lo, hi, primes),
+        "lpf": bulk.lpf_window(lo, hi, primes),
+    }
+
+
+def _expected(n):
+    parts = ofactor(n)
+    w, sg = 1.0, 1
+    for p, e in parts:
+        w *= e + 1 / p
+        sg *= (p ** (e + 1) - 1) // (p - 1)
+    return {
+        "flags": len(parts) == 1 and parts[0][1] == 1,
+        "omega": len(parts),
+        "bigomega": sum(e for _, e in parts),
+        "omega_sel": sum(1 for p, _ in parts if p % 4 == 1),
+        "bigomega_sel": sum(e for p, e in parts if p % 4 == 1),
+        "mult": w,
+        "sigma": sg,
+        "lambda": olam(n),
+        "lpf": parts[-1][0],
+    }
+
+
+@pytest.mark.parametrize("power", BATCHED_POWERS)
+def test_batched_primes_against_oracle(power):
+    width = bulk.DEFAULT_WINDOW
+    lo = power - width // 2
+    primes = bulk.primes_upto(isqrt(lo + width))
+    got = _kernels(lo, lo + width, primes)
+    p = ofactor(power)[0][0]
+    assert p > width >> 7
+    rng = np.random.default_rng(power)
+    positions = set(rng.choice(width, 256, replace=False).tolist())
+    positions |= set(range(-lo % (p * p), width, p * p))  # every multiple of p**2
+    assert width // 2 in positions
+    for i in sorted(positions):
+        want = _expected(lo + i)
+        for kernel, arr in got.items():
+            assert arr[i] == want[kernel], (kernel, lo + i)
+    # widths 1 and 97 batch every prime, the default width only those above 8192
+    for w in (1, 97):
+        for a in (lo, lo + width // 2 - 48):
+            for kernel, arr in _kernels(a, a + w, primes).items():
+                assert arr.tobytes() == got[kernel][a - lo : a - lo + w].tobytes(), (kernel, a, w)
+
+
+@pytest.mark.parametrize(
+    "lo, bad, named",
+    [
+        (8209**2 - 1000, {8209}, 8209),
+        (8209**2 - 1000, {8209, 8219}, 8209),
+        (8209**2 - 1000, {8231, 9000011}, 8231),
+        (10**9, {8209}, 8209),
+        (10**10, {50021, 99991}, 50021),
+    ],
+)
+def test_mult_window_negative_rule_names_smallest_batched_prime(lo, bad, named):
+    # the rule is checked at every p**e < hi of each prime with a multiple
+    # in the window, whether or not the window holds p**e itself
+    primes = bulk.primes_upto(isqrt(lo + bulk.DEFAULT_WINDOW))
+    rule = lambda p, e: -1.0 if p in bad and e == 2 else 1.0
+    with pytest.raises(ValueError, match=rf"^multiplicative rule negative at \({named},2\)$"):
+        bulk.mult_window(lo, lo + bulk.DEFAULT_WINDOW, primes, rule, lambda a: np.ones(len(a)))
+
+
+KERNEL_BYTES_SHA256 = "8cd124dde9e30d1703b61190bb722af9366c88ae127d0828542b1f66eb546d12"
+
+
+def test_kernel_bytes_pinned():
+    # one sha256 over every factor kernel on two windows that cross the
+    # batch split; recorded before the large primes were batched
+    width = 1 << 16
+    primes = bulk.primes_upto(isqrt(10**10 + width))
+    E = ResidueClasses(4, (1,))
+    digest = hashlib.sha256()
+    for lo in (10**9, 10**10):
+        hi = lo + width
+        arrays = [
+            bulk.counts_window(lo, hi, primes, kind, sel)
+            for kind in ("omega", "bigomega") for sel in (None, E)
+        ]
+        for spec in ("musq", "zomega:1.3", "phioverN"):
+            f = parse_weight(spec)
+            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.at_primes))
+        arrays += [
+            bulk.sigma_window(lo, hi),
+            bulk.lambda_window(lo, hi, primes),
+            bulk.lpf_window(lo, hi, primes),
+        ]
+        for arr in arrays:
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == KERNEL_BYTES_SHA256
