@@ -37,7 +37,7 @@ class PrimeTable:
             raise ValueError("prime table limit must be at least 2")
         self.limit = limit
         self.flags = bulk.sieve_flags(limit)
-        self.primes = np.flatnonzero(self.flags).astype(np.int64)
+        self.primes = np.flatnonzero(self.flags)  # int64
 
     def __len__(self) -> int:
         return len(self.primes)

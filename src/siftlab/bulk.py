@@ -7,17 +7,24 @@ ascending window order.  Window width never depends on the thread count, so
 output is bit-identical whether windows run serially or on a pool.
 
 Per-window work uses only primes up to sqrt(hi-1).  All five factor
-kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk: it
-hands the kernel the exponent of each small prime at each of its multiples,
-and finally divides every n by its small part, which leaves either 1 or a
-single prime above the root for one whole-array finish.
+kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
+kernel gives the walk a ufunc, its output array and f(p**e) for each small
+prime as a table; the walk applies ufunc(out, f(p**e)) once for every prime
+power exactly dividing each n, and finally divides every n by its small
+part, which leaves either 1 or a single prime above the root for one
+whole-array finish.  Below 2**32 the small parts are multiplied up in
+uint32, above it in int64.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
-split has at least 128 multiples in the window and gets its own strided
-slices over the multiples of p, p**2, ...; the primes above it, most of
-them at 1e9 and beyond, have a few multiples each and go through one
-vectorized batch per window, whose entries the kernels apply with
-ufunc.at.  flags_window takes the same split.
+split has at least 128 multiples in the window.  It gets one scalar strided
+pass of f(p) over its multiples, skipped when f(p) is the ufunc's identity,
+plus a fix-up at the multiples of p**2 when some f(p**e) differs from f(p):
+their values are saved before the pass and written back as
+ufunc(saved, f(p**e)), so exponents are tracked only there.  The primes
+above the split, most of them at 1e9 and beyond, have a few multiples each
+and go through one vectorized batch per window, applied with ufunc.at.
+flags_window takes the same split, and sieve_flags sieves its array in
+DEFAULT_WINDOW segments the same way.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ DEFAULT_WINDOW = 1 << 20
 
 
 def sieve_flags(limit: int) -> np.ndarray:
-    """Boolean primality flags for 0..limit."""
+    """Boolean primality flags for 0..limit, sieved in place in DEFAULT_WINDOW segments."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
+    primes = primes_upto(isqrt(limit))
+    for a, b in window_ranges(0, limit + 1):
+        _sieve_segment(flags[a:b], a, primes)
     return flags
 
 
@@ -46,7 +52,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """Sorted array of primes <= limit (int64)."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(sieve_flags(limit)).astype(np.int64)
+    return np.flatnonzero(sieve_flags(limit))
 
 
 def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -54,6 +60,13 @@ def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     if lo >= hi:
         return np.zeros(0, dtype=bool)
     flags = np.ones(hi - lo, dtype=bool)
+    _sieve_segment(flags, lo, primes)
+    return flags
+
+
+def _sieve_segment(flags: np.ndarray, lo: int, primes: np.ndarray) -> None:
+    """Clear the flags of the non-primes in [lo, lo + len(flags)); primes must cover its root."""
+    hi = lo + flags.size
     if lo < 2:
         flags[: min(2 - lo, hi - lo)] = False
     small = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
@@ -64,7 +77,6 @@ def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
             flags[start - lo :: p] = False
     if k < small.size:
         flags[_multiples(lo, hi, small[k:], from_square=True)[1]] = False
-    return flags
 
 
 def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[int, int]]:
@@ -103,7 +115,8 @@ def _split(small: np.ndarray, width: int) -> int:
 
 
 def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
-    """Every multiple in [lo, hi) of each of the ascending primes: (its prime, its position).
+    """Every multiple in [lo, hi) of each of the ascending primes: (its prime, its position),
+    and the number of entries of each prime.
 
     The entries are prime-major with ascending positions within a prime, so
     each n meets its primes in ascending order.  from_square starts every
@@ -118,7 +131,7 @@ def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
     pos = np.arange(p.size, dtype=np.int64)
     pos *= p
     pos += np.repeat(off - (np.cumsum(cnt) - cnt) * primes, cnt)
-    return p, pos
+    return p, pos, cnt
 
 
 def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -139,103 +152,104 @@ def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return spf
 
 
-def _walk(lo: int, hi: int, primes: np.ndarray, visit, exps: bool = True) -> np.ndarray:
-    """Visit every small prime of [lo, hi) once; return the cofactors above the root.
+def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
+          identity=None) -> np.ndarray:
+    """out[i] = ufunc(out[i], f(p**e)) for each p**e exactly dividing lo + i; returns the cofactors.
 
-    Each p <= isqrt(hi-1) with a multiple in the window is visited in
-    ascending order, through visit(p, where, exp): where picks the window
-    positions that p divides, and exp holds the exponent of p at each of
-    them (uint8, or None when exps is false).  A prime below the split
-    (_split) is visited alone, with an int p and a slice.  All primes above
-    it come in one last visit, with a prime array and an index array, one
-    entry per (prime, multiple), prime-major; an n divisible by two of them
-    appears twice, so kernels apply batched entries with ufunc.at (_apply).
+    Each p <= isqrt(hi-1) is applied in ascending order, one step per
+    (n, p).  values(p, e, pe) gives f for a column p of ascending primes:
+    pe[i, e] = p[i]**e for e = 0, 1, ..., and 0 once that reaches hi.  Its
+    result is broadcast to pe's shape in out's dtype and read only at
+    e >= 1 where pe > 0.  A step whose operand equals identity changes
+    nothing and may be skipped.
+
+    A prime below the split (_split) gets one scalar strided pass of
+    ufunc(out, f(p)) over its multiples.  When f(p**e) differs from f(p) for
+    some e >= 2, the values at the multiples of p**2 are saved first, and
+    ufunc(saved, f(p**e)) is written back there after the pass, so
+    exponents are tracked at those positions only.  All primes above the
+    split come in one batch, one entry per (prime, multiple), prime-major,
+    applied with ufunc.at; an n divisible by two of them appears twice.
+
     The small part of every n is multiplied up, so nothing is divided until
     the end, where n // small part is 1 or the one prime factor above the
-    root.
+    root.  Below 2**32 every small part and quotient fits uint32, which
+    halves the traffic of that accumulator; the cofactors come back int64.
     """
     n = hi - lo
-    acc = np.ones(n, dtype=np.int64)
+    acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
     small = _small_primes(primes, hi)
     k = _split(small, n)
-    for p in small[:k].tolist():
-        off = -lo % p
-        if off >= n:
-            continue
-        sl = slice(off, n, p)
-        acc[sl] *= p
-        exp = np.ones((n - off + p - 1) // p, dtype=np.uint8) if exps else None
-        q = p * p
-        while q < hi:
-            off_q = -lo % q
-            if off_q >= n:
-                break
-            acc[off_q::q] *= p
-            if exps:
-                exp[(off_q - off) // p :: q // p] += 1
-            q *= p
-        visit(p, sl, exp)
+    if k:
+        table, varies = _table(small[:k], hi, values, out.dtype)
+        for p, row, f1, fix in zip(small[:k].tolist(), table, table[:, 1].tolist(),
+                                   varies.tolist()):
+            sl = slice(-lo % p, n, p)  # a prime below the split has a multiple
+            acc[sl] *= p
+            q = p * p
+            saved = None
+            if fix and q < hi and -lo % q < n:
+                sq = slice(-lo % q, n, q)
+                saved = out[sq].copy() if f1 != identity else out[sq]
+                exp = np.ones(saved.size, dtype=np.uint8)
+            while q < hi:
+                off_q = -lo % q
+                if off_q >= n:
+                    break
+                acc[off_q::q] *= p
+                if saved is not None:
+                    exp[(off_q - sq.start) // (p * p) :: q // (p * p)] += 1
+                q *= p
+            if f1 != identity:
+                view = out[sl]
+                ufunc(view, f1, out=view)
+            if saved is not None:
+                ufunc(saved, row[exp], out=out[sq])
     if k < small.size:
-        p, pos = _multiples(lo, hi, small[k:])
-        if p.size:
-            exp = np.ones(p.size, dtype=np.uint8)
-            pe = p.copy()  # p**exp at each entry
-            at = np.flatnonzero((lo + pos) % (p * p) == 0)
-            while at.size:
-                exp[at] += 1
-                pe[at] *= p[at]
-                at = at[(lo + pos[at]) // pe[at] % p[at] == 0]
-            np.multiply.at(acc, pos, pe)
-            visit(p, pos, exp if exps else None)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    rem //= acc
-    return rem
+        _batch(lo, hi, small[k:], acc, ufunc, out, values)
+    if acc.dtype == np.int64:
+        rem = np.arange(lo, hi, dtype=np.int64)
+        rem //= acc
+        return rem
+    # divide in uint32, writing the quotients straight into the int64 result
+    return np.floor_divide(np.arange(lo, hi, dtype=np.uint32), acc, out=np.empty(n, np.int64))
 
 
-def _apply(ufunc, out: np.ndarray, where, values) -> None:
-    """out[where] = ufunc(out[where], values) in place, where is a slice or an index array.
-
-    An index array may repeat a position; ufunc.at applies its entries one
-    after another in array order.
-    """
-    if isinstance(where, slice):
-        view = out[where]
-        ufunc(view, values, out=view)
-    else:
-        ufunc.at(out, where, values)
-
-
-def _distinct(p: np.ndarray):
-    """The distinct primes of a prime-major batch, and the row of each entry's prime among them."""
-    first = np.empty(p.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(p[1:], p[:-1], out=first[1:])
-    return p[first], np.cumsum(first) - 1
-
-
-def _power_row(p: int, hi: int, value) -> list:
-    """[1, value(p, 1), ...] through the largest e with p**e < hi, for indexing by exp."""
-    row, q = [1], p
-    while q < hi:
-        row.append(value(p, len(row)))
-        q *= p
-    return row
+def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np.ndarray,
+           values) -> None:
+    """The walk's step for the primes above the split: one ufunc.at entry per (prime, multiple)."""
+    p, pos, cnt = _multiples(lo, hi, primes)
+    if not p.size:
+        return
+    exp = np.ones(p.size, dtype=np.uint8)
+    pe = p.copy()  # p**exp at each entry
+    at = np.flatnonzero((lo + pos) % (p * p) == 0)
+    while at.size:
+        exp[at] += 1
+        pe[at] *= p[at]
+        at = at[(lo + pos[at]) // pe[at] % p[at] == 0]
+    np.multiply.at(acc, pos, pe.astype(acc.dtype, copy=False))  # p**exp < hi
+    del pe  # the entries' values below take its place in memory
+    ps = primes[cnt > 0]
+    table = _table(ps, hi, values, out.dtype)[0]
+    f = np.repeat(table[:, 1], cnt[cnt > 0])  # f(p) at each entry, then f(p**exp)
+    at = np.flatnonzero(exp > 1)
+    f[at] = table[np.searchsorted(ps, p[at]), exp[at]]
+    ufunc.at(out, pos, f)
 
 
-def _values(p, exp, hi: int, value, dtype):
-    """value(p, e) at each visited position, the primes, and the table t[i, e] it came from.
-
-    The table holds every e with p**e < hi, whether or not the window holds
-    p**e; past a prime's last power its row reads 1.
-    """
-    if isinstance(p, int):
-        table = np.array([_power_row(p, hi, value)], dtype=dtype)
-        return table[0][exp], [p], table
-    ps, rows = _distinct(p)
-    table = [_power_row(q, hi, value) for q in ps.tolist()]
-    width = len(table[0])  # the smallest prime has the most powers below hi
-    table = np.array([row + [1] * (width - len(row)) for row in table], dtype=dtype)
-    return table[rows, exp], ps, table
+def _table(ps: np.ndarray, hi: int, values, dtype):
+    """t[i, e] = f(ps[i]**e) from values (see _walk), and whether some f(p**e), e >= 2, != f(p)."""
+    lim = (hi - 1) // ps
+    cols, q = [np.ones_like(ps)], ps
+    while q[0]:  # ps[0] is the smallest prime, with the most powers below hi
+        cols.append(q)
+        q = np.where(q <= lim, q, 0) * ps
+    pe = np.stack(cols, axis=1)
+    t = np.broadcast_to(np.asarray(values(ps[:, None], np.arange(pe.shape[1]), pe), dtype=dtype),
+                        pe.shape)
+    varies = ((t[:, 2:] != t[:, 1:2]) & (pe[:, 2:] > 0)).any(axis=1)
+    return t, varies
 
 
 def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndarray:
@@ -249,24 +263,14 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
     if kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown count kind {kind!r}")
     counts = np.zeros(hi - lo, dtype=np.uint8)
-    chosen = None
-    if selector is not None:
-        small = _small_primes(primes, hi)
-        chosen = set(small[np.asarray(selector.mask(small), dtype=bool)].tolist())
 
-    def visit(p, where, exp):
-        if chosen is not None:
-            if isinstance(where, slice):
-                if p not in chosen:
-                    return
-            else:
-                ps, rows = _distinct(p)
-                keep = np.asarray(selector.mask(ps), dtype=bool)[rows]
-                where = where[keep]
-                exp = None if exp is None else exp[keep]
-        _apply(np.add, counts, where, np.uint8(1) if exp is None else exp)
+    def values(p, e, pe):
+        v = e if kind == "bigomega" else 1
+        if selector is not None:
+            v = v * np.asarray(selector.mask(p[:, 0]), dtype=bool)[:, None]
+        return v
 
-    rem = _walk(lo, hi, primes, visit, exps=kind == "bigomega")
+    rem = _walk(lo, hi, primes, np.add, counts, values, identity=0)
     if selector is None:
         counts += rem > 1
     else:
@@ -284,46 +288,52 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     primes to values at the first power.  Exponents are extracted exactly,
     so rules with zeros (square-free indicators and the like) are safe.
     Factors are multiplied in ascending p, so every value is one fixed
-    product of doubles.
+    product of doubles.  The rule is checked at every p**e < hi of each
+    small prime with a multiple in the window.
     """
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     vals = np.ones(hi - lo, dtype=np.float64)
 
-    def visit(p, where, exp):
-        f, ps, table = _values(p, exp, hi, rule, np.float64)
-        neg = table < 0
+    def values(p, e, pe):
+        powers = (pe > 0) & (e > 0)
+        t = np.ones(pe.shape)
+        t[powers] = np.fromiter(  # row-major, as the mask assigns
+            (rule(q, j) for q, c in zip(p[:, 0].tolist(), powers.sum(axis=1).tolist())
+             for j in range(1, c + 1)),
+            dtype=np.float64, count=int(powers.sum()),
+        )
+        neg = t < 0
         if neg.any():
-            i, e = np.unravel_index(np.argmax(neg), neg.shape)
-            raise ValueError(f"multiplicative rule negative at ({ps[i]},{e})")
-        _apply(np.multiply, vals, where, f)
+            i, j = np.unravel_index(np.argmax(neg), neg.shape)
+            raise ValueError(f"multiplicative rule negative at ({p[i, 0]},{j})")
+        return t
 
-    rem = _walk(lo, hi, primes, visit)
+    rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0)
     big = np.flatnonzero(rem > 1)
     if big.size:
         pv = np.asarray(prime_vec(rem[big]), dtype=np.float64)
         if (pv < 0).any():
             raise ValueError("multiplicative rule negative at a prime")
-        vals[big] *= pv
+        if (pv != 1.0).any():  # as the walk skips f(p) = 1, so does the finish
+            vals[big] *= pv
     return vals
 
 
 def sigma_window(lo: int, hi: int) -> np.ndarray:
     """Divisor sums sigma(n) for [lo, hi) as int64; sieves its own primes.
 
-    A cofactor left by the walk is 1 or a prime q, so rem += rem > 1 gives sigma(rem).
+    sigma(p**e) = 1 + p + ... + p**e is a running sum along each prime's
+    powers.  A cofactor left by the walk is 1 or a prime q, so
+    rem += rem > 1 gives sigma(rem).
     """
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     if hi > 1 << 55:
         raise OverflowError("sigma window above 2**55 could overflow int64")
     sig = np.ones(hi - lo, dtype=np.int64)
-
-    def visit(p, where, exp):
-        f = _values(p, exp, hi, lambda q, e: (q ** (e + 1) - 1) // (q - 1), np.int64)[0]
-        _apply(np.multiply, sig, where, f)
-
-    rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), visit)
+    rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), np.multiply, sig,
+                lambda p, e, pe: np.cumsum(pe, axis=1), identity=1)
     rem += rem > 1
     sig *= rem
     return sig
@@ -342,10 +352,13 @@ def lambda_window(lo, hi, primes) -> np.ndarray:
         raise ValueError("need 1 <= lo < hi")
     lam = np.ones(hi - lo, dtype=np.int64)
 
-    def visit(p, where, exp):
-        _apply(np.lcm, lam, where, _values(p, exp, hi, lambda_of_prime_power, np.int64)[0])
+    def values(p, e, pe):
+        t = pe // p * (p - 1)  # p**(e-1) * (p - 1)
+        if p[0, 0] == 2:
+            t[0, 3:] //= 2  # lambda(2**e) = 2**(e-2) from e = 3 on
+        return t
 
-    rem = _walk(lo, hi, primes, visit)
+    rem = _walk(lo, hi, primes, np.lcm, lam, values, identity=1)
     big = np.flatnonzero(rem > 1)
     if big.size:
         pe = rem[big] - 1
@@ -359,11 +372,7 @@ def lpf_window(lo, hi, primes) -> np.ndarray:
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     lpf = np.ones(hi - lo, dtype=np.int64)
-
-    def visit(p, where, exp):
-        _apply(np.maximum, lpf, where, p)
-
-    rem = _walk(lo, hi, primes, visit, exps=False)
+    rem = _walk(lo, hi, primes, np.maximum, lpf, lambda p, e, pe: p)
     np.maximum(lpf, rem, out=lpf)
     return lpf
 

@@ -106,7 +106,8 @@ def egps_deviation(
     if lam <= 0:
         raise ValueError("lam must be positive")
 
-    table = table_upto(table, x)
+    # weighted_bins reads no table for f = one, else primes up to isqrt(x) only
+    table = None if f.is_one() else table_upto(table, math.isqrt(x) + 1)
     s = bulk.sigma_range(x, threads=threads)
     s -= np.arange(x + 1, dtype=np.int64)
     s[:2] = 0

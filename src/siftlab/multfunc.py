@@ -69,12 +69,13 @@ def values_upto(
     return bulk.mult_range(x, table.primes, f.rule, f.at_primes, threads=threads)
 
 
-def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: PrimeTable,
+def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: PrimeTable | None,
                   threads: int = 1) -> np.ndarray:
     """bins[k] = sum of f(n), added in ascending n, over the n in sel with keys[n] = k.
 
     sel is a slice or bool mask over n = 0..len(keys) - 1.  For f = one the
-    bins are exact int64 counts and no weight array is built.
+    bins are exact int64 counts, no weight array is built and table may be
+    None; otherwise table must reach isqrt(len(keys) - 1).
     """
     if f.is_one():
         return np.bincount(keys[sel])

@@ -42,10 +42,10 @@ def omu(n: int) -> int:
     return out
 
 
-def olam(n: int) -> int:
-    """Carmichael lambda from the prime-power formula."""
+def olam(n: int, parts: list[tuple[int, int]] | None = None) -> int:
+    """Carmichael lambda from the prime-power formula; parts is ofactor(n) if already known."""
     L = 1
-    for p, e in ofactor(n):
+    for p, e in ofactor(n) if parts is None else parts:
         if p == 2:
             v = 1 if e == 1 else (2 if e == 2 else 1 << (e - 2))
         else:

@@ -303,7 +303,7 @@ def _expected(n):
         "bigomega_sel": sum(e for p, e in parts if p % 4 == 1),
         "mult": w,
         "sigma": sg,
-        "lambda": olam(n),
+        "lambda": olam(n, parts),
         "lpf": parts[-1][0],
     }
 
@@ -377,3 +377,55 @@ def test_kernel_bytes_pinned():
         for arr in arrays:
             digest.update(arr.tobytes())
     assert digest.hexdigest() == KERNEL_BYTES_SHA256
+
+
+def test_mult_rule_with_identity_at_p():
+    # f(p) = 1 skips the strided pass; the multiples of p**2 still get f(p**e)
+    primes = bulk.primes_upto(200)
+    rule = lambda p, e: 1.0 if e == 1 else 3.0
+    ones = lambda a: np.ones(len(a))
+    v = bulk.mult_range(30000, primes, rule, ones)
+    for n in range(1, 30001):
+        want = 1.0
+        for p, e in ofactor(n):
+            want *= rule(p, e)
+        assert v[n] == want, n
+    # width 8192 batches the primes above 64
+    assert bulk.mult_range(30000, primes, rule, ones, width=8192).tobytes() == v.tobytes()
+
+
+# The walk multiplies small parts in uint32 up to hi = 2**32 and in int64
+# above; these windows end exactly at 2**32, straddle it, and hold 3**20.
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2**32 - 2**20, 2**32), (2**32 - 2**19, 2**32 + 2**19), (3**20 - 2**17, 3**20 + 2**17)],
+)
+def test_factor_kernels_around_two_to_the_32(lo, hi):
+    primes = bulk.primes_upto(isqrt(hi))
+    got = _kernels(lo, hi, primes)
+    rng = np.random.default_rng(lo)
+    positions = set(rng.choice(hi - lo, 96, replace=False).tolist()) | {0, hi - lo - 1}
+    for m in (2**31, 3**20):
+        positions |= set(range(-lo % m, hi - lo, m))
+    for i in sorted(positions):
+        want = _expected(lo + i)
+        for kernel, arr in got.items():
+            assert arr[i] == want[kernel], (kernel, lo + i)
+
+
+STRADDLE_BYTES_SHA256 = "f69ef3408a862c47fcdee17d763104935d8d38057a3f070755d475a6a0f15a33"
+
+
+def test_kernel_bytes_pinned_around_two_to_the_32():
+    # one sha256 over every kernel on a window ending at 2**32 and a 2**17
+    # window straddling it; recorded before the uint32 accumulator
+    primes = bulk.primes_upto(isqrt(2**32 + 2**16))
+    digest = hashlib.sha256()
+    for lo, hi in ((2**32 - 2**17, 2**32), (2**32 - 2**16, 2**32 + 2**16)):
+        arrays = list(_kernels(lo, hi, primes).values())
+        for spec in ("musq", "zomega:1.3", "phioverN"):
+            f = parse_weight(spec)
+            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.at_primes))
+        for arr in arrays:
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == STRADDLE_BYTES_SHA256
