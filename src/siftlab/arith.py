@@ -68,11 +68,8 @@ class FactorWindow:
         self.lo = lo
         self.hi = hi
         self._table = table
-        parts = [
-            bulk.spf_window(a, b, table.primes)
-            for a, b in bulk.window_ranges(lo, hi)
-        ]
-        self._spf = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._spf = bulk.fill_windows(np.empty(hi - lo, dtype=np.uint32), lo,
+                                      lambda a, b: bulk.spf_window(a, b, table.primes))
 
     @property
     def spf(self) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Everything that has to touch every integer up to x lives here.  The scheme
 is the same for all array builders: split [lo, hi) into fixed-width windows,
-run each window with numpy slice arithmetic, and write results back in
-ascending window order.  Window width never depends on the thread count, so
-output is bit-identical whether windows run serially or on a pool.
+run each window with numpy slice arithmetic, and have each window write its
+own slice of the output as it finishes (fill_windows), so no window outlives
+its worker.  Window width never depends on the thread count, so output is
+bit-identical whether windows run serially or on a pool.
 
 Per-window work uses only primes up to sqrt(hi-1).  All five factor
 kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
@@ -86,11 +87,30 @@ def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[i
 
 
 def run_windows(worker, ranges, threads: int = 1) -> list:
-    """Apply worker(a, b) to each range; results come back in range order."""
+    """Apply worker(a, b) to each range; results come back in range order.
+
+    A pool runs at most `threads` workers at once.  Every result is kept
+    until the last range is done, so a worker that builds an array should
+    write it out itself and return None, as fill_windows does.
+    """
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: worker(r[0], r[1]), ranges))
+
+
+def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1,
+                 width: int = DEFAULT_WINDOW) -> np.ndarray:
+    """out[a - lo : b - lo] = worker(a, b) for each window [a, b) of [lo, lo + len(out)).
+
+    Each window is written as soon as its worker returns, so at most
+    `threads` window results are alive at once.
+    """
+    def put(a: int, b: int) -> None:
+        out[a - lo : b - lo] = worker(a, b)
+
+    run_windows(put, window_ranges(lo, lo + len(out), width), threads)
+    return out
 
 
 def _small_primes(primes: np.ndarray, hi: int) -> np.ndarray:
@@ -379,9 +399,7 @@ def lpf_window(lo, hi, primes) -> np.ndarray:
 
 def _assemble(worker, x: int, dtype, threads: int, width: int) -> np.ndarray:
     out = np.zeros(x + 1, dtype=dtype)
-    ranges = window_ranges(1, x + 1, width)
-    for (a, b), arr in zip(ranges, run_windows(worker, ranges, threads)):
-        out[a:b] = arr
+    fill_windows(out[1:], 1, worker, threads, width)
     return out
 
 

@@ -30,9 +30,7 @@ class AliquotWindow:
 def aliquot_window(lo: int, hi: int, threads: int = 1) -> AliquotWindow:
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
-    ranges = bulk.window_ranges(lo, hi)
-    parts = bulk.run_windows(lambda a, b: bulk.sigma_window(a, b), ranges, threads)
-    sig = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    sig = bulk.fill_windows(np.empty(hi - lo, dtype=np.int64), lo, bulk.sigma_window, threads)
     ns = np.arange(lo, hi, dtype=np.int64)
     s = sig - ns
     # crude growth cap: sigma(n) <= n * (1 + log n)
@@ -109,7 +107,8 @@ def egps_deviation(
     # weighted_bins reads no table for f = one, else primes up to isqrt(x) only
     table = None if f.is_one() else table_upto(table, math.isqrt(x) + 1)
     s = bulk.sigma_range(x, threads=threads)
-    s -= np.arange(x + 1, dtype=np.int64)
+    for a, b in bulk.window_ranges(0, x + 1):
+        s[a:b] -= np.arange(a, b, dtype=np.int64)
     s[:2] = 0
     oms = _omega_of_values(s, threads)
     del s

@@ -73,14 +73,45 @@ def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: Prime
                   threads: int = 1) -> np.ndarray:
     """bins[k] = sum of f(n), added in ascending n, over the n in sel with keys[n] = k.
 
-    sel is a slice or bool mask over n = 0..len(keys) - 1.  For f = one the
-    bins are exact int64 counts, no weight array is built and table may be
-    None; otherwise table must reach isqrt(len(keys) - 1).
+    sel is a slice or bool mask over n = 0..len(keys) - 1.  The bins run to
+    the largest selected key, even when its mass is 0, as np.bincount's do.
+    For f = one they are exact int64 counts, no weight array is built and
+    table may be None; otherwise table must reach isqrt(len(keys) - 1).
+
+    The keys are reduced one bulk window at a time, so no gather of length
+    len(keys) is made.  np.add.at adds each bin's terms in index order, as
+    np.bincount does, so the doubles match one np.bincount over all of sel.
     """
-    if f.is_one():
-        return np.bincount(keys[sel])
-    fv = values_upto(f, len(keys) - 1, table, threads)
-    return np.bincount(keys[sel], weights=fv[sel])
+    fv = None if f.is_one() else values_upto(f, len(keys) - 1, table, threads)
+    if keys.dtype == np.bool_:
+        keys = keys.view(np.uint8)  # np.add.at would read a bool index as a mask
+    bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
+    for a, b in bulk.window_ranges(0, len(keys)):
+        part = _window_part(sel, len(keys), a, b)
+        k = keys[a:b][part]
+        if k.size == 0:
+            continue
+        top = int(k.max()) + 1
+        if top > bins.size:
+            grown = np.zeros(top, dtype=np.int64 if fv is None else np.float64)
+            grown[: bins.size] = bins
+            bins = grown
+        if fv is None:
+            bins[:top] += np.bincount(k)
+        else:
+            np.add.at(bins, k, fv[a:b][part])
+    return bins
+
+
+def _window_part(sel, n: int, a: int, b: int):
+    """The part of sel, a slice or bool mask over 0..n - 1, that lies in [a, b), indexed from a."""
+    if not isinstance(sel, slice):
+        return sel[a:b]
+    r = range(*sel.indices(n))
+    if r.step < 0:
+        r = r[::-1]
+    first = max(r.start, a + (r.start - a) % r.step)
+    return slice(first - a, max(min(r.stop, b) - a, 0), r.step)
 
 
 # ---------------------------------------------------------------- builtins

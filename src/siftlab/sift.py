@@ -113,9 +113,7 @@ def sift(x: int, cond: SieveCondition, threads: int = 1) -> SiftedSet:
                     seg[start - a :: p] = False
         return seg
 
-    ranges = bulk.window_ranges(1, x + 1)
-    for (a, b), seg in zip(ranges, bulk.run_windows(worker, ranges, threads)):
-        bitmap[a:b] = seg
+    bulk.fill_windows(bitmap[1:], 1, worker, threads)
     return SiftedSet(x=x, bitmap=bitmap, cond=cond, label=cond.spec_string())
 
 

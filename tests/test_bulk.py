@@ -6,6 +6,7 @@ invariance on a larger one.
 """
 
 import hashlib
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -222,6 +223,42 @@ def test_range_builders_thread_invariant():
         ref = build(1, bulk.DEFAULT_WINDOW).tobytes()
         assert build(1, 8192).tobytes() == ref
         assert build(8, 8192).tobytes() == ref
+
+
+def _extra_bytes(build, x: int) -> int:
+    """Traced peak of build(x) minus the bytes of the array it returns."""
+    tracemalloc.start()
+    try:
+        out = build(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["counts", "mult"])
+def test_range_memory_does_not_grow_with_x(kind, threads):
+    # Each window writes its slice of the output as it finishes, so beside the
+    # output a range holds at most one working set and one window per thread,
+    # however many windows it has.  Keeping every window's result until all are
+    # done, and copying them out afterwards, fails this: 27 windows hold 24
+    # windows more than 3 do.  The working set is measured with 1 thread at 3
+    # windows; 2 threads overlap theirs by a varying amount, up to twice that.
+    width = 1 << 16
+    musq = parse_weight("musq")
+    primes = bulk.primes_upto(isqrt(27 * width))
+
+    def build(x, threads):
+        if kind == "counts":
+            return bulk.counts_range(x, primes, "omega", threads=threads, width=width)
+        return bulk.mult_range(x, primes, musq.rule, musq.at_primes, threads=threads,
+                               width=width)
+
+    window_out = width * build(1, 1).itemsize
+    working_set = _extra_bytes(lambda x: build(x, 1), 3 * width)
+    assert _extra_bytes(lambda x: build(x, threads), 27 * width) < threads * (
+        working_set + window_out)
 
 
 @pytest.mark.parametrize(

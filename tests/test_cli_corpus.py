@@ -4,7 +4,9 @@ The hashes were recorded before the shifted-prime sieves replaced the
 per-prime factoring loops; every invocation must print the same bytes with
 one thread and with two.  A change that moves a hash names and explains it.
 The two non-integer weights (`mgf --f zomega:1.3`, `omega-gcd --f phioverN`)
-were recorded once their masses became ascending-n sums owned by numpy.
+were recorded once their masses became ascending-n sums owned by numpy.  The
+`hist` and `egps` runs past 2**20 were recorded while each mass was still one
+np.bincount over all n, before it was reduced window by window.
 
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
@@ -54,11 +56,18 @@ CORPUS = [
      "1c746a742c590d35da554a31a8b92af7ed205ce84092faa0ba4da0838dfd7d97"),
     ("omega-gcd --x 200000 --f phioverN",
      "1c7f76a7e32e07c632a664ada728348bb5925c18310451f5a9f11bf615f0d446"),
+    ("hist --x 2500000 --f zomega:1.3 --g omega --sieve explicit:2:1",
+     "7e2e4da258d873171e035281d56a7991ee4a31051d80806fe252afa8ea430bb7"),
+    ("egps --x 2200000 --f zomega:1.3 --lambda 2.0",
+     "2807d78c860d9556beeba42de4fa4a23edbb65025e1c4fde7d3ae133185891ed"),
 ]
 
-# weights that are not integers, so any reordering of the sum shows in the bytes
+# weights that are not integers, so any reordering of the sum shows in the bytes;
+# the last two cross 2**20, so their masses are reduced over several windows
 BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
-                  "omega-gcd --x 200000 --f phioverN"]
+                  "omega-gcd --x 200000 --f phioverN",
+                  "hist --x 2500000 --f zomega:1.3 --g omega --sieve explicit:2:1",
+                  "egps --x 2200000 --f zomega:1.3 --lambda 2.0"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -7,6 +7,7 @@ import pytest
 
 from siftlab import arith, bulk, multfunc
 from siftlab.primesets import ALL_PRIMES, Complement, ResidueClasses
+from siftlab.specs import parse_weight
 
 from oracles import ofactor
 
@@ -83,6 +84,43 @@ def test_values_upto_matches_pointwise(t1e5):
         assert v[0] == 0.0
         for n in range(1, 2001):
             assert v[n] == pytest.approx(_eval_at(f, n, t1e5), rel=1e-12)
+
+
+WB_X = 3 * 2**20 + 17  # three full bulk windows and a short fourth
+
+
+@pytest.fixture(scope="module")
+def wb_case():
+    n = np.arange(WB_X + 1)
+    table = arith.PrimeTable(math.isqrt(WB_X) + 1)
+    # bigomega peaks at 21 (2**21 and 2**20 * 3), where mu**2 is 0 everywhere
+    keys = {"uint8": bulk.counts_range(WB_X, table.primes, "bigomega"), "bool": n % 3 == 0}
+    keys["uint8"][0] = 255  # n = 0 is never selected and outranks every selected key
+    sels = {
+        "mask": (n % 7 != 3) & (n >= 2),
+        "slice": slice(2, None),
+        "empty-mask": np.zeros(WB_X + 1, dtype=bool),
+        "empty-slice": slice(WB_X + 1, None),
+    }
+    return table, keys, sels
+
+
+@pytest.mark.parametrize("spec", ["zomega:1.3", "musq", "one"])
+@pytest.mark.parametrize("kind", ["uint8", "bool"])
+def test_weighted_bins_match_one_bincount_bit_for_bit(wb_case, spec, kind):
+    table, keys, sels = wb_case
+    f = parse_weight(spec)
+    fv = multfunc.values_upto(f, WB_X, table)
+    for name, sel in sels.items():
+        k = keys[kind]
+        want = np.bincount(k[sel]) if f.is_one() else np.bincount(k[sel], weights=fv[sel])
+        got = multfunc.weighted_bins(f, k, sel, table)
+        assert (got.dtype, got.size) == (want.dtype, want.size), name
+        assert got.tobytes() == want.tobytes(), name
+        if kind == "uint8" and not name.startswith("empty"):
+            assert got.size == 22
+            if spec == "musq":
+                assert got[21] == 0.0
 
 
 def test_mertens_sum_small(t1e5):
