@@ -69,7 +69,8 @@ class FactorWindow:
         self.hi = hi
         self._table = table
         self._spf = bulk.fill_windows(np.empty(hi - lo, dtype=np.uint32), lo,
-                                      lambda a, b: bulk.spf_window(a, b, table.primes))
+                                      lambda a, b, dest: np.copyto(
+                                          dest, bulk.spf_window(a, b, table.primes)))
 
     @property
     def spf(self) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Vectorized sieve windows.
 
 Everything that has to touch every integer up to x lives here.  The scheme
-is the same for all array builders: split [lo, hi) into fixed-width windows,
-run each window with numpy slice arithmetic, and have each window write its
-own slice of the output as it finishes (fill_windows), so no window outlives
-its worker.  Window width never depends on the thread count, so output is
-bit-identical whether windows run serially or on a pool.
+is the same for all array builders: split [lo, hi) into fixed-width windows
+and hand each worker its own slice of the output (fill_windows), which the
+window's kernel fills in place: every factor kernel takes an optional out=
+of its result's dtype and length, overwrites all of it and returns it.  No
+window result is built and copied.  Window width never depends on the
+thread count, so output is bit-identical whether windows run serially or
+on a pool.
 
 Per-window work uses only primes up to sqrt(hi-1).  All five factor
 kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
 kernel gives the walk a ufunc, its output array and f(p**e) for each small
 prime as a table; the walk applies ufunc(out, f(p**e)) once for every prime
 power exactly dividing each n, and finally divides every n by its small
-part, which leaves either 1 or a single prime above the root for one
-whole-array finish.  Below 2**32 the small parts are multiplied up in
-uint32, above it in int64.
+part in place, which leaves either 1 or a single prime above the root for
+one whole-array finish.  Below 2**32 the small parts and cofactors are
+uint32, above it int64.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
 split has at least 128 multiples in the window.  It gets one scalar strided
@@ -91,7 +93,7 @@ def run_windows(worker, ranges, threads: int = 1) -> list:
 
     A pool runs at most `threads` workers at once.  Every result is kept
     until the last range is done, so a worker that builds an array should
-    write it out itself and return None, as fill_windows does.
+    write it into its destination and return None, as fill_windows does.
     """
     if threads <= 1 or len(ranges) <= 1:
         return [worker(a, b) for a, b in ranges]
@@ -101,15 +103,12 @@ def run_windows(worker, ranges, threads: int = 1) -> list:
 
 def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1,
                  width: int = DEFAULT_WINDOW) -> np.ndarray:
-    """out[a - lo : b - lo] = worker(a, b) for each window [a, b) of [lo, lo + len(out)).
+    """worker(a, b, out[a - lo : b - lo]) fills each window [a, b) of [lo, lo + len(out)).
 
-    Each window is written as soon as its worker returns, so at most
-    `threads` window results are alive at once.
+    The worker writes its destination slice in place; nothing is copied.
     """
-    def put(a: int, b: int) -> None:
-        out[a - lo : b - lo] = worker(a, b)
-
-    run_windows(put, window_ranges(lo, lo + len(out), width), threads)
+    run_windows(lambda a, b: worker(a, b, out[a - lo : b - lo]),
+                window_ranges(lo, lo + len(out), width), threads)
     return out
 
 
@@ -194,7 +193,8 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     The small part of every n is multiplied up, so nothing is divided until
     the end, where n // small part is 1 or the one prime factor above the
     root.  Below 2**32 every small part and quotient fits uint32, which
-    halves the traffic of that accumulator; the cofactors come back int64.
+    halves the traffic of that accumulator.  The quotients overwrite the
+    accumulator, so the cofactors come back uint32 below 2**32, else int64.
     """
     n = hi - lo
     acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
@@ -227,12 +227,7 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
                 ufunc(saved, row[exp], out=out[sq])
     if k < small.size:
         _batch(lo, hi, small[k:], acc, ufunc, out, values)
-    if acc.dtype == np.int64:
-        rem = np.arange(lo, hi, dtype=np.int64)
-        rem //= acc
-        return rem
-    # divide in uint32, writing the quotients straight into the int64 result
-    return np.floor_divide(np.arange(lo, hi, dtype=np.uint32), acc, out=np.empty(n, np.int64))
+    return np.floor_divide(np.arange(lo, hi, dtype=acc.dtype), acc, out=acc)
 
 
 def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np.ndarray,
@@ -241,9 +236,12 @@ def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np
     p, pos, cnt = _multiples(lo, hi, primes)
     if not p.size:
         return
+    at = lo + pos  # p**2 divides lo + pos where (lo + pos) // p % p == 0, tested in place
+    at //= p
+    at %= p
+    at = np.flatnonzero(at == 0)
     exp = np.ones(p.size, dtype=np.uint8)
     pe = p.copy()  # p**exp at each entry
-    at = np.flatnonzero((lo + pos) % (p * p) == 0)
     while at.size:
         exp[at] += 1
         pe[at] *= p[at]
@@ -272,17 +270,27 @@ def _table(ps: np.ndarray, hi: int, values, dtype):
     return t, varies
 
 
-def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndarray:
+def _filled(lo: int, hi: int, out, dtype, fill) -> np.ndarray:
+    """out, or a new array of length hi - lo when it is None, set to fill throughout."""
+    if lo < 1 or lo >= hi:
+        raise ValueError("need 1 <= lo < hi")
+    if out is None:
+        return np.full(hi - lo, fill, dtype=dtype)
+    if out.shape != (hi - lo,) or out.dtype != dtype:
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of length {hi - lo}")
+    out.fill(fill)
+    return out
+
+
+def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) -> np.ndarray:
     """omega or bigomega of each n in [lo, hi), restricted to selected primes.
 
     selector is any object with mask(values) -> bool array; None selects
     every prime.
     """
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
     if kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown count kind {kind!r}")
-    counts = np.zeros(hi - lo, dtype=np.uint8)
+    counts = _filled(lo, hi, out, np.uint8, 0)
 
     def values(p, e, pe):
         v = e if kind == "bigomega" else 1
@@ -296,12 +304,12 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None) -> np.ndar
     else:
         pos = np.flatnonzero(rem > 1)
         if pos.size:
-            keep = np.asarray(selector.mask(rem[pos]), dtype=bool)
+            keep = np.asarray(selector.mask(rem[pos].astype(np.int64)), dtype=bool)
             counts[pos[keep]] += 1
     return counts
 
 
-def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
+def mult_window(lo, hi, primes, rule, prime_vec, out=None) -> np.ndarray:
     """Values of a multiplicative function on [lo, hi) as float64.
 
     rule(p, e) gives the value at p**e; prime_vec maps an int64 array of
@@ -311,9 +319,7 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     product of doubles.  The rule is checked at every p**e < hi of each
     small prime with a multiple in the window.
     """
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
-    vals = np.ones(hi - lo, dtype=np.float64)
+    vals = _filled(lo, hi, out, np.float64, 1.0)
 
     def values(p, e, pe):
         powers = (pe > 0) & (e > 0)
@@ -332,7 +338,7 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0)
     big = np.flatnonzero(rem > 1)
     if big.size:
-        pv = np.asarray(prime_vec(rem[big]), dtype=np.float64)
+        pv = np.asarray(prime_vec(rem[big].astype(np.int64)), dtype=np.float64)
         if (pv < 0).any():
             raise ValueError("multiplicative rule negative at a prime")
         if (pv != 1.0).any():  # as the walk skips f(p) = 1, so does the finish
@@ -340,18 +346,16 @@ def mult_window(lo, hi, primes, rule, prime_vec) -> np.ndarray:
     return vals
 
 
-def sigma_window(lo: int, hi: int) -> np.ndarray:
+def sigma_window(lo: int, hi: int, out=None) -> np.ndarray:
     """Divisor sums sigma(n) for [lo, hi) as int64; sieves its own primes.
 
     sigma(p**e) = 1 + p + ... + p**e is a running sum along each prime's
     powers.  A cofactor left by the walk is 1 or a prime q, so
     rem += rem > 1 gives sigma(rem).
     """
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
     if hi > 1 << 55:
         raise OverflowError("sigma window above 2**55 could overflow int64")
-    sig = np.ones(hi - lo, dtype=np.int64)
+    sig = _filled(lo, hi, out, np.int64, 1)
     rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), np.multiply, sig,
                 lambda p, e, pe: np.cumsum(pe, axis=1), identity=1)
     rem += rem > 1
@@ -366,11 +370,9 @@ def lambda_of_prime_power(p: int, e: int) -> int:
     return p ** (e - 1) * (p - 1)
 
 
-def lambda_window(lo, hi, primes) -> np.ndarray:
+def lambda_window(lo, hi, primes, out=None) -> np.ndarray:
     """Carmichael lambda for [lo, hi) as int64, exact via running lcm."""
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
-    lam = np.ones(hi - lo, dtype=np.int64)
+    lam = _filled(lo, hi, out, np.int64, 1)
 
     def values(p, e, pe):
         t = pe // p * (p - 1)  # p**(e-1) * (p - 1)
@@ -381,17 +383,15 @@ def lambda_window(lo, hi, primes) -> np.ndarray:
     rem = _walk(lo, hi, primes, np.lcm, lam, values, identity=1)
     big = np.flatnonzero(rem > 1)
     if big.size:
-        pe = rem[big] - 1
+        pe = rem[big].astype(np.int64) - 1
         lv = lam[big]
         lam[big] = lv // np.gcd(lv, pe) * pe
     return lam
 
 
-def lpf_window(lo, hi, primes) -> np.ndarray:
+def lpf_window(lo, hi, primes, out=None) -> np.ndarray:
     """Largest prime factor for [lo, hi) as int64; 1 maps to 1."""
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
-    lpf = np.ones(hi - lo, dtype=np.int64)
+    lpf = _filled(lo, hi, out, np.int64, 1)
     rem = _walk(lo, hi, primes, np.maximum, lpf, lambda p, e, pe: p)
     np.maximum(lpf, rem, out=lpf)
     return lpf
@@ -405,34 +405,35 @@ def _assemble(worker, x: int, dtype, threads: int, width: int) -> np.ndarray:
 
 def counts_range(x, primes, kind="omega", selector=None, threads=1, width=DEFAULT_WINDOW):
     """Array c with c[n] = omega(n, E) or bigomega(n, E) for 0 <= n <= x."""
-    return _assemble(
-        lambda a, b: counts_window(a, b, primes, kind, selector), x, np.uint8, threads, width
-    )
+    return _assemble(lambda a, b, dest: counts_window(a, b, primes, kind, selector, out=dest),
+                     x, np.uint8, threads, width)
 
 
 def mult_range(x, primes, rule, prime_vec, threads=1, width=DEFAULT_WINDOW):
     """Array v with v[n] = f(n) for a multiplicative f; v[0] = 0."""
-    out = _assemble(
-        lambda a, b: mult_window(a, b, primes, rule, prime_vec), x, np.float64, threads, width
-    )
+    out = _assemble(lambda a, b, dest: mult_window(a, b, primes, rule, prime_vec, out=dest),
+                    x, np.float64, threads, width)
     out[0] = 0.0
     return out
 
 
 def sigma_range(x, threads=1, width=DEFAULT_WINDOW):
     """Array s with s[n] = sigma(n); s[0] = 0."""
-    return _assemble(lambda a, b: sigma_window(a, b), x, np.int64, threads, width)
+    return _assemble(lambda a, b, dest: sigma_window(a, b, out=dest), x, np.int64, threads,
+                     width)
 
 
 def lambda_range(x, primes, threads=1, width=DEFAULT_WINDOW):
     """Array l with l[n] = carmichael lambda(n); l[0] = 0."""
-    out = _assemble(lambda a, b: lambda_window(a, b, primes), x, np.int64, threads, width)
+    out = _assemble(lambda a, b, dest: lambda_window(a, b, primes, out=dest), x, np.int64,
+                    threads, width)
     out[0] = 0
     return out
 
 
 def lpf_range(x, primes, threads=1, width=DEFAULT_WINDOW):
     """Array l with l[n] = largest prime factor of n (1 for n = 1); l[0] = 0."""
-    out = _assemble(lambda a, b: lpf_window(a, b, primes), x, np.int64, threads, width)
+    out = _assemble(lambda a, b, dest: lpf_window(a, b, primes, out=dest), x, np.int64,
+                    threads, width)
     out[0] = 0
     return out

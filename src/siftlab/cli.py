@@ -17,7 +17,7 @@ import re
 import sys
 import time
 
-from . import __version__, egps, hist, multfunc, shifted, sift, table
+from . import __version__, bulk, egps, hist, multfunc, shifted, sift, table
 from .arith import PrimeTable
 from .errors import ResourceBudgetError
 from .primesets import AllPrimes
@@ -125,9 +125,33 @@ def _cmd_primes(args):
     return header, [row]
 
 
+def _check_budget(args, f, per_int: int) -> None:
+    """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
+
+    Per integer of [0, x]: per_int bytes (1 each for the table flags, the
+    set bitmap and the counts, plus any per-n terms), and 8 more for the
+    weights unless f = one.  8 bytes per prime, with pi(x) < 1.25506 x / log x
+    (Rosser & Schoenfeld 1962).  Per thread, 24 bytes per integer of one
+    window, about a mult window's working set.
+    """
+    if args.budget_mb is None:
+        return
+    x = max(args.x, 2)
+    per_int += 0 if f.is_one() else 8
+    primes = 8 * int(1.25506 * x / math.log(x))
+    windows = max(args.threads, 1) * 24 * min(x, bulk.DEFAULT_WINDOW)
+    need = per_int * (x + 1) + primes + windows
+    if need > args.budget_mb << 20:
+        raise ResourceBudgetError(
+            f"{args.subcommand} plans {need} bytes ({per_int} per integer of [0, {x}], "
+            f"{primes} for the primes, {windows} for the windows), "
+            f"over the budget of {args.budget_mb} MiB")
+
+
 def _hist_setup(args):
-    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
+    _check_budget(args, f, 3)
+    t = PrimeTable(max(args.x, 2))
     E = parse_primeset(args.e)
     ss = parse_set_spec(args.sieve, args.x)
     sset = ss.realize(args.x, t)
@@ -159,8 +183,9 @@ def _cmd_hr_check(args):
 
 
 def _cmd_mgf(args):
-    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
+    _check_budget(args, f, 3 + 8)  # the per-n terms
+    t = PrimeTable(max(args.x, 2))
     E = parse_primeset(args.e)
     ss = parse_set_spec(args.sieve, args.x)
     rep = hist.mgf_sum(ss.realize(args.x, t), f, args.z, args.g, E, t, args.threads)

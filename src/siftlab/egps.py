@@ -30,7 +30,8 @@ class AliquotWindow:
 def aliquot_window(lo: int, hi: int, threads: int = 1) -> AliquotWindow:
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
-    sig = bulk.fill_windows(np.empty(hi - lo, dtype=np.int64), lo, bulk.sigma_window, threads)
+    sig = bulk.fill_windows(np.empty(hi - lo, dtype=np.int64), lo,
+                            lambda a, b, dest: bulk.sigma_window(a, b, out=dest), threads)
     ns = np.arange(lo, hi, dtype=np.int64)
     s = sig - ns
     # crude growth cap: sigma(n) <= n * (1 + log n)

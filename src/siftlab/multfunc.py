@@ -79,8 +79,10 @@ def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: Prime
     table may be None; otherwise table must reach isqrt(len(keys) - 1).
 
     The keys are reduced one bulk window at a time, so no gather of length
-    len(keys) is made.  np.add.at adds each bin's terms in index order, as
-    np.bincount does, so the doubles match one np.bincount over all of sel.
+    len(keys) is made.  A mask's window is gathered by its indices, or read
+    as a view when it is all True.  np.add.at adds each bin's terms in index
+    order, as np.bincount does, so the doubles match one np.bincount over
+    all of sel.
     """
     fv = None if f.is_one() else values_upto(f, len(keys) - 1, table, threads)
     if keys.dtype == np.bool_:
@@ -88,6 +90,10 @@ def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: Prime
     bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
     for a, b in bulk.window_ranges(0, len(keys)):
         part = _window_part(sel, len(keys), a, b)
+        if not isinstance(part, slice):
+            part = np.flatnonzero(part)
+            if part.size == b - a:
+                part = slice(None)
         k = keys[a:b][part]
         if k.size == 0:
             continue
@@ -269,9 +275,13 @@ def hr_constant(x: int, table: PrimeTable | None = None) -> float:
 
     The running sum jumps at primes and log log t grows in between, so the
     sup is attained at a one-sided limit at some prime (or at t = x).
+    Past t = 286, |sum_{p <= t} 1/p - log log t| < 0.2615 + 1/(2 log**2 t)
+    < 0.28 (Rosser & Schoenfeld 1962, Thm 5), below the value 0.866... at
+    t = 2, so no prime past 286 is read.
     """
     if x < 2:
         raise ValueError("need x >= 2")
+    x = min(x, 286)
     table = table_upto(table, x)
     ps = table.primes[table.primes <= x].astype(np.float64)
     csum = np.cumsum(1.0 / ps)

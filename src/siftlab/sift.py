@@ -104,14 +104,13 @@ def sift(x: int, cond: SieveCondition, threads: int = 1) -> SiftedSet:
         raise ValueError("need x >= 1")
     bitmap = np.zeros(x + 1, dtype=bool)
 
-    def worker(a: int, b: int) -> np.ndarray:
-        seg = np.ones(b - a, dtype=bool)
+    def worker(a: int, b: int, seg: np.ndarray) -> None:
+        seg.fill(True)
         for p, residues in cond.exclusions:
             for r in residues:
                 start = a + (r - a) % p
                 if start < b:
                     seg[start - a :: p] = False
-        return seg
 
     bulk.fill_windows(bitmap[1:], 1, worker, threads)
     return SiftedSet(x=x, bitmap=bitmap, cond=cond, label=cond.spec_string())

@@ -5,7 +5,9 @@ lattice enumeration.  Nothing imports package internals, so agreement
 with the package is evidence, not tautology.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log
+
+import numpy as np
 
 
 def ofactor(n: int) -> list[tuple[int, int]]:
@@ -135,3 +137,24 @@ def is_prime_slow(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def ohr_constant(x: int) -> float:
+    """Sup over t in [2, x] of |sum_{p <= t} 1/p - log log t| over every prime up to x.
+
+    A bytearray sieve feeds the same float64 steps in the same order as
+    the library did before it stopped reading primes past 286.
+    """
+    flags = bytearray([1]) * (x + 1)
+    flags[:2] = b"\0\0"
+    for d in range(2, isqrt(x) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, x + 1, d)))
+    ps = np.flatnonzero(np.frombuffer(bytes(flags), dtype=np.uint8)).astype(np.float64)
+    csum = np.cumsum(1.0 / ps)
+    ll = np.log(np.log(ps))
+    best = float(np.max(np.abs(csum - ll)))
+    left = np.abs(csum[:-1] - ll[1:])
+    if left.size:
+        best = max(best, float(np.max(left)))
+    return max(best, abs(float(csum[-1]) - log(log(x))))

@@ -261,6 +261,18 @@ def test_range_memory_does_not_grow_with_x(kind, threads):
         working_set + window_out)
 
 
+def test_counts_range_window_working_set():
+    # A window's kernel fills its slice of the output and divides the
+    # cofactors into its uint32 accumulator, so beside the output it holds
+    # the accumulator and the dividend: 8 bytes per integer of a window.  A
+    # window result copied into the output and an int64 cofactor array take
+    # that to about 17.6.
+    width = 1 << 16
+    primes = bulk.primes_upto(isqrt(3 * width))
+    extra = _extra_bytes(lambda x: bulk.counts_range(x, primes, "omega", width=width), 3 * width)
+    assert extra <= 10 * width
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [
@@ -466,3 +478,30 @@ def test_kernel_bytes_pinned_around_two_to_the_32():
         for arr in arrays:
             digest.update(arr.tobytes())
     assert digest.hexdigest() == STRADDLE_BYTES_SHA256
+
+
+# width 2**20 at 1e6, a window straddling 2**32, and width 8192 at 1e10,
+# where every prime above 64 goes through the batch
+@pytest.mark.parametrize("lo, hi", [(10**6, 10**6 + 2**20), (2**32 - 2**15, 2**32 + 2**15),
+                                    (10**10, 10**10 + 8192)])
+def test_kernels_fill_a_dirty_out(lo, hi):
+    primes = bulk.primes_upto(isqrt(hi))
+    E = ResidueClasses(4, (1,))
+    phi = parse_weight("phioverN")
+    kernels = [
+        lambda **kw: bulk.counts_window(lo, hi, primes, "omega", **kw),
+        lambda **kw: bulk.counts_window(lo, hi, primes, "bigomega", E, **kw),
+        lambda **kw: bulk.mult_window(lo, hi, primes, phi.rule, phi.at_primes, **kw),
+        lambda **kw: bulk.sigma_window(lo, hi, **kw),
+        lambda **kw: bulk.lambda_window(lo, hi, primes, **kw),
+        lambda **kw: bulk.lpf_window(lo, hi, primes, **kw),
+    ]
+    for kernel in kernels:
+        want = kernel()
+        dirty = np.full(want.nbytes, 0xAB, dtype=np.uint8).view(want.dtype)
+        assert kernel(out=dirty) is dirty
+        assert dirty.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            kernel(out=dirty[1:])
+        with pytest.raises(ValueError):
+            kernel(out=np.zeros(hi - lo, dtype=np.int8))  # no kernel's dtype

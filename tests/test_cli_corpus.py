@@ -6,7 +6,10 @@ one thread and with two.  A change that moves a hash names and explains it.
 The two non-integer weights (`mgf --f zomega:1.3`, `omega-gcd --f phioverN`)
 were recorded once their masses became ascending-n sums owned by numpy.  The
 `hist` and `egps` runs past 2**20 were recorded while each mass was still one
-np.bincount over all n, before it was reduced window by window.
+np.bincount over all n, before it was reduced window by window.  The
+`hist --f phioverN` and `s-div` runs were recorded while each window still
+built its result and copied it into the range, divided its cofactors into
+an int64 array and gathered its weights through bool masks.
 
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
@@ -60,14 +63,20 @@ CORPUS = [
      "7e2e4da258d873171e035281d56a7991ee4a31051d80806fe252afa8ea430bb7"),
     ("egps --x 2200000 --f zomega:1.3 --lambda 2.0",
      "2807d78c860d9556beeba42de4fa4a23edbb65025e1c4fde7d3ae133185891ed"),
+    ("hist --x 2500000 --f phioverN --g bigomega --e mod:4:1",
+     "a346a9506d4e48268cf2450dc4894c88011465343556a67cbc90f6ec157f548e"),
+    ("s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3",
+     "cb684556bdef89f39e111028f560c57be20918adf31c990c63a424d6a92b60e1"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;
-# the last two cross 2**20, so their masses are reduced over several windows
+# the last four cross 2**20, so their masses are reduced over several windows
 BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
                   "omega-gcd --x 200000 --f phioverN",
                   "hist --x 2500000 --f zomega:1.3 --g omega --sieve explicit:2:1",
-                  "egps --x 2200000 --f zomega:1.3 --lambda 2.0"]
+                  "egps --x 2200000 --f zomega:1.3 --lambda 2.0",
+                  "hist --x 2500000 --f phioverN --g bigomega --e mod:4:1",
+                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -48,7 +48,13 @@ def test_aliquot_window_high_range():
 def test_aliquot_window_overflowed_sigma_raises(monkeypatch):
     # sigma far above n * (1 + log n) can only come from an overflow
     real = egps.bulk.sigma_window
-    monkeypatch.setattr(egps.bulk, "sigma_window", lambda a, b: real(a, b) * 1000)
+
+    def inflated(a, b, out=None):
+        out = real(a, b, out=out)
+        out *= 1000
+        return out
+
+    monkeypatch.setattr(egps.bulk, "sigma_window", inflated)
     with pytest.raises(OverflowError):
         egps.aliquot_window(1, 100)
 

@@ -9,7 +9,7 @@ from siftlab import arith, bulk, multfunc
 from siftlab.primesets import ALL_PRIMES, Complement, ResidueClasses
 from siftlab.specs import parse_weight
 
-from oracles import ofactor
+from oracles import ofactor, ohr_constant
 
 
 def _eval_at(f, n, table):
@@ -123,6 +123,35 @@ def test_weighted_bins_match_one_bincount_bit_for_bit(wb_case, spec, kind):
                 assert got[21] == 0.0
 
 
+def _gather_masks():
+    n = np.arange(WB_X + 1)
+    W = bulk.DEFAULT_WINDOW
+    rng = np.random.default_rng(11)
+    windows = rng.random(WB_X + 1) < 0.5
+    windows[W : 2 * W] = True       # read as a view
+    windows[2 * W : 3 * W] = False  # gathers nothing
+    masks = {"alternating": n % 2 == 1, "random": rng.random(WB_X + 1) < 0.3,
+             "windows": windows, "all": np.ones(WB_X + 1, dtype=bool)}
+    for edge in (W - 1, W, 3 * W, WB_X):
+        masks[f"only-{edge}"] = n == edge
+    return masks
+
+
+@pytest.mark.parametrize("spec", ["zomega:1.3", "one"])
+def test_weighted_bins_gather_masks_by_index(wb_case, spec):
+    # each window's part of a mask is gathered by its indices, or read as a
+    # view when it is all True; "all" also selects n = 0, whose key is 255
+    table, keys, _ = wb_case
+    f = parse_weight(spec)
+    fv = multfunc.values_upto(f, WB_X, table)
+    k = keys["uint8"]
+    for name, sel in _gather_masks().items():
+        want = np.bincount(k[sel]) if f.is_one() else np.bincount(k[sel], weights=fv[sel])
+        got = multfunc.weighted_bins(f, k, sel, table)
+        assert (got.dtype, got.size) == (want.dtype, want.size), name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_mertens_sum_small(t1e5):
     got = multfunc.mertens_sum(multfunc.one(), 10, table=t1e5)
     assert got == pytest.approx(247 / 210, rel=1e-15)
@@ -155,6 +184,13 @@ def test_sup_distance_constant(t1e5):
     assert multfunc.hr_constant(10**4, t1e5) == pytest.approx(closed, rel=1e-15)
     with pytest.raises(ValueError):
         multfunc.hr_constant(1)
+
+
+@pytest.mark.parametrize("x", [2, 3, 285, 286, 287, 293, 10**5, 10**6, 10**7])
+def test_hr_constant_reads_no_prime_past_286(x):
+    # the sup over [2, x] is the same double as the oracle's scan of every
+    # prime up to x, though the library stops at 286
+    assert multfunc.hr_constant(x) == ohr_constant(x) == 0.8665129205816644
 
 
 def test_sup_distance_nondecreasing(t1e5):

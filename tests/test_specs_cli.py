@@ -314,6 +314,32 @@ def test_cli_budget_mb():
         cli.dispatch(["table", "--n", "100000", "--budget-mb", "1"])
 
 
+HIST_FAMILY = [["hist", "--f", "musq"], ["hr-check", "--f", "musq"],
+               ["tails", "--delta", "0.5", "--f", "musq"], ["dev", "--lambda", "0.5"],
+               ["mgf", "--z", "1.5", "--f", "zomega:1.3"]]
+
+
+@pytest.mark.parametrize("argv", HIST_FAMILY, ids=[a[0] for a in HIST_FAMILY])
+def test_cli_hist_family_budget_mb_before_the_table(argv, capsys, monkeypatch):
+    def no_table(limit):
+        raise AssertionError("PrimeTable built before the budget check")
+
+    monkeypatch.setattr(cli, "PrimeTable", no_table)
+    monkeypatch.setattr(sys, "argv", ["siftlab", *argv, "--x", "10000000", "--budget-mb", "1"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 3
+    err = capsys.readouterr().err
+    assert f"{argv[0]} plans " in err and "per integer of [0, 10000000]" in err
+    assert "over the budget of 1 MiB" in err
+
+
+@pytest.mark.parametrize("argv", HIST_FAMILY, ids=[a[0] for a in HIST_FAMILY])
+def test_cli_hist_family_generous_budget_same_bytes(argv, capsys):
+    run = [*argv, "--x", "30000"]
+    assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
+
+
 @pytest.mark.parametrize("argv, over", [
     (["--n", "8000", "--budget-mb", "8"], True),        # one 64 MB segment
     (["--n", "3000", "--budget-mb", "16"], False),      # one 9 MB segment
