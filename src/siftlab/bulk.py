@@ -16,15 +16,16 @@ prime as a table; the walk applies ufunc(out, f(p**e)) once for every prime
 power exactly dividing each n, and finally divides every n by its small
 part in place, which leaves either 1 or a single prime above the root for
 one whole-array finish.  Below 2**32 the small parts and cofactors are
-uint32, above it int64.
+uint32, above it int64.  A mult window whose weight is 1 at every prime
+(mu**2, or 1) reads no cofactors, and its walk keeps no small parts.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
 split has at least 128 multiples in the window.  It gets one scalar strided
 pass of f(p) over its multiples, skipped when f(p) is the ufunc's identity,
 plus a fix-up at the multiples of p**2 when some f(p**e) differs from f(p):
 their values are saved before the pass and written back as
-ufunc(saved, f(p**e)), so exponents are tracked only there.  The primes
-above the split, most of them at 1e9 and beyond, have a few multiples each
+ufunc(saved, f(p**e)), so exponents are tracked only there, and not at all
+when every f(p**e), e >= 3, equals f(p**2).  The primes above the split, most of them at 1e9 and beyond, have a few multiples each
 and go through one vectorized batch per window, applied with ufunc.at.
 flags_window takes the same split, and sieve_flags sieves its array in
 DEFAULT_WINDOW segments the same way.
@@ -172,7 +173,7 @@ def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 
 
 def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
-          identity=None) -> np.ndarray:
+          identity=None, cofactors: bool = True) -> np.ndarray | None:
     """out[i] = ufunc(out[i], f(p**e)) for each p**e exactly dividing lo + i; returns the cofactors.
 
     Each p <= isqrt(hi-1) is applied in ascending order, one step per
@@ -186,7 +187,8 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     ufunc(out, f(p)) over its multiples.  When f(p**e) differs from f(p) for
     some e >= 2, the values at the multiples of p**2 are saved first, and
     ufunc(saved, f(p**e)) is written back there after the pass, so
-    exponents are tracked at those positions only.  All primes above the
+    exponents are tracked at those positions only, and not at all when no
+    f(p**e), e >= 3, differs from f(p**2) (_table's deep).  All primes above the
     split come in one batch, one entry per (prime, multiple), prime-major,
     applied with ufunc.at; an n divisible by two of them appears twice.
 
@@ -195,43 +197,46 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     root.  Below 2**32 every small part and quotient fits uint32, which
     halves the traffic of that accumulator.  The quotients overwrite the
     accumulator, so the cofactors come back uint32 below 2**32, else int64.
+    With cofactors=False no accumulator is kept and None comes back; a prime
+    whose fix-up needs no exponents then costs no power loop at all.
     """
     n = hi - lo
-    acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
+    acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64) if cofactors else None
     small = _small_primes(primes, hi)
     k = _split(small, n)
     if k:
-        table, varies = _table(small[:k], hi, values, out.dtype)
-        for p, row, f1, fix in zip(small[:k].tolist(), table, table[:, 1].tolist(),
-                                   varies.tolist()):
+        table, varies, deep = _table(small[:k], hi, values, out.dtype)
+        for p, row, f1, fix, dp in zip(small[:k].tolist(), table, table[:, 1].tolist(),
+                                       varies.tolist(), deep.tolist()):
             sl = slice(-lo % p, n, p)  # a prime below the split has a multiple
-            acc[sl] *= p
             q = p * p
-            saved = None
+            saved = exp = None
             if fix and q < hi and -lo % q < n:
                 sq = slice(-lo % q, n, q)
                 saved = out[sq].copy() if f1 != identity else out[sq]
-                exp = np.ones(saved.size, dtype=np.uint8)
-            while q < hi:
+                exp = np.ones(saved.size, dtype=np.uint8) if dp else None
+            if cofactors:
+                acc[sl] *= p
+            while q < hi and (cofactors or exp is not None):
                 off_q = -lo % q
                 if off_q >= n:
                     break
-                acc[off_q::q] *= p
-                if saved is not None:
+                if cofactors:
+                    acc[off_q::q] *= p
+                if exp is not None:
                     exp[(off_q - sq.start) // (p * p) :: q // (p * p)] += 1
                 q *= p
             if f1 != identity:
                 view = out[sl]
                 ufunc(view, f1, out=view)
             if saved is not None:
-                ufunc(saved, row[exp], out=out[sq])
+                ufunc(saved, row[2] if exp is None else row[exp], out=out[sq])
     if k < small.size:
         _batch(lo, hi, small[k:], acc, ufunc, out, values)
-    return np.floor_divide(np.arange(lo, hi, dtype=acc.dtype), acc, out=acc)
+    return np.floor_divide(np.arange(lo, hi, dtype=acc.dtype), acc, out=acc) if cofactors else None
 
 
-def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np.ndarray,
-           values) -> None:
+def _batch(lo: int, hi: int, primes: np.ndarray, acc, ufunc, out: np.ndarray, values) -> None:
     """The walk's step for the primes above the split: one ufunc.at entry per (prime, multiple)."""
     p, pos, cnt = _multiples(lo, hi, primes)
     if not p.size:
@@ -246,7 +251,8 @@ def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np
         exp[at] += 1
         pe[at] *= p[at]
         at = at[(lo + pos[at]) // pe[at] % p[at] == 0]
-    np.multiply.at(acc, pos, pe.astype(acc.dtype, copy=False))  # p**exp < hi
+    if acc is not None:
+        np.multiply.at(acc, pos, pe.astype(acc.dtype, copy=False))  # p**exp < hi
     del pe  # the entries' values below take its place in memory
     ps = primes[cnt > 0]
     table = _table(ps, hi, values, out.dtype)[0]
@@ -257,7 +263,8 @@ def _batch(lo: int, hi: int, primes: np.ndarray, acc: np.ndarray, ufunc, out: np
 
 
 def _table(ps: np.ndarray, hi: int, values, dtype):
-    """t[i, e] = f(ps[i]**e) from values (see _walk), and whether some f(p**e), e >= 2, != f(p)."""
+    """t[i, e] = f(ps[i]**e) from values (see _walk); whether some f(p**e), e >= 2, != f(p);
+    and (deep) whether some f(p**e), e >= 3, != f(p**2).  Only p**e < hi counts."""
     lim = (hi - 1) // ps
     cols, q = [np.ones_like(ps)], ps
     while q[0]:  # ps[0] is the smallest prime, with the most powers below hi
@@ -266,8 +273,10 @@ def _table(ps: np.ndarray, hi: int, values, dtype):
     pe = np.stack(cols, axis=1)
     t = np.broadcast_to(np.asarray(values(ps[:, None], np.arange(pe.shape[1]), pe), dtype=dtype),
                         pe.shape)
-    varies = ((t[:, 2:] != t[:, 1:2]) & (pe[:, 2:] > 0)).any(axis=1)
-    return t, varies
+    live = pe[:, 2:] > 0
+    varies = ((t[:, 2:] != t[:, 1:2]) & live).any(axis=1)
+    deep = ((t[:, 3:] != t[:, 2:3]) & live[:, 1:]).any(axis=1)
+    return t, varies, deep
 
 
 def _filled(lo: int, hi: int, out, dtype, fill) -> np.ndarray:
@@ -313,12 +322,18 @@ def mult_window(lo, hi, primes, rule, prime_vec, out=None) -> np.ndarray:
     """Values of a multiplicative function on [lo, hi) as float64.
 
     rule(p, e) gives the value at p**e; prime_vec maps an int64 array of
-    primes to values at the first power.  Exponents are extracted exactly,
-    so rules with zeros (square-free indicators and the like) are safe.
-    Factors are multiplied in ascending p, so every value is one fixed
-    product of doubles.  The rule is checked at every p**e < hi of each
-    small prime with a multiple in the window.
+    primes to values at the first power, or is the number f(p) when that is
+    the same at every prime.  Exponents are extracted exactly, so rules with
+    zeros (square-free indicators and the like) are safe.  Factors are
+    multiplied in ascending p, so every value is one fixed product of
+    doubles.  The rule is checked at every p**e < hi of each small prime
+    with a multiple in the window, and so is a number prime_vec at e = 1.
+    A number c is applied as vals *= c wherever a cofactor prime is left,
+    and c = 1 needs no cofactors at all (see _walk).
     """
+    const = not callable(prime_vec)
+    if const and prime_vec < 0:
+        raise ValueError("multiplicative rule negative at a prime")
     vals = _filled(lo, hi, out, np.float64, 1.0)
 
     def values(p, e, pe):
@@ -333,9 +348,15 @@ def mult_window(lo, hi, primes, rule, prime_vec, out=None) -> np.ndarray:
         if neg.any():
             i, j = np.unravel_index(np.argmax(neg), neg.shape)
             raise ValueError(f"multiplicative rule negative at ({p[i, 0]},{j})")
+        if const and (t[:, 1] != prime_vec).any():
+            i = np.argmax(t[:, 1] != prime_vec)
+            raise ValueError(f"multiplicative rule at ({p[i, 0]},1) is not {prime_vec}")
         return t
 
-    rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0)
+    rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0,
+                cofactors=not const or prime_vec != 1.0)
+    if const:  # c = 1 kept no cofactors
+        return vals if rem is None else np.multiply(vals, prime_vec, out=vals, where=rem > 1)
     big = np.flatnonzero(rem > 1)
     if big.size:
         pv = np.asarray(prime_vec(rem[big].astype(np.int64)), dtype=np.float64)

@@ -17,6 +17,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, bulk, egps, hist, multfunc, shifted, sift, table
 from .arith import PrimeTable
 from .errors import ResourceBudgetError
@@ -125,14 +127,15 @@ def _cmd_primes(args):
     return header, [row]
 
 
-def _check_budget(args, f, per_int: int) -> None:
+def _check_budget(args, f, per_int: int, extra: int = 0) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
     Per integer of [0, x]: per_int bytes (1 each for the table flags, the
-    set bitmap and the counts, plus any per-n terms), and 8 more for the
-    weights unless f = one.  8 bytes per prime, with pi(x) < 1.25506 x / log x
-    (Rosser & Schoenfeld 1962).  Per thread, 24 bytes per integer of one
-    window, about a mult window's working set.
+    set bitmap and the counts, 8 for an int64 sigma, plus any per-n terms),
+    and 8 more for the weights unless f = one.  8 bytes per prime, with
+    pi(x) < 1.25506 x / log x (Rosser & Schoenfeld 1962).  Per thread, 24
+    bytes per integer of one window, about a mult window's working set.
+    extra bytes more, such as egps's omega table over [0, max s(n)].
     """
     if args.budget_mb is None:
         return
@@ -140,10 +143,11 @@ def _check_budget(args, f, per_int: int) -> None:
     per_int += 0 if f.is_one() else 8
     primes = 8 * int(1.25506 * x / math.log(x))
     windows = max(args.threads, 1) * 24 * min(x, bulk.DEFAULT_WINDOW)
-    need = per_int * (x + 1) + primes + windows
+    need = per_int * (x + 1) + extra + primes + windows
     if need > args.budget_mb << 20:
         raise ResourceBudgetError(
             f"{args.subcommand} plans {need} bytes ({per_int} per integer of [0, {x}], "
+            f"{f'{extra} for other tables, ' if extra else ''}"
             f"{primes} for the primes, {windows} for the windows), "
             f"over the budget of {args.budget_mb} MiB")
 
@@ -307,10 +311,12 @@ def _cmd_apcount(args):
 
 
 def _cmd_egps(args):
-    rep = egps.egps_deviation(
-        args.x, parse_weight(args.f), lam=args.lam, c0=args.c0,
-        threads=args.threads,
-    )
+    # the omega table spans [0, max s(n)], and s(n) = sigma(n) - n < n (e**gamma log log n
+    # + 0.6483 / log log n - 1) for n >= 3 (Robin 1984); its value at max(x, 16) covers n <= x
+    f, x = parse_weight(args.f), max(args.x, 16)
+    ll = math.log(math.log(x))
+    _check_budget(args, f, 8, 1 + int(x * (np.exp(np.euler_gamma) * ll + 0.6483 / ll - 1)))
+    rep = egps.egps_deviation(args.x, f, lam=args.lam, c0=args.c0, threads=args.threads)
     header = ["x", "f", "lambda", "mass", "total", "normalized",
               "excluded", "unfactored"]
     rows = [[args.x, args.f, rep.lam, rep.mass, rep.total, rep.normalized,
@@ -322,26 +328,26 @@ def _cmd_egps(args):
 
 
 def _cmd_sigma_div(args):
-    rep = egps.count_p_divides_sigma(
-        args.x, args.p, parse_weight(args.f), args.eps, threads=args.threads
-    )
+    f = parse_weight(args.f)
+    _check_budget(args, f, 8)
+    rep = egps.count_p_divides_sigma(args.x, args.p, f, args.eps, threads=args.threads)
     header = ["x", "p", "f", "eps", "value", "bound", "ratio"]
     return header, [[args.x, args.p, args.f, args.eps, rep.value, rep.bound,
                      rep.ratio]]
 
 
 def _cmd_s_div(args):
-    value = egps.count_d_divides_s(
-        args.x, args.y, args.z, args.d, parse_weight(args.f),
-        threads=args.threads,
-    )
+    f = parse_weight(args.f)
+    _check_budget(args, f, 8 + 8)  # sigma and lpf
+    value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
     return header, [[args.x, args.y, args.z, args.d, args.f, value]]
 
 
 def _cmd_omega_gcd(args):
-    rep = egps.mean_omega_gcd_sigma(args.x, parse_weight(args.f),
-                                    threads=args.threads)
+    f = parse_weight(args.f)
+    _check_budget(args, f, 8)
+    rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v
     return header, [[args.x, args.f, rep.value, blank(rep.bound),
@@ -349,10 +355,6 @@ def _cmd_omega_gcd(args):
 
 
 def _cmd_constants(args):
-    import numpy as np
-
-    from . import bulk
-
     rows = [["eta0", table.eta0(), "table-density exponent"]]
     ps = bulk.primes_upto(args.x).astype(np.float64)
     odd = ps[ps > 2]

@@ -30,15 +30,22 @@ class MultiplicativeFunction:
     spec: str
     growth_note: str = ""
     prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
+    prime_value: float | None = None  # f(p) when it is the same number at every prime
     params: tuple = field(default_factory=tuple)
 
     def at_primes(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized f(p) over an array of primes."""
+        if self.prime_value is not None:
+            return np.full(len(arr), self.prime_value)
         if self.prime_vec is not None:
             return np.asarray(self.prime_vec(np.asarray(arr)), dtype=np.float64)
         return np.fromiter(
             (self.rule(int(p), 1) for p in arr), dtype=np.float64, count=len(arr)
         )
+
+    def window_primes(self):
+        """f at the primes as bulk.mult_window takes it: prime_value, else at_primes."""
+        return self.at_primes if self.prime_value is None else self.prime_value
 
     def spec_string(self) -> str:
         return self.spec
@@ -66,7 +73,7 @@ def values_upto(
         out = np.ones(x + 1, dtype=np.float64)
         out[0] = 0.0
         return out
-    return bulk.mult_range(x, table.primes, f.rule, f.at_primes, threads=threads)
+    return bulk.mult_range(x, table.primes, f.rule, f.window_primes(), threads=threads)
 
 
 def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: PrimeTable | None,
@@ -124,16 +131,14 @@ def _window_part(sel, n: int, a: int, b: int):
 
 def one() -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        "one", lambda p, e: 1.0, 1.0, "one",
-        prime_vec=lambda a: np.ones(len(a)),
+        "one", lambda p, e: 1.0, 1.0, "one", prime_value=1.0,
     )
 
 
 def mu_sq() -> MultiplicativeFunction:
     return MultiplicativeFunction(
         "mu_sq", lambda p, e: 1.0 if e == 1 else 0.0, 1.0, "musq",
-        growth_note="square-free indicator",
-        prime_vec=lambda a: np.ones(len(a)),
+        growth_note="square-free indicator", prime_value=1.0,
     )
 
 
@@ -143,8 +148,7 @@ def z_omega(z: float) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         "z_omega", lambda p, e: z, max(z, 1.0), f"zomega:{z:g}",
         growth_note="z to the number of distinct prime factors",
-        prime_vec=lambda a, z=z: np.full(len(a), z),
-        params=(z,),
+        prime_value=float(z), params=(z,),
     )
 
 
@@ -156,8 +160,7 @@ def z_bigomega(z: float) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         "z_bigomega", lambda p, e: z**e, max(z, 1.0), f"zbigomega:{z:g}",
         growth_note="z to the number of prime factors with multiplicity",
-        prime_vec=lambda a, z=z: np.full(len(a), z),
-        params=(z,),
+        prime_value=float(z), params=(z,),
     )
 
 
@@ -167,8 +170,7 @@ def tau_k(k: int) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         "tau_k", lambda p, e: float(math.comb(e + k - 1, e)), float(k), f"tauk:{k}",
         growth_note="k-fold divisor function",
-        prime_vec=lambda a, k=k: np.full(len(a), float(k)),
-        params=(k,),
+        prime_value=float(k), params=(k,),
     )
 
 

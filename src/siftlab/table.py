@@ -139,7 +139,7 @@ def sifted_table_sum(
         keep &= sset.bitmap[lo:hi]
         if f.is_one():
             return float(np.count_nonzero(keep))
-        fv = bulk.mult_window(lo, hi, table.primes, f.rule, f.at_primes)
+        fv = bulk.mult_window(lo, hi, table.primes, f.rule, f.window_primes())
         return float(sum(fv[keep].tolist()))
 
     ranges = bulk.window_ranges(1, x + 1)

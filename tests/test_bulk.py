@@ -505,3 +505,56 @@ def test_kernels_fill_a_dirty_out(lo, hi):
             kernel(out=dirty[1:])
         with pytest.raises(ValueError):
             kernel(out=np.zeros(hi - lo, dtype=np.int8))  # no kernel's dtype
+
+
+# Weights that take one value at every prime, passed to mult_window as that
+# number c, against the same weight's callable; the windows sit at lo = 1 and
+# 1e6, straddle 2**32, and at 1e10 with width 8192 batch every prime above 64.
+CONSTANT_AT_PRIMES = ["one", "musq", "zomega:1.3", "zomega:0", "zbigomega:0.5", "tauk:3"]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1 + 2**20), (10**6, 10**6 + 2**20),
+                                    (2**32 - 2**15, 2**32 + 2**15), (10**10, 10**10 + 8192)])
+def test_mult_window_prime_value_matches_callable(lo, hi):
+    # c = 1 keeps no cofactors and c != 1 finishes as vals *= c at the
+    # cofactor primes; both must give the callable finish's bytes
+    primes = bulk.primes_upto(isqrt(hi))
+    for spec in CONSTANT_AT_PRIMES:
+        f = parse_weight(spec)
+        got = []
+        for prime_vec in (f.at_primes, f.prime_value):
+            dirty = np.full(8 * (hi - lo), 0xAB, dtype=np.uint8).view(np.float64)
+            assert bulk.mult_window(lo, hi, primes, f.rule, prime_vec, out=dirty) is dirty
+            got.append(dirty.tobytes())
+        assert got[0] == got[1], spec
+
+
+def test_mult_window_prime_value_is_checked(monkeypatch):
+    # a small prime's rule(p, 1) must be c, at a scalar-pass prime and at a
+    # batched one alike
+    primes = bulk.primes_upto(isqrt(10**10 + 8192))
+    for lo, hi, bad in ((1, 10**4, 7), (10**10, 10**10 + 8192, 101)):
+        rule = lambda p, e: 1.0 if p == bad else 2.0
+        with pytest.raises(ValueError, match=rf"^multiplicative rule at \({bad},1\) is not 2.0$"):
+            bulk.mult_window(lo, hi, primes, rule, 2.0)
+    # a negative c is refused before the walk
+    monkeypatch.setattr(bulk, "_walk", None)
+    with pytest.raises(ValueError, match="^multiplicative rule negative at a prime$"):
+        bulk.mult_window(1, 100, primes, lambda p, e: -1.0, -1.0)
+
+
+def test_mult_window_weight_one_at_primes_keeps_no_cofactors():
+    # musq with c = 1 keeps no accumulator, no dividend and no finish: beside
+    # its output a window holds under 1 byte per integer (about 0.4).  Its
+    # cofactor finish, through a callable, holds about 21.4.
+    lo, width = 9 * 10**6, 1 << 20
+    primes = bulk.primes_upto(isqrt(lo + width))
+    musq = parse_weight("musq")
+    out = np.empty(width)
+    tracemalloc.start()
+    try:
+        bulk.mult_window(lo, lo + width, primes, musq.rule, 1.0, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= width

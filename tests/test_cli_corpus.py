@@ -9,7 +9,9 @@ were recorded once their masses became ascending-n sums owned by numpy.  The
 np.bincount over all n, before it was reduced window by window.  The
 `hist --f phioverN` and `s-div` runs were recorded while each window still
 built its result and copied it into the range, divided its cofactors into
-an int64 array and gathered its weights through bool masks.
+an int64 array and gathered its weights through bool masks.  The last two,
+`hist --f musq` and `mgf --f tauk:3`, were recorded while every mult window
+still divided out its cofactors and finished them through prime_vec.
 
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
@@ -67,6 +69,10 @@ CORPUS = [
      "a346a9506d4e48268cf2450dc4894c88011465343556a67cbc90f6ec157f548e"),
     ("s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3",
      "cb684556bdef89f39e111028f560c57be20918adf31c990c63a424d6a92b60e1"),
+    ("hist --x 2300000 --f musq --g bigomega --sieve explicit:3:1",
+     "f46d54fbe8e855ed72fcf0ed752fdc44b356853f1445d8ac091da0a79a6af730"),
+    ("mgf --x 2100000 --z 1.5 --f tauk:3",
+     "11d57badfdd8f2b3c099e6359fb4004748a5b59590ae862f89dc61636e3360a4"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

@@ -1,5 +1,7 @@
 """Multiplicative weights, prime sums, and growth-class checks."""
 
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -261,6 +263,28 @@ def test_at_primes_vector_agrees_with_rule(t1e5):
         vec = f.at_primes(ps)
         scalar = [f.rule(int(p), 1) for p in ps]
         assert np.allclose(vec, scalar, rtol=1e-15)
+
+
+# sample values for each builtin constructor's parameters, by parameter name
+_SAMPLE_PARAMS = {"z": (0.0, 0.5, 1.0, 1.3), "k": (1, 3)}
+
+
+def test_weights_constant_at_primes_declare_prime_value(t1e5):
+    # A weight with one value at every prime and no prime_value pays the
+    # cofactor finish in every mult window; a prime_value that is not
+    # rule(p, 1) would move the bytes the number path prints.  A constructor
+    # parameter missing from _SAMPLE_PARAMS fails here with a KeyError.
+    ps = t1e5.primes[t1e5.primes <= 10**4]
+    for name, ctor in multfunc._BUILTINS.items():
+        names = list(inspect.signature(ctor).parameters)
+        for params in itertools.product(*(_SAMPLE_PARAMS[n] for n in names)):
+            f = ctor(*params)
+            at_p = [f.rule(int(p), 1) for p in ps]
+            if f.prime_value is None:
+                assert len(set(at_p)) > 1 and np.unique(f.at_primes(ps)).size > 1, (name, params)
+            else:
+                assert at_p == [f.prime_value] * len(ps), (name, params)
+                assert f.window_primes() == f.prime_value
 
 
 def test_isqrt_ceil():

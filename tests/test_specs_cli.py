@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from siftlab import cli, specs
+from siftlab import bulk, cli, specs
 from siftlab import __version__
 from siftlab.errors import ResourceBudgetError
 from siftlab.primesets import ALL_PRIMES, Complement, Explicit
@@ -338,6 +339,41 @@ def test_cli_hist_family_budget_mb_before_the_table(argv, capsys, monkeypatch):
 def test_cli_hist_family_generous_budget_same_bytes(argv, capsys):
     run = [*argv, "--x", "30000"]
     assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
+
+
+SIGMA_FAMILY = [["egps", "--lambda", "2.0"], ["sigma-div", "--p", "3"],
+                ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "musq"], ["omega-gcd"]]
+
+
+@pytest.mark.parametrize("argv", SIGMA_FAMILY, ids=[a[0] for a in SIGMA_FAMILY])
+def test_cli_sigma_family_budget_mb_before_any_window(argv, capsys, monkeypatch):
+    def no_window(*args, **kwargs):
+        raise AssertionError("sigma window run before the budget check")
+
+    monkeypatch.setattr(bulk, "sigma_window", no_window)
+    monkeypatch.setattr(sys, "argv", ["siftlab", *argv, "--x", "100000", "--budget-mb", "1"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 3
+    err = capsys.readouterr().err
+    assert f"{argv[0]} plans " in err and "per integer of [0, 100000]" in err
+    assert "over the budget of 1 MiB" in err
+
+
+@pytest.mark.parametrize("argv", SIGMA_FAMILY, ids=[a[0] for a in SIGMA_FAMILY])
+def test_cli_sigma_family_generous_budget_same_bytes(argv, capsys):
+    run = [*argv, "--x", "30000"]
+    assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
+
+
+@pytest.mark.parametrize("x", [16, 100, 5040, 100000])
+def test_cli_egps_budget_covers_max_aliquot_sum(x):
+    # the plan's omega table reaches Robin's bound on max s(n), never below it
+    with pytest.raises(ResourceBudgetError) as ei:
+        cli.dispatch(["egps", "--lambda", "2.0", "--x", str(x), "--budget-mb", "0"])
+    table = int(re.search(r"(\d+) for other tables", str(ei.value)).group(1))
+    s = bulk.sigma_range(x) - np.arange(x + 1)
+    assert table >= int(s[1:].max()) + 1
 
 
 @pytest.mark.parametrize("argv, over", [
