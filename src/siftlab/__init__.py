@@ -11,7 +11,6 @@ from .arith import (
     FactorWindow,
     Factorization,
     PrimeTable,
-    carmichael_lambda,
     factorize,
     is_prime,
     kronecker,
@@ -31,7 +30,6 @@ from .multfunc import (
     builtin,
     class_check,
     coprimality_factor,
-    eval_mf,
     hr_constant,
     mertens_sum,
     values_upto,
@@ -85,13 +83,11 @@ __all__ = [
     "SieveCondition",
     "SiftedSet",
     "builtin",
-    "carmichael_lambda",
     "class_check",
     "condition",
     "coprimality_factor",
     "deviation",
     "eta0",
-    "eval_mf",
     "everything",
     "exact_qf_shifted",
     "exact_qf_values",

@@ -1,18 +1,18 @@
-"""Exact integer arithmetic: prime tables, factor windows, classical functions.
+"""Exact integer arithmetic: prime tables, factor windows, primality, Kronecker symbols.
 
-Factorizations are the common currency; every derived quantity (divisor sum,
-totient, Carmichael lambda, square-full part, ...) is computed from one.
+Per-integer quantities (divisor sums, totients, Carmichael lambda, factor
+counts) come from the window kernels in bulk; a Factorization serves the
+few callers that factor one value at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import bulk
-from .bulk import lambda_of_prime_power
 
 # Strong-pseudoprime test with this base set is exact below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -108,17 +108,15 @@ class FactorWindow:
         return Factorization(n, tuple(parts))
 
 
-def factorize(n: int, src: FactorWindow | PrimeTable) -> Factorization:
-    """Factor n using a window that covers it or trial division by a table."""
+def factorize(n: int, table: PrimeTable) -> Factorization:
+    """Factor n by trial division over a table reaching isqrt(n)."""
     if n < 1:
         raise ValueError("can only factor positive integers")
-    if isinstance(src, FactorWindow):
-        return src.factorize(n)
-    if isqrt(n) > src.limit:
+    if isqrt(n) > table.limit:
         raise ValueError(f"{n} exceeds the table's trial-division reach")
     parts = []
     m = n
-    for p in src.primes.tolist():
+    for p in table.primes.tolist():
         if p * p > m:
             break
         if m % p == 0:
@@ -130,68 +128,6 @@ def factorize(n: int, src: FactorWindow | PrimeTable) -> Factorization:
     if m > 1:
         parts.append((m, 1))
     return Factorization(n, tuple(parts))
-
-
-def omega_in(fac: Factorization, E=None) -> int:
-    """Distinct prime divisors of n lying in E (all primes when E is None)."""
-    if E is None:
-        return len(fac.parts)
-    return sum(1 for p, _ in fac.parts if E.contains(p))
-
-
-def big_omega_in(fac: Factorization, E=None) -> int:
-    """Prime divisors with multiplicity restricted to E."""
-    if E is None:
-        return sum(e for _, e in fac.parts)
-    return sum(e for p, e in fac.parts if E.contains(p))
-
-
-def sigma(fac: Factorization) -> int:
-    out = 1
-    for p, e in fac.parts:
-        out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
-def aliquot_s(fac: Factorization) -> int:
-    """Sum of proper divisors, sigma(n) - n."""
-    return sigma(fac) - fac.n
-
-
-def phi(fac: Factorization) -> int:
-    out = 1
-    for p, e in fac.parts:
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def mu(fac: Factorization) -> int:
-    if any(e > 1 for _, e in fac.parts):
-        return 0
-    return -1 if len(fac.parts) % 2 else 1
-
-
-def rad(fac: Factorization) -> int:
-    out = 1
-    for p, _ in fac.parts:
-        out *= p
-    return out
-
-
-def squarefull_part(fac: Factorization) -> int:
-    """Product of the prime powers p**e with e >= 2."""
-    out = 1
-    for p, e in fac.parts:
-        if e >= 2:
-            out *= p**e
-    return out
-
-
-def carmichael_lambda(fac: Factorization) -> int:
-    out = 1
-    for p, e in fac.parts:
-        out = lcm(out, lambda_of_prime_power(p, e))
-    return out
 
 
 def kronecker(D: int, n: int) -> int:
@@ -250,8 +186,8 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
     return True
 
 
-def divisors(fac: Factorization, limit: int | None = None) -> list[int]:
-    """All divisors (optionally only those <= limit), unsorted."""
+def divisors(fac: Factorization) -> list[int]:
+    """All divisors, unsorted."""
     divs = [1]
     for p, e in fac.parts:
         cur = list(divs)
@@ -259,18 +195,8 @@ def divisors(fac: Factorization, limit: int | None = None) -> list[int]:
         for _ in range(e):
             pk *= p
             for d in cur:
-                nd = d * pk
-                if limit is None or nd <= limit:
-                    divs.append(nd)
+                divs.append(d * pk)
     return divs
-
-
-def valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0 and n > 0:
-        n //= p
-        v += 1
-    return v
 
 
 __all__ = [
@@ -279,19 +205,8 @@ __all__ = [
     "FactorWindow",
     "table_upto",
     "factorize",
-    "omega_in",
-    "big_omega_in",
-    "sigma",
-    "aliquot_s",
-    "phi",
-    "mu",
-    "rad",
-    "squarefull_part",
-    "carmichael_lambda",
-    "lambda_of_prime_power",
     "kronecker",
     "is_prime",
     "divisors",
-    "valuation",
     "gcd",
 ]

@@ -384,13 +384,6 @@ def sigma_window(lo: int, hi: int, out=None) -> np.ndarray:
     return sig
 
 
-def lambda_of_prime_power(p: int, e: int) -> int:
-    """Carmichael lambda of p**e."""
-    if p == 2:
-        return 1 if e == 1 else (2 if e == 2 else 1 << (e - 2))
-    return p ** (e - 1) * (p - 1)
-
-
 def lambda_window(lo, hi, primes, out=None) -> np.ndarray:
     """Carmichael lambda for [lo, hi) as int64, exact via running lcm."""
     lam = _filled(lo, hi, out, np.int64, 1)

@@ -18,29 +18,6 @@ from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
 
 
-@dataclass
-class AliquotWindow:
-    """Aliquot sums for [lo, hi): s_values[i] = s(lo + i)."""
-
-    lo: int
-    hi: int
-    s_values: np.ndarray
-
-
-def aliquot_window(lo: int, hi: int, threads: int = 1) -> AliquotWindow:
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
-    sig = bulk.fill_windows(np.empty(hi - lo, dtype=np.int64), lo,
-                            lambda a, b, dest: bulk.sigma_window(a, b, out=dest), threads)
-    ns = np.arange(lo, hi, dtype=np.int64)
-    s = sig - ns
-    # crude growth cap: sigma(n) <= n * (1 + log n)
-    top = float(np.max(s / np.maximum(ns, 2)))
-    if top > 1.0 + math.log(hi):
-        raise OverflowError("aliquot sums exceed the crude growth cap")
-    return AliquotWindow(lo=lo, hi=hi, s_values=s)
-
-
 def _omega_of_values(values: np.ndarray, threads: int = 1) -> np.ndarray:
     """omega at each (nonnegative) entry via one table reaching the maximum."""
     vmax = int(values.max(initial=0))
@@ -158,8 +135,15 @@ def count_p_divides_sigma(
     table = table_upto(table, x)
     if p not in table:
         raise ValueError(f"{p} is not prime")
-    sig = bulk.sigma_range(x, threads=threads)
-    bins = weighted_bins(f, sig % p == 0, slice(1, None), table, threads)
+
+    def hits(a: int, b: int, dest: np.ndarray) -> None:
+        sig = bulk.sigma_window(a, b)
+        sig %= p
+        np.equal(sig, 0, out=dest)
+
+    mask = np.zeros(x + 1, dtype=bool)
+    bulk.fill_windows(mask[1:], 1, hits, threads)
+    bins = weighted_bins(f, mask, slice(1, None), table, threads)
     value = float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     bound = (
@@ -182,11 +166,21 @@ def count_d_divides_s(
     if not 1 <= d <= z <= y <= x:
         raise ValueError("need 1 <= d <= z <= y <= x")
     table = table_upto(table, x)
-    s = bulk.sigma_range(x, threads=threads)
-    ns = np.arange(x + 1, dtype=np.int64)
-    s -= ns
-    lpf = bulk.lpf_range(x, table.primes, threads=threads)
-    mask = (lpf > y) & (ns % np.maximum(lpf * lpf, 1) != 0) & (s % d == 0)
+
+    def hits(a: int, b: int, dest: np.ndarray) -> None:
+        ns = np.arange(a, b, dtype=np.int64)
+        s = bulk.sigma_window(a, b)
+        s -= ns
+        s %= d
+        lpf = bulk.lpf_window(a, b, table.primes)
+        np.greater(lpf, y, out=dest)
+        dest &= s == 0
+        lpf *= lpf  # and the largest prime factor unsquared: lpf**2 does not divide n
+        ns %= lpf
+        dest &= ns != 0
+
+    mask = np.zeros(x + 1, dtype=bool)
+    bulk.fill_windows(mask[1:], 1, hits, threads)
     bins = weighted_bins(f, mask, slice(1, None), table, threads)
     return float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
 
@@ -201,10 +195,16 @@ def mean_omega_gcd_sigma(
     if x < 3:
         raise ValueError("need x >= 3")
     table = table_upto(table, x)
-    g = bulk.sigma_range(x, threads=threads)
-    np.gcd(g, np.arange(x + 1, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
-    om =bulk.counts_range(x, table.primes, "omega", threads=threads)
-    bins = weighted_bins(f, om[g], slice(1, None), table, threads)
+    om = bulk.counts_range(x, table.primes, "omega", threads=threads)
+
+    def omega_of_gcd(a: int, b: int, dest: np.ndarray) -> None:
+        g = bulk.sigma_window(a, b)
+        np.gcd(g, np.arange(a, b, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
+        np.take(om, g, out=dest)
+
+    keys = np.zeros(x + 1, dtype=np.uint8)
+    bulk.fill_windows(keys[1:], 1, omega_of_gcd, threads)
+    bins = weighted_bins(f, keys, slice(1, None), table, threads)
     value = 0.0
     for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time
         value += k * mass
@@ -218,8 +218,6 @@ def mean_omega_gcd_sigma(
 
 
 __all__ = [
-    "AliquotWindow",
-    "aliquot_window",
     "EgpsReport",
     "egps_deviation",
     "CountReport",

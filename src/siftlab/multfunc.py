@@ -54,17 +54,6 @@ class MultiplicativeFunction:
         return self.name == "one"
 
 
-def eval_mf(f: MultiplicativeFunction, fac: Factorization) -> float:
-    """Evaluate f at a factored integer; rejects negative rule values."""
-    out = 1.0
-    for p, e in fac.parts:
-        v = float(f.rule(p, e))
-        if v < 0:
-            raise ValueError(f"{f.name} takes a negative value at ({p}, {e})")
-        out *= v
-    return out
-
-
 def values_upto(
     f: MultiplicativeFunction, x: int, table: PrimeTable, threads: int = 1
 ) -> np.ndarray:
@@ -389,7 +378,6 @@ def isqrt_ceil(n: int) -> int:
 
 __all__ = [
     "MultiplicativeFunction",
-    "eval_mf",
     "values_upto",
     "weighted_bins",
     "one",

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .arith import (
     is_prime,
     kronecker,
     table_upto,
-    valuation,
 )
 from .errors import ResourceBudgetError
 from .hist import DeviationReport, deviation, weighted_histogram
@@ -104,36 +103,10 @@ def shifted_divisor_count(
     )
 
 
-def is_lambda_value(n: int, table: PrimeTable | None = None) -> bool:
-    """Whether n is a value of the Carmichael lambda function.
-
-    n is a value iff n equals the lcm of the prime-power lambda values that
-    divide n.  Candidate odd prime powers q**e come from divisors d of n
-    with q = d + 1 prime (then e = v_q(n) + 1 and the contribution
-    q**v_q(n) * (q - 1) automatically divides n); the 2-part contributes
-    2**v_2(n) when n is even.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n % 2 == 1:
-        return n == 1  # lambda is even everywhere past 2
-    fac = factorize(n, table_upto(table, max(isqrt(n), 2)))
-    L = 1 << valuation(n, 2)
-    for d in divisors(fac):
-        if d < 2 or not is_prime(d + 1, table):
-            continue
-        q = d + 1
-        contrib = q ** valuation(n, q) * d
-        L = lcm(L, contrib)
-        if L == n:
-            return True
-    return L == n
-
-
 def _lambda_classes(primes: np.ndarray, top: int) -> np.ndarray:
     """The c <= top, 2**k and (q - 1) * q**e for odd primes q, whose lcm over c | m
-    is the L(m) is_lambda_value compares with m: of 2**v_2(m) and of
-    (q - 1) * q**v_q(m) over the q with (q - 1) | m."""
+    is L(m), the lcm of 2**v_2(m) and of (q - 1) * q**v_q(m) over the q with
+    (q - 1) | m.  m >= 1 is a value of Carmichael lambda iff L(m) == m."""
     parts = [1 << np.arange(1, top.bit_length(), dtype=np.int64)]
     qs = primes[(primes >= 3) & (primes <= top + 1)]
     cs = qs - 1
@@ -375,7 +348,6 @@ def ap_prime_factor_count(
 __all__ = [
     "ShiftedDivisorReport",
     "shifted_divisor_count",
-    "is_lambda_value",
     "lambda_image_intersection",
     "weighted_sp_deviation",
     "qf_deviation",

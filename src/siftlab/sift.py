@@ -15,7 +15,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import bulk
-from .arith import Factorization, PrimeTable, is_prime, table_upto
+from .arith import PrimeTable, is_prime, table_upto
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,6 @@ def nu_sum(cond: SieveCondition, x: int) -> float:
     return sum(len(rs) / p for p, rs in cond.exclusions if p <= x)
 
 
-def h2_weight(cond: SieveCondition, fac: Factorization) -> float:
-    """Product over primes q | a of (1 + nu(q)/q)."""
-    out = 1.0
-    for q, _ in fac.parts:
-        out *= 1.0 + cond.nu(q) / q
-    return out
-
-
 def preset_shifted_prime_superset(a: int, b: int, x: int, z: int) -> SieveCondition:
     """Sieve condition satisfied by every a*p + b with p prime, p > z.
 
@@ -242,7 +234,6 @@ __all__ = [
     "sift",
     "everything",
     "nu_sum",
-    "h2_weight",
     "preset_shifted_prime_superset",
     "exact_shifted_primes",
     "QuadraticForm",

@@ -139,6 +139,31 @@ def is_prime_slow(n: int) -> bool:
     return True
 
 
+def olambda_value(n: int) -> bool:
+    """Whether n is a value of Carmichael lambda.
+
+    n is a value iff it equals the lcm of the prime-power lambda values that
+    divide it: 2**v_2(n), and q**v_q(n) * (q - 1) for every odd prime q with
+    (q - 1) | n.  Such a q is d + 1 for an even divisor d of n.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n % 2:
+        return n == 1  # lambda is even everywhere past 2
+    divs = [1]
+    for p, e in ofactor(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    L = n & -n
+    for d in divs:
+        if d % 2 == 0 and is_prime_slow(d + 1):
+            q, c, m = d + 1, d, n
+            while m % q == 0:
+                m //= q
+                c *= q
+            L = lcm(L, c)
+    return L == n
+
+
 def ohr_constant(x: int) -> float:
     """Sup over t in [2, x] of |sum_{p <= t} 1/p - log log t| over every prime up to x.
 

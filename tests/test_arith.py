@@ -1,7 +1,8 @@
-"""Exact arithmetic layer: prime tables, factor windows, classical functions.
+"""Exact arithmetic: prime tables, factor windows, and the classical functions.
 
-Every derived quantity is checked against an independent pure-python oracle
-before any frozen value is trusted.
+sigma, phi, mu, lambda and the factor counts come from the window kernels
+the CLI runs (bulk), each checked against an independent pure-python
+oracle before any frozen value is trusted.
 """
 
 import math
@@ -9,10 +10,39 @@ import math
 import numpy as np
 import pytest
 
-from siftlab import arith
+from siftlab import arith, bulk
 from siftlab.primesets import ResidueClasses
+from siftlab.specs import parse_weight
 
 from oracles import ofactor, olam, olegendre, omu, ophi, osigma
+
+# phi, rad and the square-full part as mult_window rules: (rule, f at the primes)
+PHI = (lambda p, e: p ** (e - 1) * (p - 1), lambda q: q - 1.0)
+RAD = (lambda p, e: p, lambda q: q.astype(np.float64))
+SQUAREFULL = (lambda p, e: p**e if e >= 2 else 1, 1.0)
+
+
+def _classical(lo, hi, table):
+    """Each classical function on [lo, hi) from the kernels, as an int64 array."""
+    musq = parse_weight("musq")
+    mult = lambda rule, at: bulk.mult_window(lo, hi, table.primes, rule, at).astype(np.int64)
+    om = bulk.counts_window(lo, hi, table.primes, "omega").astype(np.int64)
+    sig = bulk.sigma_window(lo, hi)
+    return {
+        "omega": om,
+        "bigomega": bulk.counts_window(lo, hi, table.primes, "bigomega").astype(np.int64),
+        "sigma": sig,
+        "s": sig - np.arange(lo, hi),
+        "phi": mult(*PHI),
+        "mu": mult(musq.rule, musq.window_primes()) * (1 - 2 * (om % 2)),  # musq * (-1)**omega
+        "rad": mult(*RAD),
+        "squarefull": mult(*SQUAREFULL),
+        "lambda": bulk.lambda_window(lo, hi, table.primes),
+    }
+
+
+def _at(values, lo, n):
+    return {k: int(v[n - lo]) for k, v in values.items()}
 
 
 def test_prime_table_counts(t1e6):
@@ -123,92 +153,68 @@ def test_factorize_input_errors(t1e5):
 
 
 def test_classical_functions_at_12(t1e5):
-    f = arith.factorize(12, t1e5)
-    assert arith.omega_in(f) == 2
-    assert arith.big_omega_in(f) == 3
-    assert arith.sigma(f) == 28
-    assert arith.phi(f) == 4
-    assert arith.mu(f) == 0
-    assert arith.rad(f) == 6
-    assert arith.squarefull_part(f) == 4
-    assert arith.carmichael_lambda(f) == 2
-    assert arith.aliquot_s(f) == 16
+    assert _at(_classical(1, 100, t1e5), 1, 12) == {
+        "omega": 2, "bigomega": 3, "sigma": 28, "s": 16, "phi": 4, "mu": 0,
+        "rad": 6, "squarefull": 4, "lambda": 2,
+    }
 
 
 def test_classical_functions_at_45(t1e5):
-    f = arith.factorize(45, t1e5)
-    assert arith.sigma(f) == 78
-    assert arith.phi(f) == 24
-    assert arith.rad(f) == 15
-    assert arith.squarefull_part(f) == 9
-    assert arith.carmichael_lambda(f) == 12
-    assert arith.mu(f) == 0
+    got = _at(_classical(1, 100, t1e5), 1, 45)
+    assert (got["sigma"], got["phi"], got["rad"], got["squarefull"], got["lambda"], got["mu"]) \
+        == (78, 24, 15, 9, 12, 0)
 
 
 def test_classical_functions_against_oracles(t1e5):
-    w = arith.FactorWindow(1, 3001, t1e5)
+    v = _classical(1, 3001, t1e5)
     for n in range(1, 3001):
-        f = w.factorize(n)
-        assert arith.sigma(f) == osigma(n)
-        assert arith.phi(f) == ophi(n)
-        assert arith.mu(f) == omu(n)
-        assert arith.carmichael_lambda(f) == olam(n)
+        assert (int(v["sigma"][n - 1]), int(v["phi"][n - 1]), int(v["mu"][n - 1]),
+                int(v["lambda"][n - 1])) == (osigma(n), ophi(n), omu(n), olam(n)), n
 
 
 def test_aliquot_values(t1e5):
-    s = lambda n: arith.aliquot_s(arith.factorize(n, t1e5))
-    assert s(12) == 16
-    assert s(2) == 1
-    assert s(1) == 0
+    s = _classical(1, 30, t1e5)["s"]
+    assert int(s[12 - 1]) == 16
+    assert int(s[2 - 1]) == 1
+    assert int(s[1 - 1]) == 0
     # perfect numbers are fixed points
-    assert s(6) == 6
-    assert s(28) == 28
+    assert int(s[6 - 1]) == 6
+    assert int(s[28 - 1]) == 28
 
 
 def test_carmichael_small_values(t1e5):
-    lam = lambda n: arith.carmichael_lambda(arith.factorize(n, t1e5))
-    assert lam(8) == 2
-    assert lam(12) == 2
-    assert lam(1) == 1
-    assert lam(2) == 1
-    assert lam(16) == 4
-    assert lam(561) == 80
+    lam = bulk.lambda_window(1, 600, t1e5.primes)
+    assert [int(lam[n - 1]) for n in (8, 12, 1, 2, 16, 561)] == [2, 2, 1, 1, 4, 80]
 
 
-def test_lambda_of_prime_power():
-    assert arith.lambda_of_prime_power(2, 1) == 1
-    assert arith.lambda_of_prime_power(2, 2) == 2
-    assert arith.lambda_of_prime_power(2, 3) == 2
-    assert arith.lambda_of_prime_power(2, 5) == 8
-    assert arith.lambda_of_prime_power(3, 2) == 6
-    assert arith.lambda_of_prime_power(7, 1) == 6
+def test_lambda_of_prime_power(t1e5):
+    lam = bulk.lambda_window(1, 64, t1e5.primes)
+    for pe, want in ((2, 1), (4, 2), (8, 2), (32, 8), (9, 6), (7, 6)):
+        assert int(lam[pe - 1]) == want
 
 
 def test_carmichael_divides_totient(t1e5):
-    w = arith.FactorWindow(1, 10001, t1e5)
-    for n in range(1, 10001):
-        f = w.factorize(n)
-        assert arith.phi(f) % arith.carmichael_lambda(f) == 0
+    v = _classical(1, 10001, t1e5)
+    assert not (v["phi"] % v["lambda"]).any()
 
 
 def test_restricted_prime_counts(t1e5):
     E = ResidueClasses(4, (1,))
-    f60 = arith.factorize(60, t1e5)
-    assert arith.omega_in(f60, E) == 1
-    assert arith.omega_in(f60, E.complement()) == 2
-    assert arith.big_omega_in(f60, E) == 1
-    assert arith.big_omega_in(f60, E.complement()) == 3
+    c = lambda kind, sel: int(bulk.counts_window(60, 61, t1e5.primes, kind, sel)[0])
+    assert c("omega", E) == 1
+    assert c("omega", E.complement()) == 2
+    assert c("bigomega", E) == 1
+    assert c("bigomega", E.complement()) == 3
 
 
 def test_restricted_counts_partition(t1e5):
     E = ResidueClasses(3, (1,))
-    for n in range(1, 500):
-        f = arith.factorize(n, t1e5)
-        assert arith.omega_in(f, E) + arith.omega_in(f, E.complement()) == arith.omega_in(f)
-        assert (
-            arith.big_omega_in(f, E) + arith.big_omega_in(f, E.complement())
-            == arith.big_omega_in(f)
-        )
+    for kind in ("omega", "bigomega"):
+        c = lambda sel: bulk.counts_window(1, 500, t1e5.primes, kind, sel).astype(np.int64)
+        assert (c(E) + c(E.complement()) == c(None)).all()
+        assert c(None).tolist() == [
+            len(ofactor(n)) if kind == "omega" else sum(e for _, e in ofactor(n))
+            for n in range(1, 500)]
 
 
 def test_kronecker_matches_euler_criterion(t1e5):
@@ -280,11 +286,9 @@ def test_is_prime_agrees_with_sieve(t1e5):
         assert arith.is_prime(n) == (n in t1e5)
 
 
-def test_divisors_full_and_pruned(t1e5):
+def test_divisors_known_values(t1e5):
     f = arith.factorize(12, t1e5)
     assert sorted(arith.divisors(f)) == [1, 2, 3, 4, 6, 12]
-    assert sorted(arith.divisors(f, limit=4)) == [1, 2, 3, 4]
-    assert sorted(arith.divisors(f, limit=1)) == [1]
     f1 = arith.factorize(1, t1e5)
     assert arith.divisors(f1) == [1]
 
@@ -293,16 +297,9 @@ def test_divisors_count_matches_tau(t1e5):
     for n in range(1, 500):
         f = arith.factorize(n, t1e5)
         tau = math.prod(e + 1 for _, e in f.parts)
-        assert len(arith.divisors(f)) == tau
-        if n > 1:
-            assert n not in arith.divisors(f, limit=n // 2)
-
-
-def test_valuation():
-    assert arith.valuation(48, 2) == 4
-    assert arith.valuation(45, 3) == 2
-    assert arith.valuation(45, 2) == 0
-    assert arith.valuation(1, 7) == 0
+        divs = arith.divisors(f)
+        assert len(divs) == len(set(divs)) == tau
+        assert all(n % d == 0 for d in divs)
 
 
 def test_spf_array_is_int64(t1e5):

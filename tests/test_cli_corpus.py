@@ -11,10 +11,13 @@ np.bincount over all n, before it was reduced window by window.  The
 built its result and copied it into the range, divided its cofactors into
 an int64 array and gathered its weights through bool masks.  The last two,
 `hist --f musq` and `mgf --f tauk:3`, were recorded while every mult window
-still divided out its cofactors and finished them through prime_vec.
+still divided out its cofactors and finished them through prime_vec.  The
+`sigma-div` run, three windows long, was recorded while its mask was still
+taken from a sigma array of length x + 1.
 
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
+And the oracles the suite checks the package against must not import it.
 """
 
 import ast
@@ -31,6 +34,7 @@ import pytest
 from siftlab import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 CORPUS = [
     ("lambda-image --u 1 --v -1 --x 20000",
@@ -73,6 +77,8 @@ CORPUS = [
      "f46d54fbe8e855ed72fcf0ed752fdc44b356853f1445d8ac091da0a79a6af730"),
     ("mgf --x 2100000 --z 1.5 --f tauk:3",
      "11d57badfdd8f2b3c099e6359fb4004748a5b59590ae862f89dc61636e3360a4"),
+    ("sigma-div --x 2200000 --p 3 --f musq",
+     "d8d6d01d7fe7df01ce7c128bce3c1f09cfd00c484ed1a65681123bd83d2cabbf"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;
@@ -138,3 +144,35 @@ def test_blas_scan_sees_every_form():
            "a @ b\nc @= d\nnp.dot(a, b)\na.dot(b)\nnp.einsum('i,i', a, b)\n"
            "np.linalg.norm(a)\nself.inner\n")
     assert sorted(n.lineno for n in _blas_uses(ast.parse(src))) == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def _package_imports(tree):
+    """Every import of siftlab or of a module inside it: relative ones, and by
+    __import__ or importlib.import_module too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." if node.level else node.module or ""]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [node.args[0].value]
+        else:
+            continue
+        if any(n == "." or n.split(".")[0] == "siftlab" for n in names):
+            yield node
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    assert [node.lineno for node in _package_imports(tree)] == []
+
+
+def test_package_import_scan_sees_every_form():
+    src = ("import siftlab\nimport siftlab.bulk as b\nfrom siftlab import arith\n"
+           "from siftlab.arith import factorize\nfrom . import bulk\nimport numpy\n"
+           "from math import gcd\nimport siftlabx\n__import__('siftlab.cli')\n"
+           "importlib.import_module('siftlab')\nimportlib.import_module('numpy')\n")
+    assert [n.lineno for n in _package_imports(ast.parse(src))] == [1, 2, 3, 4, 5, 9, 10]

@@ -14,8 +14,14 @@ from siftlab.specs import parse_weight
 from oracles import ofactor, ohr_constant
 
 
-def _eval_at(f, n, table):
-    return multfunc.eval_mf(f, arith.factorize(n, table))
+def _weights(f, table):
+    """f on [1, 400) from the window kernel the CLI runs: w[n - 1] = f(n)."""
+    return bulk.mult_window(1, 400, table.primes, f.rule, f.window_primes())
+
+
+def _oracle_weight(f, n):
+    """f(n) as the product of f(p**e) over the trial-division factorization, ascending p."""
+    return math.prod(float(f.rule(p, e)) for p, e in ofactor(n))
 
 
 def test_builtin_values_pointwise(t1e5):
@@ -28,8 +34,9 @@ def test_builtin_values_pointwise(t1e5):
         multfunc.n_over_phi(): lambda n: math.prod(p / (p - 1) for p, _ in ofactor(n)),
     }
     for f, expect in cases.items():
+        w = _weights(f, t1e5)
         for n in range(1, 200):
-            assert _eval_at(f, n, t1e5) == pytest.approx(expect(n), rel=1e-12)
+            assert w[n - 1] == pytest.approx(expect(n), rel=1e-12)
 
 
 def test_sum_of_two_squares_weights(t1e5):
@@ -37,15 +44,16 @@ def test_sum_of_two_squares_weights(t1e5):
     ind = multfunc.sum2sq_indicator()
     from oracles import or_lattice
 
+    w_r4, w_ind = _weights(r4, t1e5), _weights(ind, t1e5)
     for n in range(1, 400):
-        assert _eval_at(r4, n, t1e5) == pytest.approx(or_lattice(n) / 4.0)
-        assert _eval_at(ind, n, t1e5) == (1.0 if or_lattice(n) > 0 else 0.0)
+        assert w_r4[n - 1] == pytest.approx(or_lattice(n) / 4.0)
+        assert w_ind[n - 1] == (1.0 if or_lattice(n) > 0 else 0.0)
 
 
 def test_bigomega_weight_and_range_warning(t1e5):
     with pytest.warns(UserWarning):
         f = multfunc.z_bigomega(2)
-    assert _eval_at(f, 12, t1e5) == 8.0
+    assert _weights(f, t1e5)[12 - 1] == 8.0
     import warnings
 
     with warnings.catch_warnings():
@@ -66,8 +74,8 @@ def test_eval_rejects_negative_rule(t1e5):
     bad = multfunc.MultiplicativeFunction(
         "bad", lambda p, e: -1.0, 1.0, "bad"
     )
-    with pytest.raises(ValueError):
-        multfunc.eval_mf(bad, arith.factorize(2, t1e5))
+    with pytest.raises(ValueError, match="negative"):
+        _weights(bad, t1e5)
 
 
 def test_builtin_lookup():
@@ -85,7 +93,7 @@ def test_values_upto_matches_pointwise(t1e5):
         v = multfunc.values_upto(f, 2000, t1e5)
         assert v[0] == 0.0
         for n in range(1, 2001):
-            assert v[n] == pytest.approx(_eval_at(f, n, t1e5), rel=1e-12)
+            assert v[n] == pytest.approx(_oracle_weight(f, n), rel=1e-12)
 
 
 WB_X = 3 * 2**20 + 17  # three full bulk windows and a short fourth
@@ -203,7 +211,7 @@ def test_sup_distance_nondecreasing(t1e5):
 def test_harmonic_mean_ratio_closed_form_at_two(t1e5):
     # only n = 1, 2 contribute, so the ratio is (1 + f(2)/2) / exp(f(2)/2)
     for f in (multfunc.one(), multfunc.z_omega(3), multfunc.tau_k(2)):
-        half = _eval_at(f, 2, t1e5) / 2.0
+        half = f.rule(2, 1) / 2.0
         expect = (1.0 + half) / math.exp(half)
         assert multfunc.harmonic_mean_ratio(f, 2, table=t1e5) == pytest.approx(expect, rel=1e-14)
 

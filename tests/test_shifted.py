@@ -16,7 +16,7 @@ from siftlab.primesets import ALL_PRIMES, KroneckerSign, ResidueClasses
 from siftlab.sift import QuadraticForm
 from siftlab.table import eta0
 
-from oracles import is_prime_slow, ofactor, olegendre
+from oracles import is_prime_slow, ofactor, olambda_value, olegendre
 
 
 def _brute_shifted_divisor(a, u, v, x, y):
@@ -68,27 +68,37 @@ def test_shifted_divisor_count_input_errors(t1e6):
         sh.shifted_divisor_count(1, 1, 1, 20, 2, table=t1e6)
 
 
+def _sieved_values(top, table):
+    """The n <= top that lambda_image_intersection finds in the image.
+
+    With u = 1 and v = n - 2 the only prime p with p + v in [1, n] is 2, so
+    the count is 1 exactly when n itself is a lambda value.
+    """
+    return [n for n in range(1, top + 1)
+            if sh.lambda_image_intersection(1, n - 2, n, table) == (1, 1)]
+
+
 def test_lambda_image_membership_small(t1e6):
-    got = [n for n in range(1, 31) if sh.is_lambda_value(n, table=t1e6)]
-    assert got == [1, 2, 4, 6, 8, 10, 12, 16, 18, 20, 22, 24, 28, 30]
+    want = [1, 2, 4, 6, 8, 10, 12, 16, 18, 20, 22, 24, 28, 30]
+    assert _sieved_values(30, t1e6) == want
+    assert [n for n in range(1, 31) if olambda_value(n)] == want
 
 
 def test_lambda_image_odd_and_validation(t1e6):
-    assert sh.is_lambda_value(1, table=t1e6)
-    for n in (3, 5, 7, 9, 99, 101):
-        assert not sh.is_lambda_value(n, table=t1e6)
+    odd = [n for n in _sieved_values(101, t1e6) if n % 2]
+    assert odd == [1]
+    for n in (1, 3, 5, 7, 9, 99, 101):
+        assert olambda_value(n) == (n == 1)
     with pytest.raises(ValueError):
-        sh.is_lambda_value(0, table=t1e6)
+        sh.lambda_image_intersection(1, -2, 0, t1e6)
 
 
 def test_lambda_image_matches_exhaustive_image(t1e6):
     # the image restricted to [1, 300] is already realized by m <= 10**6
-    import numpy as np
-
     lam = bulk.lambda_range(10**6, t1e6.primes)
-    image = set(np.unique(lam[1:]).tolist())
-    for n in range(1, 301):
-        assert sh.is_lambda_value(n, table=t1e6) == (n in image)
+    image = [n for n in np.unique(lam[1:]).tolist() if n <= 300]
+    assert _sieved_values(300, t1e6) == image
+    assert [n for n in range(1, 301) if olambda_value(n)] == image
 
 
 def test_lambda_image_intersection_values(t1e6):
@@ -129,7 +139,7 @@ def test_lambda_image_intersection_reaches_q_at_x_plus_1(u, v, x, want):
 
 def test_lambda_image_intersection_sweep_x_plus_1_prime(t1e5):
     top = 4000
-    value = [False] + [sh.is_lambda_value(m, table=t1e5) for m in range(1, top + 1)]
+    value = [False] + [olambda_value(m) for m in range(1, top + 1)]
     ps = t1e5.primes[t1e5.primes <= top].tolist()
     xs = [q - 1 for q in ps if q - 1 < top]
     for u, v in [(1, 1), (1, 0), (2, 1), (2, 2), (1, -1)]:
@@ -162,7 +172,7 @@ def test_lambda_and_spd_sieves_across_two_windows():
         lam = sh._lcm_window(lo, hi, classes)
         marked = sh._lcm_window(lo, hi, ds) > 1
         for m in sample:
-            assert (lam[m - lo] == m) == sh.is_lambda_value(m, table=table), m
+            assert (lam[m - lo] == m) == olambda_value(m), m
             divs = [1]
             for q, e in ofactor(m):
                 divs = [d * q**i for d in divs for i in range(e + 1)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siftlab import arith, sift as sf
+from siftlab import sift as sf
 
 from oracles import is_prime_slow, or_lattice
 
@@ -76,15 +76,6 @@ def test_nu_sum():
     assert sf.nu_sum(c, 10) == pytest.approx(7 / 6, rel=1e-15)
     assert sf.nu_sum(c, 2) == pytest.approx(0.5)
     assert sf.nu_sum(sf.NO_SIEVE, 100) == 0.0
-
-
-def test_h2_weight(t1e5):
-    c = sf.condition({2: (1,), 3: (1, 2)})
-    f6 = arith.factorize(6, t1e5)
-    assert sf.h2_weight(c, f6) == pytest.approx(5 / 2, rel=1e-15)
-    assert sf.h2_weight(c, arith.factorize(2, t1e5)) == pytest.approx(3 / 2)
-    assert sf.h2_weight(c, arith.factorize(1, t1e5)) == 1.0
-    assert sf.h2_weight(c, arith.factorize(5, t1e5)) == 1.0
 
 
 def test_preset_condition_structure():

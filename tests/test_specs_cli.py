@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,27 @@ def test_cli_sigma_family_budget_mb_before_any_window(argv, capsys, monkeypatch)
 def test_cli_sigma_family_generous_budget_same_bytes(argv, capsys):
     run = [*argv, "--x", "30000"]
     assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
+
+
+SIGMA_MASKS = [["sigma-div", "--p", "3"],
+               ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "musq"], ["omega-gcd"]]
+
+
+@pytest.mark.parametrize("argv", SIGMA_MASKS, ids=[a[0] for a in SIGMA_MASKS])
+def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
+    # the masks and keys are filled window by window, so no int64 array of
+    # length x is held and the traced peak of a run stays inside its plan
+    run = [*argv, "--x", "4000000", "--threads", "1"]
+    with pytest.raises(ResourceBudgetError) as ei:
+        cli.dispatch([*run, "--budget-mb", "0"])
+    plan = int(re.search(r"plans (\d+) bytes", str(ei.value)).group(1))
+    tracemalloc.start()
+    try:
+        _run(capsys, run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan
 
 
 @pytest.mark.parametrize("x", [16, 100, 5040, 100000])
