@@ -116,7 +116,7 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
         raise ValueError(f"{n} exceeds the table's trial-division reach")
     parts = []
     m = n
-    for p in table.primes.tolist():
+    for p in table.primes[: np.searchsorted(table.primes, isqrt(n), side="right")].tolist():
         if p * p > m:
             break
         if m % p == 0:

@@ -1,13 +1,16 @@
 """Vectorized sieve windows.
 
 Everything that has to touch every integer up to x lives here.  The scheme
-is the same for all array builders: split [lo, hi) into fixed-width windows
-and hand each worker its own slice of the output (fill_windows), which the
-window's kernel fills in place: every factor kernel takes an optional out=
-of its result's dtype and length, overwrites all of it and returns it.  No
-window result is built and copied.  Window width never depends on the
-thread count, so output is bit-identical whether windows run serially or
-on a pool.
+is the same for every pass over [lo, hi): split it into fixed-width windows
+and consume the windows' results in ascending order from one stream
+(stream_windows), which keeps at most 2 * threads windows in flight.  A
+reduction reads each result as it comes; an array builder hands each
+worker its own slice of the output (fill_windows), which the window's
+kernel fills in place: every factor kernel takes an optional out= of its
+result's dtype and length, overwrites all of it and returns it.  No window
+result is built and copied.  Window width never depends on the thread
+count, so output is bit-identical whether windows run serially or on a
+pool.
 
 Per-window work uses only primes up to sqrt(hi-1).  All five factor
 kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
@@ -33,6 +36,7 @@ DEFAULT_WINDOW segments the same way.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
@@ -89,17 +93,25 @@ def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[i
     return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
 
 
-def run_windows(worker, ranges, threads: int = 1) -> list:
-    """Apply worker(a, b) to each range; results come back in range order.
+def stream_windows(worker, ranges, threads: int = 1):
+    """Yield worker(a, b) for each range, in range order.
 
-    A pool runs at most `threads` workers at once.  Every result is kept
-    until the last range is done, so a worker that builds an array should
-    write it into its destination and return None, as fill_windows does.
+    A pool of `threads` workers runs ahead of the consumer by at most
+    2 * threads submitted windows, so however many ranges there are, at
+    most that many results are held at once.
     """
     if threads <= 1 or len(ranges) <= 1:
-        return [worker(a, b) for a, b in ranges]
+        for a, b in ranges:
+            yield worker(a, b)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: worker(r[0], r[1]), ranges))
+        pending = deque()
+        for a, b in ranges:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(worker, a, b))
+        while pending:
+            yield pending.popleft().result()
 
 
 def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1,
@@ -108,8 +120,9 @@ def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1,
 
     The worker writes its destination slice in place; nothing is copied.
     """
-    run_windows(lambda a, b: worker(a, b, out[a - lo : b - lo]),
-                window_ranges(lo, lo + len(out), width), threads)
+    for _ in stream_windows(lambda a, b: worker(a, b, out[a - lo : b - lo]),
+                            window_ranges(lo, lo + len(out), width), threads):
+        pass
     return out
 
 

@@ -130,8 +130,8 @@ def _cmd_primes(args):
 def _check_budget(args, f, per_int: int, extra: int = 0) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
-    Per integer of [0, x]: per_int bytes (1 each for the table flags, the
-    set bitmap and the counts, 8 for an int64 sigma, plus any per-n terms),
+    Per integer of [0, x]: per_int bytes (1 each for the table flags and the
+    set bitmap, 8 for an int64 sigma, plus any other per-n arrays),
     and 8 more for the weights unless f = one.  8 bytes per prime, with
     pi(x) < 1.25506 x / log x (Rosser & Schoenfeld 1962).  Per thread, 24
     bytes per integer of one window, about a mult window's working set.
@@ -154,7 +154,7 @@ def _check_budget(args, f, per_int: int, extra: int = 0) -> None:
 
 def _hist_setup(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 3)
+    _check_budget(args, f, 2)
     t = PrimeTable(max(args.x, 2))
     E = parse_primeset(args.e)
     ss = parse_set_spec(args.sieve, args.x)
@@ -187,12 +187,8 @@ def _cmd_hr_check(args):
 
 
 def _cmd_mgf(args):
-    f = parse_weight(args.f)
-    _check_budget(args, f, 3 + 8)  # the per-n terms
-    t = PrimeTable(max(args.x, 2))
-    E = parse_primeset(args.e)
-    ss = parse_set_spec(args.sieve, args.x)
-    rep = hist.mgf_sum(ss.realize(args.x, t), f, args.z, args.g, E, t, args.threads)
+    t, f, E, ss, sset, h = _hist_setup(args)
+    rep = hist.mgf_sum(h, args.z, sset.cond, t)
     header = ["x", "f", "g", "E", "sieve", "z", "value", "bound", "ratio"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
                      ss.spec_string(), args.z, rep.value, rep.bound, rep.ratio]]

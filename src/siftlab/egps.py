@@ -1,7 +1,7 @@
 """Prime-factor statistics of aliquot sums s(n) = sigma(n) - n.
 
 The workhorse is a divisor-sum sieve: sigma over a range, then a distinct
-prime-factor table reaching max s(n), so omega(s(n)) is a single gather.
+prime-factor table reaching max s(n), so omega(s(n)) is one gather per window.
 Everything is exact; nothing is sampled or estimated.
 """
 
@@ -16,16 +16,6 @@ from . import bulk
 from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
-
-
-def _omega_of_values(values: np.ndarray, threads: int = 1) -> np.ndarray:
-    """omega at each (nonnegative) entry via one table reaching the maximum."""
-    vmax = int(values.max(initial=0))
-    if vmax < 1:
-        return np.zeros(len(values), dtype=np.uint8)
-    primes = bulk.primes_upto(max(math.isqrt(vmax), 2))
-    om = bulk.counts_range(vmax, primes, "omega", threads=threads)
-    return om[values]
 
 
 @dataclass
@@ -87,11 +77,10 @@ def egps_deviation(
     s = bulk.sigma_range(x, threads=threads)
     for a, b in bulk.window_ranges(0, x + 1):
         s[a:b] -= np.arange(a, b, dtype=np.int64)
-    s[:2] = 0
-    oms = _omega_of_values(s, threads)
-    del s
+    top = int(s.max())  # s(0) = s(1) = 0, and s(n) >= 1 for n >= 2
+    om = bulk.counts_range(top, bulk.primes_upto(math.isqrt(top)), "omega", threads=threads)
     # bins[k] = sum of f(n) over 2 <= n <= x with omega(s(n)) = k
-    bins = weighted_bins(f, oms, slice(2, None), table, threads)
+    bins = weighted_bins(f, 2, x + 1, lambda a, b: om[s[a:b]], table=table, threads=threads)
     total = 1.0 + float(bins.sum())  # n = 1 (f(1) = 1) stays in the normalization
 
     def cutoffs(lam_: float) -> tuple[int, int]:
@@ -136,14 +125,12 @@ def count_p_divides_sigma(
     if p not in table:
         raise ValueError(f"{p} is not prime")
 
-    def hits(a: int, b: int, dest: np.ndarray) -> None:
+    def hits(a: int, b: int) -> np.ndarray:
         sig = bulk.sigma_window(a, b)
         sig %= p
-        np.equal(sig, 0, out=dest)
+        return sig == 0
 
-    mask = np.zeros(x + 1, dtype=bool)
-    bulk.fill_windows(mask[1:], 1, hits, threads)
-    bins = weighted_bins(f, mask, slice(1, None), table, threads)
+    bins = weighted_bins(f, 1, x + 1, hits, table=table, threads=threads)
     value = float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     bound = (
@@ -167,21 +154,20 @@ def count_d_divides_s(
         raise ValueError("need 1 <= d <= z <= y <= x")
     table = table_upto(table, x)
 
-    def hits(a: int, b: int, dest: np.ndarray) -> None:
+    def hits(a: int, b: int) -> np.ndarray:
         ns = np.arange(a, b, dtype=np.int64)
         s = bulk.sigma_window(a, b)
         s -= ns
         s %= d
         lpf = bulk.lpf_window(a, b, table.primes)
-        np.greater(lpf, y, out=dest)
-        dest &= s == 0
+        hit = lpf > y
+        hit &= s == 0
         lpf *= lpf  # and the largest prime factor unsquared: lpf**2 does not divide n
         ns %= lpf
-        dest &= ns != 0
+        hit &= ns != 0
+        return hit
 
-    mask = np.zeros(x + 1, dtype=bool)
-    bulk.fill_windows(mask[1:], 1, hits, threads)
-    bins = weighted_bins(f, mask, slice(1, None), table, threads)
+    bins = weighted_bins(f, 1, x + 1, hits, table=table, threads=threads)
     return float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
 
 
@@ -197,14 +183,12 @@ def mean_omega_gcd_sigma(
     table = table_upto(table, x)
     om = bulk.counts_range(x, table.primes, "omega", threads=threads)
 
-    def omega_of_gcd(a: int, b: int, dest: np.ndarray) -> None:
+    def omega_of_gcd(a: int, b: int) -> np.ndarray:
         g = bulk.sigma_window(a, b)
         np.gcd(g, np.arange(a, b, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
-        np.take(om, g, out=dest)
+        return om[g]
 
-    keys = np.zeros(x + 1, dtype=np.uint8)
-    bulk.fill_windows(keys[1:], 1, omega_of_gcd, threads)
-    bins = weighted_bins(f, keys, slice(1, None), table, threads)
+    bins = weighted_bins(f, 1, x + 1, omega_of_gcd, table=table, threads=threads)
     value = 0.0
     for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time
         value += k * mass

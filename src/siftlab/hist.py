@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, table_upto
-from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
+from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 from .sift import SiftedSet, nu_sum
 
@@ -57,9 +57,10 @@ def weighted_histogram(
         raise ValueError(f"unknown statistic {g_kind!r}")
     table = table_upto(table, max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
-    g = bulk.counts_range(x, table.primes, g_kind, selector, threads=threads)
     sel = sset.bitmap
-    raw = weighted_bins(f, g, sel, table, threads)
+    raw = weighted_bins(f, 1, x + 1,
+                        lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
+                        sel, table, threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
     return WeightedHistogram(
         x=x, g_kind=g_kind, E=E, f=f, set_label=sset.label,
@@ -141,39 +142,31 @@ class MgfReport:
 
 
 def mgf_sum(
-    sset: SiftedSet,
-    f: MultiplicativeFunction,
+    hist: WeightedHistogram,
     z: float,
-    g_kind: str = "omega",
-    E: PrimeSubset = ALL_PRIMES,
+    cond=None,
     table: PrimeTable | None = None,
-    threads: int = 1,
 ) -> MgfReport:
-    """Exact moment-generating sum with its reference bound."""
-    x = sset.x
+    """Exact moment-generating sum of the histogram, sum of z**k * bins[k], with its bound."""
+    x = hist.x
     if x < 3:
         raise ValueError("need x >= 3")
     if z <= 0:
         raise ValueError("z must be positive")
     table = table_upto(table, x)
-    if g_kind == "bigomega":
+    if hist.g_kind == "bigomega":
         ps = table.primes[table.primes <= x]
-        p0 = E.smallest(ps)
+        p0 = hist.E.smallest(ps)
         if p0 is not None and z >= p0:
             raise ValueError(
                 f"z = {z} leaves the valid range: need z < {p0}, the smallest prime in E"
             )
-    selector = None if isinstance(E, AllPrimes) else E
-    g = bulk.counts_range(x, table.primes, g_kind, selector, threads=threads)
-    sel = sset.bitmap
-    # summed per n, not read off the bins: the tests check this value
-    # against the histogram identity sum_k z**k * bins[k]
-    terms = values_upto(f, x, table, threads)[sel]
-    terms *= np.power(float(z), g[sel], dtype=np.float64)
-    value = float(terms.sum())
-    m_in = mertens_sum(f, x, E, table)
-    m_all = mertens_sum(f, x, ALL_PRIMES, table)
-    nu = nu_sum(sset.cond, x) if sset.cond is not None else 0.0
+    value = 0.0
+    for k in sorted(hist.bins):  # ascending k, one add at a time
+        value += z**k * hist.bins[k]
+    m_in = mertens_sum(hist.f, x, hist.E, table)
+    m_all = mertens_sum(hist.f, x, ALL_PRIMES, table)
+    nu = nu_sum(cond, x) if cond is not None else 0.0
     bound = x / math.log(x) * math.exp((z - 1.0) * m_in + m_all - nu)
     return MgfReport(x=x, z=z, value=value, bound=bound, ratio=value / bound)
 

@@ -65,55 +65,51 @@ def values_upto(
     return bulk.mult_range(x, table.primes, f.rule, f.window_primes(), threads=threads)
 
 
-def weighted_bins(f: MultiplicativeFunction, keys: np.ndarray, sel, table: PrimeTable | None,
-                  threads: int = 1) -> np.ndarray:
-    """bins[k] = sum of f(n), added in ascending n, over the n in sel with keys[n] = k.
+def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
+                  table: PrimeTable | None = None, threads: int = 1) -> np.ndarray:
+    """bins[k] = sum of f(n), added in ascending n, over the n in [lo, hi) with key k.
 
-    sel is a slice or bool mask over n = 0..len(keys) - 1.  The bins run to
-    the largest selected key, even when its mass is 0, as np.bincount's do.
-    For f = one they are exact int64 counts, no weight array is built and
-    table may be None; otherwise table must reach isqrt(len(keys) - 1).
+    keys(a, b) gives the keys of one window [a, b) of [lo, hi), integers or
+    bools; sel, a bool array indexed by n, keeps only the n where it is
+    True.  The bins run to the largest kept key, even when its mass is 0,
+    as np.bincount's do.  For f = one they are exact int64 counts, no
+    weight array is built and table may be None; otherwise table must
+    reach isqrt(hi - 1).
 
-    The keys are reduced one bulk window at a time, so no gather of length
-    len(keys) is made.  A mask's window is gathered by its indices, or read
-    as a view when it is all True.  np.add.at adds each bin's terms in index
-    order, as np.bincount does, so the doubles match one np.bincount over
-    all of sel.
+    The keys come window by window from one bulk stream, so no key or index
+    array of length hi - lo is made.  A window's part of sel is gathered by
+    its indices, or read in place when it is all True.  np.add.at adds each
+    bin's terms in index order, as np.bincount does, so the doubles match
+    one np.bincount over all kept n.
     """
-    fv = None if f.is_one() else values_upto(f, len(keys) - 1, table, threads)
-    if keys.dtype == np.bool_:
-        keys = keys.view(np.uint8)  # np.add.at would read a bool index as a mask
-    bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
-    for a, b in bulk.window_ranges(0, len(keys)):
-        part = _window_part(sel, len(keys), a, b)
-        if not isinstance(part, slice):
-            part = np.flatnonzero(part)
+    fv = None if f.is_one() else values_upto(f, hi - 1, table, threads)
+
+    def window(a: int, b: int):
+        """The window's kept keys and, unless f = one, their weights."""
+        k = keys(a, b)
+        if k.dtype == np.bool_:
+            k = k.view(np.uint8)  # np.add.at would read a bool index as a mask
+        part = slice(None)
+        if sel is not None:
+            part = np.flatnonzero(sel[a:b])
             if part.size == b - a:
                 part = slice(None)
-        k = keys[a:b][part]
-        if k.size == 0:
-            continue
-        top = int(k.max()) + 1
+            else:
+                k = k[part]
+        return k, None if fv is None else fv[a:b][part]
+
+    bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
+    for k, w in bulk.stream_windows(window, bulk.window_ranges(lo, hi), threads):
+        top = int(k.max()) + 1 if k.size else 0
         if top > bins.size:
             grown = np.zeros(top, dtype=np.int64 if fv is None else np.float64)
             grown[: bins.size] = bins
             bins = grown
         if fv is None:
-            bins[:top] += np.bincount(k)
+            bins[:top] += np.bincount(k, minlength=top)
         else:
-            np.add.at(bins, k, fv[a:b][part])
+            np.add.at(bins, k, w)
     return bins
-
-
-def _window_part(sel, n: int, a: int, b: int):
-    """The part of sel, a slice or bool mask over 0..n - 1, that lies in [a, b), indexed from a."""
-    if not isinstance(sel, slice):
-        return sel[a:b]
-    r = range(*sel.indices(n))
-    if r.step < 0:
-        r = r[::-1]
-    first = max(r.start, a + (r.start - a) % r.step)
-    return slice(first - a, max(min(r.stop, b) - a, 0), r.step)
 
 
 # ---------------------------------------------------------------- builtins

@@ -68,7 +68,7 @@ def _count_hits(ms: np.ndarray, cs: np.ndarray, hit, threads: int) -> int:
         return int(np.count_nonzero(hit(_lcm_window(lo, hi, cs)[m - lo], m))) if m.size else 0
 
     top = int(ms[-1]) if ms.size else 0
-    return sum(bulk.run_windows(worker, bulk.window_ranges(1, top + 1), threads))
+    return sum(bulk.stream_windows(worker, bulk.window_ranges(1, top + 1), threads))
 
 
 def shifted_divisor_count(

@@ -61,7 +61,7 @@ def table_count(
         return int(np.count_nonzero(seg))
 
     ranges = bulk.window_ranges(1, N * N + 1, segment)
-    return sum(bulk.run_windows(worker, ranges, threads))
+    return sum(bulk.stream_windows(worker, ranges, threads))
 
 
 def table_count_shifted(
@@ -90,7 +90,7 @@ def table_count_shifted(
         return int(np.count_nonzero(seg & flags))
 
     ranges = bulk.window_ranges(1, N * N + 1, segment)
-    return sum(bulk.run_windows(worker, ranges, threads))
+    return sum(bulk.stream_windows(worker, ranges, threads))
 
 
 def ford_ratio(N: int, A: int) -> float:
@@ -143,7 +143,7 @@ def sifted_table_sum(
         return float(sum(fv[keep].tolist()))
 
     ranges = bulk.window_ranges(1, x + 1)
-    value = float(sum(bulk.run_windows(worker, ranges, threads)))
+    value = float(sum(bulk.stream_windows(worker, ranges, threads)))
 
     M = mertens_sum(f, x, table=table)
     llx = math.log(math.log(x))

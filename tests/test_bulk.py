@@ -6,6 +6,8 @@ invariance on a larger one.
 """
 
 import hashlib
+import threading
+import time
 import tracemalloc
 from math import isqrt
 
@@ -51,11 +53,37 @@ def test_window_ranges_partition():
         bulk.window_ranges(1, 10, 0)
 
 
-def test_run_windows_preserves_order():
+def test_stream_windows_preserves_order():
     ranges = bulk.window_ranges(0, 40, 7)
-    serial = bulk.run_windows(lambda a, b: (a, b), ranges, threads=1)
-    pooled = bulk.run_windows(lambda a, b: (a, b), ranges, threads=4)
+    serial = list(bulk.stream_windows(lambda a, b: (a, b), ranges, threads=1))
+    pooled = list(bulk.stream_windows(lambda a, b: (a, b), ranges, threads=4))
     assert serial == pooled == ranges
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_stream_windows_bounds_windows_in_flight(threads):
+    # A window is in flight from the start of its worker until the consumer
+    # takes its result.  The consumer is slower than the workers, so a pool
+    # handed every range at once would have all 40 in flight.
+    lock = threading.Lock()
+    live = peak = 0
+
+    def worker(a, b):
+        nonlocal live, peak
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        return a, b
+
+    ranges = bulk.window_ranges(0, 280, 7)
+    got = []
+    for r in bulk.stream_windows(worker, ranges, threads):
+        time.sleep(0.002)
+        with lock:
+            live -= 1
+        got.append(r)
+    assert got == ranges
+    assert 1 < peak <= 2 * threads
 
 
 def test_spf_window_values():

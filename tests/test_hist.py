@@ -5,6 +5,7 @@ published shapes, so ratio bookkeeping cannot drift unnoticed.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,6 +65,25 @@ def test_histogram_thread_invariant(t1e5):
     a = H.weighted_histogram(s, mf.z_omega(2), table=t1e5, threads=1)
     b = H.weighted_histogram(s, mf.z_omega(2), table=t1e5, threads=8)
     assert a.bins == b.bins
+
+
+def test_histogram_holds_no_counts_array_of_length_x():
+    # The counts come window by window from one stream, so beyond its inputs
+    # the histogram holds one window's working set, the peak at x = one
+    # window, whatever x is.  A uint8 counts array of length x + 1 adds
+    # x bytes between the two.
+    def peak(x):
+        t = arith.PrimeTable(x)
+        sset = sf.sift(x, sf.NO_SIEVE)
+        tracemalloc.start()
+        try:
+            H.weighted_histogram(sset, mf.one(), table=t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    x = 4 * bulk.DEFAULT_WINDOW
+    assert peak(x) - peak(bulk.DEFAULT_WINDOW) < x // 2
 
 
 def test_hr_ratio_bound_shape(t1e5):
@@ -162,7 +182,7 @@ def test_mgf_value_is_exact(t1e5):
     ev = sf.everything(x)
     for z in (0.5, 1.5):
         for f in (mf.one(), mf.tau_k(2)):
-            rep = H.mgf_sum(ev, f, z, table=t1e5)
+            rep = H.mgf_sum(H.weighted_histogram(ev, f, table=t1e5), z, table=t1e5)
             expect = sum(
                 math.prod(float(f.rule(p, e)) for p, e in ofactor(n))
                 * z ** len(ofactor(n))
@@ -173,11 +193,12 @@ def test_mgf_value_is_exact(t1e5):
 
 
 def test_mgf_at_one_counts_the_set(t1e5):
-    rep = H.mgf_sum(sf.everything(300), mf.one(), 1.0, table=t1e5)
+    rep = H.mgf_sum(H.weighted_histogram(sf.everything(300), mf.one(), table=t1e5), 1.0,
+                    table=t1e5)
     assert rep.value == 300.0
     cond = sf.condition({2: (1,)})
     s = sf.sift(300, cond)
-    rep2 = H.mgf_sum(s, mf.one(), 1.0, table=t1e5)
+    rep2 = H.mgf_sum(H.weighted_histogram(s, mf.one(), table=t1e5), 1.0, cond, t1e5)
     assert rep2.value == float(s.count)
 
 
@@ -186,7 +207,7 @@ def test_mgf_bound_shape(t1e5):
     cond = sf.condition({2: (1,)})
     s = sf.sift(x, cond)
     E = ResidueClasses(4, (1,))
-    rep = H.mgf_sum(s, mf.one(), 1.5, E=E, table=t1e5)
+    rep = H.mgf_sum(H.weighted_histogram(s, mf.one(), E=E, table=t1e5), 1.5, cond, t1e5)
     m_in = mf.mertens_sum(mf.one(), x, E, t1e5)
     m_all = mf.mertens_sum(mf.one(), x, table=t1e5)
     nu = sf.nu_sum(cond, x)
@@ -196,12 +217,15 @@ def test_mgf_bound_shape(t1e5):
 
 def test_mgf_multiplicity_statistic_range_limit(t1e5):
     ev = sf.everything(100)
+    h = H.weighted_histogram(ev, mf.one(), "bigomega", table=t1e5)
     with pytest.raises(ValueError):
-        H.mgf_sum(ev, mf.one(), 2.0, "bigomega", table=t1e5)
-    rep = H.mgf_sum(ev, mf.one(), 1.9, "bigomega", table=t1e5)
+        H.mgf_sum(h, 2.0, table=t1e5)
+    rep = H.mgf_sum(h, 1.9, table=t1e5)
     assert rep.value > 0
     # restricting to odd primes re-admits z = 2
-    rep2 = H.mgf_sum(ev, mf.one(), 2.0, "bigomega", E=ResidueClasses(4, (1, 3)), table=t1e5)
+    odd = H.weighted_histogram(ev, mf.one(), "bigomega", E=ResidueClasses(4, (1, 3)),
+                               table=t1e5)
+    rep2 = H.mgf_sum(odd, 2.0, table=t1e5)
     assert rep2.value > 0
 
 
@@ -216,11 +240,12 @@ def test_raw_multiplicity_growth_is_log_squared(t1e5):
 
 
 def test_mgf_input_errors(t1e5):
-    ev = sf.everything(100)
     with pytest.raises(ValueError):
-        H.mgf_sum(ev, mf.one(), 0.0, table=t1e5)
+        H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), 0.0,
+                  table=t1e5)
     with pytest.raises(ValueError):
-        H.mgf_sum(sf.everything(2), mf.one(), 1.0, table=t1e5)
+        H.mgf_sum(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5), 1.0,
+                  table=t1e5)
 
 
 def test_tail_masses_shape(t1e5):

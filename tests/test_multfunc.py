@@ -106,13 +106,19 @@ def wb_case():
     # bigomega peaks at 21 (2**21 and 2**20 * 3), where mu**2 is 0 everywhere
     keys = {"uint8": bulk.counts_range(WB_X, table.primes, "bigomega"), "bool": n % 3 == 0}
     keys["uint8"][0] = 255  # n = 0 is never selected and outranks every selected key
+    # (lo, sel): a bool mask over [0, WB_X], or every n from lo on
     sels = {
-        "mask": (n % 7 != 3) & (n >= 2),
-        "slice": slice(2, None),
-        "empty-mask": np.zeros(WB_X + 1, dtype=bool),
-        "empty-slice": slice(WB_X + 1, None),
+        "mask": (0, (n % 7 != 3) & (n >= 2)),
+        "slice": (2, None),
+        "empty-mask": (0, np.zeros(WB_X + 1, dtype=bool)),
+        "empty-slice": (WB_X + 1, None),
     }
     return table, keys, sels
+
+
+def _bins(f, k, lo, sel, table):
+    """weighted_bins over [lo, WB_X] with keys read from the array k."""
+    return multfunc.weighted_bins(f, lo, WB_X + 1, lambda a, b: k[a:b], sel, table)
 
 
 @pytest.mark.parametrize("spec", ["zomega:1.3", "musq", "one"])
@@ -121,10 +127,11 @@ def test_weighted_bins_match_one_bincount_bit_for_bit(wb_case, spec, kind):
     table, keys, sels = wb_case
     f = parse_weight(spec)
     fv = multfunc.values_upto(f, WB_X, table)
-    for name, sel in sels.items():
+    for name, (lo, sel) in sels.items():
         k = keys[kind]
-        want = np.bincount(k[sel]) if f.is_one() else np.bincount(k[sel], weights=fv[sel])
-        got = multfunc.weighted_bins(f, k, sel, table)
+        kept = slice(lo, None) if sel is None else sel
+        want = np.bincount(k[kept]) if f.is_one() else np.bincount(k[kept], weights=fv[kept])
+        got = _bins(f, k, lo, sel, table)
         assert (got.dtype, got.size) == (want.dtype, want.size), name
         assert got.tobytes() == want.tobytes(), name
         if kind == "uint8" and not name.startswith("empty"):
@@ -157,7 +164,7 @@ def test_weighted_bins_gather_masks_by_index(wb_case, spec):
     k = keys["uint8"]
     for name, sel in _gather_masks().items():
         want = np.bincount(k[sel]) if f.is_one() else np.bincount(k[sel], weights=fv[sel])
-        got = multfunc.weighted_bins(f, k, sel, table)
+        got = _bins(f, k, 0, sel, table)
         assert (got.dtype, got.size) == (want.dtype, want.size), name
         assert got.tobytes() == want.tobytes(), name
 
