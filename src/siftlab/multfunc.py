@@ -106,7 +106,7 @@ def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
             grown[: bins.size] = bins
             bins = grown
         if fv is None:
-            bins[:top] += np.bincount(k, minlength=top)
+            bins[:top] += np.bincount(k)
         else:
             np.add.at(bins, k, w)
     return bins
