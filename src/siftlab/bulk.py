@@ -16,20 +16,28 @@ Per-window work uses only primes up to sqrt(hi-1).  All five factor
 kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
 kernel gives the walk a ufunc, its output array and f(p**e) for each small
 prime as a table; the walk applies ufunc(out, f(p**e)) once for every prime
-power exactly dividing each n, and finally divides every n by its small
-part in place, which leaves either 1 or a single prime above the root for
-one whole-array finish.  Below 2**32 the small parts and cofactors are
-uint32, above it int64.  A mult window whose weight is 1 at every prime
-(mu**2, or 1) reads no cofactors, and its walk keeps no small parts.
+power exactly dividing each n.  What is left of n above its small part is
+1 or a single prime above the root.  Counts without a selector only need to
+know which, and read it off a sum of rounded logarithms packed beside the
+count (_log_counts), so their walk keeps no small parts.  The kernels that
+need that prime's value keep the product: counts with a selector, mult
+with a weight that varies with the prime, sigma, lambda and lpf.  Their
+walk multiplies up each n's small part and finally divides n by it in
+place for one whole-array finish; below 2**32 the small parts and
+cofactors are uint32, above it int64.  A mult window whose weight is 1 at
+every prime (mu**2, or 1) reads no cofactors and keeps no small parts.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
 split has at least 128 multiples in the window.  It gets one scalar strided
-pass of f(p) over its multiples, skipped when f(p) is the ufunc's identity,
-plus a fix-up at the multiples of p**2 when some f(p**e) differs from f(p):
-their values are saved before the pass and written back as
-ufunc(saved, f(p**e)), so exponents are tracked only there, and not at all
-when every f(p**e), e >= 3, equals f(p**2).  The primes above the split, most of them at 1e9 and beyond, have a few multiples each
-and go through one vectorized batch per window, applied with ufunc.at.
+pass of f(p) over its multiples, skipped when f(p) is the ufunc's identity.
+An integer np.add (the counts) then adds f(p**e) - f(p**(e-1)) at the
+multiples of each p**e, which is exact.  For the other ufuncs, when some
+f(p**e) differs from f(p), the values at the multiples of p**2 are saved
+before the pass and written back as ufunc(saved, f(p**e)), so exponents
+are tracked only there, and not at all when every f(p**e), e >= 3, equals
+f(p**2).  The primes above the split, most of them at 1e9 and beyond, have
+a few multiples each and go through one vectorized batch per window,
+applied with ufunc.at (for an integer np.add, again one power at a time).
 flags_window takes the same split, and sieve_flags sieves its array in
 DEFAULT_WINDOW segments the same way.
 """
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from math import isqrt
+from math import ceil, isqrt, log2
 
 import numpy as np
 
@@ -84,7 +92,7 @@ def _sieve_segment(flags: np.ndarray, lo: int, primes: np.ndarray) -> None:
         if start < hi:
             flags[start - lo :: p] = False
     if k < small.size:
-        flags[_multiples(lo, hi, small[k:], from_square=True)[1]] = False
+        flags[_multiples(lo, hi, small[k:], from_square=True)[0]] = False
 
 
 def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[int, int]]:
@@ -148,23 +156,28 @@ def _split(small: np.ndarray, width: int) -> int:
 
 
 def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
-    """Every multiple in [lo, hi) of each of the ascending primes: (its prime, its position),
-    and the number of entries of each prime.
+    """The position in [lo, hi) of every multiple of each of the ascending primes, and the
+    number of multiples of each prime.
 
-    The entries are prime-major with ascending positions within a prime, so
-    each n meets its primes in ascending order.  from_square starts every
-    prime at p*p, as the sieve of Eratosthenes does.
+    The positions are prime-major and ascend within a prime, so each n
+    meets its primes in ascending order.  They are built in one array: a
+    step of p between the multiples of p, a jump to the first multiple of
+    the next prime, and a running sum.  from_square starts every prime at
+    p*p, as the sieve of Eratosthenes does.
     """
     off = -lo % primes
     if from_square:
         np.maximum(off, primes * primes - lo, out=off)
     cnt = (hi - lo - 1 - off) // primes + 1
     np.maximum(cnt, 0, out=cnt)
-    p = np.repeat(primes, cnt)
-    pos = np.arange(p.size, dtype=np.int64)
-    pos *= p
-    pos += np.repeat(off - (np.cumsum(cnt) - cnt) * primes, cnt)
-    return p, pos, cnt
+    live = cnt > 0
+    ps, off, c = primes[live], off[live], cnt[live]
+    pos = np.repeat(ps, c)
+    if pos.size:
+        last = off + (c - 1) * ps
+        pos[np.cumsum(c) - c] = off - np.concatenate(([0], last[:-1]))
+        np.cumsum(pos, out=pos)
+    return pos, cnt
 
 
 def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -197,13 +210,18 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     nothing and may be skipped.
 
     A prime below the split (_split) gets one scalar strided pass of
-    ufunc(out, f(p)) over its multiples.  When f(p**e) differs from f(p) for
-    some e >= 2, the values at the multiples of p**2 are saved first, and
+    ufunc(out, f(p)) over its multiples.  When ufunc is np.add and out is
+    an integer array, each f(p**e) - f(p**(e-1)), e >= 2, is added at the
+    multiples of p**e, which is exact even where the difference wraps in
+    out's dtype.  Otherwise, when f(p**e) differs from f(p) for some e >= 2,
+    the values at the multiples of p**2 are saved first, and
     ufunc(saved, f(p**e)) is written back there after the pass, so
     exponents are tracked at those positions only, and not at all when no
-    f(p**e), e >= 3, differs from f(p**2) (_table's deep).  All primes above the
-    split come in one batch, one entry per (prime, multiple), prime-major,
-    applied with ufunc.at; an n divisible by two of them appears twice.
+    f(p**e), e >= 3, differs from f(p**2) (_table's deep).  All primes above
+    the split come in one batch, one entry per (prime, multiple),
+    prime-major, applied with ufunc.at; an n divisible by two of them
+    appears twice.  An integer np.add batch takes one power at a time too
+    (_step_batch).
 
     The small part of every n is multiplied up, so nothing is divided until
     the end, where n // small part is 1 or the one prime factor above the
@@ -217,43 +235,58 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64) if cofactors else None
     small = _small_primes(primes, hi)
     k = _split(small, n)
+    steps = ufunc is np.add and out.dtype.kind in "ui"
     if k:
         table, varies, deep = _table(small[:k], hi, values, out.dtype)
+        if steps:  # row[e] = f(p**e) - f(p**(e-1)) from e = 2 on, modulo the dtype's range
+            table = np.concatenate([table[:, :2], table[:, 2:] - table[:, 1:-1]], axis=1)
         for p, row, f1, fix, dp in zip(small[:k].tolist(), table, table[:, 1].tolist(),
                                        varies.tolist(), deep.tolist()):
             sl = slice(-lo % p, n, p)  # a prime below the split has a multiple
             q = p * p
             saved = exp = None
-            if fix and q < hi and -lo % q < n:
+            if fix and not steps and q < hi and -lo % q < n:
                 sq = slice(-lo % q, n, q)
                 saved = out[sq].copy() if f1 != identity else out[sq]
                 exp = np.ones(saved.size, dtype=np.uint8) if dp else None
             if cofactors:
                 acc[sl] *= p
-            while q < hi and (cofactors or exp is not None):
-                off_q = -lo % q
-                if off_q >= n:
-                    break
-                if cofactors:
-                    acc[off_q::q] *= p
-                if exp is not None:
-                    exp[(off_q - sq.start) // (p * p) :: q // (p * p)] += 1
-                q *= p
+            if cofactors or exp is not None or (steps and fix):
+                for e, se in _powers(p, lo, hi):
+                    if cofactors:
+                        acc[se] *= p
+                    if exp is not None:
+                        exp[(se.start - sq.start) // q :: se.step // q] += 1
+                    if steps and row[e]:
+                        out[se] += row[e]
             if f1 != identity:
                 view = out[sl]
                 ufunc(view, f1, out=view)
             if saved is not None:
                 ufunc(saved, row[2] if exp is None else row[exp], out=out[sq])
     if k < small.size:
-        _batch(lo, hi, small[k:], acc, ufunc, out, values)
+        if steps:
+            _step_batch(lo, hi, small[k:], acc, out, values)
+        else:
+            _batch(lo, hi, small[k:], acc, ufunc, out, values)
     return np.floor_divide(np.arange(lo, hi, dtype=acc.dtype), acc, out=acc) if cofactors else None
+
+
+def _powers(p: int, lo: int, hi: int):
+    """(e, the positions of the multiples of p**e in [lo, hi)) for e = 2, 3, ... while there are any."""
+    q, e = p * p, 2
+    while q < hi and -lo % q < hi - lo:
+        yield e, slice(-lo % q, hi - lo, q)
+        q *= p
+        e += 1
 
 
 def _batch(lo: int, hi: int, primes: np.ndarray, acc, ufunc, out: np.ndarray, values) -> None:
     """The walk's step for the primes above the split: one ufunc.at entry per (prime, multiple)."""
-    p, pos, cnt = _multiples(lo, hi, primes)
-    if not p.size:
+    pos, cnt = _multiples(lo, hi, primes)
+    if not pos.size:
         return
+    p = np.repeat(primes, cnt)
     at = lo + pos  # p**2 divides lo + pos where (lo + pos) // p % p == 0, tested in place
     at //= p
     at %= p
@@ -275,6 +308,31 @@ def _batch(lo: int, hi: int, primes: np.ndarray, acc, ufunc, out: np.ndarray, va
     ufunc.at(out, pos, f)
 
 
+def _step_batch(lo: int, hi: int, primes: np.ndarray, acc, out: np.ndarray, values) -> None:
+    """_batch for an integer np.add: f(p) at each multiple of p, then f(p**e) - f(p**(e-1))
+    at each multiple of p**e, so no exponent is found per entry."""
+    pos, cnt = _multiples(lo, hi, primes)
+    if not pos.size:
+        return
+    live = cnt > 0
+    ps, cnt = primes[live], cnt[live]
+    t = _table(ps, hi, values, out.dtype)[0]
+    lim = (hi - 1) // ps
+    q, e = ps, 1
+    while True:
+        if acc is not None:
+            np.multiply.at(acc, pos, np.repeat(ps.astype(acc.dtype), cnt))
+        inc = t[:, 1] if e == 1 else t[:, e] - t[:, e - 1]
+        if inc.any():
+            np.add.at(out, pos, np.repeat(inc, cnt))
+        live = q <= lim  # p**(e+1) < hi
+        if not live.any():
+            return
+        ps, q, lim, t = ps[live], q[live] * ps[live], lim[live], t[live]
+        e += 1
+        pos, cnt = _multiples(lo, hi, q)
+
+
 def _table(ps: np.ndarray, hi: int, values, dtype):
     """t[i, e] = f(ps[i]**e) from values (see _walk); whether some f(p**e), e >= 2, != f(p);
     and (deep) whether some f(p**e), e >= 3, != f(p**2).  Only p**e < hi counts."""
@@ -293,15 +351,20 @@ def _table(ps: np.ndarray, hi: int, values, dtype):
 
 
 def _filled(lo: int, hi: int, out, dtype, fill) -> np.ndarray:
-    """out, or a new array of length hi - lo when it is None, set to fill throughout."""
+    """out, or a new array of length hi - lo when it is None, set to fill throughout
+    unless fill is None."""
     if lo < 1 or lo >= hi:
         raise ValueError("need 1 <= lo < hi")
     if out is None:
-        return np.full(hi - lo, fill, dtype=dtype)
-    if out.shape != (hi - lo,) or out.dtype != dtype:
+        out = np.empty(hi - lo, dtype=dtype)
+    elif out.shape != (hi - lo,) or out.dtype != dtype:
         raise ValueError(f"out must be a {np.dtype(dtype)} array of length {hi - lo}")
-    out.fill(fill)
+    if fill is not None:
+        out.fill(fill)
     return out
+
+
+_LOG_SCALE = 64
 
 
 def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) -> np.ndarray:
@@ -309,9 +372,16 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) 
 
     selector is any object with mask(values) -> bool array; None selects
     every prime.
+
+    With a selector the walk keeps the cofactors, whose prime it tests.
+    Without one it only has to learn whether n keeps a prime above
+    r = isqrt(hi - 1), and a sum of rounded logarithms tells it exactly
+    (_log_counts), so no small part is multiplied up or divided out.
     """
     if kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown count kind {kind!r}")
+    if selector is None:
+        return _log_counts(lo, hi, primes, kind, _filled(lo, hi, out, np.uint8, None))
     counts = _filled(lo, hi, out, np.uint8, 0)
 
     def values(p, e, pe):
@@ -328,6 +398,47 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) 
         if pos.size:
             keep = np.asarray(selector.mask(rem[pos].astype(np.int64)), dtype=bool)
             counts[pos[keep]] += 1
+    return counts
+
+
+def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndarray) -> np.ndarray:
+    """counts_window without a selector: one packed word per n, and no cofactors.
+
+    With L(p) = rint(64 log2 p), the walk adds f(p**e) = e L(p) << b, plus
+    1 for omega or e for bigomega, into a word per n: b = 4 bits of count
+    in a uint16 word for omega, b = 8 in a uint32 word for bigomega.  The
+    low b bits count the prime factors up to r = isqrt(hi - 1), and the
+    rest, W, is 64 log2 s for the small part s of n, to within 1/2 unit
+    per prime factor counted with multiplicity, as |L(p) - 64 log2 p| <= 1/2.
+
+    n = s * q with one prime q > r, or n = s.  On the block
+    [2**j, 2**(j+1)) of the window that holds n, n = s gives
+    64 log2 s >= 64 j, and n = s * q gives 64 log2 s < 64 (j + 1 - u),
+    with u = log2(r + 1), as q >= r + 1.  The threshold
+    T = 64 j - 32 (u - 1) sits halfway, 32 (u - 1) from either side, and
+    the error stays below that: the factors of s number at most
+    log2 s < j + 1 - u < u + 1 with a prime q, at most j < 2u without
+    one (since r + 1 > sqrt(n) >= 2**(j/2)), and u/2 + 1/2 <= 32 (u - 1)
+    for u >= log2 3, r >= 2.  When r < 2 no prime is small, W = 0, and
+    T = 64 j keeps only n = 1 below it.  So n keeps a prime above r
+    exactly when W < T, taken as W < max(0, ceil(T)).  The word never
+    wraps: for hi < 2**63, W <= 64 * 63 + 31.5, so an omega word stays
+    below 16 * (64 * 63 + 31.5) + 15 < 2**16.
+    """
+    bits, dtype = (4, np.uint16) if kind == "omega" else (8, np.uint32)
+
+    def values(p, e, pe):
+        L = np.rint(_LOG_SCALE * np.log2(p)).astype(np.int64)
+        return np.where(pe > 0, (e * L << bits) + (1 if kind == "omega" else e), 0)
+
+    word = np.zeros(hi - lo, dtype=dtype)
+    _walk(lo, hi, primes, np.add, word, values, identity=0, cofactors=False)
+    np.bitwise_and(word, (1 << bits) - 1, out=counts, casting="unsafe")
+    u = log2(isqrt(hi - 1) + 1)
+    for j in range(int(lo).bit_length() - 1, (int(hi) - 1).bit_length()):
+        a, b = max(lo, 1 << j) - lo, min(hi, 2 << j) - lo
+        t = max(0, ceil(_LOG_SCALE * j - _LOG_SCALE / 2 * (u - 1)))
+        counts[a:b] += word[a:b] < t << bits
     return counts
 
 

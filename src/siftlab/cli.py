@@ -127,21 +127,23 @@ def _cmd_primes(args):
     return header, [row]
 
 
-def _check_budget(args, f, per_int: int, extra: int = 0) -> None:
+def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None = None) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
     Per integer of [0, x]: per_int bytes (1 each for the table flags and the
     set bitmap, 8 for an int64 sigma, plus any other per-n arrays),
-    and 8 more for the weights unless f = one.  8 bytes per prime, with
-    pi(x) < 1.25506 x / log x (Rosser & Schoenfeld 1962).  Per thread, 24
+    and 8 more for the weights unless f is None (no weight array) or one.
+    8 bytes per prime up to prime_limit (default x), with
+    pi(y) < 1.25506 y / log y (Rosser & Schoenfeld 1962).  Per thread, 24
     bytes per integer of one window, about a mult window's working set.
     extra bytes more, such as egps's omega table over [0, max s(n)].
     """
     if args.budget_mb is None:
         return
     x = max(args.x, 2)
-    per_int += 0 if f.is_one() else 8
-    primes = 8 * int(1.25506 * x / math.log(x))
+    per_int += 0 if f is None or f.is_one() else 8
+    y = max(x if prime_limit is None else prime_limit, 2)
+    primes = 8 * int(1.25506 * y / math.log(y))
     windows = max(args.threads, 1) * 24 * min(x, bulk.DEFAULT_WINDOW)
     need = per_int * (x + 1) + extra + primes + windows
     if need > args.budget_mb << 20:
@@ -239,8 +241,9 @@ def _cmd_table(args):
 
 
 def _cmd_table_sifted(args):
-    t = PrimeTable(max(args.x, 2))
     f = parse_weight(args.f)
+    _check_budget(args, None, 2)  # weights come window by window
+    t = PrimeTable(max(args.x, 2))
     ss = parse_set_spec(args.sieve, args.x)
     rep = table.sifted_table_sum(ss.realize(args.x, t), f, t, args.threads)
     header = ["x", "f", "sieve", "value", "R", "M", "regime",
@@ -299,6 +302,7 @@ def _cmd_jointpoly(args):
 
 
 def _cmd_apcount(args):
+    _check_budget(args, None, 0, prime_limit=math.isqrt(max(args.x, 0)))
     count = shifted.ap_prime_factor_count(
         args.x, args.d, args.a, args.g, args.k, threads=args.threads
     )

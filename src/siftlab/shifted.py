@@ -332,17 +332,24 @@ def ap_prime_factor_count(
     x: int, d: int, a: int, g_kind: str, k: int,
     table: PrimeTable | None = None, threads: int = 1,
 ) -> int:
-    """Count n <= x with n = a mod d and omega(n) or bigomega(n) equal to k."""
+    """Count n <= x with n = a mod d and omega(n) or bigomega(n) equal to k.
+
+    Each window of [1, x] counts its class members on its own, so only
+    primes up to isqrt(x) and one counts window per thread are held.
+    """
     if x < 1 or d < 1:
         raise ValueError("need x >= 1 and d >= 1")
     if gcd(a, d) != 1:
         raise ValueError("need gcd(a, d) = 1")
     if g_kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown statistic {g_kind!r}")
-    table = table_upto(table, max(x, 2))
-    g = bulk.counts_range(x, table.primes, g_kind, threads=threads)
-    start = a % d or d  # 0 only when d = 1; n = 0 is not counted
-    return int(np.count_nonzero(g[start::d] == k))
+    primes = table_upto(table, max(isqrt(x), 2)).primes
+
+    def hits(lo: int, hi: int) -> int:
+        g = bulk.counts_window(lo, hi, primes, g_kind)
+        return int(np.count_nonzero(g[(a - lo) % d :: d] == k))
+
+    return sum(bulk.stream_windows(hits, bulk.window_ranges(1, x + 1), threads))
 
 
 __all__ = [

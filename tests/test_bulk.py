@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from siftlab import bulk
-from siftlab.primesets import ResidueClasses
+from siftlab.primesets import ALL_PRIMES, ResidueClasses
 from siftlab.specs import parse_weight
 
 from oracles import ofactor, olam, osigma
@@ -290,15 +290,15 @@ def test_range_memory_does_not_grow_with_x(kind, threads):
 
 
 def test_counts_range_window_working_set():
-    # A window's kernel fills its slice of the output and divides the
-    # cofactors into its uint32 accumulator, so beside the output it holds
-    # the accumulator and the dividend: 8 bytes per integer of a window.  A
-    # window result copied into the output and an int64 cofactor array take
-    # that to about 17.6.
+    # Without a selector a window's kernel keeps one packed uint16 word per
+    # integer and no cofactors, and its finish compares one dyadic block at
+    # a time into a bool, so beside the output it holds about 3.2 bytes per
+    # integer of a window.  A uint32 cofactor accumulator and its dividend
+    # took that to about 8.1.
     width = 1 << 16
     primes = bulk.primes_upto(isqrt(3 * width))
     extra = _extra_bytes(lambda x: bulk.counts_range(x, primes, "omega", width=width), 3 * width)
-    assert extra <= 10 * width
+    assert extra <= 4 * width
 
 
 @pytest.mark.parametrize(
@@ -586,3 +586,85 @@ def test_mult_window_weight_one_at_primes_keeps_no_cofactors():
     finally:
         tracemalloc.stop()
     assert peak <= width
+
+
+# Without a selector counts_window learns whether n keeps a prime above
+# r = isqrt(hi - 1) from a sum of rounded logarithms of its small primes,
+# against a threshold set by the dyadic block [2**j, 2**(j+1)) that holds n.
+# These windows put n at the edges of that bound: at powers of two, where
+# the block changes; at r <= 2; and at the worst cases, n = q * m with q the
+# least prime above r and m as large as fits, and smooth n near hi.
+
+
+def _check_counts(lo, hi, primes, positions=None):
+    om = bulk.counts_window(lo, hi, primes, "omega")
+    bo = bulk.counts_window(lo, hi, primes, "bigomega")
+    for n in range(lo, hi) if positions is None else positions:
+        parts = ofactor(n)
+        assert (om[n - lo], bo[n - lo]) == (len(parts), sum(e for _, e in parts)), (lo, hi, n)
+    # the cofactor product path, checked against the oracle above, on every n
+    for kind, got in (("omega", om), ("bigomega", bo)):
+        assert got.tobytes() == bulk.counts_window(lo, hi, primes, kind, ALL_PRIMES).tobytes()
+
+
+def test_log_counts_tiny_windows():
+    primes = bulk.primes_upto(100)
+    for hi in range(2, 10):  # r <= 2
+        for lo in range(1, hi):
+            _check_counts(lo, hi, primes)
+    for hi in range(10, 600):
+        _check_counts(1, hi, primes)
+
+
+@pytest.mark.parametrize("k", range(2, 36))
+def test_log_counts_straddle_powers_of_two(k):
+    lo, hi = max(1, 2**k - 40), 2**k + 40
+    primes = bulk.primes_upto(isqrt(hi))
+    _check_counts(lo, hi, primes, range(lo, hi) if k <= 30 else
+                  [n for n in range(lo, hi) if n % 2 == 0 or abs(n - 2**k) < 4])
+
+
+def _largest(limit, gens):
+    """The largest product of powers of gens that is at most limit."""
+    best, stack = 1, [(1, 0)]
+    while stack:
+        m, i = stack.pop()
+        best = max(best, m)
+        for g in gens[i:]:
+            if m * g <= limit:
+                stack.append((m * g, gens.index(g)))
+    return best
+
+
+SMOOTH = [(2,), (3,), (5,), (7,), (2, 3), (3, 5), (2, 3, 5, 7)]
+
+
+def _bound_cases(lo, hi):
+    """q * m for the least prime q above isqrt(hi - 1) and the largest m that fits, smooth or
+    not, and the largest smooth n below hi; those in [lo, hi)."""
+    r = isqrt(hi - 1)
+    q = next(q for q in range(r + 1, 2 * r + 3) if len(ofactor(q)) == 1 and ofactor(q)[0][1] == 1)
+    cases = {q * ((hi - 1) // q)} | {q * _largest((hi - 1) // q, g) for g in SMOOTH}
+    cases |= {_largest(hi - 1, g) for g in SMOOTH}
+    return {n for n in cases if lo <= n < hi}, q
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 10, 31, 100, 1000, 2**16 - 1, 2**16, 2**20 - 1])
+def test_log_counts_worst_cases_of_the_bound(r):
+    # hi = (r + 1)**2 is the last hi with root r: r = 2**16 - 1 ends the
+    # window at 2**32, r = 2**16 straddles it, and r = 2**20 - 1 ends it at
+    # 2**40, with a prime table to 2**20
+    hi = (r + 1) ** 2
+    primes = bulk.primes_upto(min(r + 200, 2**20))
+    lo = max(1, hi - 2 * (r + 200))
+    cases, q = _bound_cases(lo, hi)
+    assert q * ((hi - 1) // q) in cases
+    _check_counts(lo, hi, primes, sorted(cases | {lo, hi - 1}))
+
+
+def test_log_counts_straddle_two_to_the_40():
+    lo, hi = 2**40 - 2**15, 2**40 + 2**15
+    primes = bulk.primes_upto(2**20)
+    rng = np.random.default_rng(40)
+    sample = set((lo + rng.choice(hi - lo, 6)).tolist()) | {2**40 - 1, 2**40, 2**40 + 1}
+    _check_counts(lo, hi, primes, sorted(_bound_cases(lo, hi)[0] | sample))

@@ -14,7 +14,9 @@ an int64 array and gathered its weights through bool masks.  The last two,
 still divided out its cofactors and finished them through prime_vec.  The
 `sigma-div` run, three windows long, was recorded while its mask was still
 taken from a sigma array of length x + 1.  The `jointpoly` run was recorded
-while `factorize` still read the whole prime table on every call.
+while `factorize` still read the whole prime table on every call.  The
+two `apcount` runs were recorded while `apcount` still held a counts array
+of length x + 1 built through each window's cofactor product.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -89,6 +91,10 @@ CORPUS = [
      "d8d6d01d7fe7df01ce7c128bce3c1f09cfd00c484ed1a65681123bd83d2cabbf"),
     ("jointpoly --q 1,1 --q -1,1 --x 1000000 --y 100000 --k 2,2",
      "1d93fa1ab413b32bb9a422948aacb960432876907c050bc10a9fc93b2f1d97ba"),
+    ("apcount --x 2300000 --d 4 --a 1 --g omega --k 3",
+     "a4f6ca75e2b2de2cc0e7b7a6bf92aa27a400882524547e720d82e56748b29c5e"),
+    ("apcount --x 2300000 --d 7 --a 3 --g bigomega --k 4",
+     "7ff4a6cec4c44fe2bfba4450ff9b06498ff16104228b45940e12aba42cac5ba9"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

@@ -388,6 +388,43 @@ def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
     assert peak <= plan
 
 
+WINDOWED = [["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
+            ["apcount", "--d", "4", "--a", "1", "--k", "2"]]
+
+
+@pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
+def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(cli, "PrimeTable", no_work)
+    monkeypatch.setattr(bulk, "stream_windows", no_work)
+    monkeypatch.setattr(sys, "argv", ["siftlab", *argv, "--x", "10000000", "--budget-mb", "1"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 3
+    err = capsys.readouterr().err
+    assert f"{argv[0]} plans " in err and "over the budget of 1 MiB" in err
+
+
+@pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
+def test_cli_windowed_peak_within_budget_plan(argv, capsys):
+    # apcount holds one counts window per thread and primes to isqrt(x);
+    # table-sifted adds the table flags and the set bitmap of length x + 1
+    run = [*argv, "--x", "4000000", "--threads", "1"]
+    with pytest.raises(ResourceBudgetError) as ei:
+        cli.dispatch([*run, "--budget-mb", "0"])
+    plan = int(re.search(r"plans (\d+) bytes", str(ei.value)).group(1))
+    tracemalloc.start()
+    try:
+        out = _run(capsys, run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan
+    assert _run(capsys, run + ["--budget-mb", "4096"]) == out
+
+
 @pytest.mark.parametrize("x", [16, 100, 5040, 100000])
 def test_cli_egps_budget_covers_max_aliquot_sum(x):
     # the plan's omega table reaches Robin's bound on max s(n), never below it
