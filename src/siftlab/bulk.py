@@ -411,19 +411,21 @@ def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndar
     rest, W, is 64 log2 s for the small part s of n, to within 1/2 unit
     per prime factor counted with multiplicity, as |L(p) - 64 log2 p| <= 1/2.
 
-    n = s * q with one prime q > r, or n = s.  On the block
-    [2**j, 2**(j+1)) of the window that holds n, n = s gives
-    64 log2 s >= 64 j, and n = s * q gives 64 log2 s < 64 (j + 1 - u),
-    with u = log2(r + 1), as q >= r + 1.  The threshold
-    T = 64 j - 32 (u - 1) sits halfway, 32 (u - 1) from either side, and
-    the error stays below that: the factors of s number at most
-    log2 s < j + 1 - u < u + 1 with a prime q, at most j < 2u without
-    one (since r + 1 > sqrt(n) >= 2**(j/2)), and u/2 + 1/2 <= 32 (u - 1)
-    for u >= log2 3, r >= 2.  When r < 2 no prime is small, W = 0, and
-    T = 64 j keeps only n = 1 below it.  So n keeps a prime above r
-    exactly when W < T, taken as W < max(0, ceil(T)).  The word never
-    wraps: for hi < 2**63, W <= 64 * 63 + 31.5, so an omega word stays
-    below 16 * (64 * 63 + 31.5) + 15 < 2**16.
+    n = s * q with one prime q > r, or n = s.  Let n lie in the block
+    [2**j, 2**(j+1)) of the window, and u = log2(r + 1).  Then n = s gives
+    64 log2 s >= 64 j, and n = s * q gives 64 log2 s < 64 (j + 1 - u), as
+    q >= r + 1.  The threshold T = 64 j - 32 (u - 1) sits halfway, 32 (u - 1)
+    from either side, and the error stays within that.  As
+    r + 1 > sqrt(n) >= 2**(j/2), j < 2u.  With a prime q, s has at most
+    log2 s < j + 1 - u < u + 1 prime factors, an error below (u + 1)/2;
+    without one, at most j < 2u, an error below u.  Both are at most
+    32 (u - 1) when u >= log2 3, that is r >= 2.  When r < 2 no prime is
+    small, W = 0, and T = 64 j leaves only n = 1 at or above it.  So n keeps
+    a prime above r exactly when W < T, taken as W < max(0, ceil(T)), on
+    each dyadic block of the window.  The word never wraps: for hi < 2**63,
+    W <= 64 * 63 + 31.5, so an omega word stays below
+    16 * (64 * 63 + 31.5) + 15 < 2**16, and a bigomega word, with up to 63
+    factors in its 8 count bits, far below 2**32.
     """
     bits, dtype = (4, np.uint16) if kind == "omega" else (8, np.uint32)
 
