@@ -377,34 +377,8 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) 
     Without one it only has to learn whether n keeps a prime above
     r = isqrt(hi - 1), and a sum of rounded logarithms tells it exactly
     (_log_counts), so no small part is multiplied up or divided out.
-    """
-    if kind not in ("omega", "bigomega"):
-        raise ValueError(f"unknown count kind {kind!r}")
-    if selector is None:
-        return _log_counts(lo, hi, primes, kind, _filled(lo, hi, out, np.uint8, None))
-    counts = _filled(lo, hi, out, np.uint8, 0)
 
-    def values(p, e, pe):
-        v = e if kind == "bigomega" else 1
-        if selector is not None:
-            v = v * np.asarray(selector.mask(p[:, 0]), dtype=bool)[:, None]
-        return v
-
-    rem = _walk(lo, hi, primes, np.add, counts, values, identity=0)
-    if selector is None:
-        counts += rem > 1
-    else:
-        pos = np.flatnonzero(rem > 1)
-        if pos.size:
-            keep = np.asarray(selector.mask(rem[pos].astype(np.int64)), dtype=bool)
-            counts[pos[keep]] += 1
-    return counts
-
-
-def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndarray) -> np.ndarray:
-    """counts_window without a selector: one packed word per n, and no cofactors.
-
-    With L(p) = rint(64 log2 p), the walk adds f(p**e) = e L(p) << b, plus
+    The scale is 64: with L(p) = rint(64 log2 p), the walk adds f(p**e) = e L(p) << b, plus
     1 for omega or e for bigomega, into a word per n: b = 4 bits of count
     in a uint16 word for omega, b = 8 in a uint32 word for bigomega.  The
     low b bits count the prime factors up to r = isqrt(hi - 1), and the
@@ -427,6 +401,26 @@ def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndar
     16 * (64 * 63 + 31.5) + 15 < 2**16, and a bigomega word, with up to 63
     factors in its 8 count bits, far below 2**32.
     """
+    if kind not in ("omega", "bigomega"):
+        raise ValueError(f"unknown count kind {kind!r}")
+    if selector is None:
+        return _log_counts(lo, hi, primes, kind, _filled(lo, hi, out, np.uint8, None))
+    counts = _filled(lo, hi, out, np.uint8, 0)
+
+    def values(p, e, pe):
+        v = e if kind == "bigomega" else 1
+        return v * np.asarray(selector.mask(p[:, 0]), dtype=bool)[:, None]
+
+    rem = _walk(lo, hi, primes, np.add, counts, values, identity=0)
+    pos = np.flatnonzero(rem > 1)
+    if pos.size:
+        keep = np.asarray(selector.mask(rem[pos].astype(np.int64)), dtype=bool)
+        counts[pos[keep]] += 1
+    return counts
+
+
+def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndarray) -> np.ndarray:
+    """counts_window without a selector: one packed word per n, and no cofactors."""
     bits, dtype = (4, np.uint16) if kind == "omega" else (8, np.uint32)
 
     def values(p, e, pe):
