@@ -40,10 +40,16 @@ a few multiples each and go through one vectorized batch per window,
 applied with ufunc.at (for an integer np.add, again one power at a time).
 flags_window takes the same split, and sieve_flags sieves its array in
 DEFAULT_WINDOW segments the same way.
+
+OmegaTable is the one table of omega(m) that several windows share: 4 bits
+per m over [0, limit], np.empty, and filled by counts_window in aligned
+DEFAULT_WINDOW windows only as far as its readers reach, so a table sized
+to a bound far above what is read costs no memory past what is read.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from math import ceil, isqrt, log2
@@ -571,3 +577,110 @@ def lpf_range(x, primes, threads=1, width=DEFAULT_WINDOW):
                     threads, width)
     out[0] = 0
     return out
+
+
+class OmegaTable:
+    """omega(m) for 0 <= m <= limit, 4 bits per m, filled on demand.
+
+    omega(m) <= 15 for every m < 2**64, as the product of the first 16
+    primes exceeds 2**64, so two entries share a byte: m's is the low
+    nibble of byte m >> 1 for even m and the high one for odd m.  The bytes
+    are np.empty.  counts_window fills them in aligned DEFAULT_WINDOW
+    windows, and only the windows up to the largest m asked for, so the
+    pages past it are never touched.
+
+    Threads may share a table.  Each window is claimed and filled by
+    exactly one thread; a thread that needs a window another has claimed
+    waits for it.  A fill that raises marks its window failed and wakes its
+    waiters: the filler, every waiter and every later reader of that window
+    raise the same exception.
+    """
+
+    def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError("limit must be nonnegative")
+        self.limit = limit
+        self.nib = np.empty(limit // 2 + 1, dtype=np.uint8)
+        self._end = 2 * self.nib.size  # the windows cover [0, _end), whole bytes
+        self._primes = primes_upto(isqrt(self._end - 1))
+        self._fills: list[_Fill | None] = [None] * -(-self._end // DEFAULT_WINDOW)
+        self._ready = 0  # windows below this one are all filled
+        self._lock = threading.Lock()
+
+    def cover(self, top: int) -> None:
+        """Fill every window that holds an m <= top, or wait for the threads filling them.
+
+        The windows no thread has claimed are claimed and filled first, in
+        ascending order, so threads that need the same windows fill
+        different ones at once; then the windows other threads claimed are
+        waited for.
+        """
+        if top > self.limit:
+            raise ValueError(f"omega table reaches {self.limit}, not {top}")
+        last = top // DEFAULT_WINDOW
+        theirs = []
+        for k in range(self._ready, last + 1):
+            fill = self._claim_and_fill(k)
+            if fill is not None:
+                theirs.append(fill)
+        for fill in theirs:
+            fill.done.wait()
+            if fill.error is not None:
+                raise fill.error
+        with self._lock:
+            self._ready = max(self._ready, last + 1)
+
+    def _claim_and_fill(self, k: int) -> _Fill | None:
+        """Fill window k if no thread has claimed it; else its _Fill, unless that is done."""
+        with self._lock:
+            fill = self._fills[k]
+            if fill is not None:
+                return None if fill.done.is_set() and fill.error is None else fill
+            fill = self._fills[k] = _Fill()
+        try:
+            self._fill(k)
+        except BaseException as exc:
+            fill.error = exc
+            raise
+        finally:
+            fill.done.set()
+        return None
+
+    def _fill(self, k: int) -> None:
+        a = k * DEFAULT_WINDOW
+        b = min(a + DEFAULT_WINDOW, self._end)
+        counts = np.empty(b - a, dtype=np.uint8)
+        if a == 0:
+            counts[0] = 0  # omega(0), a key no caller reads but the byte holds
+            counts_window(1, b, self._primes, "omega", out=counts[1:])
+        else:
+            counts_window(a, b, self._primes, "omega", out=counts)
+        byte = self.nib[a >> 1 : b >> 1]
+        np.left_shift(counts[1::2], 4, out=byte)
+        byte |= counts[::2]
+
+    def take(self, m: np.ndarray) -> np.ndarray:
+        """omega(m) as uint8 for an int64 array of 0 <= m <= limit, which it halves in place.
+
+        The windows that hold max(m) and everything below it are filled
+        first.
+        """
+        if not m.size:
+            return np.zeros(0, dtype=np.uint8)
+        self.cover(int(m.max()))
+        shift = m.astype(np.uint8)  # m's low bit picks the nibble
+        shift &= 1
+        shift <<= 2
+        m >>= 1
+        keys = self.nib[m]
+        keys >>= shift
+        keys &= 15
+        return keys
+
+
+class _Fill:
+    """One window of an OmegaTable: set once filled or failed, with the failure."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.error: BaseException | None = None

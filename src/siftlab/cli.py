@@ -127,16 +127,17 @@ def _cmd_primes(args):
     return header, [row]
 
 
-def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None = None) -> None:
+def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None = None,
+                  window: int = 24) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
     Per integer of [0, x]: per_int bytes (1 each for the table flags and the
-    set bitmap, 8 for an int64 sigma, plus any other per-n arrays),
-    and 8 more for the weights unless f is None (no weight array) or one.
-    8 bytes per prime up to prime_limit (default x), with
-    pi(y) < 1.25506 y / log y (Rosser & Schoenfeld 1962).  Per thread, 24
-    bytes per integer of one window, about a mult window's working set.
-    extra bytes more, such as egps's omega table over [0, max s(n)].
+    set bitmap, plus any other per-n arrays), and 8 more for the weights
+    unless f is None (no weight array) or one.  8 bytes per prime up to
+    prime_limit (default x), with pi(y) < 1.25506 y / log y (Rosser &
+    Schoenfeld 1962).  Per thread, window bytes per integer of one window:
+    24 by default, about a sigma or mult window's working set.  extra bytes
+    more, such as egps's omega table over [0, max s(n)].
     """
     if args.budget_mb is None:
         return
@@ -144,7 +145,7 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
     per_int += 0 if f is None or f.is_one() else 8
     y = max(x if prime_limit is None else prime_limit, 2)
     primes = 8 * int(1.25506 * y / math.log(y))
-    windows = max(args.threads, 1) * 24 * min(x, bulk.DEFAULT_WINDOW)
+    windows = max(args.threads, 1) * window * min(x, bulk.DEFAULT_WINDOW)
     need = per_int * (x + 1) + extra + primes + windows
     if need > args.budget_mb << 20:
         raise ResourceBudgetError(
@@ -302,7 +303,8 @@ def _cmd_jointpoly(args):
 
 
 def _cmd_apcount(args):
-    _check_budget(args, None, 0, prime_limit=math.isqrt(max(args.x, 0)))
+    # a bigomega counts window holds a uint32 word and a uint8 count per integer
+    _check_budget(args, None, 0, prime_limit=math.isqrt(max(args.x, 0)), window=7)
     count = shifted.ap_prime_factor_count(
         args.x, args.d, args.a, args.g, args.k, threads=args.threads
     )
@@ -311,11 +313,12 @@ def _cmd_apcount(args):
 
 
 def _cmd_egps(args):
-    # the omega table spans [0, max s(n)], and s(n) = sigma(n) - n < n (e**gamma log log n
-    # + 0.6483 / log log n - 1) for n >= 3 (Robin 1984); its value at max(x, 16) covers n <= x
-    f, x = parse_weight(args.f), max(args.x, 16)
-    ll = math.log(math.log(x))
-    _check_budget(args, f, 8, 1 + int(x * (np.exp(np.euler_gamma) * ll + 0.6483 / ll - 1)))
+    # no array of length x: the 4-bit omega table over [0, S], S >= max s(n), its primes
+    # to isqrt(S), and per thread a sigma window and two windows of keys in flight, for a
+    # weight other than one a mult window and two windows of weights as well
+    f, top = parse_weight(args.f), egps.aliquot_bound(args.x)
+    _check_budget(args, None, 0, (top + 2) // 2, prime_limit=math.isqrt(top),
+                  window=26 if f.is_one() else 50)
     rep = egps.egps_deviation(args.x, f, lam=args.lam, c0=args.c0, threads=args.threads)
     header = ["x", "f", "lambda", "mass", "total", "normalized",
               "excluded", "unfactored"]
@@ -327,9 +330,15 @@ def _cmd_egps(args):
     return header, rows
 
 
+def _sigma_window(f) -> int:
+    """Bytes per integer of a sigma window; a weight's mult windows, filling its array of
+    length x, hold up to about 28 beside their output when f varies with the prime."""
+    return 24 if f.is_one() else 32
+
+
 def _cmd_sigma_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 8)
+    _check_budget(args, f, 1, window=_sigma_window(f))  # the flags; masks come per window
     rep = egps.count_p_divides_sigma(args.x, args.p, f, args.eps, threads=args.threads)
     header = ["x", "p", "f", "eps", "value", "bound", "ratio"]
     return header, [[args.x, args.p, args.f, args.eps, rep.value, rep.bound,
@@ -338,7 +347,7 @@ def _cmd_sigma_div(args):
 
 def _cmd_s_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 8 + 8)  # sigma and lpf
+    _check_budget(args, f, 1, window=40)  # each window holds n, sigma and lpf as int64
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
     return header, [[args.x, args.y, args.z, args.d, args.f, value]]
@@ -346,7 +355,8 @@ def _cmd_s_div(args):
 
 def _cmd_omega_gcd(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 8)
+    # the flags and the 4-bit omega table to x; the keys come window by window
+    _check_budget(args, f, 1, (max(args.x, 0) + 2) // 2, window=_sigma_window(f))
     rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v

@@ -1,8 +1,14 @@
 """Prime-factor statistics of aliquot sums s(n) = sigma(n) - n.
 
-The workhorse is a divisor-sum sieve: sigma over a range, then a distinct
-prime-factor table reaching max s(n), so omega(s(n)) is one gather per window.
-Everything is exact; nothing is sampled or estimated.
+The workhorse is a divisor-sum sieve run as one ordered stream of
+n-windows: each window computes s(n) = sigma(n) - n and reads omega(s(n))
+from a table of distinct prime-factor counts, 4 bits per integer
+(bulk.OmegaTable).  The table is sized to Robin's bound on max s(n)
+(aliquot_bound) but filled only as far as the largest s(n) seen so far, so
+no array of length x is held: the table's resident part is half a byte
+per integer up to max s(n), which is about 4.1 x at x = 1e9.  A weight other than
+one is computed per window (bulk.mult_window).  Everything is exact;
+nothing is sampled or estimated.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, table_upto
-from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins
+from .multfunc import MultiplicativeFunction, add_windows, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
 
 
@@ -38,9 +44,22 @@ class EgpsReport:
     total: float
     normalized: float
     excluded: int               # n = 1, where s(n) = 0
-    unfactored: int             # always 0: the sigma table path is exact
+    unfactored: int             # always 0: the sigma windows are exact
     grid: list[tuple[float, float]] = field(default_factory=list)
     grid_mass: list[float] = field(default_factory=list)  # unnormalized mass per grid lam
+
+
+def aliquot_bound(x: int) -> int:
+    """S >= s(n) = sigma(n) - n for every 2 <= n <= x.
+
+    Robin (1984): sigma(n) < e**gamma n log log n + 0.6483 n / log log n for
+    n >= 3.  So s(n) < n (e**gamma log log n + 0.6483 / log log n - 1),
+    which grows with n from n = 16 on; its value at max(x, 16) covers every
+    n <= x.
+    """
+    x = max(x, 16)
+    ll = math.log(math.log(x))
+    return int(x * (np.exp(np.euler_gamma) * ll + 0.6483 / ll - 1))
 
 
 def egps_deviation(
@@ -72,15 +91,23 @@ def egps_deviation(
     if lam <= 0:
         raise ValueError("lam must be positive")
 
-    # weighted_bins reads no table for f = one, else primes up to isqrt(x) only
-    table = None if f.is_one() else table_upto(table, math.isqrt(x) + 1)
-    s = bulk.sigma_range(x, threads=threads)
-    for a, b in bulk.window_ranges(0, x + 1):
-        s[a:b] -= np.arange(a, b, dtype=np.int64)
-    top = int(s.max())  # s(0) = s(1) = 0, and s(n) >= 1 for n >= 2
-    om = bulk.counts_range(top, bulk.primes_upto(math.isqrt(top)), "omega", threads=threads)
-    # bins[k] = sum of f(n) over 2 <= n <= x with omega(s(n)) = k
-    bins = weighted_bins(f, 2, x + 1, lambda a, b: om[s[a:b]], table=table, threads=threads)
+    # the weights read no table for f = one, else primes up to isqrt(x) only
+    primes = None if f.is_one() else table_upto(table, math.isqrt(x) + 1).primes
+    om = bulk.OmegaTable(aliquot_bound(x))
+
+    def window(a: int, b: int):
+        """omega(s(n)) for n in [a, b), and f(n) unless f = one."""
+        s = bulk.sigma_window(a, b)
+        s -= np.arange(a, b, dtype=np.int64)  # s(n) >= 1 for n >= 2
+        keys = om.take(s)
+        del s  # before the weights' window is built
+        if primes is None:
+            return keys, None
+        return keys, bulk.mult_window(a, b, primes, f.rule, f.window_primes())
+
+    # bins[k] = sum of f(n), added in ascending n, over 2 <= n <= x with omega(s(n)) = k
+    bins = add_windows(bulk.stream_windows(window, bulk.window_ranges(2, x + 1), threads),
+                       weighted=primes is not None)
     total = 1.0 + float(bins.sum())  # n = 1 (f(1) = 1) stays in the normalization
 
     def cutoffs(lam_: float) -> tuple[int, int]:
@@ -181,12 +208,12 @@ def mean_omega_gcd_sigma(
     if x < 3:
         raise ValueError("need x >= 3")
     table = table_upto(table, x)
-    om = bulk.counts_range(x, table.primes, "omega", threads=threads)
+    om = bulk.OmegaTable(x)  # gcd(sigma(n), n) <= n, so it fills as the n-stream advances
 
     def omega_of_gcd(a: int, b: int) -> np.ndarray:
         g = bulk.sigma_window(a, b)
         np.gcd(g, np.arange(a, b, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
-        return om[g]
+        return om.take(g)
 
     bins = weighted_bins(f, 1, x + 1, omega_of_gcd, table=table, threads=threads)
     value = 0.0
@@ -203,6 +230,7 @@ def mean_omega_gcd_sigma(
 
 __all__ = [
     "EgpsReport",
+    "aliquot_bound",
     "egps_deviation",
     "CountReport",
     "count_p_divides_sigma",

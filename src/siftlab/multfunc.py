@@ -98,17 +98,30 @@ def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
                 k = k[part]
         return k, None if fv is None else fv[a:b][part]
 
+    return add_windows(bulk.stream_windows(window, bulk.window_ranges(lo, hi), threads),
+                       weighted=fv is not None)
+
+
+def add_windows(windows, weighted: bool) -> np.ndarray:
+    """bins[k] = the sum of the weights, added in stream order, of the keys k in windows.
+
+    windows yields (keys, weights) pairs: integer keys, and float weights of
+    the same length or, unless weighted, None, when each key counts 1 and
+    the bins are exact int64 counts.  The bins run to the largest key seen.
+    np.add.at adds each bin's terms in index order, so the doubles match one
+    np.bincount over the concatenated windows.
+    """
     bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
-    for k, w in bulk.stream_windows(window, bulk.window_ranges(lo, hi), threads):
+    for k, w in windows:
         top = int(k.max()) + 1 if k.size else 0
         if top > bins.size:
-            grown = np.zeros(top, dtype=np.int64 if fv is None else np.float64)
+            grown = np.zeros(top, dtype=np.float64 if weighted else np.int64)
             grown[: bins.size] = bins
             bins = grown
-        if fv is None:
-            bins[:top] += np.bincount(k)
-        else:
+        if weighted:
             np.add.at(bins, k, w)
+        else:
+            bins[:top] += np.bincount(k)
     return bins
 
 
@@ -376,6 +389,7 @@ __all__ = [
     "MultiplicativeFunction",
     "values_upto",
     "weighted_bins",
+    "add_windows",
     "one",
     "mu_sq",
     "z_omega",

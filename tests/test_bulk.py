@@ -301,6 +301,71 @@ def test_counts_range_window_working_set():
     assert extra <= 4 * width
 
 
+W = bulk.DEFAULT_WINDOW
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 5000),                  # from m = 1
+    (W - 7, W + 9),             # across the first boundary, an odd multiple of 2**20
+    (W, W + 4099),              # from an odd multiple, both nibbles
+    (2 * W, 2 * W + 4099),      # from an even multiple
+    (2 * W - 1, 3 * W + 2),     # a whole window and both ends, odd and even m
+    (3 * W + 1, 3 * W + 6),     # up to the table's limit
+])
+def test_omega_table_against_counts_window(lo, hi):
+    t = bulk.OmegaTable(3 * W + 5)
+    m = np.arange(lo, hi, dtype=np.int64)
+    rng = np.random.default_rng(lo)
+    order = rng.permutation(m.size)  # gathered out of order, as aliquot sums come
+    got = t.take(m[order].copy())
+    assert got.dtype == np.uint8
+    want = bulk.counts_window(lo, hi, bulk.primes_upto(isqrt(hi - 1)), "omega")
+    assert np.array_equal(got, want[order])
+
+
+def test_omega_table_fills_only_to_the_largest_m_read():
+    t = bulk.OmegaTable(4 * W)
+    assert t.take(np.array([0, 1, 6, W + 3])).tolist() == [0, 0, 2, len(ofactor(W + 3))]
+    assert [f is not None for f in t._fills] == [True, True, False, False, False]
+    t.take(np.array([12]))  # already filled: nothing more
+    assert t._fills[2] is None
+    assert t.take(np.zeros(0, dtype=np.int64)).size == 0
+    with pytest.raises(ValueError, match="reaches"):
+        t.take(np.array([4 * W + 2]))
+
+
+def test_omega_table_fill_error_reaches_every_reader(monkeypatch):
+    # the window [W, 2W) fails slowly, so the other thread is waiting on it
+    # when it fails; both raise, and so does a later reader
+    real = bulk.counts_window
+
+    def failing(lo, hi, *args, **kwargs):
+        if lo == W:
+            time.sleep(0.3)
+            raise ArithmeticError("forced fill failure")
+        return real(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, "counts_window", failing)
+    t = bulk.OmegaTable(3 * W)
+    errors = []
+
+    def read():
+        try:
+            t.take(np.array([2 * W + 1]))
+        except ArithmeticError as exc:
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read, daemon=True) for _ in range(2)]
+    for r in readers:
+        r.start()
+    for r in readers:
+        r.join(30)
+    assert not any(r.is_alive() for r in readers)
+    assert len(errors) == 2
+    with pytest.raises(ArithmeticError, match="forced"):
+        t.take(np.array([W]))
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [

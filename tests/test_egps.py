@@ -1,6 +1,9 @@
 """Aliquot sums and prime-factor statistics of s(n) = sigma(n) - n."""
 
 import math
+import threading
+import time
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -110,6 +113,64 @@ def test_egps_grid_matches_per_n_masks(f, t1e5):
         mass = sum(fv[n] for n in om if abs(om[n] - llx) >= thr)
         assert norm == pytest.approx(mass / total, rel=rel, abs=0.0)
     assert [lam for lam, _ in rep.grid] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+X_THREE_WINDOWS = 3 * bulk.DEFAULT_WINDOW + 5
+
+
+def _bins_of(monkeypatch, **kwargs):
+    """egps_deviation's report and the bins it read the report off."""
+    got = []
+    real = egps.add_windows
+
+    def keep(*args, **kw):
+        got.append(real(*args, **kw))
+        return got[-1]
+
+    monkeypatch.setattr(egps, "add_windows", keep)
+    rep = egps.egps_deviation(X_THREE_WINDOWS, lam=2.0, **kwargs)
+    return rep, got[-1]
+
+
+@pytest.mark.parametrize("f", [one(), z_omega(1.3)], ids=lambda f: f.spec)
+def test_egps_same_bytes_for_any_thread_count(f, monkeypatch):
+    # four n-windows, and omega table windows claimed by whichever thread gets there first
+    rep1, bins1 = _bins_of(monkeypatch, f=f, threads=1)
+    for threads in (2, 8):
+        rep, bins = _bins_of(monkeypatch, f=f, threads=threads)
+        assert rep == rep1
+        assert bins.tobytes() == bins1.tobytes()
+    if f.is_one():  # the bins of one arrays over [0, x] and [0, max s(n)]
+        s = bulk.sigma_range(X_THREE_WINDOWS) - np.arange(X_THREE_WINDOWS + 1)
+        om = bulk.counts_range(int(s.max()), bulk.primes_upto(isqrt(int(s.max()))))
+        assert bins1.tolist() == np.bincount(om[s[2:]]).tolist()
+        assert bins1[0] == int(np.count_nonzero(bulk.sieve_flags(X_THREE_WINDOWS)))
+
+
+def test_egps_fill_error_raises_without_hanging(monkeypatch):
+    # one omega-table window fails slowly while the other worker waits on it
+    real = bulk.counts_window
+
+    def failing(lo, hi, *args, **kwargs):
+        if lo == 3 * bulk.DEFAULT_WINDOW:
+            time.sleep(0.3)
+            raise ArithmeticError("forced fill failure")
+        return real(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, "counts_window", failing)
+    errors = []
+
+    def run():
+        try:
+            egps.egps_deviation(X_THREE_WINDOWS, one(), lam=2.0, threads=2)
+        except ArithmeticError as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(120)
+    assert not worker.is_alive()
+    assert len(errors) == 1 and "forced" in str(errors[0])
 
 
 def test_weighted_sigma_masses_match_oracle_sums(t1e5):

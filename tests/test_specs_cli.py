@@ -389,7 +389,8 @@ def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
 
 
 WINDOWED = [["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
-            ["apcount", "--d", "4", "--a", "1", "--k", "2"]]
+            ["apcount", "--d", "4", "--a", "1", "--k", "2"],
+            ["egps", "--lambda", "2.0"], ["omega-gcd"]]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
@@ -410,7 +411,9 @@ def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
 def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # apcount holds one counts window per thread and primes to isqrt(x);
-    # table-sifted adds the table flags and the set bitmap of length x + 1
+    # table-sifted adds the table flags and the set bitmap of length x + 1;
+    # egps holds its 4-bit omega table to Robin's bound and sigma windows,
+    # omega-gcd the table flags, a 4-bit omega table to x and sigma windows
     run = [*argv, "--x", "4000000", "--threads", "1"]
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
@@ -425,14 +428,23 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     assert _run(capsys, run + ["--budget-mb", "4096"]) == out
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_apcount_budget_plans_counts_windows(threads, capsys):
+    # a counts window holds about 4 to 6 bytes per integer, not a mult window's 24
+    run = ["apcount", "--d", "4", "--a", "1", "--k", "2", "--g", "bigomega",
+           "--x", "4000000", "--threads", threads]
+    assert _run(capsys, run + ["--budget-mb", "20"]) == _run(capsys, run)
+
+
 @pytest.mark.parametrize("x", [16, 100, 5040, 100000])
 def test_cli_egps_budget_covers_max_aliquot_sum(x):
-    # the plan's omega table reaches Robin's bound on max s(n), never below it
+    # the plan's omega table reaches Robin's bound on max s(n), never below it; its
+    # entries are 4 bits, two per planned byte
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch(["egps", "--lambda", "2.0", "--x", str(x), "--budget-mb", "0"])
     table = int(re.search(r"(\d+) for other tables", str(ei.value)).group(1))
     s = bulk.sigma_range(x) - np.arange(x + 1)
-    assert table >= int(s[1:].max()) + 1
+    assert 2 * table >= int(s[1:].max()) + 1
 
 
 @pytest.mark.parametrize("argv, over", [
