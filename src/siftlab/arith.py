@@ -30,20 +30,19 @@ class Factorization:
 
 
 class PrimeTable:
-    """Primes up to a fixed limit with O(1) membership below the limit."""
+    """Primes up to a fixed limit, and nothing else: membership is a binary search."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("prime table limit must be at least 2")
         self.limit = limit
-        self.flags = bulk.sieve_flags(limit)
-        self.primes = np.flatnonzero(self.flags)  # int64
+        self.primes = bulk.primes_upto(limit)  # int64, sieved segment by segment
 
     def __len__(self) -> int:
         return len(self.primes)
 
     def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self.flags[n])
+        return 0 <= n <= self.limit and self.pi(n) > self.pi(n - 1)
 
     def pi(self, x: int | None = None) -> int:
         """Number of primes <= x (defaults to the table limit)."""

@@ -38,8 +38,8 @@ are tracked only there, and not at all when every f(p**e), e >= 3, equals
 f(p**2).  The primes above the split, most of them at 1e9 and beyond, have
 a few multiples each and go through one vectorized batch per window,
 applied with ufunc.at (for an integer np.add, again one power at a time).
-flags_window takes the same split, and sieve_flags sieves its array in
-DEFAULT_WINDOW segments the same way.
+flags_window takes the same split, and sieve_flags and primes_upto sieve
+in DEFAULT_WINDOW segments the same way.
 
 OmegaTable is the one table of omega(m) that several windows share: 4 bits
 per m over [0, limit], np.empty, and filled by counts_window in aligned
@@ -52,7 +52,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from math import ceil, isqrt, log2
+from math import ceil, isqrt, log, log2
 
 import numpy as np
 
@@ -70,11 +70,27 @@ def sieve_flags(limit: int) -> np.ndarray:
     return flags
 
 
+def prime_count_bound(y: int) -> int:
+    """pi(y) < 1.25506 y / log y for y > 1 (Rosser & Schoenfeld 1962), rounded down."""
+    return int(1.25506 * y / log(y)) if y > 1 else 0
+
+
 def primes_upto(limit: int) -> np.ndarray:
-    """Sorted array of primes <= limit (int64)."""
+    """Sorted array of primes <= limit (int64), a view of one np.empty buffer of
+    prime_count_bound(limit) entries that each DEFAULT_WINDOW segment's sieve
+    fills in turn; no flags of length limit are made."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    return np.flatnonzero(sieve_flags(limit))
+    base = primes_upto(isqrt(limit))
+    out = np.empty(prime_count_bound(limit), dtype=np.int64)
+    n = 0
+    for a, b in window_ranges(0, limit + 1):
+        seg = np.ones(b - a, dtype=bool)
+        _sieve_segment(seg, a, base)
+        found = np.flatnonzero(seg)
+        np.add(found, a, out=out[n : n + found.size])
+        n += found.size
+    return out[:n]
 
 
 def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:

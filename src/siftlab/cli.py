@@ -131,20 +131,20 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
                   window: int = 24) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
-    Per integer of [0, x]: per_int bytes (1 each for the table flags and the
-    set bitmap, plus any other per-n arrays), and 8 more for the weights
+    Per integer of [0, x]: per_int bytes (1 for an exact set's bitmap, none
+    for a congruence set or the prime table), and 8 more for the weights
     unless f is None (no weight array) or one.  8 bytes per prime up to
-    prime_limit (default x), with pi(y) < 1.25506 y / log y (Rosser &
-    Schoenfeld 1962).  Per thread, window bytes per integer of one window:
-    24 by default, about a sigma or mult window's working set.  extra bytes
-    more, such as egps's omega table over [0, max s(n)].
+    prime_limit (default x), the table's buffer of bulk.prime_count_bound
+    entries.  Per thread, window bytes per integer of one window: 24 by
+    default, about a sigma or mult window's working set.  extra bytes more,
+    such as egps's omega table over [0, max s(n)].
     """
     if args.budget_mb is None:
         return
     x = max(args.x, 2)
     per_int += 0 if f is None or f.is_one() else 8
     y = max(x if prime_limit is None else prime_limit, 2)
-    primes = 8 * int(1.25506 * y / math.log(y))
+    primes = 8 * bulk.prime_count_bound(y)
     windows = max(args.threads, 1) * window * min(x, bulk.DEFAULT_WINDOW)
     need = per_int * (x + 1) + extra + primes + windows
     if need > args.budget_mb << 20:
@@ -157,10 +157,10 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
 
 def _hist_setup(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 2)
+    ss = parse_set_spec(args.sieve, args.x)
+    _check_budget(args, f, int(ss.kind != "cond"))  # an exact set's bitmap
     t = PrimeTable(max(args.x, 2))
     E = parse_primeset(args.e)
-    ss = parse_set_spec(args.sieve, args.x)
     sset = ss.realize(args.x, t)
     h = hist.weighted_histogram(sset, f, args.g, E, t, args.threads)
     return t, f, E, ss, sset, h
@@ -243,9 +243,9 @@ def _cmd_table(args):
 
 def _cmd_table_sifted(args):
     f = parse_weight(args.f)
-    _check_budget(args, None, 2)  # weights come window by window
-    t = PrimeTable(max(args.x, 2))
     ss = parse_set_spec(args.sieve, args.x)
+    _check_budget(args, None, int(ss.kind != "cond"))  # weights come window by window
+    t = PrimeTable(max(args.x, 2))
     rep = table.sifted_table_sum(ss.realize(args.x, t), f, t, args.threads)
     header = ["x", "f", "sieve", "value", "R", "M", "regime",
               "bound_le_half", "ratio_le_half", "bound_mid", "ratio_mid"]
@@ -275,8 +275,10 @@ def _cmd_lambda_image(args):
 
 
 def _cmd_sp_dev(args):
+    f = parse_weight(args.f)
+    _check_budget(args, f, 1)  # the exact set's bitmap
     rep = shifted.weighted_sp_deviation(
-        args.a, args.b, parse_weight(args.f), parse_primeset(args.e),
+        args.a, args.b, f, parse_primeset(args.e),
         args.x, args.lam, args.g, threads=args.threads,
     )
     return _DEV_HEADER, [_dev_row(rep)]
@@ -287,6 +289,7 @@ def _cmd_qf_dev(args):
     form = QuadraticForm(a, b, c)
     if args.e is None:
         args.e = f"kron:{form.disc}:+1"
+    _check_budget(args, None, 1, prime_limit=args.x + max(args.shift or 0, 0) + 1)  # the set
     rep = shifted.qf_deviation(
         form, parse_primeset(args.e), args.x, args.lam,
         shift=args.shift, g_kind=args.g, threads=args.threads,
@@ -338,7 +341,7 @@ def _sigma_window(f) -> int:
 
 def _cmd_sigma_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 1, window=_sigma_window(f))  # the flags; masks come per window
+    _check_budget(args, f, 0, window=_sigma_window(f))  # masks come per window
     rep = egps.count_p_divides_sigma(args.x, args.p, f, args.eps, threads=args.threads)
     header = ["x", "p", "f", "eps", "value", "bound", "ratio"]
     return header, [[args.x, args.p, args.f, args.eps, rep.value, rep.bound,
@@ -347,7 +350,7 @@ def _cmd_sigma_div(args):
 
 def _cmd_s_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 1, window=40)  # each window holds n, sigma and lpf as int64
+    _check_budget(args, f, 0, window=40)  # each window holds n, sigma and lpf as int64
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
     return header, [[args.x, args.y, args.z, args.d, args.f, value]]
@@ -355,8 +358,8 @@ def _cmd_s_div(args):
 
 def _cmd_omega_gcd(args):
     f = parse_weight(args.f)
-    # the flags and the 4-bit omega table to x; the keys come window by window
-    _check_budget(args, f, 1, (max(args.x, 0) + 2) // 2, window=_sigma_window(f))
+    # the 4-bit omega table to x; the keys come window by window
+    _check_budget(args, f, 0, (max(args.x, 0) + 2) // 2, window=_sigma_window(f))
     rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v

@@ -14,6 +14,7 @@ nothing is sampled or estimated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,13 +95,15 @@ def egps_deviation(
     # the weights read no table for f = one, else primes up to isqrt(x) only
     primes = None if f.is_one() else table_upto(table, math.isqrt(x) + 1).primes
     om = bulk.OmegaTable(aliquot_bound(x))
+    bufs = threading.local()  # one sigma window per stream thread, reused
 
     def window(a: int, b: int):
         """omega(s(n)) for n in [a, b), and f(n) unless f = one."""
-        s = bulk.sigma_window(a, b)
+        if not hasattr(bufs, "s"):
+            bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
+        s = bulk.sigma_window(a, b, out=bufs.s[: b - a])
         s -= np.arange(a, b, dtype=np.int64)  # s(n) >= 1 for n >= 2
         keys = om.take(s)
-        del s  # before the weights' window is built
         if primes is None:
             return keys, None
         return keys, bulk.mult_window(a, b, primes, f.rule, f.window_primes())

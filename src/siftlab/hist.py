@@ -57,14 +57,20 @@ def weighted_histogram(
         raise ValueError(f"unknown statistic {g_kind!r}")
     table = table_upto(table, max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
-    sel = sset.bitmap
+    kept = []  # each window's member count, appended by the stream's workers
+
+    def members(a: int, b: int) -> np.ndarray:
+        sel = sset.window(a, b)
+        kept.append(np.count_nonzero(sel))
+        return sel
+
     raw = weighted_bins(f, 1, x + 1,
                         lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
-                        sel, table, threads)
+                        members, table, threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
     return WeightedHistogram(
         x=x, g_kind=g_kind, E=E, f=f, set_label=sset.label,
-        bins=bins, total=float(raw.sum()), count=int(np.count_nonzero(sel)),
+        bins=bins, total=float(raw.sum()), count=int(sum(kept)),
     )
 
 
@@ -155,8 +161,7 @@ def mgf_sum(
         raise ValueError("z must be positive")
     table = table_upto(table, x)
     if hist.g_kind == "bigomega":
-        ps = table.primes[table.primes <= x]
-        p0 = hist.E.smallest(ps)
+        p0 = hist.E.smallest(table.primes[: table.pi(x)])
         if p0 is not None and z >= p0:
             raise ValueError(
                 f"z = {z} leaves the valid range: need z < {p0}, the smallest prime in E"

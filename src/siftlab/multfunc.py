@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bulk
 from .arith import Factorization, PrimeTable, factorize, table_upto
-from .primesets import ALL_PRIMES, PrimeSubset
+from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,17 @@ def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
     """bins[k] = sum of f(n), added in ascending n, over the n in [lo, hi) with key k.
 
     keys(a, b) gives the keys of one window [a, b) of [lo, hi), integers or
-    bools; sel, a bool array indexed by n, keeps only the n where it is
-    True.  The bins run to the largest kept key, even when its mass is 0,
-    as np.bincount's do.  For f = one they are exact int64 counts, no
+    bools; sel(a, b), when given, gives the window's bools, and only the n
+    where it is True are kept.  The bins run to the largest kept key, even
+    when its mass is 0, as np.bincount's do.  For f = one they are exact int64 counts, no
     weight array is built and table may be None; otherwise table must
     reach isqrt(hi - 1).
 
-    The keys come window by window from one bulk stream, so no key or index
-    array of length hi - lo is made.  A window's part of sel is gathered by
-    its indices, or read in place when it is all True.  np.add.at adds each
-    bin's terms in index order, as np.bincount does, so the doubles match
-    one np.bincount over all kept n.
+    The keys and sel come window by window from one bulk stream's workers,
+    so no key, index or mask array of length hi - lo is made.  A window's
+    kept keys are gathered by index, or read in place when all are kept.
+    np.add.at adds each bin's terms in index order, as np.bincount does, so
+    the doubles match one np.bincount over all kept n.
     """
     fv = None if f.is_one() else values_upto(f, hi - 1, table, threads)
 
@@ -91,7 +91,7 @@ def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
             k = k.view(np.uint8)  # np.add.at would read a bool index as a mask
         part = slice(None)
         if sel is not None:
-            part = np.flatnonzero(sel[a:b])
+            part = np.flatnonzero(sel(a, b))
             if part.size == b - a:
                 part = slice(None)
             else:
@@ -262,12 +262,14 @@ def mertens_sum(
     if x < 2:
         return 0.0
     table = table_upto(table, x)
-    ps = table.primes[table.primes <= x]
-    m = np.asarray(E.mask(ps), dtype=bool)
-    ps = ps[m]
+    ps = table.primes[: table.pi(x)]  # a view; all primes need no mask and no copy
+    if not isinstance(E, AllPrimes):
+        ps = ps[np.asarray(E.mask(ps), dtype=bool)]
     if ps.size == 0:
         return 0.0
-    return float(np.sum(f.at_primes(ps) / ps))
+    terms = f.at_primes(ps)  # a new array, divided in place
+    terms /= ps
+    return float(np.sum(terms))
 
 
 def hr_constant(x: int, table: PrimeTable | None = None) -> float:

@@ -170,7 +170,8 @@ def qf_deviation(
     E must consist of primes splitting for the form's discriminant; this is
     validated against the Kronecker symbol before any counting.
     """
-    table = table_upto(table, max(x, 2))
+    # one table for the histogram and, with a shift, the primality of n + shift
+    table = table_upto(table, max(x if shift is None else x + max(shift, 0) + 1, 2))
     ps = table.primes[table.primes <= x]
     sel = ps[np.asarray(E.mask(ps), dtype=bool)].tolist()
     for p in sel:

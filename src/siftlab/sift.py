@@ -1,10 +1,11 @@
 """Residue sieves and the exact arithmetic sets they approximate.
 
 A sieve condition removes, for finitely many primes p, a set of nonzero
-residues mod p.  Survivor sets are kept as boolean bitmaps indexed by n.
-The same bitmap container also holds exact sets that sieves only bound from
-above: shifted primes a*p + b and values of positive definite binary
-quadratic forms.
+residues mod p.  A survivor set is read window by window: a congruence set
+keeps only its condition and sieves each window it is asked for, so it
+holds no array of length x.  The same container holds the exact sets that
+sieves only bound from above, shifted primes a*p + b and values of
+positive definite binary quadratic forms, as boolean bitmaps indexed by n.
 """
 
 from __future__ import annotations
@@ -80,40 +81,45 @@ NO_SIEVE = SieveCondition(())
 
 @dataclass
 class SiftedSet:
-    """Survivors of a sieve (or an exact set) over [1, x] as a bitmap."""
+    """Survivors of a sieve, or an exact set, in [1, x], read by window(a, b): a congruence
+    set sieves each window from cond (bitmap None), an exact set slices its bitmap."""
 
     x: int
-    bitmap: np.ndarray
+    bitmap: np.ndarray | None = None
     cond: SieveCondition | None = None
     label: str = ""
 
+    def window(self, a: int, b: int) -> np.ndarray:
+        """Membership of each n in [a, b), 0 <= a <= b <= x + 1, as bools (0 is no member);
+        an exact set's window is a view of its bitmap, not to be written."""
+        if not 0 <= a <= b <= self.x + 1:
+            raise ValueError(f"window [{a}, {b}) outside [0, {self.x + 1})")
+        if self.bitmap is not None:
+            return self.bitmap[a:b]
+        seg = np.ones(b - a, dtype=bool)
+        seg[:1] = a > 0  # 0 is no member
+        for p, residues in self.cond.exclusions:
+            for r in residues:
+                seg[(r - a) % p :: p] = False
+        return seg
+
     def members(self) -> np.ndarray:
-        return np.flatnonzero(self.bitmap)
+        return np.flatnonzero(self.window(0, self.x + 1))
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.bitmap))
+        return sum(int(np.count_nonzero(self.window(a, b)))
+                   for a, b in bulk.window_ranges(1, self.x + 1))
 
     def contains(self, n: int) -> bool:
-        return 0 <= n <= self.x and bool(self.bitmap[n])
+        return 0 <= n <= self.x and bool(self.window(n, n + 1)[0])
 
 
-def sift(x: int, cond: SieveCondition, threads: int = 1) -> SiftedSet:
-    """Remove the excluded residue classes from [1, x]."""
+def sift(x: int, cond: SieveCondition) -> SiftedSet:
+    """Remove the excluded residue classes from [1, x], window by window as the set is read."""
     if x < 1:
         raise ValueError("need x >= 1")
-    bitmap = np.zeros(x + 1, dtype=bool)
-
-    def worker(a: int, b: int, seg: np.ndarray) -> None:
-        seg.fill(True)
-        for p, residues in cond.exclusions:
-            for r in residues:
-                start = a + (r - a) % p
-                if start < b:
-                    seg[start - a :: p] = False
-
-    bulk.fill_windows(bitmap[1:], 1, worker, threads)
-    return SiftedSet(x=x, bitmap=bitmap, cond=cond, label=cond.spec_string())
+    return SiftedSet(x=x, cond=cond, label=cond.spec_string())
 
 
 def everything(x: int) -> SiftedSet:
@@ -213,14 +219,18 @@ def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
 def exact_qf_shifted(
     form: QuadraticForm, k: int, x: int, table: PrimeTable | None = None
 ) -> SiftedSet:
-    """Represented values n in [1, x] with n + k prime."""
-    base = exact_qf_values(form, x)
+    """Represented values n in [1, x] with n + k prime: the values' bitmap, cleared in
+    place window by window where n + k is not prime."""
     hi = x + max(k, 0) + 1
     table = table_upto(table, max(hi, 2))
-    ns = base.members()
-    ns = ns[ns + k >= 0]  # a negative index would wrap to the end of flags
-    bitmap = np.zeros(x + 1, dtype=bool)
-    bitmap[ns[table.flags[ns + k]]] = True
+    bitmap = exact_qf_values(form, x).bitmap
+    bitmap[: max(-k, 0)] = False  # a negative n + k is no prime
+    for a, b in bulk.window_ranges(0, x + 1):
+        seg = bitmap[a:b]
+        ns = np.flatnonzero(seg)
+        vals = ns + (a + k)
+        pos = np.searchsorted(table.primes, vals).clip(max=len(table) - 1)
+        seg[ns[table.primes[pos] != vals]] = False
     return SiftedSet(
         x=x, bitmap=bitmap, cond=None, label=f"{form.spec_string()},shift={k}"
     )

@@ -4,7 +4,7 @@ A(N) counts distinct entries of the N by N multiplication table; the shifted
 variant keeps only entries adjacent to a prime.  Product bitmaps are built
 segment by segment so memory stays flat in N.  The weighted refinement sums
 f(n) over survivors of a sieve that factor as a*b with both factors at most
-sqrt(x): per window, the same product bitmap ANDed with the survivor bitmap.
+sqrt(x): per window, the same product bitmap ANDed with the set's window.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def sifted_table_sum(
 ) -> SiftedTableReport:
     """Weighted count of survivors lying in the sqrt(x) multiplication table.
 
-    Each window ANDs the survivor bitmap with the bitmap of products a*b,
+    Each window ANDs the set's window with the bitmap of products a*b,
     a <= b <= isqrt(x).  Weights come from the window sieve and are added
     one by one in ascending n, so the value is the same double as summing
     f(n) survivor by survivor.
@@ -136,7 +136,7 @@ def sifted_table_sum(
     def worker(lo: int, hi: int) -> float:
         keep = np.zeros(hi - lo, dtype=bool)
         _mark_products(keep, lo, hi, B)
-        keep &= sset.bitmap[lo:hi]
+        keep &= sset.window(lo, hi)
         if f.is_one():
             return float(np.count_nonzero(keep))
         fv = bulk.mult_window(lo, hi, table.primes, f.rule, f.window_primes())

@@ -239,12 +239,12 @@ def test_check_09_generating_function_identity(t1e5):
     # mgf reads the histogram's bins; the reference sums f(n) z**omega(n) per n
     x = 10**5
     sset = everything(x)
-    om = bulk.counts_range(x, t1e5.primes, "omega")[sset.bitmap]
+    om = bulk.counts_range(x, t1e5.primes, "omega")[sset.window(0, x + 1)]
     worst = 0.0
     exact_total = True
     for f in (multfunc.one(), multfunc.mu_sq()):
         h = hist.weighted_histogram(sset, f, "omega", table=t1e5)
-        fv = multfunc.values_upto(f, x, t1e5)[sset.bitmap]
+        fv = multfunc.values_upto(f, x, t1e5)[sset.window(0, x + 1)]
         for z in (0.5, 1.0, 1.5):
             rep = hist.mgf_sum(h, z, table=t1e5)
             brute = float(np.sum(fv * np.power(z, om, dtype=np.float64)))

@@ -88,6 +88,27 @@ def test_prime_table_matches_slow_sieve(t1e5):
     assert t1e5.primes[: len(small)].tolist() == small
 
 
+@pytest.mark.parametrize("n", [2, 3, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 17])
+def test_prime_table_segments_match_sieve_flags(n):
+    # the table sieves DEFAULT_WINDOW segments into one buffer and keeps no flags
+    flags = bulk.sieve_flags(n)
+    t = arith.PrimeTable(n)
+    assert not hasattr(t, "flags")
+    assert t.primes.dtype == np.int64
+    assert np.array_equal(t.primes, np.flatnonzero(flags))
+    for m in [-1, *range(min(n, 5000) + 1), n, n + 1]:
+        assert (m in t) == (0 <= m <= n and bool(flags[m])), m
+
+
+def test_prime_count_bound_covers_every_prime_count():
+    # the table's buffer holds prime_count_bound(y) primes, so it must never fall short
+    y = np.arange(2**20 + 1)
+    pi = np.cumsum(bulk.sieve_flags(2**20))
+    bound = np.array([bulk.prime_count_bound(int(v)) for v in y])
+    assert (pi <= bound).all()
+    assert bulk.prime_count_bound(1) == 0 and bulk.prime_count_bound(2) == 3
+
+
 def test_factor_window_spf_values(t1e5):
     w = arith.FactorWindow(10, 14, t1e5)
     assert w.spf.tolist() == [2, 11, 2, 13]

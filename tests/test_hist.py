@@ -86,6 +86,46 @@ def test_histogram_holds_no_counts_array_of_length_x():
     assert peak(x) - peak(bulk.DEFAULT_WINDOW) < x // 2
 
 
+def test_weighted_histogram_working_set_has_no_term_in_x():
+    # the prime table holds only its primes (a buffer of prime_count_bound
+    # int64) and a congruence set is sieved per window, so beyond the primes
+    # the peak is a few bytes per integer of one window; the table's flags and
+    # the set's bitmap, 1 byte per integer of [0, x] each, would add 5.7 here
+    x = 3 * 10**6
+    sset = sf.sift(x, sf.condition({2: (1,)}))
+    tracemalloc.start()
+    try:
+        h = H.weighted_histogram(sset, mf.one())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.count == x // 2 and h.total == x // 2
+    assert peak <= 8 * bulk.prime_count_bound(x) + 8 * bulk.DEFAULT_WINDOW
+
+
+def test_congruence_window_matches_bitmap_slices():
+    # a congruence set's window equals the slice of the bitmap the set used
+    # to keep: False at 0, then the scalar survivor test
+    x = 2 * bulk.DEFAULT_WINDOW + 11
+    cond = sf.condition({2: (1,), 3: (2,), 7: (1, 3, 5), 1048583: (4,)})
+    n = np.arange(x + 1)
+    bitmap = n >= 1
+    for p, rs in cond.exclusions:
+        bitmap &= ~np.isin(n % p, rs)
+    s = sf.sift(x, cond)
+    W = bulk.DEFAULT_WINDOW
+    edges = [(0, 0), (0, 1), (0, 2), (0, W), (1, W + 1), (W - 1, W + 1), (W, 2 * W),
+             (2 * W - 3, x + 1), (x, x + 1), (x + 1, x + 1), (0, x + 1)]
+    for a, b in edges:
+        assert s.window(a, b).tobytes() == bitmap[a:b].tobytes(), (a, b)
+    assert s.count == int(np.count_nonzero(bitmap))
+    assert np.array_equal(s.members(), np.flatnonzero(bitmap))
+    with pytest.raises(ValueError):
+        s.window(0, x + 2)
+    with pytest.raises(ValueError):
+        s.window(-1, 5)
+
+
 def test_hr_ratio_bound_shape(t1e5):
     x = 10**4
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)

@@ -117,8 +117,9 @@ def wb_case():
 
 
 def _bins(f, k, lo, sel, table):
-    """weighted_bins over [lo, WB_X] with keys read from the array k."""
-    return multfunc.weighted_bins(f, lo, WB_X + 1, lambda a, b: k[a:b], sel, table)
+    """weighted_bins over [lo, WB_X] with keys read from the array k, windows from the mask sel."""
+    return multfunc.weighted_bins(f, lo, WB_X + 1, lambda a, b: k[a:b],
+                                  None if sel is None else lambda a, b: sel[a:b], table)
 
 
 @pytest.mark.parametrize("spec", ["zomega:1.3", "musq", "one"])

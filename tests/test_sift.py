@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from siftlab import bulk
 from siftlab import sift as sf
 
 from oracles import is_prime_slow, or_lattice
@@ -54,10 +55,18 @@ def test_sift_matches_scalar_admits():
 
 
 def test_sift_thread_invariant():
+    # the set is sieved as its windows are read: by 1 or 8 threads, at any width
     cond = sf.condition({2: (1,), 3: (2,), 7: (1, 3, 5)})
-    a = sf.sift(50000, cond, threads=1)
-    b = sf.sift(50000, cond, threads=8)
-    assert a.bitmap.tobytes() == b.bitmap.tobytes()
+    s = sf.sift(50000, cond)
+
+    def realize(threads, width):
+        return bulk.fill_windows(np.empty(50001, dtype=bool), 0,
+                                 lambda a, b, dest: np.copyto(dest, s.window(a, b)),
+                                 threads, width)
+
+    a = realize(1, bulk.DEFAULT_WINDOW)
+    b = realize(8, 997)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_sift_rejects_empty_range():

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siftlab import bulk, cli, specs
+from siftlab import arith, bulk, cli, shifted, sift, specs
 from siftlab import __version__
 from siftlab.errors import ResourceBudgetError
 from siftlab.primesets import ALL_PRIMES, Complement, Explicit
@@ -138,11 +138,11 @@ def test_set_spec_realize(t1e5):
 
     ss = specs.parse_set_spec("explicit:2:1")
     assert np.array_equal(
-        ss.realize(50, t1e5).bitmap, sift(50, ss.cond).bitmap
+        ss.realize(50, t1e5).window(0, 51), sift(50, ss.cond).window(0, 51)
     )
     sp = specs.parse_set_spec("sp:1,1")
     assert np.array_equal(
-        sp.realize(50, t1e5).bitmap, exact_shifted_primes(1, 1, 50, t1e5).bitmap
+        sp.realize(50, t1e5).window(0, 51), exact_shifted_primes(1, 1, 50, t1e5).window(0, 51)
     )
     qs = specs.parse_set_spec("qf:1,0,1,shift=-1")
     got = qs.realize(50, t1e5)
@@ -342,6 +342,56 @@ def test_cli_hist_family_generous_budget_same_bytes(argv, capsys):
     assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
 
 
+def _exit_code(argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["siftlab", *argv])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    return ei.value.code
+
+
+def test_cli_hist_congruence_set_plans_no_flags_or_bitmap(capsys, monkeypatch):
+    # a congruence set is sieved per window and the table keeps only its
+    # primes: the plan is the primes and one window, nothing per integer of x
+    run = ["hist", "--x", "2000000", "--sieve", "explicit:2:1"]
+    with pytest.raises(ResourceBudgetError) as ei:
+        cli.dispatch([*run, "--budget-mb", "0"])
+    plan = int(re.search(r"plans (\d+) bytes", str(ei.value)).group(1))
+    assert "(0 per integer of [0, 2000000]" in str(ei.value)
+    assert plan == 8 * bulk.prime_count_bound(2000000) + 24 * bulk.DEFAULT_WINDOW
+    mb = -(-plan >> 20)  # the smallest budget that holds the plan
+    assert _exit_code([*run, "--budget-mb", str(mb)], monkeypatch) == 0
+    out = capsys.readouterr().out
+    assert _exit_code([*run, "--budget-mb", str(mb - 1)], monkeypatch) == 3
+    assert "over the budget" in capsys.readouterr().err
+    assert out == _run(capsys, run)
+
+
+EXACT_DEV = [["sp-dev", "--a", "1", "--b", "1", "--lambda", "0.3"],
+             ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"],
+             ["qf-dev", "--form", "1,0,1", "--shift", "-1", "--lambda", "0.3"]]
+
+
+@pytest.mark.parametrize("argv", EXACT_DEV, ids=["sp-dev", "qf-dev", "qf-dev-shift"])
+def test_cli_exact_set_dev_budget_mb_before_the_set(argv, capsys, monkeypatch):
+    def no_set(*args, **kwargs):
+        raise AssertionError("exact set or prime table built before the budget check")
+
+    for name in ("exact_shifted_primes", "exact_qf_values", "exact_qf_shifted"):
+        monkeypatch.setattr(sift, name, no_set)
+        monkeypatch.setattr(shifted, name, no_set)
+    monkeypatch.setattr(arith, "PrimeTable", no_set)
+    assert _exit_code([*argv, "--x", "1000000", "--budget-mb", "1"], monkeypatch) == 3
+    err = capsys.readouterr().err
+    assert f"{argv[0]} plans " in err and "(1 per integer of [0, 1000000]" in err
+    assert "over the budget of 1 MiB" in err
+
+
+@pytest.mark.parametrize("argv", EXACT_DEV, ids=["sp-dev", "qf-dev", "qf-dev-shift"])
+def test_cli_exact_set_dev_generous_budget_same_bytes(argv, capsys):
+    run = [*argv, "--x", "30000"]
+    assert _run(capsys, run + ["--budget-mb", "4096"]) == _run(capsys, run)
+
+
 SIGMA_FAMILY = [["egps", "--lambda", "2.0"], ["sigma-div", "--p", "3"],
                 ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "musq"], ["omega-gcd"]]
 
@@ -388,7 +438,8 @@ def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
     assert peak <= plan
 
 
-WINDOWED = [["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
+WINDOWED = [["hist", "--sieve", "explicit:2:1"],
+            ["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
             ["apcount", "--d", "4", "--a", "1", "--k", "2"],
             ["egps", "--lambda", "2.0"], ["omega-gcd"]]
 
@@ -411,9 +462,10 @@ def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
 def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # apcount holds one counts window per thread and primes to isqrt(x);
-    # table-sifted adds the table flags and the set bitmap of length x + 1;
-    # egps holds its 4-bit omega table to Robin's bound and sigma windows,
-    # omega-gcd the table flags, a 4-bit omega table to x and sigma windows
+    # hist and table-sifted the primes to x and, their congruence sets sieved
+    # per window, nothing per integer of x; egps holds its 4-bit omega table
+    # to Robin's bound and sigma windows, omega-gcd a 4-bit omega table to x
+    # and sigma windows
     run = [*argv, "--x", "4000000", "--threads", "1"]
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
