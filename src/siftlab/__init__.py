@@ -28,8 +28,6 @@ from .hist import (
 from .multfunc import (
     MultiplicativeFunction,
     builtin,
-    class_check,
-    coprimality_factor,
     hr_constant,
     mertens_sum,
     values_upto,
@@ -83,9 +81,7 @@ __all__ = [
     "SieveCondition",
     "SiftedSet",
     "builtin",
-    "class_check",
     "condition",
-    "coprimality_factor",
     "deviation",
     "eta0",
     "everything",

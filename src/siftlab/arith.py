@@ -8,7 +8,7 @@ few callers that factor one value at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -207,5 +207,4 @@ __all__ = [
     "kronecker",
     "is_prime",
     "divisors",
-    "gcd",
 ]

@@ -19,10 +19,9 @@ import time
 
 import numpy as np
 
-from . import __version__, bulk, egps, hist, multfunc, shifted, sift, table
+from . import __version__, bulk, egps, hist, multfunc, shifted, table
 from .arith import PrimeTable
 from .errors import ResourceBudgetError
-from .primesets import AllPrimes
 from .sift import QuadraticForm
 from .specs import parse_primeset, parse_set_spec, parse_weight
 
@@ -289,7 +288,9 @@ def _cmd_qf_dev(args):
     form = QuadraticForm(a, b, c)
     if args.e is None:
         args.e = f"kron:{form.disc}:+1"
-    _check_budget(args, None, 1, prime_limit=args.x + max(args.shift or 0, 0) + 1)  # the set
+    # the set's bitmap; a window with a selector keeps its cofactors, about
+    # 23 bytes per integer below 2**32 and 27 above
+    _check_budget(args, None, 1, prime_limit=args.x + max(args.shift or 0, 0) + 1, window=28)
     rep = shifted.qf_deviation(
         form, parse_primeset(args.e), args.x, args.lam,
         shift=args.shift, g_kind=args.g, threads=args.threads,

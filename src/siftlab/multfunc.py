@@ -1,9 +1,9 @@
 """Nonnegative multiplicative weights and their prime sums.
 
-A weight is determined by its prime-power rule f(p**e).  The class carries a
-declared growth bound A1 with f(n) <= A1**bigomega(n), checked empirically by
-class_check.  Prime sums (Mertens-type), the sup-distance constant to
-log log t, harmonic means, and coprimality correction factors all live here.
+A weight is determined by its prime-power rule f(p**e).  Its values come
+from the bulk mult windows, and its masses are added window by window in
+ascending n.  Prime sums (Mertens-type) and the sup-distance constant to
+log log t live here too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import bulk
-from .arith import Factorization, PrimeTable, factorize, table_upto
+from .arith import PrimeTable, table_upto
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 
 
@@ -26,9 +26,7 @@ class MultiplicativeFunction:
 
     name: str
     rule: Callable[[int, int], float]
-    A1: float
     spec: str
-    growth_note: str = ""
     prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
     prime_value: float | None = None  # f(p) when it is the same number at every prime
     params: tuple = field(default_factory=tuple)
@@ -129,14 +127,13 @@ def add_windows(windows, weighted: bool) -> np.ndarray:
 
 def one() -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        "one", lambda p, e: 1.0, 1.0, "one", prime_value=1.0,
+        "one", lambda p, e: 1.0, "one", prime_value=1.0,
     )
 
 
 def mu_sq() -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        "mu_sq", lambda p, e: 1.0 if e == 1 else 0.0, 1.0, "musq",
-        growth_note="square-free indicator", prime_value=1.0,
+        "mu_sq", lambda p, e: 1.0 if e == 1 else 0.0, "musq", prime_value=1.0,
     )
 
 
@@ -144,8 +141,7 @@ def z_omega(z: float) -> MultiplicativeFunction:
     if z < 0:
         raise ValueError("z must be nonnegative")
     return MultiplicativeFunction(
-        "z_omega", lambda p, e: z, max(z, 1.0), f"zomega:{z:g}",
-        growth_note="z to the number of distinct prime factors",
+        "z_omega", lambda p, e: z, f"zomega:{z:g}",
         prime_value=float(z), params=(z,),
     )
 
@@ -156,8 +152,7 @@ def z_bigomega(z: float) -> MultiplicativeFunction:
     if z >= 2:
         warnings.warn("z >= 2 leaves the valid range at the prime 2", stacklevel=2)
     return MultiplicativeFunction(
-        "z_bigomega", lambda p, e: z**e, max(z, 1.0), f"zbigomega:{z:g}",
-        growth_note="z to the number of prime factors with multiplicity",
+        "z_bigomega", lambda p, e: z**e, f"zbigomega:{z:g}",
         prime_value=float(z), params=(z,),
     )
 
@@ -166,8 +161,7 @@ def tau_k(k: int) -> MultiplicativeFunction:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return MultiplicativeFunction(
-        "tau_k", lambda p, e: float(math.comb(e + k - 1, e)), float(k), f"tauk:{k}",
-        growth_note="k-fold divisor function",
+        "tau_k", lambda p, e: float(math.comb(e + k - 1, e)), f"tauk:{k}",
         prime_value=float(k), params=(k,),
     )
 
@@ -185,8 +179,7 @@ def r_over_4() -> MultiplicativeFunction:
         return np.where(a == 2, 1.0, np.where(a % 4 == 1, 2.0, 0.0))
 
     return MultiplicativeFunction(
-        "r_over_4", rule, 2.0, "r4",
-        growth_note="lattice points on circles, divided by 4",
+        "r_over_4", rule, "r4",
         prime_vec=pv,
     )
 
@@ -202,22 +195,21 @@ def sum2sq_indicator() -> MultiplicativeFunction:
         return np.where(a % 4 == 3, 0.0, 1.0)
 
     return MultiplicativeFunction(
-        "sum2sq_indicator", rule, 1.0, "s2s",
-        growth_note="indicator of sums of two squares",
+        "sum2sq_indicator", rule, "s2s",
         prime_vec=pv,
     )
 
 
 def phi_over_n() -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        "phi_over_n", lambda p, e: 1.0 - 1.0 / p, 1.0, "phioverN",
+        "phi_over_n", lambda p, e: 1.0 - 1.0 / p, "phioverN",
         prime_vec=lambda a: 1.0 - 1.0 / np.asarray(a, dtype=np.float64),
     )
 
 
 def n_over_phi() -> MultiplicativeFunction:
     return MultiplicativeFunction(
-        "n_over_phi", lambda p, e: p / (p - 1.0), 2.0, "Noverphi",
+        "n_over_phi", lambda p, e: p / (p - 1.0), "Noverphi",
         prime_vec=lambda a: np.asarray(a, dtype=np.float64) / (np.asarray(a) - 1.0),
     )
 
@@ -296,97 +288,6 @@ def hr_constant(x: int, table: PrimeTable | None = None) -> float:
     return best
 
 
-def harmonic_mean_ratio(
-    f: MultiplicativeFunction, x: int, table: PrimeTable | None = None, threads: int = 1
-) -> float:
-    """(sum_{n <= x} f(n)/n) / exp(sum_{p <= x} f(p)/p)."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    table = table_upto(table, max(x, 2))
-    fv = values_upto(f, x, table, threads)
-    num = float(np.sum(fv[1:] / np.arange(1, x + 1, dtype=np.float64)))
-    return num / math.exp(mertens_sum(f, x, table=table))
-
-
-# ------------------------------------------------------------ class check
-
-@dataclass
-class ClassCheckReport:
-    x: int
-    A1: float
-    worst_ratio: float          # max f(n) / A1**bigomega(n)
-    witness: int
-    passed: bool                # worst_ratio <= 1 within rounding
-    eps_growth: dict[float, float]  # eps -> max f(n)/n**eps
-
-
-def class_check(
-    f: MultiplicativeFunction, x: int,
-    A1: float | None = None,
-    eps_values: tuple[float, ...] = (0.1, 0.01),
-    table: PrimeTable | None = None, threads: int = 1,
-) -> ClassCheckReport:
-    """Empirically verify the declared growth bounds up to x.
-
-    A1 overrides the declared per-prime cap, so a wrong declaration can
-    be exhibited as a failing report.
-    """
-    if x < 2:
-        raise ValueError("need x >= 2")
-    if A1 is None:
-        A1 = f.A1
-    table = table_upto(table, x)
-    fv = values_upto(f, x, table, threads)
-    big = bulk.counts_range(x, table.primes, "bigomega", threads=threads)
-    denom = np.power(A1, big[1:].astype(np.float64))
-    ratios = fv[1:] / denom
-    w = int(np.argmax(ratios))
-    eps_growth = {}
-    ns = np.arange(1, x + 1, dtype=np.float64)
-    for eps in eps_values:
-        eps_growth[eps] = float(np.max(fv[1:] / ns**eps))
-    return ClassCheckReport(
-        x=x, A1=A1,
-        worst_ratio=float(ratios[w]), witness=w + 1,
-        passed=bool(ratios[w] <= 1.0 + 1e-12),
-        eps_growth=eps_growth,
-    )
-
-
-def coprimality_factor(
-    f: MultiplicativeFunction, d, table: PrimeTable | None = None
-) -> float:
-    """Product over p | d of (sum_{e >= 0} f(p**e)/p**e) ** -1.
-
-    Requires A1 < p for every prime p | d so the local series converges;
-    series are truncated once terms fall below 1e-18 of the partial sum.
-    """
-    fac = d if isinstance(d, Factorization) else factorize(
-        int(d), table_upto(table, max(isqrt_ceil(int(d)), 2))
-    )
-    out = 1.0
-    for p, _ in fac.parts:
-        if f.A1 >= p:
-            raise ValueError(
-                f"local series at p={p} not dominated: A1={f.A1} >= p"
-            )
-        total = 1.0
-        pk = 1.0
-        for e in range(1, 400):
-            pk *= p
-            term = float(f.rule(p, e)) / pk
-            total += term
-            if term < 1e-18 * total:
-                break
-        out /= total
-    return out
-
-
-def isqrt_ceil(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r >= n else r + 1
-
-
 __all__ = [
     "MultiplicativeFunction",
     "values_upto",
@@ -404,8 +305,4 @@ __all__ = [
     "builtin",
     "mertens_sum",
     "hr_constant",
-    "harmonic_mean_ratio",
-    "ClassCheckReport",
-    "class_check",
-    "coprimality_factor",
 ]

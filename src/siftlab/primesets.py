@@ -1,9 +1,10 @@
 """Subsets of the primes used to restrict prime-factor counts.
 
 Each subset answers a scalar membership query and a vectorized mask over an
-array of primes; the mask is what the sieve windows consume.  Complementing
-twice returns the original object, so complement(complement(E)) agrees with
-E pointwise by construction.
+array of primes; the mask is what the sieve windows consume.  Each concrete
+subset renders a spec via spec_string that specs.parse_primeset reads back
+to the same set.  Complementing twice returns the original object, so
+complement(complement(E)) agrees with E pointwise by construction.
 """
 
 from __future__ import annotations
@@ -171,23 +172,6 @@ class Complement(PrimeSubset):
         return f"not:{self.inner.spec_string()}"
 
 
-@dataclass(frozen=True)
-class Intersection(PrimeSubset):
-    parts: tuple[PrimeSubset, ...]
-
-    def contains(self, p: int) -> bool:
-        return all(e.contains(p) for e in self.parts)
-
-    def mask(self, arr: np.ndarray) -> np.ndarray:
-        out = np.ones(len(arr), dtype=bool)
-        for e in self.parts:
-            out &= np.asarray(e.mask(arr), dtype=bool)
-        return out
-
-    def spec_string(self) -> str:
-        return "and:" + ";".join(e.spec_string() for e in self.parts)
-
-
 ALL_PRIMES = AllPrimes()
 
 
@@ -204,7 +188,6 @@ __all__ = [
     "Explicit",
     "Interval",
     "Complement",
-    "Intersection",
     "ALL_PRIMES",
     "explicit_primes",
 ]

@@ -15,14 +15,12 @@ from .arith import (
     PrimeTable,
     divisors,
     factorize,
-    is_prime,
-    kronecker,
     table_upto,
 )
 from .errors import ResourceBudgetError
 from .hist import DeviationReport, deviation, weighted_histogram
 from .multfunc import MultiplicativeFunction, one
-from .primesets import ALL_PRIMES, PrimeSubset
+from .primesets import KroneckerSign, PrimeSubset
 from .sift import QuadraticForm, exact_qf_shifted, exact_qf_values, exact_shifted_primes
 from .table import eta0
 
@@ -155,6 +153,21 @@ def weighted_sp_deviation(
     return deviation(hist, lam, table=table)
 
 
+def _check_split(form: QuadraticForm, E: PrimeSubset, primes: np.ndarray,
+                 p0: int | None) -> None:
+    """Raise ValueError if a prime of E among primes does not split for the form,
+    or the smallest one is below p0.  A call of its own, so that none of its
+    arrays lives on into the histogram."""
+    sel = primes[np.asarray(E.mask(primes), dtype=bool)]
+    bad = sel[~KroneckerSign(form.disc, 1).mask(sel)]
+    if bad.size:
+        raise ValueError(
+            f"prime {bad[0]} in E does not split: kronecker({form.disc}, {bad[0]}) != +1"
+        )
+    if p0 is not None and sel.size and sel[0] < p0:
+        raise ValueError(f"smallest prime {sel[0]} in E is below the floor {p0}")
+
+
 def qf_deviation(
     form: QuadraticForm,
     E: PrimeSubset,
@@ -172,15 +185,7 @@ def qf_deviation(
     """
     # one table for the histogram and, with a shift, the primality of n + shift
     table = table_upto(table, max(x if shift is None else x + max(shift, 0) + 1, 2))
-    ps = table.primes[table.primes <= x]
-    sel = ps[np.asarray(E.mask(ps), dtype=bool)].tolist()
-    for p in sel:
-        if kronecker(form.disc, p) != 1:
-            raise ValueError(
-                f"prime {p} in E does not split: kronecker({form.disc}, {p}) != +1"
-            )
-    if p0 is not None and sel and sel[0] < p0:
-        raise ValueError(f"smallest prime {sel[0]} in E is below the floor {p0}")
+    _check_split(form, E, table.primes[: table.pi(x)], p0)
     sset = (
         exact_qf_values(form, x)
         if shift is None
@@ -204,43 +209,6 @@ def poly_degree(coeffs: tuple[int, ...]) -> int:
         if c != 0:
             deg = i
     return deg
-
-
-def poly_roots_mod_p(coeffs: tuple[int, ...], p: int) -> int:
-    """Number of roots of the polynomial mod p, by direct scan."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    red = [c % p for c in coeffs]
-    if all(c == 0 for c in red):
-        return p
-    return sum(1 for t in range(p) if poly_eval(tuple(red), t) % p == 0)
-
-
-def poly_mertens_deviation(
-    coeffs: tuple[int, ...], x: int, table: PrimeTable | None = None
-) -> float:
-    """Sup over t in [2, x] of |sum_{p <= t} roots(Q, p)/p - log log t|.
-
-    A diagnostic companion to joint_poly_omega; root counts come from the
-    residue scan, so x is capped to keep the quadratic work honest.
-    """
-    if poly_degree(coeffs) < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if x < 2:
-        raise ValueError("need x >= 2")
-    if x > 10**5:
-        raise ResourceBudgetError("residue scans above 1e5 are quadratic work")
-    table = table_upto(table, x)
-    ps = table.primes[table.primes <= x]
-    acc = 0.0
-    best = 0.0
-    for i, p in enumerate(ps.tolist()):
-        rho = poly_roots_mod_p(coeffs, p)
-        acc += rho / p
-        best = max(best, abs(acc - math.log(math.log(p))))
-        nxt = float(ps[i + 1]) if i + 1 < len(ps) else float(x)
-        best = max(best, abs(acc - math.log(math.log(nxt))))
-    return best
 
 
 def _check_poly_system(polys: list[tuple[int, ...]]) -> None:
@@ -361,7 +329,6 @@ __all__ = [
     "qf_deviation",
     "poly_eval",
     "poly_degree",
-    "poly_roots_mod_p",
     "joint_poly_omega",
     "ap_prime_factor_count",
 ]

@@ -28,6 +28,8 @@ all exact, and kept its bytes.
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
 And the oracles the suite checks the package against must not import it.
+No module of the package keeps an import it never reads or an `__all__`
+entry it does not define, so code that nothing reaches shows.
 """
 
 import ast
@@ -192,3 +194,41 @@ def test_package_import_scan_sees_every_form():
            "from math import gcd\nimport siftlabx\n__import__('siftlab.cli')\n"
            "importlib.import_module('siftlab')\nimportlib.import_module('numpy')\n")
     assert [n.lineno for n in _package_imports(ast.parse(src))] == [1, 2, 3, 4, 5, 9, 10]
+
+
+def _dead_names(tree):
+    """(kind, name) for each name the module imports and never reads, and each
+    `__all__` entry it does not bind at top level; `__future__` imports bind nothing."""
+    imported, bound, read, exported = set(), set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exported = [e.value for e in node.value.elts]
+    yield from (("unused import", n) for n in sorted(imported - read))
+    yield from (("unresolved export", n) for n in exported if n not in bound | imported)
+
+
+def test_no_dead_imports_or_exports_in_source():
+    found = [f"{path.name}: {kind} {name}"
+             for path in sorted((SRC / "siftlab").glob("*.py")) if path.name != "__init__.py"
+             for kind, name in _dead_names(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_dead_name_scan_sees_every_form():
+    src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+           "from math import gcd, isqrt as r\nfrom . import bulk\n"
+           "def f(x: np.ndarray):\n    return r(x) + bulk.n\n"
+           "N = 3\n__all__ = ['f', 'N', 'gcd', 'g']\n")
+    assert list(_dead_names(ast.parse(src))) == [
+        ("unused import", "gcd"), ("unused import", "os"), ("unresolved export", "g")]

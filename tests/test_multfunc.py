@@ -1,4 +1,4 @@
-"""Multiplicative weights, prime sums, and growth-class checks."""
+"""Multiplicative weights, their window values and masses, and prime sums."""
 
 import inspect
 import itertools
@@ -72,7 +72,7 @@ def test_weight_constructor_errors():
 
 def test_eval_rejects_negative_rule(t1e5):
     bad = multfunc.MultiplicativeFunction(
-        "bad", lambda p, e: -1.0, 1.0, "bad"
+        "bad", lambda p, e: -1.0, "bad"
     )
     with pytest.raises(ValueError, match="negative"):
         _weights(bad, t1e5)
@@ -82,7 +82,6 @@ def test_builtin_lookup():
     assert multfunc.builtin("one").name == "one"
     assert multfunc.builtin("musq").name == "mu_sq"
     assert multfunc.builtin("zomega", 3).params == (3,)
-    assert multfunc.builtin("tauk", 4).A1 == 4.0
     assert multfunc.builtin("Noverphi").name == "n_over_phi"
     with pytest.raises(ValueError):
         multfunc.builtin("nope")
@@ -216,63 +215,6 @@ def test_sup_distance_nondecreasing(t1e5):
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def test_harmonic_mean_ratio_closed_form_at_two(t1e5):
-    # only n = 1, 2 contribute, so the ratio is (1 + f(2)/2) / exp(f(2)/2)
-    for f in (multfunc.one(), multfunc.z_omega(3), multfunc.tau_k(2)):
-        half = f.rule(2, 1) / 2.0
-        expect = (1.0 + half) / math.exp(half)
-        assert multfunc.harmonic_mean_ratio(f, 2, table=t1e5) == pytest.approx(expect, rel=1e-14)
-
-
-def test_harmonic_mean_ratio_frozen(t1e5):
-    got = multfunc.harmonic_mean_ratio(multfunc.tau_k(2), 10**4, table=t1e5)
-    assert got == pytest.approx(0.37310257861887025, rel=1e-12)
-    with pytest.raises(ValueError):
-        multfunc.harmonic_mean_ratio(multfunc.one(), 0)
-
-
-def test_class_check_passes_for_honest_declarations(t1e5):
-    for f in (multfunc.one(), multfunc.mu_sq(), multfunc.tau_k(2), multfunc.n_over_phi()):
-        rep = multfunc.class_check(f, 2000, table=t1e5)
-        assert rep.passed
-        assert rep.worst_ratio <= 1.0 + 1e-12
-        assert rep.witness >= 1
-        assert set(rep.eps_growth) == {0.1, 0.01}
-
-
-def test_class_check_exposes_understated_cap(t1e5):
-    rep = multfunc.class_check(multfunc.z_omega(3), 100, 2, table=t1e5)
-    assert not rep.passed
-    assert rep.A1 == 2
-    assert rep.worst_ratio == pytest.approx(3.375)
-    assert rep.witness == 30
-    # the declared value would have passed
-    ok = multfunc.class_check(multfunc.z_omega(3), 100, table=t1e5)
-    assert ok.passed and ok.worst_ratio == pytest.approx(1.0)
-
-
-def test_class_check_rejects_tiny_x(t1e5):
-    with pytest.raises(ValueError):
-        multfunc.class_check(multfunc.one(), 1, table=t1e5)
-
-
-def test_coprimality_factor(t1e5):
-    assert multfunc.coprimality_factor(multfunc.mu_sq(), 2, table=t1e5) == pytest.approx(2 / 3)
-    assert multfunc.coprimality_factor(multfunc.one(), 1, table=t1e5) == 1.0
-    # geometric series at p: one() gives product of (1 - 1/p)
-    got = multfunc.coprimality_factor(multfunc.one(), 6, table=t1e5)
-    assert got == pytest.approx((1 - 1 / 2) * (1 - 1 / 3), rel=1e-12)
-    with pytest.raises(ValueError):
-        multfunc.coprimality_factor(multfunc.n_over_phi(), 2, table=t1e5)
-
-
-def test_coprimality_factor_accepts_factorization(t1e5):
-    fac = arith.factorize(10, t1e5)
-    a = multfunc.coprimality_factor(multfunc.mu_sq(), fac)
-    b = multfunc.coprimality_factor(multfunc.mu_sq(), 10, table=t1e5)
-    assert a == b
-
-
 def test_at_primes_vector_agrees_with_rule(t1e5):
     ps = t1e5.primes[:100]
     for f in (multfunc.z_omega(2.5), multfunc.r_over_4(), multfunc.phi_over_n()):
@@ -301,10 +243,3 @@ def test_weights_constant_at_primes_declare_prime_value(t1e5):
             else:
                 assert at_p == [f.prime_value] * len(ps), (name, params)
                 assert f.window_primes() == f.prime_value
-
-
-def test_isqrt_ceil():
-    assert multfunc.isqrt_ceil(16) == 4
-    assert multfunc.isqrt_ceil(17) == 5
-    assert multfunc.isqrt_ceil(1) == 1
-    assert multfunc.isqrt_ceil(2) == 2

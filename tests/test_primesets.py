@@ -103,15 +103,6 @@ def test_complement_roundtrip(t1e5):
     assert comp.spec_string() == "not:mod:4:1"
 
 
-def test_intersection(t1e5):
-    E = ps.Intersection((ps.MinThreshold(10), ps.ResidueClasses(4, (1,))))
-    assert E.contains(13)
-    assert not E.contains(5)  # fails the threshold
-    assert not E.contains(11)  # fails the residue
-    _check_mask_matches_scalar(E, t1e5.primes[:100])
-    assert E.spec_string() == "and:pmin:10;mod:4:1"
-
-
 def test_default_mask_path(t1e5):
     # a subset without a vector override uses the scalar fallback
     class Odd(ps.PrimeSubset):

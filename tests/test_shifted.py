@@ -11,12 +11,12 @@ import pytest
 from siftlab import bulk, shifted as sh
 from siftlab.arith import PrimeTable
 from siftlab.errors import ResourceBudgetError
-from siftlab.multfunc import hr_constant, one
+from siftlab.multfunc import one
 from siftlab.primesets import ALL_PRIMES, KroneckerSign, ResidueClasses
 from siftlab.sift import QuadraticForm
 from siftlab.table import eta0
 
-from oracles import is_prime_slow, ofactor, olambda_value, olegendre
+from oracles import is_prime_slow, ofactor, olambda_value
 
 
 def _brute_shifted_divisor(a, u, v, x, y):
@@ -241,51 +241,6 @@ def test_poly_eval_and_degree():
     assert sh.poly_degree((1, 2, 0)) == 1
     assert sh.poly_degree((0, 0, 4)) == 2
     assert sh.poly_degree((0,)) == -1
-
-
-def test_poly_roots_mod_p():
-    # X^2 + 1 splits at 1 mod 4, is inert at 3 mod 4, ramifies at 2
-    assert sh.poly_roots_mod_p((1, 0, 1), 5) == 2
-    assert sh.poly_roots_mod_p((1, 0, 1), 3) == 0
-    assert sh.poly_roots_mod_p((1, 0, 1), 2) == 1
-    assert sh.poly_roots_mod_p((1, 1), 97) == 1
-    assert sh.poly_roots_mod_p((0, 0), 3) == 3
-    with pytest.raises(ValueError):
-        sh.poly_roots_mod_p((1, 1), 6)
-
-
-def test_poly_roots_match_kronecker(t1e6):
-    for p in (3, 5, 7, 11, 13, 101, 103):
-        expect = 1 + olegendre(-4, p) if p != 2 else 1
-        assert sh.poly_roots_mod_p((1, 0, 1), p) == expect
-
-
-def test_poly_mertens_deviation_constant_density(t1e6):
-    # one root at every prime reproduces the plain prime-sum distance
-    got = sh.poly_mertens_deviation((1, 1), 1000, table=t1e6)
-    assert got == pytest.approx(hr_constant(1000), rel=1e-14)
-
-
-def test_poly_mertens_deviation_split_density(t1e6):
-    x = 2000
-    got = sh.poly_mertens_deviation((1, 0, 1), x, table=t1e6)
-    ps = [p for p in range(2, x + 1) if is_prime_slow(p)]
-    acc, best = 0.0, 0.0
-    for i, p in enumerate(ps):
-        acc += (1 if p == 2 else 1 + olegendre(-4, p)) / p
-        best = max(best, abs(acc - math.log(math.log(p))))
-        nxt = ps[i + 1] if i + 1 < len(ps) else x
-        best = max(best, abs(acc - math.log(math.log(nxt))))
-    assert got == pytest.approx(best, rel=1e-12)
-
-
-def test_poly_mertens_deviation_input_errors(t1e6):
-    with pytest.raises(ValueError):
-        sh.poly_mertens_deviation((5,), 100, table=t1e6)
-    with pytest.raises(ValueError):
-        sh.poly_mertens_deviation((1, 1), 1, table=t1e6)
-    with pytest.raises(ResourceBudgetError):
-        sh.poly_mertens_deviation((1, 1), 10**5 + 1, table=t1e6)
 
 
 def test_joint_poly_omega_single(t1e6):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siftlab import arith, bulk, cli, shifted, sift, specs
+from siftlab import arith, bulk, cli, primesets, shifted, sift, specs
 from siftlab import __version__
 from siftlab.errors import ResourceBudgetError
 from siftlab.primesets import ALL_PRIMES, Complement, Explicit
@@ -63,6 +63,7 @@ def test_parse_primeset_kinds(t1e5):
 
 
 def test_parse_primeset_round_trip(t1e5):
+    # every concrete subset primesets exports must come back from its spec
     cases = [
         "all", "pmin:11", "mod:4:1", "mod:10:1,9", "kron:-4:+1", "kron:5:-1",
         "interval:3:9", "not:mod:3:1", "list:3,7,31",
@@ -73,6 +74,10 @@ def test_parse_primeset_round_trip(t1e5):
         again = specs.parse_primeset(E.spec_string())
         arr = t1e5.primes[:100]
         assert np.array_equal(E.mask(arr), again.mask(arr))
+    exported = {getattr(primesets, name) for name in primesets.__all__}
+    concrete = {c for c in exported if isinstance(c, type)
+                and issubclass(c, primesets.PrimeSubset) and c is not primesets.PrimeSubset}
+    assert concrete == {type(specs.parse_primeset(s)) for s in cases}
 
 
 def test_parse_primeset_from_file(tmp_path):
@@ -441,7 +446,8 @@ def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
 WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
             ["apcount", "--d", "4", "--a", "1", "--k", "2"],
-            ["egps", "--lambda", "2.0"], ["omega-gcd"]]
+            ["egps", "--lambda", "2.0"], ["omega-gcd"],
+            ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"]]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
@@ -465,7 +471,8 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # hist and table-sifted the primes to x and, their congruence sets sieved
     # per window, nothing per integer of x; egps holds its 4-bit omega table
     # to Robin's bound and sigma windows, omega-gcd a 4-bit omega table to x
-    # and sigma windows
+    # and sigma windows; qf-dev its set's bitmap, primes to x and counts
+    # windows with a selector, which keep their cofactors
     run = [*argv, "--x", "4000000", "--threads", "1"]
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
