@@ -20,7 +20,6 @@ from .hist import (
     deviation,
     hr_ratio,
     mgf_sum,
-    poisson_partial,
     q_rate,
     tail_masses,
     weighted_histogram,
@@ -58,7 +57,6 @@ from .table import (
     ford_ratio,
     sifted_table_sum,
     table_count,
-    table_count_shifted,
 )
 
 __version__ = "0.1.0"
@@ -96,12 +94,10 @@ __all__ = [
     "kronecker",
     "mertens_sum",
     "mgf_sum",
-    "poisson_partial",
     "preset_shifted_prime_superset",
     "q_rate",
     "sifted_table_sum",
     "table_count",
-    "table_count_shifted",
     "tail_masses",
     "values_upto",
     "weighted_histogram",

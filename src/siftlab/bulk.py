@@ -579,14 +579,6 @@ def sigma_range(x, threads=1, width=DEFAULT_WINDOW):
                      width)
 
 
-def lambda_range(x, primes, threads=1, width=DEFAULT_WINDOW):
-    """Array l with l[n] = carmichael lambda(n); l[0] = 0."""
-    out = _assemble(lambda a, b, dest: lambda_window(a, b, primes, out=dest), x, np.int64,
-                    threads, width)
-    out[0] = 0
-    return out
-
-
 def lpf_range(x, primes, threads=1, width=DEFAULT_WINDOW):
     """Array l with l[n] = largest prime factor of n (1 for n = 1); l[0] = 0."""
     out = _assemble(lambda a, b, dest: lpf_window(a, b, primes, out=dest), x, np.int64,

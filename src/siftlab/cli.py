@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, bulk, egps, hist, multfunc, shifted, table
 from .arith import PrimeTable
 from .errors import ResourceBudgetError
+from .primesets import AllPrimes
 from .sift import QuadraticForm
 from .specs import parse_primeset, parse_set_spec, parse_weight
 
@@ -157,9 +158,10 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
 def _hist_setup(args):
     f = parse_weight(args.f)
     ss = parse_set_spec(args.sieve, args.x)
-    _check_budget(args, f, int(ss.kind != "cond"))  # an exact set's bitmap
-    t = PrimeTable(max(args.x, 2))
     E = parse_primeset(args.e)
+    # an exact set's bitmap; counts windows with a selector keep cofactors, as in qf-dev
+    _check_budget(args, f, int(ss.kind != "cond"), window=24 if isinstance(E, AllPrimes) else 28)
+    t = PrimeTable(max(args.x, 2))
     sset = ss.realize(args.x, t)
     h = hist.weighted_histogram(sset, f, args.g, E, t, args.threads)
     return t, f, E, ss, sset, h
@@ -223,19 +225,23 @@ def _cmd_dev(args):
 
 def _cmd_table(args):
     if args.budget_mb is not None:
-        # each worker holds a bool product segment; with --shift also the
-        # window's prime flags and their AND, all one byte per cell
-        cells, seg = args.n * args.n, table.DEFAULT_SEGMENT
-        need = min(max(args.threads, 1), -(-cells // seg)) * min(cells, seg)
-        need *= 1 if args.shift is None else 3
+        # per worker a bool window of products; with --shift also its prime flags and,
+        # for primes above width >> 7, the flag sieve's batch (8 bytes per cell, 64 per
+        # prime); and the primes up to the root of N^2 + |shift|, 8 bytes each
+        cells = args.n * args.n
+        w = min(cells, bulk.DEFAULT_WINDOW)
+        root = math.isqrt(cells + abs(args.shift or 0)) + 1
+        primes = 0 if args.shift is None else bulk.prime_count_bound(root)
+        per = w if args.shift is None else 2 * w + (8 * w + 64 * primes) * (root > w >> 7)
+        need = max(args.threads, 1) * per + 8 * primes
         if need > args.budget_mb << 20:
-            raise ResourceBudgetError(f"table segments need {need} bytes, "
+            raise ResourceBudgetError(f"table plans {need} bytes, "
                                       f"over the budget of {args.budget_mb} MiB")
     A = table.table_count(args.n, threads=args.threads)
     fr = table.ford_ratio(args.n, A) if args.n >= 3 else ""
     if args.shift is None:
         return ["N", "A", "ford_ratio"], [[args.n, A, fr]]
-    As = table.table_count_shifted(args.n, args.shift, threads=args.threads)
+    As = table.table_count(args.n, shift=args.shift, threads=args.threads)
     return (["N", "A", "ford_ratio", "s", "A_shifted"],
             [[args.n, A, fr, args.shift, As]])
 
@@ -274,10 +280,11 @@ def _cmd_lambda_image(args):
 
 
 def _cmd_sp_dev(args):
-    f = parse_weight(args.f)
-    _check_budget(args, f, 1)  # the exact set's bitmap
+    f, E = parse_weight(args.f), parse_primeset(args.e)
+    # the exact set's bitmap; counts windows with a selector keep cofactors, as in qf-dev
+    _check_budget(args, f, 1, window=24 if isinstance(E, AllPrimes) else 28)
     rep = shifted.weighted_sp_deviation(
-        args.a, args.b, f, parse_primeset(args.e),
+        args.a, args.b, f, E,
         args.x, args.lam, args.g, threads=args.threads,
     )
     return _DEV_HEADER, [_dev_row(rep)]

@@ -29,7 +29,6 @@ class WeightedHistogram:
     g_kind: str
     E: PrimeSubset
     f: MultiplicativeFunction
-    set_label: str
     bins: dict[int, float]
     total: float
     count: int
@@ -69,7 +68,7 @@ def weighted_histogram(
                         members, table, threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
     return WeightedHistogram(
-        x=x, g_kind=g_kind, E=E, f=f, set_label=sset.label,
+        x=x, g_kind=g_kind, E=E, f=f,
         bins=bins, total=float(raw.sum()), count=int(sum(kept)),
     )
 
@@ -284,26 +283,6 @@ def deviation(
     )
 
 
-def poisson_partial(M: float, k_lo: int, k_hi) -> float:
-    """Sum of exp(-M) M**k / k! for k_lo <= k <= k_hi (k_hi may be inf)."""
-    if M <= 0:
-        raise ValueError("mean must be positive")
-    if k_lo < 0:
-        k_lo = 0
-    if k_hi is math.inf or k_hi == math.inf:
-        if k_lo == 0:
-            return 1.0
-        return 1.0 - poisson_partial(M, 0, k_lo - 1)
-    k_hi = int(k_hi)
-    if k_hi < k_lo:
-        return 0.0
-    logm = math.log(M)
-    total = 0.0
-    for k in range(k_lo, k_hi + 1):
-        total += math.exp(k * logm - math.lgamma(k + 1) - M)
-    return total
-
-
 __all__ = [
     "WeightedHistogram",
     "weighted_histogram",
@@ -316,5 +295,4 @@ __all__ = [
     "tail_masses",
     "DeviationReport",
     "deviation",
-    "poisson_partial",
 ]

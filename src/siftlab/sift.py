@@ -87,7 +87,6 @@ class SiftedSet:
     x: int
     bitmap: np.ndarray | None = None
     cond: SieveCondition | None = None
-    label: str = ""
 
     def window(self, a: int, b: int) -> np.ndarray:
         """Membership of each n in [a, b), 0 <= a <= b <= x + 1, as bools (0 is no member);
@@ -119,7 +118,7 @@ def sift(x: int, cond: SieveCondition) -> SiftedSet:
     """Remove the excluded residue classes from [1, x], window by window as the set is read."""
     if x < 1:
         raise ValueError("need x >= 1")
-    return SiftedSet(x=x, cond=cond, label=cond.spec_string())
+    return SiftedSet(x=x, cond=cond)
 
 
 def everything(x: int) -> SiftedSet:
@@ -169,7 +168,7 @@ def exact_shifted_primes(
         vals = a * ps + b
         vals = vals[(vals >= 1) & (vals <= x)]
         bitmap[vals] = True
-    return SiftedSet(x=x, bitmap=bitmap, cond=None, label=f"sp:{a},{b}")
+    return SiftedSet(x=x, bitmap=bitmap, cond=None)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
         vals = vals[(vals >= 1) & (vals <= x)]
         if vals.size:
             bitmap[vals] = True
-    return SiftedSet(x=x, bitmap=bitmap, cond=None, label=form.spec_string())
+    return SiftedSet(x=x, bitmap=bitmap, cond=None)
 
 
 def exact_qf_shifted(
@@ -231,9 +230,7 @@ def exact_qf_shifted(
         vals = ns + (a + k)
         pos = np.searchsorted(table.primes, vals).clip(max=len(table) - 1)
         seg[ns[table.primes[pos] != vals]] = False
-    return SiftedSet(
-        x=x, bitmap=bitmap, cond=None, label=f"{form.spec_string()},shift={k}"
-    )
+    return SiftedSet(x=x, bitmap=bitmap, cond=None)
 
 
 __all__ = [

@@ -2,9 +2,10 @@
 
 A(N) counts distinct entries of the N by N multiplication table; the shifted
 variant keeps only entries adjacent to a prime.  Product bitmaps are built
-segment by segment so memory stays flat in N.  The weighted refinement sums
-f(n) over survivors of a sieve that factor as a*b with both factors at most
-sqrt(x): per window, the same product bitmap ANDed with the set's window.
+in bulk's fixed-width windows, so memory stays flat in N.  The weighted
+refinement sums f(n) over survivors of a sieve that factor as a*b with both
+factors at most sqrt(x): per window, the same product bitmap ANDed with the
+set's window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .hist import q_rate
 from .multfunc import MultiplicativeFunction, mertens_sum
 from .sift import SiftedSet, nu_sum
 
-DEFAULT_SEGMENT = 1 << 26
+MAX_CELLS = 1 << 40
 
 
 def eta0() -> float:
@@ -32,8 +33,12 @@ def eta0() -> float:
 
 
 def _mark_products(seg: np.ndarray, lo: int, hi: int, N: int) -> None:
-    """Mark a*b in [lo, hi) for 1 <= a <= b <= N into seg (offset lo)."""
-    for a in range(1, N + 1):
+    """Mark a*b in [lo, hi) for 1 <= a <= b <= N into seg (offset lo), lo >= 1.
+
+    Rows a below ceil(lo / N) end before lo and rows above isqrt(hi - 1)
+    start at a*a >= hi, so only the rows between can mark anything.
+    """
+    for a in range(-(-lo // N), min(N, isqrt(hi - 1)) + 1):
         b0 = max(a, -(-lo // a))
         b1 = min(N, (hi - 1) // a)
         if b0 > b1:
@@ -41,55 +46,27 @@ def _mark_products(seg: np.ndarray, lo: int, hi: int, N: int) -> None:
         seg[a * b0 - lo : a * b1 - lo + 1 : a] = True
 
 
-def table_count(
-    N: int,
-    segment: int = DEFAULT_SEGMENT,
-    threads: int = 1,
-    budget_cells: int | None = 1 << 40,
-) -> int:
-    """Number of distinct products a*b with a, b <= N."""
+def table_count(N: int, shift: int | None = None, threads: int = 1) -> int:
+    """Number of distinct products a*b with a, b <= N, and with a*b + shift prime if given."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if budget_cells is not None and N * N > budget_cells:
+    if shift == 0:
+        raise ValueError("shift must be nonzero")
+    if N * N > MAX_CELLS:
         raise ResourceBudgetError(
-            f"product bitmap needs {N * N} cells, over the budget of {budget_cells}"
+            f"product bitmap needs {N * N} cells, over the cap of {MAX_CELLS}"
         )
+    if shift is not None:
+        primes = bulk.primes_upto(isqrt(N * N + abs(shift)) + 1)
 
     def worker(lo: int, hi: int) -> int:
         seg = np.zeros(hi - lo, dtype=bool)
         _mark_products(seg, lo, hi, N)
+        if shift is not None:
+            seg &= bulk.flags_window(lo + shift, hi + shift, primes)
         return int(np.count_nonzero(seg))
 
-    ranges = bulk.window_ranges(1, N * N + 1, segment)
-    return sum(bulk.stream_windows(worker, ranges, threads))
-
-
-def table_count_shifted(
-    N: int,
-    s: int,
-    segment: int = DEFAULT_SEGMENT,
-    threads: int = 1,
-    budget_cells: int | None = 1 << 40,
-) -> int:
-    """Number of distinct products a*b with a, b <= N and a*b + s prime."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if s == 0:
-        raise ValueError("shift must be nonzero")
-    if budget_cells is not None and N * N > budget_cells:
-        raise ResourceBudgetError(
-            f"product bitmap needs {N * N} cells, over the budget of {budget_cells}"
-        )
-    root = isqrt(N * N + abs(s)) + 1
-    primes = bulk.primes_upto(root)
-
-    def worker(lo: int, hi: int) -> int:
-        seg = np.zeros(hi - lo, dtype=bool)
-        _mark_products(seg, lo, hi, N)
-        flags = bulk.flags_window(lo + s, hi + s, primes)
-        return int(np.count_nonzero(seg & flags))
-
-    ranges = bulk.window_ranges(1, N * N + 1, segment)
+    ranges = bulk.window_ranges(1, N * N + 1)
     return sum(bulk.stream_windows(worker, ranges, threads))
 
 
@@ -176,7 +153,6 @@ def sifted_table_sum(
 __all__ = [
     "eta0",
     "table_count",
-    "table_count_shifted",
     "ford_ratio",
     "SiftedTableReport",
     "sifted_table_sum",

@@ -15,6 +15,7 @@ from siftlab import arith, bulk, cli, egps, hist, multfunc, shifted, table
 from siftlab.arith import PrimeTable
 from siftlab.sift import everything
 
+from conftest import lambda_upto
 from oracles import olambda_value, omax_order
 
 
@@ -81,7 +82,7 @@ def test_check_01_arithmetic_oracle_suite(t1e5):
                            lambda q: q - 1.0)
     mu_a = bulk.mult_range(x, t1e5.primes, musq.rule, musq.window_primes())
     mu_a *= np.where(om_a % 2 == 1, -1.0, 1.0)
-    lam_a = bulk.lambda_range(x, t1e5.primes)
+    lam_a = lambda_upto(x, t1e5.primes)
     got = np.stack([om_a, bo_a, sig_a, s_a, ph_a, lam_a, mu_a], axis=1).tolist()
     mism = 0
     for n in range(1, x + 1):
@@ -97,7 +98,7 @@ def test_check_01_arithmetic_oracle_suite(t1e5):
 def test_check_02_max_order_oracle(t1e5):
     start = time.monotonic()
     x = 10**4
-    lam_a = bulk.lambda_range(x, t1e5.primes)
+    lam_a = lambda_upto(x, t1e5.primes)
     mism = sum(1 for n in range(1, x + 1) if int(lam_a[n]) != omax_order(n))
     dt = time.monotonic() - start
     ok = mism == 0 and dt < 30.0
@@ -173,7 +174,7 @@ def test_check_06_shifted_prime_divisors():
 
 def test_check_07_lambda_image(t1e5, t1e7):
     start = time.monotonic()
-    arr = bulk.lambda_range(10**7, t1e7.primes, threads=8)
+    arr = lambda_upto(10**7, t1e7.primes, threads=8)
     image = np.unique(arr[1:])
     small = frozenset(int(v) for v in image[image <= 2000])
     del arr

@@ -18,6 +18,7 @@ from siftlab import bulk
 from siftlab.primesets import ALL_PRIMES, ResidueClasses
 from siftlab.specs import parse_weight
 
+from conftest import lambda_upto
 from oracles import ofactor, olam, osigma
 
 
@@ -212,9 +213,9 @@ def test_sigma_window_overflow_guard():
         bulk.sigma_window((1 << 55) + 10, (1 << 55) + 20)
 
 
-def test_lambda_range_against_oracle():
+def test_lambda_windows_against_oracle():
     primes = bulk.primes_upto(200)
-    lam = bulk.lambda_range(3000, primes)
+    lam = lambda_upto(3000, primes)
     assert lam[0] == 0 and lam[1] == 1 and lam[2] == 1
     for n in range(1, 3001):
         assert lam[n] == olam(n)
@@ -245,7 +246,7 @@ def test_range_builders_thread_invariant():
             threads=t, width=w,
         ),
         lambda t, w: bulk.sigma_range(60000, threads=t, width=w),
-        lambda t, w: bulk.lambda_range(60000, primes, threads=t, width=w),
+        lambda t, w: lambda_upto(60000, primes, threads=t, width=w),
         lambda t, w: bulk.lpf_range(60000, primes, threads=t, width=w),
     ):
         ref = build(1, bulk.DEFAULT_WINDOW).tobytes()

@@ -392,21 +392,3 @@ def test_deviation_input_errors(t1e5):
     assert empty.total == 0.0
     with pytest.raises(ValueError):
         H.deviation(empty, 1.0, table=t1e5)
-
-
-def test_poisson_partial():
-    assert H.poisson_partial(2.0, 0, math.inf) == 1.0
-    assert H.poisson_partial(2.0, 0, 1) == pytest.approx(3 * math.exp(-2), rel=1e-12)
-    assert H.poisson_partial(2.0, 2, math.inf) == pytest.approx(1 - 3 * math.exp(-2), rel=1e-12)
-    assert H.poisson_partial(2.0, 5, 4) == 0.0
-    assert H.poisson_partial(2.0, -3, 0) == pytest.approx(math.exp(-2), rel=1e-12)
-    with pytest.raises(ValueError):
-        H.poisson_partial(0.0, 0, 1)
-
-
-def test_poisson_partial_matches_deviation_scale():
-    # the Poisson reference splits the same way the histogram masses do
-    M = 3.7
-    lo = H.poisson_partial(M, 0, 2)
-    hi = H.poisson_partial(M, 3, math.inf)
-    assert lo + hi == pytest.approx(1.0, rel=1e-12)

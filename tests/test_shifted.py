@@ -16,6 +16,7 @@ from siftlab.primesets import ALL_PRIMES, KroneckerSign, ResidueClasses
 from siftlab.sift import QuadraticForm
 from siftlab.table import eta0
 
+from conftest import lambda_upto
 from oracles import is_prime_slow, ofactor, olambda_value
 
 
@@ -95,7 +96,7 @@ def test_lambda_image_odd_and_validation(t1e6):
 
 def test_lambda_image_matches_exhaustive_image(t1e6):
     # the image restricted to [1, 300] is already realized by m <= 10**6
-    lam = bulk.lambda_range(10**6, t1e6.primes)
+    lam = lambda_upto(10**6, t1e6.primes)
     image = [n for n in np.unique(lam[1:]).tolist() if n <= 300]
     assert _sieved_values(300, t1e6) == image
     assert [n for n in range(1, 301) if olambda_value(n)] == image

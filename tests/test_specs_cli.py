@@ -316,9 +316,13 @@ def test_cli_budget_sec(tmp_path):
     assert not out_path.exists()
 
 
-def test_cli_budget_mb():
+def test_cli_budget_mb(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(bulk, "stream_windows", no_work)
     with pytest.raises(ResourceBudgetError):
-        cli.dispatch(["table", "--n", "100000", "--budget-mb", "1"])
+        cli.dispatch(["table", "--n", "100000", "--budget-mb", "0"])
 
 
 HIST_FAMILY = [["hist", "--f", "musq"], ["hr-check", "--f", "musq"],
@@ -447,10 +451,13 @@ WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["table-sifted", "--f", "musq", "--sieve", "explicit:3:1"],
             ["apcount", "--d", "4", "--a", "1", "--k", "2"],
             ["egps", "--lambda", "2.0"], ["omega-gcd"],
-            ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"]]
+            ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"],
+            ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"]]
+WINDOWED_IDS = ["hist", "table-sifted", "apcount", "egps", "omega-gcd", "qf-dev",
+                "hist-mod4", "dev-mod4"]
 
 
-@pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
+@pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
 def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the budget check")
@@ -465,14 +472,15 @@ def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
     assert f"{argv[0]} plans " in err and "over the budget of 1 MiB" in err
 
 
-@pytest.mark.parametrize("argv", WINDOWED, ids=[a[0] for a in WINDOWED])
+@pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
 def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # apcount holds one counts window per thread and primes to isqrt(x);
     # hist and table-sifted the primes to x and, their congruence sets sieved
     # per window, nothing per integer of x; egps holds its 4-bit omega table
     # to Robin's bound and sigma windows, omega-gcd a 4-bit omega table to x
-    # and sigma windows; qf-dev its set's bitmap, primes to x and counts
-    # windows with a selector, which keep their cofactors
+    # and sigma windows; qf-dev its set's bitmap and primes to x; qf-dev and
+    # hist and dev with --e mod:4:1 run counts windows with a selector, which
+    # keep their cofactors
     run = [*argv, "--x", "4000000", "--threads", "1"]
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
@@ -507,13 +515,18 @@ def test_cli_egps_budget_covers_max_aliquot_sum(x):
 
 
 @pytest.mark.parametrize("argv, over", [
-    (["--n", "8000", "--budget-mb", "8"], True),        # one 64 MB segment
-    (["--n", "3000", "--budget-mb", "16"], False),      # one 9 MB segment
-    (["--n", "3000", "--budget-mb", "16", "--shift", "1"], True),  # three of them
+    (["--n", "3000", "--budget-mb", "0"], True),
+    (["--n", "3000", "--budget-mb", "1"], False),  # one 1 MiB window of products
+    (["--n", "3000", "--budget-mb", "2", "--shift", "1"], True),
+    (["--n", "3000", "--budget-mb", "3", "--shift", "1"], False),  # and its flags and primes
 ])
-def test_cli_table_budget_counts_segment_bytes(argv, over):
+def test_cli_table_budget_counts_window_bytes(argv, over, monkeypatch):
     if over:
-        with pytest.raises(ResourceBudgetError):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(bulk, "stream_windows", no_work)
+        with pytest.raises(ResourceBudgetError, match="table plans "):
             cli.dispatch(["table", *argv])
     else:
         assert cli.dispatch(["table", *argv]) == 0

@@ -36,9 +36,12 @@ def test_table_count_growth():
         prev = cur
 
 
-def test_table_count_segment_and_thread_invariance():
-    assert tb.table_count(97, segment=1000) == tb.table_count(97)
-    assert tb.table_count(97, segment=1) == tb.table_count(97)
+def test_table_count_window_and_thread_invariance():
+    # N^2 on both sides of one 2^20 window, and across two of them
+    brute = brute_table_counts(1100)
+    for N in (1024, 1025, 1100):
+        assert tb.table_count(N) == brute[N]
+        assert tb.table_count(N, threads=2) == brute[N]
     assert tb.table_count(500, threads=4) == tb.table_count(500, threads=1)
 
 
@@ -46,12 +49,10 @@ def test_table_count_input_errors():
     with pytest.raises(ValueError):
         tb.table_count(0)
     with pytest.raises(ResourceBudgetError):
-        tb.table_count(10**6, budget_cells=10**6)
-    # explicit None disables the budget check
-    assert tb.table_count(40, budget_cells=None) == tb.table_count(40)
+        tb.table_count((1 << 20) + 1)
 
 
-def test_table_count_shifted_matches_brute():
+def test_table_count_shift_matches_brute():
     for N, s in [(50, 1), (50, -1), (30, 5)]:
         expect = len(
             {
@@ -61,27 +62,39 @@ def test_table_count_shifted_matches_brute():
                 if a * b + s >= 2 and is_prime_slow(a * b + s)
             }
         )
-        assert tb.table_count_shifted(N, s) == expect
+        assert tb.table_count(N, shift=s) == expect
 
 
-def test_table_count_shifted_bounded_by_unshifted():
+def test_table_count_shift_bounded_by_unshifted():
     for N in (20, 60):
-        assert tb.table_count_shifted(N, 1) <= tb.table_count(N)
-        assert tb.table_count_shifted(N, -1) <= tb.table_count(N)
+        assert tb.table_count(N, shift=1) <= tb.table_count(N)
+        assert tb.table_count(N, shift=-1) <= tb.table_count(N)
 
 
-def test_table_count_shifted_invariances():
-    assert tb.table_count_shifted(97, 1, segment=1000) == tb.table_count_shifted(97, 1)
-    assert tb.table_count_shifted(200, 1, threads=4) == tb.table_count_shifted(200, 1)
+def test_table_count_shift_invariances():
+    # N^2 = 1210000 spans two windows; a pure-Python sieve to N^2 + 1
+    N = 1100
+    top = N * N + 1
+    prime = bytearray([1]) * (top + 1)
+    prime[0] = prime[1] = 0
+    for p in range(2, math.isqrt(top) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    prods = {a * b for a in range(1, N + 1) for b in range(a, N + 1)}
+    for s in (1, -1):
+        expect = sum(1 for n in prods if prime[n + s])
+        for threads in (1, 2):
+            assert tb.table_count(N, shift=s, threads=threads) == expect
+    assert tb.table_count(200, shift=1, threads=4) == tb.table_count(200, shift=1)
 
 
-def test_table_count_shifted_input_errors():
+def test_table_count_shift_input_errors():
     with pytest.raises(ValueError):
-        tb.table_count_shifted(10, 0)
+        tb.table_count(10, shift=0)
     with pytest.raises(ValueError):
-        tb.table_count_shifted(0, 1)
+        tb.table_count(0, shift=1)
     with pytest.raises(ResourceBudgetError):
-        tb.table_count_shifted(10**6, 1, budget_cells=10**6)
+        tb.table_count((1 << 20) + 1, shift=1)
 
 
 def test_ford_ratio():
