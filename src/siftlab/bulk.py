@@ -38,8 +38,8 @@ are tracked only there, and not at all when every f(p**e), e >= 3, equals
 f(p**2).  The primes above the split, most of them at 1e9 and beyond, have
 a few multiples each and go through one vectorized batch per window,
 applied with ufunc.at (for an integer np.add, again one power at a time).
-flags_window takes the same split, and sieve_flags and primes_upto sieve
-in DEFAULT_WINDOW segments the same way.
+flags_window takes the same split, and primes_upto sieves in
+DEFAULT_WINDOW segments the same way.
 
 OmegaTable is the one table of omega(m) that several windows share: 4 bits
 per m over [0, limit], np.empty, and filled by counts_window in aligned
@@ -57,17 +57,6 @@ from math import ceil, isqrt, log, log2
 import numpy as np
 
 DEFAULT_WINDOW = 1 << 20
-
-
-def sieve_flags(limit: int) -> np.ndarray:
-    """Boolean primality flags for 0..limit, sieved in place in DEFAULT_WINDOW segments."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    flags = np.ones(limit + 1, dtype=bool)
-    primes = primes_upto(isqrt(limit))
-    for a, b in window_ranges(0, limit + 1):
-        _sieve_segment(flags[a:b], a, primes)
-    return flags
 
 
 def prime_count_bound(y: int) -> int:

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__, bulk, egps, hist, multfunc, shifted, table
 from .arith import PrimeTable
 from .errors import ResourceBudgetError
-from .primesets import AllPrimes
+from .primesets import ALL_PRIMES, AllPrimes, KroneckerSign
 from .sift import QuadraticForm
-from .specs import parse_primeset, parse_set_spec, parse_weight
+from .specs import SetSpec, parse_primeset, parse_set_spec, parse_weight
 
 _TWIN_LIMIT = 10**7
 
@@ -155,20 +155,31 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
             f"over the budget of {args.budget_mb} MiB")
 
 
+def _set_table(args, f, ss, E=ALL_PRIMES) -> PrimeTable:
+    """The one prime table a command over the set reads, to ss.prime_limit(x), built once
+    the --budget-mb plan of its primes, an exact set's bitmap and the counts windows holds
+    (28 bytes per window integer when E selects primes: they keep their cofactors)."""
+    limit = max(ss.prime_limit(args.x), 2)
+    _check_budget(args, f, int(ss.kind != "cond"), prime_limit=limit,
+                  window=24 if isinstance(E, AllPrimes) else 28)
+    return PrimeTable(limit)
+
+
 def _hist_setup(args):
-    f = parse_weight(args.f)
-    ss = parse_set_spec(args.sieve, args.x)
-    E = parse_primeset(args.e)
-    # an exact set's bitmap; counts windows with a selector keep cofactors, as in qf-dev
-    _check_budget(args, f, int(ss.kind != "cond"), window=24 if isinstance(E, AllPrimes) else 28)
-    t = PrimeTable(max(args.x, 2))
+    """The table step of the histogram family: --f, --e and --sieve, and the prime table."""
+    f, ss, E = parse_weight(args.f), parse_set_spec(args.sieve, args.x), parse_primeset(args.e)
+    return f, E, ss, _set_table(args, f, ss, E)
+
+
+def _histogram(args, f, E, ss, t):
+    """The histogram step: the set, realized with the prime table t, and its histogram."""
     sset = ss.realize(args.x, t)
-    h = hist.weighted_histogram(sset, f, args.g, E, t, args.threads)
-    return t, f, E, ss, sset, h
+    return sset, hist.weighted_histogram(sset, f, args.g, E, t, args.threads)
 
 
 def _hist_rows(args, variant: str, C: float | None, beta: float):
-    t, f, E, ss, sset, h = _hist_setup(args)
+    f, E, ss, t = _hist_setup(args)
+    sset, h = _histogram(args, f, E, ss, t)
     rep = hist.hr_ratio(h, sset.cond, C=C, beta=beta, table=t)
     use_prime = variant == "prime" and rep.prime_variant is not None
     ratios = rep.prime_variant if use_prime else rep.general
@@ -191,7 +202,8 @@ def _cmd_hr_check(args):
 
 
 def _cmd_mgf(args):
-    t, f, E, ss, sset, h = _hist_setup(args)
+    f, E, ss, t = _hist_setup(args)
+    sset, h = _histogram(args, f, E, ss, t)
     rep = hist.mgf_sum(h, args.z, sset.cond, t)
     header = ["x", "f", "g", "E", "sieve", "z", "value", "bound", "ratio"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
@@ -199,7 +211,8 @@ def _cmd_mgf(args):
 
 
 def _cmd_tails(args):
-    t, f, E, ss, sset, h = _hist_setup(args)
+    f, E, ss, t = _hist_setup(args)
+    sset, h = _histogram(args, f, E, ss, t)
     rep = hist.tail_masses(h, args.delta, sset.cond, t)
     header = ["x", "f", "g", "E", "sieve", "delta", "M", "mass_low", "mass_high",
               "bound_low", "bound_high", "ratio_low", "ratio_high"]
@@ -217,10 +230,14 @@ def _dev_row(rep) -> list:
             rep.normalized, rep.gauss_ref]
 
 
+def _dev(args, f, E, ss, t):
+    """The deviation row of g over the set, read with the prime table t."""
+    h = _histogram(args, f, E, ss, t)[1]
+    return _DEV_HEADER, [_dev_row(hist.deviation(h, args.lam, table=t))]
+
+
 def _cmd_dev(args):
-    t, f, E, ss, sset, h = _hist_setup(args)
-    rep = hist.deviation(h, args.lam, table=t)
-    return _DEV_HEADER, [_dev_row(rep)]
+    return _dev(args, *_hist_setup(args))
 
 
 def _cmd_table(args):
@@ -247,10 +264,8 @@ def _cmd_table(args):
 
 
 def _cmd_table_sifted(args):
-    f = parse_weight(args.f)
-    ss = parse_set_spec(args.sieve, args.x)
-    _check_budget(args, None, int(ss.kind != "cond"))  # weights come window by window
-    t = PrimeTable(max(args.x, 2))
+    f, ss = parse_weight(args.f), parse_set_spec(args.sieve, args.x)
+    t = _set_table(args, None, ss)  # weights come window by window
     rep = table.sifted_table_sum(ss.realize(args.x, t), f, t, args.threads)
     header = ["x", "f", "sieve", "value", "R", "M", "regime",
               "bound_le_half", "ratio_le_half", "bound_mid", "ratio_mid"]
@@ -281,13 +296,17 @@ def _cmd_lambda_image(args):
 
 def _cmd_sp_dev(args):
     f, E = parse_weight(args.f), parse_primeset(args.e)
-    # the exact set's bitmap; counts windows with a selector keep cofactors, as in qf-dev
-    _check_budget(args, f, 1, window=24 if isinstance(E, AllPrimes) else 28)
-    rep = shifted.weighted_sp_deviation(
-        args.a, args.b, f, E,
-        args.x, args.lam, args.g, threads=args.threads,
-    )
-    return _DEV_HEADER, [_dev_row(rep)]
+    ss = SetSpec(kind="sp", a=args.a, b=args.b)
+    return _dev(args, f, E, ss, _set_table(args, f, ss, E))
+
+
+def _check_split(disc: int, E, primes: np.ndarray) -> None:
+    """Raise ValueError if a prime of E among primes does not split for disc.  A call
+    of its own, so that none of its arrays lives on into the histogram."""
+    sel = primes[np.asarray(E.mask(primes), dtype=bool)]
+    bad = sel[~KroneckerSign(disc, 1).mask(sel)]
+    if bad.size:
+        raise ValueError(f"prime {bad[0]} in E does not split: kronecker({disc}, {bad[0]}) != +1")
 
 
 def _cmd_qf_dev(args):
@@ -295,14 +314,11 @@ def _cmd_qf_dev(args):
     form = QuadraticForm(a, b, c)
     if args.e is None:
         args.e = f"kron:{form.disc}:+1"
-    # the set's bitmap; a window with a selector keeps its cofactors, about
-    # 23 bytes per integer below 2**32 and 27 above
-    _check_budget(args, None, 1, prime_limit=args.x + max(args.shift or 0, 0) + 1, window=28)
-    rep = shifted.qf_deviation(
-        form, parse_primeset(args.e), args.x, args.lam,
-        shift=args.shift, g_kind=args.g, threads=args.threads,
-    )
-    return _DEV_HEADER, [_dev_row(rep)]
+    f, E = multfunc.one(), parse_primeset(args.e)
+    ss = SetSpec(kind="qf", a=a, b=b, c=c, shift=args.shift)
+    t = _set_table(args, f, ss, E)
+    _check_split(form.disc, E, t.primes[: t.pi(args.x)])
+    return _dev(args, f, E, ss, t)
 
 
 def _cmd_jointpoly(args):

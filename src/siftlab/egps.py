@@ -24,6 +24,8 @@ from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, add_windows, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
 
+GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # the lam at which egps_deviation reports a grid mass
+
 
 @dataclass
 class EgpsReport:
@@ -68,7 +70,6 @@ def egps_deviation(
     f: MultiplicativeFunction,
     lam: float | None = None,
     c0: float | None = None,
-    grid: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
     table: PrimeTable | None = None,
     threads: int = 1,
 ) -> EgpsReport:
@@ -123,12 +124,12 @@ def egps_deviation(
 
     k_low, k_high = cutoffs(lam)
     mass = mass_at(lam)
-    grid_mass = [mass_at(g) for g in grid]
+    grid_mass = [mass_at(g) for g in GRID]
     return EgpsReport(
         x=x, lam=lam, loglog=llx, k_low=k_low, k_high=k_high,
         mass=mass, total=total, normalized=mass / total,
         excluded=1, unfactored=0,
-        grid=[(g, m / total) for g, m in zip(grid, grid_mass)], grid_mass=grid_mass,
+        grid=[(g, m / total) for g, m in zip(GRID, grid_mass)], grid_mass=grid_mass,
     )
 
 

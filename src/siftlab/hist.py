@@ -245,7 +245,6 @@ class DeviationReport:
 def deviation(
     hist: WeightedHistogram,
     lam: float,
-    M: float | None = None,
     table: PrimeTable | None = None,
 ) -> DeviationReport:
     """Two-sided deviation masses at threshold lam standard units."""
@@ -254,9 +253,7 @@ def deviation(
     if hist.total <= 0:
         raise ValueError("empty set: total mass is zero")
     x = hist.x
-    if M is None:
-        table = table_upto(table, max(x, 2))
-        M = mertens_sum(hist.f, x, hist.E, table)
+    M = mertens_sum(hist.f, x, hist.E, table)
     if M <= 0:
         # every bin deviates; flag rather than divide by zero in the reference
         k_low = max(hist.bins)

@@ -1,5 +1,9 @@
-"""Shifted primes: divisor statistics, the Carmichael-image test, deviations
-over exact arithmetic sets, and prime-factor counts at polynomial arguments.
+"""Shifted primes: divisor statistics, the Carmichael-image test, and
+prime-factor counts at polynomial arguments.
+
+The deviations of omega over the exact sets a*p + b and the values of a
+binary quadratic form are histograms over those sets (specs.SetSpec), run
+by the dev path of the command line.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from .arith import (
     table_upto,
 )
 from .errors import ResourceBudgetError
-from .hist import DeviationReport, deviation, weighted_histogram
-from .multfunc import MultiplicativeFunction, one
-from .primesets import KroneckerSign, PrimeSubset
-from .sift import QuadraticForm, exact_qf_shifted, exact_qf_values, exact_shifted_primes
 from .table import eta0
+
+# joint_poly_omega factors by trial division; a prime table it needs past this raises
+TRIAL_LIMIT = 10**7
 
 
 @dataclass
@@ -137,64 +140,6 @@ def lambda_image_intersection(
     return _count_hits(ms, classes, np.equal, threads), len(ms)
 
 
-def weighted_sp_deviation(
-    a: int, b: int,
-    f: MultiplicativeFunction,
-    E: PrimeSubset,
-    x: int, lam: float,
-    g_kind: str = "omega",
-    table: PrimeTable | None = None,
-    threads: int = 1,
-) -> DeviationReport:
-    """Deviation of g(a*p + b, E) from its prime-sum mean over shifted primes."""
-    table = table_upto(table, max(x, 2))
-    sset = exact_shifted_primes(a, b, x, table)
-    hist = weighted_histogram(sset, f, g_kind, E, table, threads)
-    return deviation(hist, lam, table=table)
-
-
-def _check_split(form: QuadraticForm, E: PrimeSubset, primes: np.ndarray,
-                 p0: int | None) -> None:
-    """Raise ValueError if a prime of E among primes does not split for the form,
-    or the smallest one is below p0.  A call of its own, so that none of its
-    arrays lives on into the histogram."""
-    sel = primes[np.asarray(E.mask(primes), dtype=bool)]
-    bad = sel[~KroneckerSign(form.disc, 1).mask(sel)]
-    if bad.size:
-        raise ValueError(
-            f"prime {bad[0]} in E does not split: kronecker({form.disc}, {bad[0]}) != +1"
-        )
-    if p0 is not None and sel.size and sel[0] < p0:
-        raise ValueError(f"smallest prime {sel[0]} in E is below the floor {p0}")
-
-
-def qf_deviation(
-    form: QuadraticForm,
-    E: PrimeSubset,
-    x: int, lam: float,
-    shift: int | None = None,
-    g_kind: str = "omega",
-    p0: int | None = None,
-    table: PrimeTable | None = None,
-    threads: int = 1,
-) -> DeviationReport:
-    """Deviation of g(n, E) over represented values of a definite form.
-
-    E must consist of primes splitting for the form's discriminant; this is
-    validated against the Kronecker symbol before any counting.
-    """
-    # one table for the histogram and, with a shift, the primality of n + shift
-    table = table_upto(table, max(x if shift is None else x + max(shift, 0) + 1, 2))
-    _check_split(form, E, table.primes[: table.pi(x)], p0)
-    sset = (
-        exact_qf_values(form, x)
-        if shift is None
-        else exact_qf_shifted(form, shift, x, table)
-    )
-    hist = weighted_histogram(sset, one(), g_kind, E, table, threads)
-    return deviation(hist, lam, table=table)
-
-
 def poly_eval(coeffs: tuple[int, ...], t: int) -> int:
     """Evaluate a polynomial given by ascending coefficients."""
     out = 0
@@ -259,13 +204,12 @@ def joint_poly_omega(
     x: int, y: int,
     targets: tuple[int, ...],
     table: PrimeTable | None = None,
-    trial_limit: int = 10**7,
 ) -> int:
     """Count primes p in (x - y, x] with omega(Q_j(p)) = k_j for every j.
 
     Each value is factored by trial division over a prime table reaching the
     square root of the largest value, so the leftover cofactor is 1 or prime;
-    a required table above trial_limit raises a budget error instead.
+    a required table above TRIAL_LIMIT raises a budget error instead.
     """
     _check_poly_system(polys)
     if len(targets) != len(polys):
@@ -276,9 +220,9 @@ def joint_poly_omega(
         sum(abs(c) * x**i for i, c in enumerate(q)) for q in polys
     )
     root = isqrt(vmax) + 1
-    if root > trial_limit:
+    if root > TRIAL_LIMIT:
         raise ResourceBudgetError(
-            f"factoring needs primes to {root}, over the limit {trial_limit}"
+            f"factoring needs primes to {root}, over the limit {TRIAL_LIMIT}"
         )
     need = max(x, root, 2)
     table = table_upto(table, need)
@@ -325,8 +269,6 @@ __all__ = [
     "ShiftedDivisorReport",
     "shifted_divisor_count",
     "lambda_image_intersection",
-    "weighted_sp_deviation",
-    "qf_deviation",
     "poly_eval",
     "poly_degree",
     "joint_poly_omega",

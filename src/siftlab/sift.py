@@ -150,17 +150,22 @@ def preset_shifted_prime_superset(a: int, b: int, x: int, z: int) -> SieveCondit
     return condition(excl)
 
 
-def exact_shifted_primes(
-    a: int, b: int, x: int, table: PrimeTable | None = None
-) -> SiftedSet:
-    """The exact set {a*p + b : p prime} intersected with [1, x]."""
+def shifted_prime_limit(a: int, b: int, x: int) -> int:
+    """The largest p with a*p + b <= x, the primes exact_shifted_primes reads."""
     if gcd(a, b) != 1:
         raise ValueError("need gcd(a, b) = 1")
     if a < 1 or b == 0:
         raise ValueError("need a >= 1 and b != 0")
+    return (x - b) // a
+
+
+def exact_shifted_primes(
+    a: int, b: int, x: int, table: PrimeTable | None = None
+) -> SiftedSet:
+    """The exact set {a*p + b : p prime} intersected with [1, x]."""
+    p_hi = shifted_prime_limit(a, b, x)
     if x < 1:
         raise ValueError("need x >= 1")
-    p_hi = (x - b) // a
     bitmap = np.zeros(x + 1, dtype=bool)
     if p_hi >= 2:
         table = table_upto(table, p_hi)
@@ -215,13 +220,17 @@ def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
     return SiftedSet(x=x, bitmap=bitmap, cond=None)
 
 
+def qf_shifted_prime_limit(k: int, x: int) -> int:
+    """The primes exact_qf_shifted reads: past every n + k with n <= x."""
+    return x + max(k, 0) + 1
+
+
 def exact_qf_shifted(
     form: QuadraticForm, k: int, x: int, table: PrimeTable | None = None
 ) -> SiftedSet:
     """Represented values n in [1, x] with n + k prime: the values' bitmap, cleared in
     place window by window where n + k is not prime."""
-    hi = x + max(k, 0) + 1
-    table = table_upto(table, max(hi, 2))
+    table = table_upto(table, max(qf_shifted_prime_limit(k, x), 2))
     bitmap = exact_qf_values(form, x).bitmap
     bitmap[: max(-k, 0)] = False  # a negative n + k is no prime
     for a, b in bulk.window_ranges(0, x + 1):
@@ -242,8 +251,10 @@ __all__ = [
     "everything",
     "nu_sum",
     "preset_shifted_prime_superset",
+    "shifted_prime_limit",
     "exact_shifted_primes",
     "QuadraticForm",
     "exact_qf_values",
+    "qf_shifted_prime_limit",
     "exact_qf_shifted",
 ]

@@ -36,6 +36,8 @@ from .sift import (
     exact_qf_values,
     exact_shifted_primes,
     preset_shifted_prime_superset,
+    qf_shifted_prime_limit,
+    shifted_prime_limit,
     sift,
 )
 
@@ -102,6 +104,15 @@ class SetSpec:
     c: int = 0
     shift: int | None = None
     raw: str = "none"
+
+    def prime_limit(self, x: int) -> int:
+        """The primes a histogram over the set reads: to x, and as far as
+        realize needs them for a*p + b or for the primality of n + shift."""
+        if self.kind == "sp":
+            return max(x, shifted_prime_limit(self.a, self.b, x))
+        if self.kind == "qf" and self.shift is not None:
+            return qf_shifted_prime_limit(self.shift, x)
+        return x
 
     def realize(self, x: int, table: PrimeTable | None = None) -> SiftedSet:
         if self.kind == "cond":

@@ -20,7 +20,7 @@ from . import bulk
 from .arith import PrimeTable, table_upto
 from .errors import ResourceBudgetError
 from .hist import q_rate
-from .multfunc import MultiplicativeFunction, mertens_sum
+from .multfunc import MultiplicativeFunction, add_windows, mertens_sum
 from .sift import SiftedSet, nu_sum
 
 MAX_CELLS = 1 << 40
@@ -101,8 +101,8 @@ def sifted_table_sum(
 
     Each window ANDs the set's window with the bitmap of products a*b,
     a <= b <= isqrt(x).  Weights come from the window sieve and are added
-    one by one in ascending n, so the value is the same double as summing
-    f(n) survivor by survivor.
+    one by one in ascending n to one running sum across the windows, so the
+    value is the same double as summing f(n) survivor by survivor.
     """
     x = sset.x
     if x < 3:
@@ -110,17 +110,19 @@ def sifted_table_sum(
     B = isqrt(x)
     table = table_upto(table, x)
 
-    def worker(lo: int, hi: int) -> float:
+    def worker(lo: int, hi: int):
+        """Key 0 for each kept n of the window and, unless f = one, its weight."""
         keep = np.zeros(hi - lo, dtype=bool)
         _mark_products(keep, lo, hi, B)
         keep &= sset.window(lo, hi)
+        keys = np.zeros(np.count_nonzero(keep), dtype=np.uint8)
         if f.is_one():
-            return float(np.count_nonzero(keep))
-        fv = bulk.mult_window(lo, hi, table.primes, f.rule, f.window_primes())
-        return float(sum(fv[keep].tolist()))
+            return keys, None
+        return keys, bulk.mult_window(lo, hi, table.primes, f.rule, f.window_primes())[keep]
 
     ranges = bulk.window_ranges(1, x + 1)
-    value = float(sum(bulk.stream_windows(worker, ranges, threads)))
+    bins = add_windows(bulk.stream_windows(worker, ranges, threads), weighted=not f.is_one())
+    value = float(bins[0]) if bins.size else 0.0
 
     M = mertens_sum(f, x, table=table)
     llx = math.log(math.log(x))

@@ -139,6 +139,16 @@ def is_prime_slow(n: int) -> bool:
     return True
 
 
+def osieve(limit: int) -> np.ndarray:
+    """Primality flags for 0..limit: the sieve of Eratosthenes over one bytearray."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return np.frombuffer(bytes(flags), dtype=np.uint8).astype(bool)
+
+
 def olambda_value(n: int) -> bool:
     """Whether n is a value of Carmichael lambda.
 

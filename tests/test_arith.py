@@ -14,7 +14,7 @@ from siftlab import arith, bulk
 from siftlab.primesets import ResidueClasses
 from siftlab.specs import parse_weight
 
-from oracles import ofactor, olam, olegendre, omu, ophi, osigma
+from oracles import ofactor, olam, olegendre, omu, ophi, osieve, osigma
 
 # phi, rad and the square-full part as mult_window rules: (rule, f at the primes)
 PHI = (lambda p, e: p ** (e - 1) * (p - 1), lambda q: q - 1.0)
@@ -91,7 +91,7 @@ def test_prime_table_matches_slow_sieve(t1e5):
 @pytest.mark.parametrize("n", [2, 3, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 17])
 def test_prime_table_segments_match_sieve_flags(n):
     # the table sieves DEFAULT_WINDOW segments into one buffer and keeps no flags
-    flags = bulk.sieve_flags(n)
+    flags = osieve(n)
     t = arith.PrimeTable(n)
     assert not hasattr(t, "flags")
     assert t.primes.dtype == np.int64
@@ -103,7 +103,7 @@ def test_prime_table_segments_match_sieve_flags(n):
 def test_prime_count_bound_covers_every_prime_count():
     # the table's buffer holds prime_count_bound(y) primes, so it must never fall short
     y = np.arange(2**20 + 1)
-    pi = np.cumsum(bulk.sieve_flags(2**20))
+    pi = np.cumsum(osieve(2**20))
     bound = np.array([bulk.prime_count_bound(int(v)) for v in y])
     assert (pi <= bound).all()
     assert bulk.prime_count_bound(1) == 0 and bulk.prime_count_bound(2) == 3

@@ -19,23 +19,23 @@ from siftlab.primesets import ALL_PRIMES, ResidueClasses
 from siftlab.specs import parse_weight
 
 from conftest import lambda_upto
-from oracles import ofactor, olam, osigma
+from oracles import ofactor, olam, osieve, osigma
 
 
 def test_sieve_flags_and_primes_upto():
+    assert bulk.primes_upto(-1).size == 0
     assert bulk.primes_upto(1).size == 0
     assert bulk.primes_upto(2).tolist() == [2]
     assert bulk.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     p100 = bulk.primes_upto(100)
     assert len(p100) == 25
     assert p100[0] == 2 and p100[-1] == 97
-    with pytest.raises(ValueError):
-        bulk.sieve_flags(-1)
+    assert p100.tolist() == np.flatnonzero(osieve(100)).tolist()
 
 
 def test_flags_window_matches_full_sieve():
     primes = bulk.primes_upto(1000)
-    full = bulk.sieve_flags(300000)
+    full = osieve(300000)
     for lo, hi in [(0, 50), (1, 2), (100, 1000), (299000, 300001)]:
         got = bulk.flags_window(lo, hi, primes)
         assert np.array_equal(got, full[lo:hi])

@@ -16,7 +16,10 @@ still divided out its cofactors and finished them through prime_vec.  The
 taken from a sigma array of length x + 1.  The `jointpoly` run was recorded
 while `factorize` still read the whole prime table on every call.  The
 two `apcount` runs were recorded while `apcount` still held a counts array
-of length x + 1 built through each window's cofactor product.
+of length x + 1 built through each window's cofactor product.  The last
+six, `sp-dev`, `qf-dev` and the `sp:` and `qf:...,shift=K` sets of `dev`
+and `table-sifted`, were recorded while `sp-dev` and `qf-dev` still ran
+histograms of their own and each set built a second prime table.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -97,6 +100,18 @@ CORPUS = [
      "a4f6ca75e2b2de2cc0e7b7a6bf92aa27a400882524547e720d82e56748b29c5e"),
     ("apcount --x 2300000 --d 7 --a 3 --g bigomega --k 4",
      "7ff4a6cec4c44fe2bfba4450ff9b06498ff16104228b45940e12aba42cac5ba9"),
+    ("sp-dev --a 1 --b -1 --x 2300000 --f zomega:1.3 --lambda 0.5",
+     "f13a74744bb79d90a440b82ed49e627c5441525c19c235a3e4638a64ff1b8aa5"),
+    ("sp-dev --a 2 --b -1 --x 200000 --f musq --g bigomega --e mod:4:1 --lambda 0.5",
+     "1c7ee6f0d8ddd0a4552e0b50e4fbc513985c64ccabf204b51d53168459754a84"),
+    ("qf-dev --form 1,0,1 --shift -1 --x 200000 --lambda 0.5",
+     "705db8014274f97be6ebf15d50b478cbff749e881d0819b89a2c518dd99c26e2"),
+    ("qf-dev --form 1,1,2 --g bigomega --x 200000 --lambda 1.0",
+     "125f0b73f35240e647e041ac5f6ef2f8053304949e31cce3a6a25e8fc19cd682"),
+    ("dev --sieve sp:1,-1 --x 200000 --lambda 1.0",
+     "b06fe7c3d133fa0aa44cdf046b16b80426f5e651470fbf7676de53e8814142ff"),
+    ("table-sifted --sieve qf:1,0,1,shift=2 --f musq --x 200000",
+     "8da2099b0d48a58272328cda23810de290d0b2ae84e65f6569ce9d9453735f39"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

@@ -11,7 +11,7 @@ import pytest
 from siftlab import bulk, egps
 from siftlab.multfunc import mu_sq, one, z_omega
 
-from oracles import ofactor, osigma
+from oracles import ofactor, osieve, osigma
 
 
 def _aliquot(n):
@@ -144,7 +144,7 @@ def test_egps_same_bytes_for_any_thread_count(f, monkeypatch):
         s = bulk.sigma_range(X_THREE_WINDOWS) - np.arange(X_THREE_WINDOWS + 1)
         om = bulk.counts_range(int(s.max()), bulk.primes_upto(isqrt(int(s.max()))))
         assert bins1.tolist() == np.bincount(om[s[2:]]).tolist()
-        assert bins1[0] == int(np.count_nonzero(bulk.sieve_flags(X_THREE_WINDOWS)))
+        assert bins1[0] == int(np.count_nonzero(osieve(X_THREE_WINDOWS)))
 
 
 def test_egps_fill_error_raises_without_hanging(monkeypatch):

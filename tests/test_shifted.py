@@ -1,19 +1,24 @@
 """Shifted-prime statistics: divisor hits, the Carmichael image, deviations
-over exact sets, and prime-factor counts at polynomial values.
+over exact sets (the histograms the dev path runs), and prime-factor counts
+at polynomial values.
 """
 
+import io
 import math
+import sys
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from siftlab import bulk, shifted as sh
+from siftlab import bulk, cli, shifted as sh
 from siftlab.arith import PrimeTable
 from siftlab.errors import ResourceBudgetError
+from siftlab.hist import deviation, weighted_histogram
 from siftlab.multfunc import one
-from siftlab.primesets import ALL_PRIMES, KroneckerSign, ResidueClasses
-from siftlab.sift import QuadraticForm
+from siftlab.primesets import ALL_PRIMES, KroneckerSign
+from siftlab.specs import parse_set_spec
 from siftlab.table import eta0
 
 from conftest import lambda_upto
@@ -180,11 +185,34 @@ def test_lambda_and_spd_sieves_across_two_windows():
             assert marked[m - lo] == any(d > 1000 and is_prime_slow(d + 1) for d in divs), m
 
 
-def test_weighted_sp_deviation_matches_brute(t1e6):
-    x, lam_t = 2000, 2.0
+def _set_dev(sieve, x, lam, E=ALL_PRIMES):
+    """hist.deviation of omega over a set spec, on the one prime table the CLI builds
+    for it; the CLI's dev row must print the same numbers."""
+    ss = parse_set_spec(sieve, x)
+    t = PrimeTable(ss.prime_limit(x))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = sh.weighted_sp_deviation(1, -1, one(), ALL_PRIMES, x, lam_t, table=t1e6)
+        return deviation(weighted_histogram(ss.realize(x, t), one(), "omega", E, t), lam,
+                         table=t)
+
+
+def _cli_dev_row(argv):
+    buf = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(buf):
+        warnings.simplefilter("ignore")
+        assert cli.dispatch(argv) == 0
+    return buf.getvalue().splitlines()[1]
+
+
+def _row(rep):
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in
+                    (rep.x, rep.lam, rep.M, rep.mass_low, rep.mass_high, rep.normalized,
+                     rep.gauss_ref))
+
+
+def test_sp_dev_matches_brute():
+    x, lam_t = 2000, 2.0
+    rep = _set_dev("sp:1,-1", x, lam_t)
     members = [p - 1 for p in range(2, x + 2) if is_prime_slow(p) and 1 <= p - 1 <= x]
     M = sum(1 / p for p in range(2, x + 1) if is_prime_slow(p))
     t = lam_t * math.sqrt(M)
@@ -193,14 +221,14 @@ def test_weighted_sp_deviation_matches_brute(t1e6):
     assert rep.M == pytest.approx(M, rel=1e-12)
     assert rep.mass_low == low and rep.mass_high == high
     assert rep.normalized == pytest.approx((low + high) / len(members), rel=1e-12)
+    sp_dev = ["sp-dev", "--a", "1", "--b", "-1", "--x", str(x), "--lambda", str(lam_t)]
+    assert _cli_dev_row(sp_dev) == _row(rep)
 
 
-def test_qf_deviation_matches_brute(t1e6):
+def test_qf_dev_matches_brute():
     x, lam_t = 500, 1.0
     E = KroneckerSign(-4, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = sh.qf_deviation(QuadraticForm(1, 0, 1), E, x, lam_t, table=t1e6)
+    rep = _set_dev("qf:1,0,1", x, lam_t, E)
     from oracles import or_lattice
 
     members = [n for n in range(1, x + 1) if or_lattice(n) > 0]
@@ -211,28 +239,28 @@ def test_qf_deviation_matches_brute(t1e6):
     high = sum(1 for n in members if om[n] >= M + t)
     assert rep.mass_low == low and rep.mass_high == high
     assert rep.total == len(members)
+    qf_dev = ["qf-dev", "--form", "1,0,1", "--x", str(x), "--lambda", str(lam_t)]
+    assert _cli_dev_row(qf_dev) == _row(rep)
 
 
-def test_qf_deviation_validates_split_primes(t1e6):
-    with pytest.raises(ValueError):
-        sh.qf_deviation(
-            QuadraticForm(1, 0, 1), ResidueClasses(4, (3,)), 100, 1.0, table=t1e6
-        )
-    with pytest.raises(ValueError):
-        sh.qf_deviation(
-            QuadraticForm(1, 0, 1), KroneckerSign(-4, 1), 100, 1.0, p0=7, table=t1e6
-        )
+def test_qf_dev_rejects_primes_that_do_not_split(capsys, monkeypatch):
+    # 3 is a prime of E = mod:4:3 and does not split for x^2 + y^2
+    monkeypatch.setattr(sys, "argv", ["siftlab", "qf-dev", "--form", "1,0,1", "--e", "mod:4:3",
+                                      "--x", "100", "--lambda", "1.0"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 2
+    assert "prime 3 in E does not split" in capsys.readouterr().err
 
 
-def test_qf_deviation_shifted_set_is_smaller(t1e6):
+def test_qf_dev_shifted_set_is_smaller():
     E = KroneckerSign(-4, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        base = sh.qf_deviation(QuadraticForm(1, 0, 1), E, 300, 1.0, table=t1e6)
-        shifted = sh.qf_deviation(
-            QuadraticForm(1, 0, 1), E, 300, 1.0, shift=-1, table=t1e6
-        )
+    base = _set_dev("qf:1,0,1", 300, 1.0, E)
+    shifted = _set_dev("qf:1,0,1,shift=-1", 300, 1.0, E)
     assert shifted.total < base.total
+    qf_dev = ["qf-dev", "--form", "1,0,1", "--x", "300", "--lambda", "1.0"]
+    assert _cli_dev_row(qf_dev) == _row(base)
+    assert _cli_dev_row(qf_dev + ["--shift", "-1"]) == _row(shifted)
 
 
 def test_poly_eval_and_degree():
@@ -306,7 +334,7 @@ def test_joint_poly_omega_system_validation(t1e6):
 
 def test_joint_poly_omega_budget(t1e6):
     with pytest.raises(ResourceBudgetError):
-        sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,), t1e6, trial_limit=10)
+        sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,), t1e6)
 
 
 def test_ap_prime_factor_count(t1e6):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siftlab import arith, bulk, cli, primesets, shifted, sift, specs
+from siftlab import arith, bulk, cli, primesets, sift, specs
 from siftlab import __version__
 from siftlab.errors import ResourceBudgetError
 from siftlab.primesets import ALL_PRIMES, Complement, Explicit
@@ -387,12 +387,46 @@ def test_cli_exact_set_dev_budget_mb_before_the_set(argv, capsys, monkeypatch):
 
     for name in ("exact_shifted_primes", "exact_qf_values", "exact_qf_shifted"):
         monkeypatch.setattr(sift, name, no_set)
-        monkeypatch.setattr(shifted, name, no_set)
+        monkeypatch.setattr(specs, name, no_set)  # SetSpec.realize builds the sets
     monkeypatch.setattr(arith, "PrimeTable", no_set)
+    monkeypatch.setattr(cli, "PrimeTable", no_set)
     assert _exit_code([*argv, "--x", "1000000", "--budget-mb", "1"], monkeypatch) == 3
     err = capsys.readouterr().err
     assert f"{argv[0]} plans " in err and "(1 per integer of [0, 1000000]" in err
     assert "over the budget of 1 MiB" in err
+
+
+# commands over a set, each with the limit of the one prime table it reads at x = 20000:
+# x, (x - b) // a for sp:a,b past x, and x + max(K, 0) + 1 for qf:...,shift=K
+ONE_TABLE = [(["sp-dev", "--a", "1", "--b", "-1", "--f", "zomega:1.3", "--lambda", "0.5"], 20001),
+             (["sp-dev", "--a", "2", "--b", "-1", "--f", "musq", "--g", "bigomega",
+               "--e", "mod:4:1", "--lambda", "0.5"], 20000),
+             (["qf-dev", "--form", "1,0,1", "--shift", "-1", "--lambda", "0.5"], 20001),
+             (["qf-dev", "--form", "1,1,2", "--g", "bigomega", "--lambda", "1.0"], 20000),
+             (["dev", "--sieve", "sp:1,-1", "--lambda", "1.0"], 20001),
+             (["hist", "--sieve", "qf:1,0,1,shift=1"], 20002),
+             (["table-sifted", "--sieve", "qf:1,0,1,shift=2", "--f", "musq"], 20003),
+             (["table-sifted", "--sieve", "explicit:3:1"], 20000)]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("argv, limit", ONE_TABLE, ids=[" ".join(a[:3]) for a, _ in ONE_TABLE])
+def test_cli_set_commands_build_one_prime_table_as_planned(argv, limit, capsys, monkeypatch):
+    built, planned = [], []
+    init, check = arith.PrimeTable.__init__, cli._check_budget
+
+    def spy_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    def spy_check(args, *rest, prime_limit=None, **kw):
+        planned.append(max(args.x, 2) if prime_limit is None else prime_limit)
+        check(args, *rest, prime_limit=prime_limit, **kw)
+
+    monkeypatch.setattr(arith.PrimeTable, "__init__", spy_init)
+    monkeypatch.setattr(cli, "_check_budget", spy_check)
+    _run(capsys, [*argv, "--x", "20000", "--budget-mb", "4096"])
+    assert built == planned == [limit]
 
 
 @pytest.mark.parametrize("argv", EXACT_DEV, ids=["sp-dev", "qf-dev", "qf-dev-shift"])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from siftlab import arith, multfunc as mf, sift as sf, table as tb
@@ -201,3 +202,20 @@ def test_sifted_table_sum_equals_divisor_oracle_bitwise(f, t1e5):
     expect = osifted_table_sum(range(1, x + 1), x, f.rule)
     for threads in (1, 2):
         assert tb.sifted_table_sum(sset, f, table=t1e5, threads=threads).value == expect
+
+
+@pytest.mark.parametrize("f", [mf.z_omega(1.3), mf.phi_over_n()], ids=lambda f: f.spec)
+def test_sifted_table_sum_is_one_running_sum_across_windows(f):
+    # three windows: the kept weights are added to one running sum in ascending
+    # n, not summed per window and then added up
+    x = 3_000_017
+    B = math.isqrt(x)
+    t = arith.PrimeTable(x)
+    kept = np.zeros(x + 1, dtype=bool)
+    for a in range(1, B + 1):
+        kept[a * a : a * B + 1 : a] = True
+    expect = 0.0
+    for w in mf.values_upto(f, x, t)[kept].tolist():
+        expect += w
+    for threads in (1, 2):
+        assert tb.sifted_table_sum(sf.everything(x), f, table=t, threads=threads).value == expect
