@@ -12,20 +12,25 @@ result is built and copied.  Window width never depends on the thread
 count, so output is bit-identical whether windows run serially or on a
 pool.
 
-Per-window work uses only primes up to sqrt(hi-1).  All five factor
-kernels (counts, mult, sigma, lambda, lpf) share one prime-power walk.  A
-kernel gives the walk a ufunc, its output array and f(p**e) for each small
-prime as a table; the walk applies ufunc(out, f(p**e)) once for every prime
-power exactly dividing each n.  What is left of n above its small part is
-1 or a single prime above the root.  Counts without a selector only need to
-know which, and read it off a sum of rounded logarithms packed beside the
-count (_log_counts), so their walk keeps no small parts.  The kernels that
-need that prime's value keep the product: counts with a selector, mult
-with a weight that varies with the prime, sigma, lambda and lpf.  Their
-walk multiplies up each n's small part and finally divides n by it in
-place for one whole-array finish; below 2**32 the small parts and
-cofactors are uint32, above it int64.  A mult window whose weight is 1 at
-every prime (mu**2, or 1) reads no cofactors and keeps no small parts.
+Per-window work uses only primes up to sqrt(hi-1).  All five factor kernels
+(counts, mult, sigma, lambda, lpf) share one prime-power walk.  A kernel
+gives the walk a ufunc, its output array and f(p**e) for each small prime
+as a table; the walk applies ufunc(out, f(p**e)) once for every prime power
+exactly dividing each n.  What is left of n above its small part is 1 or a
+single prime above the root.  Counts without a selector only need to know
+which, and read it off a sum of rounded logarithms packed beside the count
+(_log_counts), so their walk keeps no small parts.  The kernels that need
+that prime's value keep the product: counts with a selector, mult with a
+weight that varies with the prime, sigma, lambda and lpf.  Their walk
+multiplies up each n's small part and finally divides n by it in place;
+below 2**32 the small parts and cofactors are uint32, above it int64.  That
+accumulator is the one array of window length a kernel keeps beside its
+output: the division, and each kernel's finish on the cofactors (the
+gathers of the primes left above the root, a selector's mask, a weight's
+values, lambda's gcd), go CHUNK entries at a time.  Only the fix-up of the
+next paragraph, a copy of the values at the multiples of p**2, still grows
+with the window: past CHUNK entries for p = 2 and 3 in a 2**20 window.  A mult window whose weight is 1 at every prime (mu**2, or 1) reads
+no cofactors and keeps no small parts.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
 split has at least 128 multiples in the window.  It gets one scalar strided
@@ -33,13 +38,15 @@ pass of f(p) over its multiples, skipped when f(p) is the ufunc's identity.
 An integer np.add (the counts) then adds f(p**e) - f(p**(e-1)) at the
 multiples of each p**e, which is exact.  For the other ufuncs, when some
 f(p**e) differs from f(p), the values at the multiples of p**2 are saved
-before the pass and written back as ufunc(saved, f(p**e)), so exponents
-are tracked only there, and not at all when every f(p**e), e >= 3, equals
-f(p**2).  The primes above the split, most of them at 1e9 and beyond, have
-a few multiples each and go through one vectorized batch per window,
-applied with ufunc.at (for an integer np.add, again one power at a time).
-flags_window takes the same split, and primes_upto sieves in
-DEFAULT_WINDOW segments the same way.
+before the pass and written back as ufunc(saved, f(p**e)) at the multiples
+of each p**e in ascending e, so no exponent is stored, and only for e = 2
+when every f(p**e), e >= 3, equals f(p**2).  The primes above the split,
+most of them at 1e9 and beyond, have a few multiples each and go through
+vectorized batches applied with ufunc.at (for an integer np.add, again one
+power at a time), one batch for each ascending group of primes with about
+CHUNK multiples in the window (_groups), so each n still meets its primes
+in ascending order.  flags_window takes the same split and groups, and
+primes_upto sieves in DEFAULT_WINDOW segments the same way.
 
 OmegaTable is the one table of omega(m) that several windows share: 4 bits
 per m over [0, limit], np.empty, and filled by counts_window in aligned
@@ -57,6 +64,7 @@ from math import ceil, isqrt, log, log2
 import numpy as np
 
 DEFAULT_WINDOW = 1 << 20
+CHUNK = 1 << 16  # entries per chunk of a window's finish and per group of its batch primes
 
 
 def prime_count_bound(y: int) -> int:
@@ -102,8 +110,8 @@ def _sieve_segment(flags: np.ndarray, lo: int, primes: np.ndarray) -> None:
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             flags[start - lo :: p] = False
-    if k < small.size:
-        flags[_multiples(lo, hi, small[k:], from_square=True)[0]] = False
+    for group in _groups(small[k:], hi - lo):
+        flags[_multiples(lo, hi, group, from_square=True)[0]] = False
 
 
 def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[int, int]]:
@@ -166,6 +174,17 @@ def _split(small: np.ndarray, width: int) -> int:
     return int(np.searchsorted(small, width >> 7, side="right"))
 
 
+def _groups(primes: np.ndarray, n: int):
+    """The ascending primes in consecutive runs of at most CHUNK multiples in a window of n
+    integers between them, or one prime per run where a prime has more."""
+    ends = np.cumsum(n // primes + 1)  # bounds the multiples of each prime from above
+    i = 0
+    while i < primes.size:
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + CHUNK, side="right")))
+        yield primes[i:j]
+        i = j
+
+
 def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
     """The position in [lo, hi) of every multiple of each of the ascending primes, and the
     number of multiples of each prime.
@@ -225,22 +244,26 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     an integer array, each f(p**e) - f(p**(e-1)), e >= 2, is added at the
     multiples of p**e, which is exact even where the difference wraps in
     out's dtype.  Otherwise, when f(p**e) differs from f(p) for some e >= 2,
-    the values at the multiples of p**2 are saved first, and
-    ufunc(saved, f(p**e)) is written back there after the pass, so
-    exponents are tracked at those positions only, and not at all when no
-    f(p**e), e >= 3, differs from f(p**2) (_table's deep).  All primes above
-    the split come in one batch, one entry per (prime, multiple),
-    prime-major, applied with ufunc.at; an n divisible by two of them
-    appears twice.  An integer np.add batch takes one power at a time too
-    (_step_batch).
+    the values at the multiples of p**2 are saved first, and after the pass
+    ufunc(saved, f(p**e)) is written at the multiples of p**e for e = 2, 3,
+    ... in turn, so the last write at n is for the exponent of p in n and no
+    exponent is stored.  When no f(p**e), e >= 3, differs from f(p**2)
+    (_table's deep) only e = 2 is written, and then with f(p) the identity
+    the pass is skipped, so the saved values are a view, not a copy.  The
+    primes above the split come in ascending groups of at most CHUNK
+    multiples (_groups), one batch per group, one entry per (prime,
+    multiple), prime-major, applied with ufunc.at; an n divisible by two of
+    them appears twice.  An integer np.add batch takes one power at a time
+    too (_step_batch).
 
     The small part of every n is multiplied up, so nothing is divided until
-    the end, where n // small part is 1 or the one prime factor above the
-    root.  Below 2**32 every small part and quotient fits uint32, which
-    halves the traffic of that accumulator.  The quotients overwrite the
-    accumulator, so the cofactors come back uint32 below 2**32, else int64.
-    With cofactors=False no accumulator is kept and None comes back; a prime
-    whose fix-up needs no exponents then costs no power loop at all.
+    the end, where n // small part, taken CHUNK entries at a time, is 1 or
+    the one prime factor above the root.  Below 2**32 every small part and
+    quotient fits uint32, which halves the traffic of that accumulator.  The
+    quotients overwrite the accumulator, so the cofactors come back uint32
+    below 2**32, else int64.  With cofactors=False no accumulator is kept
+    and None comes back; a prime whose fix-up is not deep then costs no
+    power loop at all.
     """
     n = hi - lo
     acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64) if cofactors else None
@@ -255,32 +278,37 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
                                        varies.tolist(), deep.tolist()):
             sl = slice(-lo % p, n, p)  # a prime below the split has a multiple
             q = p * p
-            saved = exp = None
+            saved = None
             if fix and not steps and q < hi and -lo % q < n:
                 sq = slice(-lo % q, n, q)
-                saved = out[sq].copy() if f1 != identity else out[sq]
-                exp = np.ones(saved.size, dtype=np.uint8) if dp else None
-            if cofactors:
-                acc[sl] *= p
-            if cofactors or exp is not None or (steps and fix):
-                for e, se in _powers(p, lo, hi):
-                    if cofactors:
-                        acc[se] *= p
-                    if exp is not None:
-                        exp[(se.start - sq.start) // q :: se.step // q] += 1
-                    if steps and row[e]:
-                        out[se] += row[e]
+                saved = out[sq].copy() if f1 != identity or dp else out[sq]
             if f1 != identity:
                 view = out[sl]
                 ufunc(view, f1, out=view)
             if saved is not None:
-                ufunc(saved, row[2] if exp is None else row[exp], out=out[sq])
-    if k < small.size:
+                ufunc(saved, row[2], out=out[sq])
+            dp = dp and saved is not None
+            if cofactors:
+                acc[sl] *= p
+            if cofactors or dp or (steps and fix):
+                for e, se in _powers(p, lo, hi):
+                    if cofactors:
+                        acc[se] *= p
+                    if steps and row[e]:
+                        out[se] += row[e]
+                    if dp and e > 2:  # the last write at n is for p's exponent in n
+                        ufunc(saved[(se.start - sq.start) // q :: se.step // q], row[e],
+                              out=out[se])
+    for group in _groups(small[k:], n):
         if steps:
-            _step_batch(lo, hi, small[k:], acc, out, values)
+            _step_batch(lo, hi, group, acc, out, values)
         else:
-            _batch(lo, hi, small[k:], acc, ufunc, out, values)
-    return np.floor_divide(np.arange(lo, hi, dtype=acc.dtype), acc, out=acc) if cofactors else None
+            _batch(lo, hi, group, acc, ufunc, out, values)
+    if not cofactors:
+        return None
+    for a, b in window_ranges(0, n, CHUNK):
+        np.floor_divide(np.arange(lo + a, lo + b, dtype=acc.dtype), acc[a:b], out=acc[a:b])
+    return acc
 
 
 def _powers(p: int, lo: int, hi: int):
@@ -375,6 +403,17 @@ def _filled(lo: int, hi: int, out, dtype, fill) -> np.ndarray:
     return out
 
 
+def _cofactor_primes(rem: np.ndarray):
+    """(a, pos, q) for each chunk rem[a : a + CHUNK] of the walk's cofactors that holds a
+    prime above the root: the positions in the chunk that hold one, and those primes as a
+    new int64 array."""
+    for a, b in window_ranges(0, rem.size, CHUNK):
+        r = rem[a:b]
+        pos = np.flatnonzero(r > 1)
+        if pos.size:
+            yield a, pos, r[pos].astype(np.int64)
+
+
 _LOG_SCALE = 64
 
 
@@ -423,10 +462,9 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) 
         return v * np.asarray(selector.mask(p[:, 0]), dtype=bool)[:, None]
 
     rem = _walk(lo, hi, primes, np.add, counts, values, identity=0)
-    pos = np.flatnonzero(rem > 1)
-    if pos.size:
-        keep = np.asarray(selector.mask(rem[pos].astype(np.int64)), dtype=bool)
-        counts[pos[keep]] += 1
+    for a, pos, q in _cofactor_primes(rem):
+        c = counts[a : a + CHUNK]
+        c[pos[np.asarray(selector.mask(q), dtype=bool)]] += 1
     return counts
 
 
@@ -486,15 +524,18 @@ def mult_window(lo, hi, primes, rule, prime_vec, out=None) -> np.ndarray:
 
     rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0,
                 cofactors=not const or prime_vec != 1.0)
-    if const:  # c = 1 kept no cofactors
-        return vals if rem is None else np.multiply(vals, prime_vec, out=vals, where=rem > 1)
-    big = np.flatnonzero(rem > 1)
-    if big.size:
-        pv = np.asarray(prime_vec(rem[big].astype(np.int64)), dtype=np.float64)
+    if const:
+        if rem is not None:  # c = 1 kept no cofactors
+            for a, b in window_ranges(0, hi - lo, CHUNK):
+                np.multiply(vals[a:b], prime_vec, out=vals[a:b], where=rem[a:b] > 1)
+        return vals
+    for a, pos, q in _cofactor_primes(rem):
+        pv = np.asarray(prime_vec(q), dtype=np.float64)
         if (pv < 0).any():
             raise ValueError("multiplicative rule negative at a prime")
         if (pv != 1.0).any():  # as the walk skips f(p) = 1, so does the finish
-            vals[big] *= pv
+            v = vals[a : a + CHUNK]
+            v[pos] *= pv
     return vals
 
 
@@ -510,8 +551,10 @@ def sigma_window(lo: int, hi: int, out=None) -> np.ndarray:
     sig = _filled(lo, hi, out, np.int64, 1)
     rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), np.multiply, sig,
                 lambda p, e, pe: np.cumsum(pe, axis=1), identity=1)
-    rem += rem > 1
-    sig *= rem
+    for a, b in window_ranges(0, hi - lo, CHUNK):
+        r = rem[a:b]
+        r += r > 1
+        sig[a:b] *= r
     return sig
 
 
@@ -526,11 +569,11 @@ def lambda_window(lo, hi, primes, out=None) -> np.ndarray:
         return t
 
     rem = _walk(lo, hi, primes, np.lcm, lam, values, identity=1)
-    big = np.flatnonzero(rem > 1)
-    if big.size:
-        pe = rem[big].astype(np.int64) - 1
-        lv = lam[big]
-        lam[big] = lv // np.gcd(lv, pe) * pe
+    for a, pos, q in _cofactor_primes(rem):
+        q -= 1  # lambda(q)
+        la = lam[a : a + CHUNK]
+        lv = la[pos]
+        la[pos] = lv // np.gcd(lv, q) * q
     return lam
 
 
@@ -538,7 +581,7 @@ def lpf_window(lo, hi, primes, out=None) -> np.ndarray:
     """Largest prime factor for [lo, hi) as int64; 1 maps to 1."""
     lpf = _filled(lo, hi, out, np.int64, 1)
     rem = _walk(lo, hi, primes, np.maximum, lpf, lambda p, e, pe: p)
-    np.maximum(lpf, rem, out=lpf)
+    np.maximum(lpf, rem, out=lpf)  # casts rem through numpy's fixed buffer, no window copy
     return lpf
 
 

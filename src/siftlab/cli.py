@@ -136,7 +136,8 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
     unless f is None (no weight array) or one.  8 bytes per prime up to
     prime_limit (default x), the table's buffer of bulk.prime_count_bound
     entries.  Per thread, window bytes per integer of one window: 24 by
-    default, about a sigma or mult window's working set.  extra bytes more,
+    default, a loose upper bound on a sigma or mult window's working set
+    (traced: about 6 to 13 beside the output).  extra bytes more,
     such as egps's omega table over [0, max s(n)].
     """
     if args.budget_mb is None:

@@ -103,7 +103,8 @@ def egps_deviation(
         if not hasattr(bufs, "s"):
             bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
         s = bulk.sigma_window(a, b, out=bufs.s[: b - a])
-        s -= np.arange(a, b, dtype=np.int64)  # s(n) >= 1 for n >= 2
+        for c, d in bulk.window_ranges(a, b, bulk.CHUNK):  # s(n) >= 1 for n >= 2
+            s[c - a : d - a] -= np.arange(c, d, dtype=np.int64)
         keys = om.take(s)
         if primes is None:
             return keys, None

@@ -35,11 +35,21 @@ class WeightedHistogram:
 
     def mass_low(self, cutoff: float) -> float:
         """Total mass at k <= cutoff."""
-        return float(sum(m for k, m in self.bins.items() if k <= cutoff))
+        return self._mass(lambda k: k <= cutoff)
 
     def mass_high(self, cutoff: float) -> float:
         """Total mass at k >= cutoff."""
-        return float(sum(m for k, m in self.bins.items() if k >= cutoff))
+        return self._mass(lambda k: k >= cutoff)
+
+    def _mass(self, keep) -> float:
+        """The masses of the bins whose k keep accepts, added one at a time in ascending k.
+        The builtin sum is compensated from CPython 3.12 on, so its bytes would depend on
+        the interpreter."""
+        total = 0.0
+        for k, m in self.bins.items():
+            if keep(k):
+                total += m
+        return total
 
 
 def weighted_histogram(

@@ -10,6 +10,7 @@ complement(complement(E)) agrees with E pointwise by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,11 +110,16 @@ class KroneckerSign(PrimeSubset):
     def contains(self, p: int) -> bool:
         return kronecker(self.disc, p) == self.sign
 
-    def mask(self, arr: np.ndarray) -> np.ndarray:
-        # (disc|n) is periodic in n with period 4*|disc|
+    @cached_property
+    def _symbols(self) -> np.ndarray:
+        """(disc|period + r) for 0 <= r < period: (disc|n) is periodic in n with period
+        4*|disc|.  Built once per set, as a sieve window asks for a mask once per chunk."""
         period = 4 * abs(self.disc)
-        table = np.array([kronecker(self.disc, period + r) for r in range(period)], dtype=np.int8)
-        return table[np.asarray(arr) % period] == self.sign
+        return np.array([kronecker(self.disc, period + r) for r in range(period)], dtype=np.int8)
+
+    def mask(self, arr: np.ndarray) -> np.ndarray:
+        table = self._symbols
+        return table[np.asarray(arr) % table.size] == self.sign
 
     def spec_string(self) -> str:
         return f"kron:{self.disc}:{'+1' if self.sign == 1 else '-1'}"
@@ -128,10 +134,17 @@ class Explicit(PrimeSubset):
     def contains(self, p: int) -> bool:
         return p in self.members
 
+    @cached_property
+    def _sorted(self) -> np.ndarray:
+        """The members as one int64 array, built once per set, as a sieve window asks for a
+        mask once per chunk."""
+        return np.array(sorted(self.members), dtype=np.int64)
+
     def mask(self, arr: np.ndarray) -> np.ndarray:
         if not self.members:
             return np.zeros(len(arr), dtype=bool)
-        return np.isin(np.asarray(arr), np.array(sorted(self.members), dtype=np.int64))
+        t, a = self._sorted, np.asarray(arr)
+        return t[np.minimum(np.searchsorted(t, a), t.size - 1)] == a
 
     def spec_string(self) -> str:
         return "list:" + ",".join(str(p) for p in sorted(self.members))

@@ -127,8 +127,14 @@ def everything(x: int) -> SiftedSet:
 
 
 def nu_sum(cond: SieveCondition, x: int) -> float:
-    """Sum of nu(p)/p over the (finite) support intersected with [2, x]."""
-    return sum(len(rs) / p for p, rs in cond.exclusions if p <= x)
+    """Sum of nu(p)/p over the (finite) support intersected with [2, x], added one term at a
+    time in the order of the exclusions: the builtin sum is compensated from CPython 3.12
+    on, so its bytes would depend on the interpreter."""
+    total = 0.0
+    for p, rs in cond.exclusions:
+        if p <= x:
+            total += len(rs) / p
+    return total
 
 
 def preset_shifted_prime_superset(a: int, b: int, x: int, z: int) -> SieveCondition:

@@ -302,6 +302,57 @@ def test_counts_range_window_working_set():
     assert extra <= 4 * width
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_COFACTOR_KERNELS = {
+    "counts_sel": (np.uint8, lambda lo, hi, primes, out: bulk.counts_window(
+        lo, hi, primes, "bigomega", ResidueClasses(4, (1,)), out=out)),
+    "mult": (np.float64, lambda lo, hi, primes, out: bulk.mult_window(
+        lo, hi, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64), out=out)),
+    "sigma": (np.int64, lambda lo, hi, primes, out: bulk.sigma_window(lo, hi, out=out)),
+    "lambda": (np.int64, lambda lo, hi, primes, out: bulk.lambda_window(lo, hi, primes, out=out)),
+    "lpf": (np.int64, lambda lo, hi, primes, out: bulk.lpf_window(lo, hi, primes, out=out)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_COFACTOR_KERNELS))
+@pytest.mark.parametrize("lo", [10**9, 10**10])
+def test_cofactor_kernel_working_set(lo, kernel):
+    # Beside its output a kernel that keeps cofactors holds its accumulator,
+    # 4 bytes per integer below 2**32 and 8 above, and scratch that does not
+    # grow with the window: the walk's finish and the kernel's run over
+    # bulk.CHUNK entries at a time, and the batch primes come in groups of
+    # about bulk.CHUNK multiples.  Traced extras are 5.6-6.4 bytes per integer
+    # at 1e9 and 9.7-10.5 at 1e10; whole-window finishes, one batch and a
+    # stored exponent per multiple of p**2 held up to 32.8 and 36.7 (lambda).
+    width = 1 << 20
+    hi = lo + width
+    primes = bulk.primes_upto(isqrt(hi))
+    dtype, call = _COFACTOR_KERNELS[kernel]
+    out = np.empty(width, dtype=dtype)
+    acc = 4 if hi <= 1 << 32 else 8
+    assert _traced_peak(lambda: call(lo, hi, primes, out)) <= (acc + 6) * width
+
+
+@pytest.mark.parametrize("lo, per_int", [(10**10, 1.25), (2**40, 3.5)])
+def test_flags_window_working_set(lo, per_int):
+    # The batch primes of the flag sieve come in groups of about bulk.CHUNK
+    # multiples, so beside its 1-byte flags a 2**20 window traces 0.8 bytes
+    # per integer at 1e10 and 2.8 at 2**40, where one batch over every prime
+    # above the split traced 2.5 and 7.8.
+    width = 1 << 20
+    primes = bulk.primes_upto(isqrt(lo + width))
+    peak = _traced_peak(lambda: bulk.flags_window(lo, lo + width, primes))
+    assert peak <= (1 + per_int) * width
+
+
 W = bulk.DEFAULT_WINDOW
 
 
@@ -522,10 +573,8 @@ def test_kernel_bytes_pinned():
     assert digest.hexdigest() == KERNEL_BYTES_SHA256
 
 
-def test_mult_rule_with_identity_at_p():
-    # f(p) = 1 skips the strided pass; the multiples of p**2 still get f(p**e)
+def _check_mult_rule(rule):
     primes = bulk.primes_upto(200)
-    rule = lambda p, e: 1.0 if e == 1 else 3.0
     ones = lambda a: np.ones(len(a))
     v = bulk.mult_range(30000, primes, rule, ones)
     for n in range(1, 30001):
@@ -535,6 +584,17 @@ def test_mult_rule_with_identity_at_p():
         assert v[n] == want, n
     # width 8192 batches the primes above 64
     assert bulk.mult_range(30000, primes, rule, ones, width=8192).tobytes() == v.tobytes()
+
+
+def test_mult_rule_with_identity_at_p():
+    # f(p) = 1 skips the strided pass; the multiples of p**2 still get f(p**e)
+    _check_mult_rule(lambda p, e: 1.0 if e == 1 else 3.0)
+
+
+def test_mult_deep_rule_with_identity_at_p():
+    # f(p**e) differs again from e = 3 on, so each f(p**e) must be applied to
+    # the values saved before f(p**2) was written, not on top of it
+    _check_mult_rule(lambda p, e: 1.0 if e == 1 else float(e * e + 1))
 
 
 # The walk multiplies small parts in uint32 up to hi = 2**32 and in int64
@@ -572,6 +632,30 @@ def test_kernel_bytes_pinned_around_two_to_the_32():
         for arr in arrays:
             digest.update(arr.tobytes())
     assert digest.hexdigest() == STRADDLE_BYTES_SHA256
+
+
+CHUNKED_BYTES_SHA256 = "e770482a86a615a3db1371a7e748f6e25e58d7f090cfd6ef160bc7b823c901a8"
+
+
+def test_kernel_bytes_pinned_across_chunks():
+    # one sha256 over every kernel, mult with a callable and with a number at
+    # the primes, on windows wider than bulk.CHUNK and not a multiple of it,
+    # one straddling 2**32, and one wide enough that the batch primes come
+    # in several groups; recorded before the finishes were chunked
+    w = (1 << 17) + 12345
+    windows = [(10**9, 10**9 + w), (10**10, 10**10 + w), (2**32 - 2**16, 2**32 - 2**16 + w),
+               (10**12, 10**12 + w), (10**10, 10**10 + (1 << 20) + 12345)]
+    primes = bulk.primes_upto(isqrt(10**12 + w))
+    digest = hashlib.sha256()
+    for lo, hi in windows:
+        arrays = list(_kernels(lo, hi, primes).values())
+        for spec in ("musq", "zomega:1.3", "phioverN"):
+            f = parse_weight(spec)
+            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.at_primes))
+            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.window_primes()))
+        for arr in arrays:
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == CHUNKED_BYTES_SHA256
 
 
 # width 2**20 at 1e6, a window straddling 2**32, and width 8192 at 1e10,
@@ -639,19 +723,15 @@ def test_mult_window_prime_value_is_checked(monkeypatch):
 
 def test_mult_window_weight_one_at_primes_keeps_no_cofactors():
     # musq with c = 1 keeps no accumulator, no dividend and no finish: beside
-    # its output a window holds under 1 byte per integer (about 0.4).  Its
-    # cofactor finish, through a callable, holds about 21.4.
+    # its output a window holds under 1 byte per integer (about 0.4).  Through
+    # a callable it holds about 6.0: its uint32 accumulator and one chunk of
+    # the cofactor finish (21.4 when that finish took the whole window).
     lo, width = 9 * 10**6, 1 << 20
     primes = bulk.primes_upto(isqrt(lo + width))
     musq = parse_weight("musq")
     out = np.empty(width)
-    tracemalloc.start()
-    try:
-        bulk.mult_window(lo, lo + width, primes, musq.rule, 1.0, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= width
+    assert _traced_peak(lambda: bulk.mult_window(lo, lo + width, primes, musq.rule, 1.0,
+                                                 out=out)) <= width
 
 
 # Without a selector counts_window learns whether n keeps a prime above

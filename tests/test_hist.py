@@ -25,6 +25,17 @@ def test_histogram_small(t1e5):
     assert h.g_kind == "omega"
 
 
+def test_tail_masses_add_in_ascending_k():
+    # one float addition per bin in ascending k, as CPython 3.11's sum adds;
+    # the compensated sum of CPython 3.12 and later would give 1.0 here
+    h = H.WeightedHistogram(x=2, g_kind="omega", E=ALL_PRIMES, f=mf.one(),
+                            bins={0: 1e16, 1: 1.0, 2: -1e16}, total=1.0, count=3)
+    assert h.mass_low(2) == 0.0
+    assert h.mass_high(0) == 0.0
+    assert h.mass_low(1) == 1e16
+    assert h.mass_high(1) == -1e16
+
+
 def test_histogram_against_scalar_loop(t1e5):
     cond = sf.condition({2: (1,), 7: (3,)})
     sset = sf.sift(500, cond)

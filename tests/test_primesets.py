@@ -68,6 +68,19 @@ def test_kronecker_sign_equals_residue_class_for_minus_four(t1e5):
     assert np.array_equal(a.mask(odd), b.mask(odd))
 
 
+def test_kronecker_sign_builds_its_symbol_table_once(monkeypatch, t1e5):
+    # a counts window with a selector asks for a mask once per chunk of its
+    # cofactors, so each mask must not pay for the 4|disc| symbols again
+    calls, real = [], ps.kronecker
+    monkeypatch.setattr(ps, "kronecker", lambda a, n: calls.append(n) or real(a, n))
+    E = ps.KroneckerSign(-1003, 1)
+    odd = t1e5.primes[1:300]
+    first = E.mask(odd)
+    assert len(calls) == 4 * 1003
+    assert np.array_equal(E.mask(odd), first) and len(calls) == 4 * 1003
+    _check_mask_matches_scalar(E, odd)
+
+
 def test_kronecker_sign_validation():
     with pytest.raises(ValueError):
         ps.KroneckerSign(5, 0)
