@@ -68,8 +68,8 @@ class FactorWindow:
         self.hi = hi
         self._table = table
         self._spf = bulk.fill_windows(np.empty(hi - lo, dtype=np.uint32), lo,
-                                      lambda a, b, dest: np.copyto(
-                                          dest, bulk.spf_window(a, b, table.primes)))
+                                      lambda a, b, dest: bulk.spf_window(a, b, table.primes,
+                                                                         out=dest))
 
     @property
     def spf(self) -> np.ndarray:
@@ -185,19 +185,6 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
     return True
 
 
-def divisors(fac: Factorization) -> list[int]:
-    """All divisors, unsorted."""
-    divs = [1]
-    for p, e in fac.parts:
-        cur = list(divs)
-        pk = 1
-        for _ in range(e):
-            pk *= p
-            for d in cur:
-                divs.append(d * pk)
-    return divs
-
-
 __all__ = [
     "Factorization",
     "PrimeTable",
@@ -206,5 +193,4 @@ __all__ = [
     "factorize",
     "kronecker",
     "is_prime",
-    "divisors",
 ]

@@ -12,25 +12,30 @@ result is built and copied.  Window width never depends on the thread
 count, so output is bit-identical whether windows run serially or on a
 pool.
 
-Per-window work uses only primes up to sqrt(hi-1).  All five factor kernels
-(counts, mult, sigma, lambda, lpf) share one prime-power walk.  A kernel
-gives the walk a ufunc, its output array and f(p**e) for each small prime
-as a table; the walk applies ufunc(out, f(p**e)) once for every prime power
-exactly dividing each n.  What is left of n above its small part is 1 or a
-single prime above the root.  Counts without a selector only need to know
+Per-window work uses only primes up to sqrt(hi-1).  All six factor kernels
+(spf, counts, mult, sigma, lambda, lpf) are declarations on one prime-power
+walk (_walk).  A kernel gives the walk a ufunc, its output array, f(p**e)
+for each small prime as a table, and optionally a finish; the walk applies
+ufunc(out, f(p**e)) once for every prime power exactly dividing each n.
+spf is np.minimum of p from a start value that is not prime, lpf
+np.maximum, lambda np.lcm, mult and sigma np.multiply, counts np.add.  What
+is left of n above its small part is 1 or a single prime above the root.
+spf needs nothing of it.  Counts without a selector only need to know
 which, and read it off a sum of rounded logarithms packed beside the count
 (_log_counts), so their walk keeps no small parts.  The kernels that need
-that prime's value keep the product: counts with a selector, mult with a
-weight that varies with the prime, sigma, lambda and lpf.  Their walk
-multiplies up each n's small part and finally divides n by it in place;
-below 2**32 the small parts and cofactors are uint32, above it int64.  That
-accumulator is the one array of window length a kernel keeps beside its
-output: the division, and each kernel's finish on the cofactors (the
-gathers of the primes left above the root, a selector's mask, a weight's
-values, lambda's gcd), go CHUNK entries at a time.  Only the fix-up of the
-next paragraph, a copy of the values at the multiples of p**2, still grows
-with the window: past CHUNK entries for p = 2 and 3 in a 2**20 window.  A mult window whose weight is 1 at every prime (mu**2, or 1) reads
-no cofactors and keeps no small parts.
+that prime's value give a finish: counts with a selector, mult unless
+its weight is given as the number 1 at the primes, sigma, lambda and lpf.  Their walk
+multiplies up each n's small part, and at the end divides n by it and
+calls the finish, CHUNK entries at a time; below 2**32 the small parts and
+cofactors are uint32, above it int64.  That accumulator is the one array of
+window length a kernel keeps beside its output.  Each finish keeps the
+form that is fastest for it: sigma, lpf and counts with a selector run
+dense over the chunk (r += r > 1 and s *= r; np.maximum; c += (r > 1) &
+mask(r)), mult with a number c at the primes multiplies where r > 1, and
+mult with a callable and lambda gather the primes left above the root.
+Only the fix-up of the next paragraph, a copy of the values at the
+multiples of p**2, still grows with the window: past CHUNK entries for
+p = 2 and 3 in a 2**20 window.
 
 The walk splits the small primes at p = width >> 7.  A prime below the
 split has at least 128 multiples in the window.  It gets one scalar strided
@@ -210,27 +215,27 @@ def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
     return pos, cnt
 
 
-def spf_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+def spf_window(lo: int, hi: int, primes: np.ndarray, out=None) -> np.ndarray:
     """Smallest prime factor for [lo, hi) as uint32; 0 marks primes and 1.
 
-    Composites below 2**64 always have spf below 2**32, so the narrow
-    dtype is safe; the caller resolves the 0 sentinel to n itself.
+    The walk takes np.minimum of p over each n's small primes from the start
+    value 2**32 - 1, which is not prime; that value and each small prime left
+    equal to itself become 0.  Composites below 2**64 always have spf below
+    2**32, so the narrow dtype is safe; the caller resolves the 0 sentinel
+    to n itself.
     """
-    if lo < 1 or lo >= hi:
-        raise ValueError("need 1 <= lo < hi")
-    spf = np.zeros(hi - lo, dtype=np.uint32)
-    for p in _small_primes(primes, hi).tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
-            continue
-        view = spf[start - lo :: p]
-        view[view == 0] = p
+    top = (1 << 32) - 1
+    spf = _filled(lo, hi, out, np.uint32, top)
+    _walk(lo, hi, primes, np.minimum, spf, lambda p, e, pe: p)
+    spf[spf == top] = 0
+    small = _small_primes(primes, hi)
+    spf[small[np.searchsorted(small, lo):] - lo] = 0
     return spf
 
 
 def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
-          identity=None, cofactors: bool = True) -> np.ndarray | None:
-    """out[i] = ufunc(out[i], f(p**e)) for each p**e exactly dividing lo + i; returns the cofactors.
+          identity=None, finish=None) -> None:
+    """out[i] = ufunc(out[i], f(p**e)) for each p**e exactly dividing lo + i, then finish.
 
     Each p <= isqrt(hi-1) is applied in ascending order, one step per
     (n, p).  values(p, e, pe) gives f for a column p of ascending primes:
@@ -256,17 +261,18 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
     them appears twice.  An integer np.add batch takes one power at a time
     too (_step_batch).
 
-    The small part of every n is multiplied up, so nothing is divided until
-    the end, where n // small part, taken CHUNK entries at a time, is 1 or
-    the one prime factor above the root.  Below 2**32 every small part and
-    quotient fits uint32, which halves the traffic of that accumulator.  The
-    quotients overwrite the accumulator, so the cofactors come back uint32
-    below 2**32, else int64.  With cofactors=False no accumulator is kept
-    and None comes back; a prime whose fix-up is not deep then costs no
-    power loop at all.
+    Without finish that is all: no small part is kept, and a prime whose
+    fix-up is not deep costs no power loop.  With finish(out_chunk, r) the
+    small part of every n is multiplied up, so nothing is divided until the
+    end, where n // small part, taken CHUNK entries at a time, is 1 or the
+    one prime factor above the root; right after each chunk's division,
+    finish gets that chunk of out and those cofactors r, which it may
+    overwrite.  Below 2**32 every small part and cofactor fits uint32, which
+    halves the traffic of that accumulator, else they are int64.
     """
     n = hi - lo
-    acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64) if cofactors else None
+    keep = finish is not None
+    acc = np.ones(n, dtype=np.uint32 if hi <= 1 << 32 else np.int64) if keep else None
     small = _small_primes(primes, hi)
     k = _split(small, n)
     steps = ufunc is np.add and out.dtype.kind in "ui"
@@ -288,11 +294,11 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
             if saved is not None:
                 ufunc(saved, row[2], out=out[sq])
             dp = dp and saved is not None
-            if cofactors:
+            if keep:
                 acc[sl] *= p
-            if cofactors or dp or (steps and fix):
+            if keep or dp or (steps and fix):
                 for e, se in _powers(p, lo, hi):
-                    if cofactors:
+                    if keep:
                         acc[se] *= p
                     if steps and row[e]:
                         out[se] += row[e]
@@ -304,11 +310,11 @@ def _walk(lo: int, hi: int, primes: np.ndarray, ufunc, out: np.ndarray, values,
             _step_batch(lo, hi, group, acc, out, values)
         else:
             _batch(lo, hi, group, acc, ufunc, out, values)
-    if not cofactors:
-        return None
-    for a, b in window_ranges(0, n, CHUNK):
-        np.floor_divide(np.arange(lo + a, lo + b, dtype=acc.dtype), acc[a:b], out=acc[a:b])
-    return acc
+    if keep:
+        for a, b in window_ranges(0, n, CHUNK):
+            r = acc[a:b]
+            np.floor_divide(np.arange(lo + a, lo + b, dtype=acc.dtype), r, out=r)
+            finish(out[a:b], r)
 
 
 def _powers(p: int, lo: int, hi: int):
@@ -403,17 +409,6 @@ def _filled(lo: int, hi: int, out, dtype, fill) -> np.ndarray:
     return out
 
 
-def _cofactor_primes(rem: np.ndarray):
-    """(a, pos, q) for each chunk rem[a : a + CHUNK] of the walk's cofactors that holds a
-    prime above the root: the positions in the chunk that hold one, and those primes as a
-    new int64 array."""
-    for a, b in window_ranges(0, rem.size, CHUNK):
-        r = rem[a:b]
-        pos = np.flatnonzero(r > 1)
-        if pos.size:
-            yield a, pos, r[pos].astype(np.int64)
-
-
 _LOG_SCALE = 64
 
 
@@ -461,10 +456,10 @@ def counts_window(lo, hi, primes, kind: str = "omega", selector=None, out=None) 
         v = e if kind == "bigomega" else 1
         return v * np.asarray(selector.mask(p[:, 0]), dtype=bool)[:, None]
 
-    rem = _walk(lo, hi, primes, np.add, counts, values, identity=0)
-    for a, pos, q in _cofactor_primes(rem):
-        c = counts[a : a + CHUNK]
-        c[pos[np.asarray(selector.mask(q), dtype=bool)]] += 1
+    def finish(c, r):
+        c += (r > 1) & np.asarray(selector.mask(r), dtype=bool)
+
+    _walk(lo, hi, primes, np.add, counts, values, identity=0, finish=finish)
     return counts
 
 
@@ -477,7 +472,7 @@ def _log_counts(lo: int, hi: int, primes: np.ndarray, kind: str, counts: np.ndar
         return np.where(pe > 0, (e * L << bits) + (1 if kind == "omega" else e), 0)
 
     word = np.zeros(hi - lo, dtype=dtype)
-    _walk(lo, hi, primes, np.add, word, values, identity=0, cofactors=False)
+    _walk(lo, hi, primes, np.add, word, values, identity=0)
     np.bitwise_and(word, (1 << bits) - 1, out=counts, casting="unsafe")
     u = log2(isqrt(hi - 1) + 1)
     for j in range(int(lo).bit_length() - 1, (int(hi) - 1).bit_length()):
@@ -522,20 +517,19 @@ def mult_window(lo, hi, primes, rule, prime_vec, out=None) -> np.ndarray:
             raise ValueError(f"multiplicative rule at ({p[i, 0]},1) is not {prime_vec}")
         return t
 
-    rem = _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0,
-                cofactors=not const or prime_vec != 1.0)
-    if const:
-        if rem is not None:  # c = 1 kept no cofactors
-            for a, b in window_ranges(0, hi - lo, CHUNK):
-                np.multiply(vals[a:b], prime_vec, out=vals[a:b], where=rem[a:b] > 1)
-        return vals
-    for a, pos, q in _cofactor_primes(rem):
-        pv = np.asarray(prime_vec(q), dtype=np.float64)
+    def finish(v, r):
+        if const:
+            np.multiply(v, prime_vec, out=v, where=r > 1)
+            return
+        pos = np.flatnonzero(r > 1)
+        pv = np.asarray(prime_vec(r[pos].astype(np.int64)), dtype=np.float64)
         if (pv < 0).any():
             raise ValueError("multiplicative rule negative at a prime")
         if (pv != 1.0).any():  # as the walk skips f(p) = 1, so does the finish
-            v = vals[a : a + CHUNK]
             v[pos] *= pv
+
+    _walk(lo, hi, primes, np.multiply, vals, values, identity=1.0,
+          finish=None if prime_vec == 1.0 else finish)
     return vals
 
 
@@ -549,12 +543,13 @@ def sigma_window(lo: int, hi: int, out=None) -> np.ndarray:
     if hi > 1 << 55:
         raise OverflowError("sigma window above 2**55 could overflow int64")
     sig = _filled(lo, hi, out, np.int64, 1)
-    rem = _walk(lo, hi, primes_upto(isqrt(hi - 1)), np.multiply, sig,
-                lambda p, e, pe: np.cumsum(pe, axis=1), identity=1)
-    for a, b in window_ranges(0, hi - lo, CHUNK):
-        r = rem[a:b]
+
+    def finish(s, r):
         r += r > 1
-        sig[a:b] *= r
+        s *= r
+
+    _walk(lo, hi, primes_upto(isqrt(hi - 1)), np.multiply, sig,
+          lambda p, e, pe: np.cumsum(pe, axis=1), identity=1, finish=finish)
     return sig
 
 
@@ -568,20 +563,22 @@ def lambda_window(lo, hi, primes, out=None) -> np.ndarray:
             t[0, 3:] //= 2  # lambda(2**e) = 2**(e-2) from e = 3 on
         return t
 
-    rem = _walk(lo, hi, primes, np.lcm, lam, values, identity=1)
-    for a, pos, q in _cofactor_primes(rem):
+    def finish(la, r):
+        pos = np.flatnonzero(r > 1)
+        q = r[pos].astype(np.int64)
         q -= 1  # lambda(q)
-        la = lam[a : a + CHUNK]
         lv = la[pos]
         la[pos] = lv // np.gcd(lv, q) * q
+
+    _walk(lo, hi, primes, np.lcm, lam, values, identity=1, finish=finish)
     return lam
 
 
 def lpf_window(lo, hi, primes, out=None) -> np.ndarray:
     """Largest prime factor for [lo, hi) as int64; 1 maps to 1."""
     lpf = _filled(lo, hi, out, np.int64, 1)
-    rem = _walk(lo, hi, primes, np.maximum, lpf, lambda p, e, pe: p)
-    np.maximum(lpf, rem, out=lpf)  # casts rem through numpy's fixed buffer, no window copy
+    _walk(lo, hi, primes, np.maximum, lpf, lambda p, e, pe: p,
+          finish=lambda o, r: np.maximum(o, r, out=o))
     return lpf
 
 

@@ -375,7 +375,8 @@ def _cmd_sigma_div(args):
 
 def _cmd_s_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 0, window=40)  # each window holds n, sigma and lpf as int64
+    # each window holds n, sigma and lpf as int64; the primes reach isqrt(x)
+    _check_budget(args, f, 0, prime_limit=math.isqrt(max(args.x, 0)), window=40)
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
     return header, [[args.x, args.y, args.z, args.d, args.f, value]]

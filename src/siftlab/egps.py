@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, table_upto
+from .arith import PrimeTable, is_prime, table_upto
 from .multfunc import MultiplicativeFunction, add_windows, mertens_sum, weighted_bins
 from .primesets import ALL_PRIMES
 
@@ -154,7 +154,7 @@ def count_p_divides_sigma(
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     table = table_upto(table, x)
-    if p not in table:
+    if not is_prime(p, table):
         raise ValueError(f"{p} is not prime")
 
     def hits(a: int, b: int) -> np.ndarray:
@@ -179,12 +179,13 @@ def count_d_divides_s(
     threads: int = 1,
 ) -> float:
     """Weighted count of n <= x with d | s(n), largest prime factor above y,
-    and that factor unsquared; requires d <= z <= y."""
+    and that factor unsquared; requires d <= z <= y.  The lpf windows and the
+    weights read primes only up to isqrt(x)."""
     if x < 3:
         raise ValueError("need x >= 3")
     if not 1 <= d <= z <= y <= x:
         raise ValueError("need 1 <= d <= z <= y <= x")
-    table = table_upto(table, x)
+    table = table_upto(table, max(math.isqrt(x), 2))
 
     def hits(a: int, b: int) -> np.ndarray:
         ns = np.arange(a, b, dtype=np.int64)

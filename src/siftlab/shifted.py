@@ -17,7 +17,6 @@ import numpy as np
 from . import bulk
 from .arith import (
     PrimeTable,
-    divisors,
     factorize,
     table_upto,
 )
@@ -186,9 +185,8 @@ def _check_poly_system(polys: list[tuple[int, ...]]) -> None:
 def _has_rational_root(q: tuple[int, ...], deg: int) -> bool:
     """Rational-root test: candidates r/s with r | constant, s | leading."""
     lead, const = q[deg], q[0]
-    t = PrimeTable(max(2, isqrt(max(abs(const), abs(lead)))))
-    for r in divisors(factorize(abs(const), t)):
-        for s in divisors(factorize(abs(lead), t)):
+    for r in _divisors(abs(const)):
+        for s in _divisors(abs(lead)):
             if gcd(r, s) != 1:
                 continue
             # s**deg * q(r/s), cleared of denominators, at +r/s and -r/s
@@ -197,6 +195,12 @@ def _has_rational_root(q: tuple[int, ...], deg: int) -> bool:
             if pos == 0 or neg == 0:
                 return True
     return False
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, by trial division up to isqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def joint_poly_omega(

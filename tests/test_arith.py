@@ -5,8 +5,6 @@ the CLI runs (bulk), each checked against an independent pure-python
 oracle before any frozen value is trusted.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -305,22 +303,6 @@ def test_is_prime_large_values():
 def test_is_prime_agrees_with_sieve(t1e5):
     for n in range(2, 2000):
         assert arith.is_prime(n) == (n in t1e5)
-
-
-def test_divisors_known_values(t1e5):
-    f = arith.factorize(12, t1e5)
-    assert sorted(arith.divisors(f)) == [1, 2, 3, 4, 6, 12]
-    f1 = arith.factorize(1, t1e5)
-    assert arith.divisors(f1) == [1]
-
-
-def test_divisors_count_matches_tau(t1e5):
-    for n in range(1, 500):
-        f = arith.factorize(n, t1e5)
-        tau = math.prod(e + 1 for _, e in f.parts)
-        divs = arith.divisors(f)
-        assert len(divs) == len(set(divs)) == tau
-        assert all(n % d == 0 for d in divs)
 
 
 def test_spf_array_is_int64(t1e5):

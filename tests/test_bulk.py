@@ -87,17 +87,22 @@ def test_stream_windows_bounds_windows_in_flight(threads):
     assert 1 < peak <= 2 * threads
 
 
+def _ospf(n):
+    """spf_window's value at n: its least prime factor, or 0 for a prime and 1."""
+    parts = ofactor(n)
+    return 0 if n == 1 or parts == [(n, 1)] else parts[0][0]
+
+
 def test_spf_window_values():
-    primes = bulk.primes_upto(100)
-    spf = bulk.spf_window(2, 50, primes)
-    for n in range(2, 50):
-        raw = int(spf[n - 2])
-        expect = ofactor(n)[0][0]
-        if expect == n:
-            assert raw == 0
-        else:
-            assert raw == expect
-    assert bulk.spf_window(1, 2, primes)[0] == 0
+    # every window with hi <= 48, and up to hi = 600 the windows from 1 and 2, the
+    # upper half and the last n, each over the least table that covers its root
+    want = [None] + [_ospf(n) for n in range(1, 600)]
+    windows = {(lo, hi) for hi in range(2, 49) for lo in range(1, hi)}
+    windows |= {(lo, hi) for hi in range(3, 601) for lo in (1, 2, hi // 2, hi - 1)}
+    for lo, hi in sorted(windows):
+        got = bulk.spf_window(lo, hi, bulk.primes_upto(isqrt(hi - 1)))
+        assert got.dtype == np.uint32
+        assert got.tolist() == want[lo:hi], (lo, hi)
 
 
 def test_spf_window_tolerates_primefree_gap_above_table():
@@ -114,6 +119,22 @@ def test_spf_window_rejects_missing_prime():
         bulk.spf_window(0, 10, bulk.primes_upto(10))
     with pytest.raises(ValueError):
         bulk.spf_window(5, 5, bulk.primes_upto(10))
+
+
+SPF_BYTES_SHA256 = "22ee72abf80c48be184ed80bb867c2241f91af2ec7cf77fb1b03218a9a6ddd39"
+
+
+def test_spf_window_bytes_pinned():
+    # one sha256 over windows from 1 to 1e12, one straddling 2**32 and one of
+    # 2**20 + 12345 at 1e10, whose batch primes come in several groups;
+    # recorded while spf_window still ran its own loop over the small primes
+    w = (1 << 17) + 12345
+    windows = [(lo, lo + w) for lo in (1, 10**6, 10**9, 2**32 - 2**16, 10**10, 10**12)]
+    windows.append((10**10, 10**10 + (1 << 20) + 12345))
+    digest = hashlib.sha256()
+    for lo, hi in windows:
+        digest.update(bulk.spf_window(lo, hi, bulk.primes_upto(isqrt(hi - 1))).tobytes())
+    assert digest.hexdigest() == SPF_BYTES_SHA256
 
 
 def test_counts_window_against_oracle():
@@ -667,6 +688,7 @@ def test_kernels_fill_a_dirty_out(lo, hi):
     E = ResidueClasses(4, (1,))
     phi = parse_weight("phioverN")
     kernels = [
+        lambda **kw: bulk.spf_window(lo, hi, primes, **kw),
         lambda **kw: bulk.counts_window(lo, hi, primes, "omega", **kw),
         lambda **kw: bulk.counts_window(lo, hi, primes, "bigomega", E, **kw),
         lambda **kw: bulk.mult_window(lo, hi, primes, phi.rule, phi.at_primes, **kw),

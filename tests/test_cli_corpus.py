@@ -31,8 +31,9 @@ all exact, and kept its bytes.
 Output bytes must not depend on the machine either: no reduction in
 `src/siftlab` may go through BLAS, whose thread count reorders the sum.
 And the oracles the suite checks the package against must not import it.
-No module of the package keeps an import it never reads or an `__all__`
-entry it does not define, so code that nothing reaches shows.
+No module of the package keeps an import it never reads, a `_private`
+function or constant it never reads, or an `__all__` entry it does not
+define, so code that nothing reaches shows.
 """
 
 import ast
@@ -212,8 +213,9 @@ def test_package_import_scan_sees_every_form():
 
 
 def _dead_names(tree):
-    """(kind, name) for each name the module imports and never reads, and each
-    `__all__` entry it does not bind at top level; `__future__` imports bind nothing."""
+    """(kind, name) for each name the module imports and never reads, each `_private`
+    function, class or constant it binds at top level and never reads, and each `__all__`
+    entry it does not bind at top level; `__future__` imports bind nothing."""
     imported, bound, read, exported = set(), set(), set(), []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -226,10 +228,13 @@ def _dead_names(tree):
             bound.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
             if any(getattr(t, "id", None) == "__all__" for t in targets):
                 exported = [e.value for e in node.value.elts]
     yield from (("unused import", n) for n in sorted(imported - read))
+    private = {n for n in bound if n.startswith("_") and not n.startswith("__")}
+    yield from (("unread private", n) for n in sorted(private - read))
     yield from (("unresolved export", n) for n in exported if n not in bound | imported)
 
 
@@ -243,7 +248,11 @@ def test_no_dead_imports_or_exports_in_source():
 def test_dead_name_scan_sees_every_form():
     src = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
            "from math import gcd, isqrt as r\nfrom . import bulk\n"
-           "def f(x: np.ndarray):\n    return r(x) + bulk.n\n"
-           "N = 3\n__all__ = ['f', 'N', 'gcd', 'g']\n")
+           "def f(x: np.ndarray):\n    return r(x) + bulk.n + _K * _h(x)\n"
+           "def _h(x):\n    return x\n"
+           "def _left(x):\n    return x\nclass _Gone:\n    pass\n"
+           "_K, _UNREAD = 2, 3\n_SOLO: int = 4\nN = 3\n__all__ = ['f', 'N', 'gcd', 'g']\n")
     assert list(_dead_names(ast.parse(src))) == [
-        ("unused import", "gcd"), ("unused import", "os"), ("unresolved export", "g")]
+        ("unused import", "gcd"), ("unused import", "os"), ("unread private", "_Gone"),
+        ("unread private", "_SOLO"), ("unread private", "_UNREAD"), ("unread private", "_left"),
+        ("unresolved export", "g")]

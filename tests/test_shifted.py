@@ -332,6 +332,33 @@ def test_joint_poly_omega_system_validation(t1e6):
         sh.joint_poly_omega([(1, 1)], 100, 2, (1,), t1e6)
 
 
+@pytest.mark.parametrize("q, root", [
+    ((1, -3, 2), True),      # 2X^2 - 3X + 1 = (2X - 1)(X - 1)
+    ((1, -5, 6), True),      # 6X^2 - 5X + 1 = (2X - 1)(3X - 1)
+    ((-1, 0, 4), True),      # 4X^2 - 1, roots +-1/2
+    ((-8, 0, 0, 27), True),  # 27X^3 - 8, root 2/3
+    ((1, 0, 1), False),      # X^2 + 1
+    ((-2, 0, 1), False),     # X^2 - 2
+    ((2, 0, 0, 1), False),   # X^3 + 2
+    ((-36, 0, 0, 1), False), # X^3 - 36: no divisor of 36 cubes to 36
+])
+def test_has_rational_root(q, root):
+    assert sh._has_rational_root(q, len(q) - 1) is root
+
+
+def test_has_rational_root_against_every_fraction():
+    # every r/s with |r| <= |q(0)| and 1 <= s <= |leading|, divisors or not
+    def brute(q):
+        deg = len(q) - 1
+        return any(sum(c * r**i * s ** (deg - i) for i, c in enumerate(q)) == 0
+                   for r in range(-abs(q[0]), abs(q[0]) + 1) for s in range(1, abs(q[-1]) + 1))
+
+    coeffs = range(-6, 7)
+    for q in [(a, b, c) for a in coeffs for b in coeffs for c in coeffs if a and c] + \
+             [(a, b, 0, d) for a in coeffs for b in (-1, 0, 2) for d in coeffs if a and d]:
+        assert sh._has_rational_root(q, len(q) - 1) == brute(q), q
+
+
 def test_joint_poly_omega_budget(t1e6):
     with pytest.raises(ResourceBudgetError):
         sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,), t1e6)

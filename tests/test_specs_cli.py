@@ -246,6 +246,39 @@ def test_cli_jointpoly_value(capsys):
     assert out.splitlines()[1] == '100,97,"1,1",2,16'
 
 
+def test_cli_sigma_div_accepts_a_prime_above_x(capsys, monkeypatch):
+    # the prime table stops at x, but p = 127 is prime and divides sigma(64) = 127
+    out = _run(capsys, ["sigma-div", "--x", "100", "--p", "127"])
+    assert out.splitlines()[1].split(",")[4] == "1.0"
+    monkeypatch.setattr(sys, "argv", ["siftlab", "sigma-div", "--x", "100", "--p", "4"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 2
+    assert "4 is not prime" in capsys.readouterr().err
+
+
+def test_cli_s_div_builds_primes_to_the_root_of_x(capsys, monkeypatch):
+    # the lpf windows and the weights read no prime above isqrt(x), and the
+    # --budget-mb plan charges that table
+    built, planned = [], []
+    init, check = arith.PrimeTable.__init__, cli._check_budget
+
+    def spy_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    def spy_check(args, *rest, prime_limit=None, **kw):
+        planned.append(prime_limit)
+        check(args, *rest, prime_limit=prime_limit, **kw)
+
+    monkeypatch.setattr(arith.PrimeTable, "__init__", spy_init)
+    monkeypatch.setattr(cli, "_check_budget", spy_check)
+    run = ["s-div", "--x", "30000", "--y", "1000", "--z", "10", "--d", "3"]
+    for f in ("one", "musq"):
+        _run(capsys, [*run, "--f", f])
+    assert built == planned == [173, 173]
+
+
 def test_cli_lambda_image_value(capsys):
     out = _run(capsys, ["lambda-image", "--u", "1", "--v", "0", "--x", "100"])
     assert out.splitlines()[1] == "1,0,100,1,25,0.04"
