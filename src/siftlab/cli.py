@@ -325,7 +325,19 @@ def _cmd_qf_dev(args):
 def _cmd_jointpoly(args):
     polys = [tuple(int(tok) for tok in q.split(",")) for q in args.q]
     targets = tuple(int(tok) for tok in args.k.split(","))
-    count = shifted.joint_poly_omega(polys, args.x, args.y, targets)
+    if args.budget_mb is not None:
+        # the primes to the trial root; per thread a flags window of n integers, up to 64
+        # bytes for each of its m <= 2n / log n primes (Montgomery-Vaughan) and a block of
+        # at most one window of entries: int64 remainders, their bool test, hit indices
+        primes = bulk.prime_count_bound(shifted.trial_root(polys, args.x))
+        n = min(max(args.y, 2), bulk.DEFAULT_WINDOW)
+        m = min(n, int(2 * n / math.log(n)))
+        per = n + 64 * m + 10 * min(m * primes, bulk.DEFAULT_WINDOW)
+        need = 8 * primes + max(args.threads, 1) * per
+        if need > args.budget_mb << 20:
+            raise ResourceBudgetError(f"jointpoly plans {need} bytes, "
+                                      f"over the budget of {args.budget_mb} MiB")
+    count = shifted.joint_poly_omega(polys, args.x, args.y, targets, args.threads)
     header = ["x", "y", "polys", "targets", "count"]
     return header, [[args.x, args.y, "|".join(args.q), args.k, count]]
 

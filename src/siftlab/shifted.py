@@ -1,6 +1,11 @@
 """Shifted primes: divisor statistics, the Carmichael-image test, and
 prime-factor counts at polynomial arguments.
 
+Every count here is one ordered stream of windows and factors nothing one
+prime at a time.  joint_poly_omega takes each window's primes from a flags
+window and finds omega of every Q_j(p) at once, by blocked trial division
+over the primes up to the root of the largest value.
+
 The deviations of omega over the exact sets a*p + b and the values of a
 binary quadratic form are histograms over those sets (specs.SetSpec), run
 by the dev path of the command line.
@@ -15,15 +20,11 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import bulk
-from .arith import (
-    PrimeTable,
-    factorize,
-    table_upto,
-)
+from .arith import PrimeTable, table_upto
 from .errors import ResourceBudgetError
 from .table import eta0
 
-# joint_poly_omega factors by trial division; a prime table it needs past this raises
+# joint_poly_omega factors by trial division; a trial_root past this raises
 TRIAL_LIMIT = 10**7
 
 
@@ -139,8 +140,9 @@ def lambda_image_intersection(
     return _count_hits(ms, classes, np.equal, threads), len(ms)
 
 
-def poly_eval(coeffs: tuple[int, ...], t: int) -> int:
-    """Evaluate a polynomial given by ascending coefficients."""
+def poly_values(coeffs: tuple[int, ...], t):
+    """Q(t) by Horner's rule, for Q given by ascending coefficients and t an int or an
+    int64 array; each partial sum is at most the sum of |c_i| * |t|**i."""
     out = 0
     for c in reversed(coeffs):
         out = out * t + c
@@ -148,20 +150,18 @@ def poly_eval(coeffs: tuple[int, ...], t: int) -> int:
 
 
 def poly_degree(coeffs: tuple[int, ...]) -> int:
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            deg = i
-    return deg
+    return max((i for i, c in enumerate(coeffs) if c != 0), default=-1)
 
 
-def _check_poly_system(polys: list[tuple[int, ...]]) -> None:
+def _check_poly_system(polys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The polys without trailing zero coefficients, once they form an admissible system."""
+    polys = [q[: poly_degree(q) + 1] for q in polys]
     if not 1 <= len(polys) <= 3:
         raise ValueError("need between 1 and 3 polynomials")
     if len(set(polys)) != len(polys):
         raise ValueError("polynomials must be distinct")
-    degs = [poly_degree(q) for q in polys]
-    for q, deg in zip(polys, degs):
+    for q in polys:
+        deg = len(q) - 1
         if not 1 <= deg <= 3:
             raise ValueError("each polynomial must have degree between 1 and 3")
         if q[0] == 0:
@@ -170,16 +170,10 @@ def _check_poly_system(polys: list[tuple[int, ...]]) -> None:
             raise ValueError("polynomials of degree 2 or 3 must have no rational root")
     # no fixed prime factor: the product polynomial must miss a residue mod
     # every small prime
-    prod_deg = sum(degs)
-    for p in bulk.primes_upto(prod_deg + 1).tolist():
-        hit = [False] * p
-        for t in range(p):
-            for q in polys:
-                if poly_eval(q, t) % p == 0:
-                    hit[t] = True
-                    break
-        if all(hit):
+    for p in bulk.primes_upto(sum(len(q) - 1 for q in polys) + 1).tolist():
+        if np.any([poly_values(q, np.arange(p)) % p == 0 for q in polys], axis=0).all():
             raise ValueError(f"system has the fixed prime factor {p}")
+    return polys
 
 
 def _has_rational_root(q: tuple[int, ...], deg: int) -> bool:
@@ -203,46 +197,74 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def trial_root(polys: list[tuple[int, ...]], x: int) -> int:
+    """isqrt(max over j of sum |c_i| * x**i) + 1, past every |Q_j(t)| with |t| <= x,
+    and at least isqrt(x): the primes joint_poly_omega sieves and divides by."""
+    vmax = max(sum(abs(c) * x**i for i, c in enumerate(q)) for q in polys)
+    return max(isqrt(vmax) + 1, isqrt(x))
+
+
+def _omega(v: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """omega(|v|) for int64 v (0 for v = 0), by trial division over the sorted primes,
+    which reach sqrt(max |v|).
+
+    A block of primes tests every value still open at once, block x values within
+    bulk.DEFAULT_WINDOW entries, and divides each of its primes out where it divides.
+    A value closes once the next prime's square passes what is left of it; a leftover
+    above 1 is then one more prime.
+    """
+    count = np.zeros(v.size, dtype=np.int64)
+    live = np.flatnonzero(np.abs(v) > 1)
+    rem = np.abs(v[live])
+    k = 0
+    while live.size:
+        qs = primes[k : k + max(1, bulk.DEFAULT_WINDOW // live.size)]
+        k += qs.size
+        i, j = np.nonzero(rem % qs[:, None] == 0)
+        count[live] += np.bincount(j, minlength=live.size)
+        while j.size:
+            np.floor_divide.at(rem, j, qs[i])
+            still = rem[j] % qs[i] == 0
+            i, j = i[still], j[still]
+        done = rem < (int(primes[k]) ** 2 if k < primes.size else 1 << 62)
+        count[live[done]] += rem[done] > 1
+        live, rem = live[~done], rem[~done]
+    return count
+
+
 def joint_poly_omega(
     polys: list[tuple[int, ...]],
     x: int, y: int,
     targets: tuple[int, ...],
-    table: PrimeTable | None = None,
+    threads: int = 1,
 ) -> int:
     """Count primes p in (x - y, x] with omega(Q_j(p)) = k_j for every j.
 
-    Each value is factored by trial division over a prime table reaching the
-    square root of the largest value, so the leftover cofactor is 1 or prime;
-    a required table above TRIAL_LIMIT raises a budget error instead.
+    One ordered stream over the windows of (x - y, x]: each takes its primes
+    from a flags window, evaluates each Q_j at those still counted and keeps
+    the p with Q_j(p) != 0 and omega(Q_j(p)) = k_j.  The values are factored
+    by trial division over the primes to trial_root; a root above TRIAL_LIMIT
+    raises a budget error instead, and below it every |Q_j(p)| < 10**14 fits
+    int64.
     """
-    _check_poly_system(polys)
+    polys = _check_poly_system(polys)
     if len(targets) != len(polys):
         raise ValueError("need one target per polynomial")
     if not 3 <= y <= x:
         raise ValueError("need 3 <= y <= x")
-    vmax = max(
-        sum(abs(c) * x**i for i, c in enumerate(q)) for q in polys
-    )
-    root = isqrt(vmax) + 1
+    root = trial_root(polys, x)
     if root > TRIAL_LIMIT:
-        raise ResourceBudgetError(
-            f"factoring needs primes to {root}, over the limit {TRIAL_LIMIT}"
-        )
-    need = max(x, root, 2)
-    table = table_upto(table, need)
-    lo = x - y
-    ps = table.primes[(table.primes > lo) & (table.primes <= x)]
-    count = 0
-    for p in ps.tolist():
-        ok = True
+        raise ResourceBudgetError(f"factoring needs primes to {root}, over the limit {TRIAL_LIMIT}")
+    primes = bulk.primes_upto(root)
+
+    def hits(lo: int, hi: int) -> int:
+        ps = lo + np.flatnonzero(bulk.flags_window(lo, hi, primes))
         for q, k in zip(polys, targets):
-            val = abs(poly_eval(q, p))
-            if val == 0 or len(factorize(val, table).parts) != k:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+            v = poly_values(q, ps)
+            ps = ps[(v != 0) & (_omega(v, primes) == k)]
+        return ps.size
+
+    return sum(bulk.stream_windows(hits, bulk.window_ranges(x - y + 1, x + 1), threads))
 
 
 def ap_prime_factor_count(
@@ -273,8 +295,9 @@ __all__ = [
     "ShiftedDivisorReport",
     "shifted_divisor_count",
     "lambda_image_intersection",
-    "poly_eval",
+    "poly_values",
     "poly_degree",
+    "trial_root",
     "joint_poly_omega",
     "ap_prime_factor_count",
 ]

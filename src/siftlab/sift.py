@@ -208,7 +208,8 @@ class QuadraticForm:
 
 
 def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
-    """All represented values of the form in [1, x]."""
+    """All represented values of the form in [1, x].  f(-X, -Y) = f(X, Y) and Y runs
+    over a symmetric range, so X >= 0 reaches them all."""
     if x < 1:
         raise ValueError("need x >= 1")
     d = -form.disc
@@ -218,7 +219,7 @@ def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
     ys = np.arange(-y_max, y_max + 1, dtype=np.int64)
     cyy = form.c * ys * ys
     bys = form.b * ys
-    for X in range(-x_max, x_max + 1):
+    for X in range(x_max + 1):
         vals = form.a * X * X + bys * X + cyy
         vals = vals[(vals >= 1) & (vals <= x)]
         if vals.size:

@@ -139,6 +139,22 @@ def is_prime_slow(n: int) -> bool:
     return True
 
 
+def ojoint_poly_omega(polys, x: int, y: int, targets) -> int:
+    """#{p prime in (x - y, x] : Q_j(p) != 0 and omega(Q_j(p)) = k_j for every j}, one
+    prime and one polynomial at a time, each value factored by trial division."""
+    count = 0
+    for p in range(x - y + 1, x + 1):
+        if not is_prime_slow(p):
+            continue
+        for q, k in zip(polys, targets):
+            val = abs(sum(c * p**i for i, c in enumerate(q)))
+            if val == 0 or len(ofactor(val)) != k:
+                break
+        else:
+            count += 1
+    return count
+
+
 def osieve(limit: int) -> np.ndarray:
     """Primality flags for 0..limit: the sieve of Eratosthenes over one bytearray."""
     flags = bytearray([1]) * (limit + 1)

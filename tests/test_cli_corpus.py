@@ -19,7 +19,11 @@ two `apcount` runs were recorded while `apcount` still held a counts array
 of length x + 1 built through each window's cofactor product.  The last
 six, `sp-dev`, `qf-dev` and the `sp:` and `qf:...,shift=K` sets of `dev`
 and `table-sifted`, were recorded while `sp-dev` and `qf-dev` still ran
-histograms of their own and each set built a second prime table.
+histograms of their own and each set built a second prime table.  The last
+three, `jointpoly` over three windows and at a cubic, and a `qf:` set four
+windows long, were recorded while `jointpoly` still factored each value
+prime by prime over a table to x, and while the form's values were still
+enumerated for X of both signs.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -113,6 +117,12 @@ CORPUS = [
      "b06fe7c3d133fa0aa44cdf046b16b80426f5e651470fbf7676de53e8814142ff"),
     ("table-sifted --sieve qf:1,0,1,shift=2 --f musq --x 200000",
      "8da2099b0d48a58272328cda23810de290d0b2ae84e65f6569ce9d9453735f39"),
+    ("jointpoly --q -1,2 --x 2200000 --y 2100000 --k 2",
+     "c751a21ac62ea66ceb7d14a4a02c13246c089d9db51583fa224cb3758cfa29b3"),
+    ("jointpoly --q 1,1,0,1 --x 30000 --y 3000 --k 2",
+     "2c43f48a766036d437d015c208ed0d5992895bb3f527319db867e23e5b95b406"),
+    ("dev --sieve qf:1,1,2 --x 3145745 --lambda 1.0",
+     "54a624ea0526e4819dc68aaade536f44c130f9b75ce3c182024e8fce4c35ccd8"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

@@ -22,7 +22,7 @@ from siftlab.specs import parse_set_spec
 from siftlab.table import eta0
 
 from conftest import lambda_upto
-from oracles import is_prime_slow, ofactor, olambda_value
+from oracles import is_prime_slow, ofactor, ojoint_poly_omega, olambda_value
 
 
 def _brute_shifted_divisor(a, u, v, x, y):
@@ -263,17 +263,20 @@ def test_qf_dev_shifted_set_is_smaller():
     assert _cli_dev_row(qf_dev + ["--shift", "-1"]) == _row(shifted)
 
 
-def test_poly_eval_and_degree():
-    assert sh.poly_eval((1, 2, 3), 2) == 17
-    assert sh.poly_eval((5,), 10) == 5
-    assert sh.poly_eval((0, 1), 7) == 7
+def test_poly_values_and_degree():
+    assert sh.poly_values((1, 2, 3), 2) == 17
+    assert sh.poly_values((5,), 10) == 5
+    assert sh.poly_values((0, 1), 7) == 7
+    t = np.array([2, 10, 7, -3], dtype=np.int64)
+    assert sh.poly_values((1, 2, 3), t).tolist() == [17, 321, 162, 22]
+    assert sh.poly_values((5,), t).tolist() == [5] * 4
     assert sh.poly_degree((1, 2, 0)) == 1
     assert sh.poly_degree((0, 0, 4)) == 2
     assert sh.poly_degree((0,)) == -1
 
 
-def test_joint_poly_omega_single(t1e6):
-    got = sh.joint_poly_omega([(1, 1)], 100, 97, (2,), t1e6)
+def test_joint_poly_omega_single():
+    got = sh.joint_poly_omega([(1, 1)], 100, 97, (2,))
     expect = sum(
         1
         for p in range(4, 101)
@@ -282,8 +285,8 @@ def test_joint_poly_omega_single(t1e6):
     assert got == expect == 16
 
 
-def test_joint_poly_omega_pair(t1e6):
-    got = sh.joint_poly_omega([(-1, 1), (1, 1)], 100, 97, (2, 2), t1e6)
+def test_joint_poly_omega_pair():
+    got = sh.joint_poly_omega([(-1, 1), (1, 1)], 100, 97, (2, 2))
     expect = sum(
         1
         for p in range(4, 101)
@@ -294,42 +297,110 @@ def test_joint_poly_omega_pair(t1e6):
     assert got == expect == 9
 
 
-def test_joint_poly_omega_totals_to_prime_count(t1e6):
+def test_joint_poly_omega_totals_to_prime_count():
     x, y = 300, 200
     total = sum(
-        sh.joint_poly_omega([(1, 1)], x, y, (k,), t1e6) for k in range(0, 26)
+        sh.joint_poly_omega([(1, 1)], x, y, (k,)) for k in range(0, 26)
     )
-    pis = t1e6.pi(x) - t1e6.pi(x - y)
+    pis = bulk.primes_upto(x).size - bulk.primes_upto(x - y).size
     assert total == pis
 
 
-def test_joint_poly_omega_unreachable_target(t1e6):
-    assert sh.joint_poly_omega([(1, 1)], 100, 97, (0,), t1e6) == 0
+def test_joint_poly_omega_unreachable_target():
+    assert sh.joint_poly_omega([(1, 1)], 100, 97, (0,)) == 0
 
 
-def test_joint_poly_omega_system_validation(t1e6):
+def test_joint_poly_omega_system_validation():
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([], 100, 50, (), t1e6)
+        sh.joint_poly_omega([], 100, 50, ())
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(1, 1), (1, 1)], 100, 50, (1, 1), t1e6)
+        sh.joint_poly_omega([(1, 1), (1, 1)], 100, 50, (1, 1))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(5,)], 100, 50, (1,), t1e6)
+        sh.joint_poly_omega([(5,)], 100, 50, (1,))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(1, 0, 0, 0, 1)], 100, 50, (1,), t1e6)
+        sh.joint_poly_omega([(1, 0, 0, 0, 1)], 100, 50, (1,))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(0, 1)], 100, 50, (1,), t1e6)
+        sh.joint_poly_omega([(0, 1)], 100, 50, (1,))
     # degree >= 2 with a rational root
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(-1, 0, 1)], 100, 50, (1,), t1e6)
+        sh.joint_poly_omega([(-1, 0, 1)], 100, 50, (1,))
     # X^2 + X + 2 is always even
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(2, 1, 1)], 100, 50, (1,), t1e6)
+        sh.joint_poly_omega([(2, 1, 1)], 100, 50, (1,))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(1, 1)], 100, 50, (1, 2), t1e6)
+        sh.joint_poly_omega([(1, 1)], 100, 50, (1, 2))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(1, 1)], 100, 101, (1,), t1e6)
+        sh.joint_poly_omega([(1, 1)], 100, 101, (1,))
     with pytest.raises(ValueError):
-        sh.joint_poly_omega([(1, 1)], 100, 2, (1,), t1e6)
+        sh.joint_poly_omega([(1, 1)], 100, 2, (1,))
+
+
+def test_joint_poly_omega_trailing_zeros_are_one_polynomial(capsys, monkeypatch):
+    # X + 1 written twice, once with a zero X^2 coefficient
+    with pytest.raises(ValueError, match="distinct"):
+        sh.joint_poly_omega([(1, 1), (1, 1, 0)], 1000, 900, (2, 2))
+    assert sh.joint_poly_omega([(1, 1, 0, 0)], 1000, 900, (2,)) == \
+        sh.joint_poly_omega([(1, 1)], 1000, 900, (2,))
+    monkeypatch.setattr(sys, "argv", ["siftlab", "jointpoly", "--q", "1,1", "--q", "1,1,0",
+                                      "--x", "1000", "--y", "900", "--k", "2,2"])
+    with pytest.raises(SystemExit) as ei:
+        cli.main()
+    assert ei.value.code == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+# (polys, x, y, targets): degrees 1 to 3, negative leading coefficients, Q(7) = 0
+# (never counted), |Q(p)| = 1 at p = 5 and 7 (omega 0), targets no prime reaches,
+# y = 3, and ranges whose ends straddle 2**20
+JOINT_SYSTEMS = [
+    ([(1, 1)], 3000, 2000, (2,)),
+    ([(-1, 1)], 3000, 2000, (3,)),
+    ([(1, 1), (-1, 1)], 5000, 3000, (2, 2)),
+    ([(1, 1), (-1, 1)], 100, 98, (1, 1)),
+    ([(1, 2)], 4000, 1000, (1,)),
+    ([(-1, 2)], 4000, 1000, (2,)),
+    ([(5, -3)], 2000, 1500, (2,)),
+    ([(1, 2), (-1, 2), (1, 1)], 3000, 2900, (2, 2, 2)),
+    ([(1, 0, 1)], 2000, 1000, (2,)),
+    ([(1, 1, 1)], 2000, 1500, (1,)),
+    ([(3, 1, -1)], 2000, 1900, (2,)),
+    ([(1, 1), (1, 0, 1)], 2000, 1900, (2, 2)),
+    ([(2, 0, 0, 1)], 600, 500, (2,)),
+    ([(1, 1, 0, 1)], 600, 590, (1,)),
+    ([(1, 0, 0, -2)], 600, 500, (2,)),
+    ([(1, 1, 0, 1), (1, 1)], 600, 500, (2, 2)),
+    ([(-7, 1)], 20, 18, (1,)),
+    ([(-7, 1)], 20, 18, (0,)),
+    ([(-6, 1)], 10, 8, (0,)),
+    ([(1, 1)], 1000, 900, (9,)),
+    ([(1, 0, 1)], 1000, 900, (0,)),
+    ([(1, 1)], 13, 3, (2,)),
+    ([(1, 1)], 2**20 + 300, 600, (3,)),
+    ([(1, 2), (-1, 2)], 2**20 + 1, 400, (3, 2)),
+]
+
+
+@pytest.mark.parametrize("polys, x, y, targets", JOINT_SYSTEMS)
+def test_joint_poly_omega_against_oracle(polys, x, y, targets):
+    want = ojoint_poly_omega(polys, x, y, targets)
+    for threads in (1, 2):
+        assert sh.joint_poly_omega(polys, x, y, targets, threads) == want
+
+
+def test_joint_poly_omega_windows_add_up():
+    # three windows of 2**20 over (100000, 2200000], cut at a point inside the second
+    polys, x, y, k = [(-1, 2), (1, 1)], 2200000, 2100000, (2, 2)
+    whole = [sh.joint_poly_omega(polys, x, y, k, threads) for threads in (1, 2)]
+    cut = 1234567
+    parts = (sh.joint_poly_omega(polys, x, x - cut, k)
+             + sh.joint_poly_omega(polys, cut, cut - (x - y), k))
+    assert whole == [parts, parts]
+
+
+def test_trial_root_covers_values_and_flags():
+    assert sh.trial_root([(1, 1)], 99) == 11                # isqrt(100) + 1
+    assert sh.trial_root([(1, 1), (-3, 0, 2)], 10) == 15    # isqrt(203) + 1
+    assert sh.trial_root([(5,)], 10**6) == 1000             # isqrt(x)
 
 
 @pytest.mark.parametrize("q, root", [
@@ -359,13 +430,13 @@ def test_has_rational_root_against_every_fraction():
         assert sh._has_rational_root(q, len(q) - 1) == brute(q), q
 
 
-def test_joint_poly_omega_budget(t1e6):
+def test_joint_poly_omega_budget():
     with pytest.raises(ResourceBudgetError):
-        sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,), t1e6)
+        sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,))
 
 
 def test_ap_prime_factor_count(t1e6):
-    got = sh.ap_prime_factor_count(100, 4, 1, "omega", 2, t1e6)
+    got = sh.ap_prime_factor_count(100, 4, 1, "omega", 2)
     expect = sum(
         1 for n in range(1, 101) if n % 4 == 1 and len(ofactor(n)) == 2
     )
@@ -376,7 +447,7 @@ def test_ap_prime_factor_count(t1e6):
 def test_ap_prime_factor_count_partitions(t1e6):
     x, d, k = 500, 5, 2
     total = sum(
-        sh.ap_prime_factor_count(x, d, a, "omega", k, t1e6)
+        sh.ap_prime_factor_count(x, d, a, "omega", k)
         for a in range(1, d)
     )
     expect = sum(
@@ -386,7 +457,7 @@ def test_ap_prime_factor_count_partitions(t1e6):
 
 
 def test_ap_prime_factor_count_multiplicity(t1e6):
-    got = sh.ap_prime_factor_count(100, 1, 0, "bigomega", 3, t1e6)
+    got = sh.ap_prime_factor_count(100, 1, 0, "bigomega", 3)
     expect = sum(1 for n in range(1, 101) if sum(e for _, e in ofactor(n)) == 3)
     assert got == expect
 
@@ -407,8 +478,8 @@ def test_ap_prime_factor_count_brute(d, a, t1e6):
 
 def test_ap_prime_factor_count_input_errors(t1e6):
     with pytest.raises(ValueError):
-        sh.ap_prime_factor_count(100, 4, 2, "omega", 1, t1e6)
+        sh.ap_prime_factor_count(100, 4, 2, "omega", 1)
     with pytest.raises(ValueError):
-        sh.ap_prime_factor_count(0, 4, 1, "omega", 1, t1e6)
+        sh.ap_prime_factor_count(0, 4, 1, "omega", 1)
     with pytest.raises(ValueError):
-        sh.ap_prime_factor_count(100, 4, 1, "tau", 1, t1e6)
+        sh.ap_prime_factor_count(100, 4, 1, "tau", 1)

@@ -519,9 +519,10 @@ WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["apcount", "--d", "4", "--a", "1", "--k", "2"],
             ["egps", "--lambda", "2.0"], ["omega-gcd"],
             ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"],
-            ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"]]
+            ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"],
+            ["jointpoly", "--q", "1,1", "--y", "1000000", "--k", "2"]]
 WINDOWED_IDS = ["hist", "table-sifted", "apcount", "egps", "omega-gcd", "qf-dev",
-                "hist-mod4", "dev-mod4"]
+                "hist-mod4", "dev-mod4", "jointpoly"]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
@@ -547,8 +548,15 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # to Robin's bound and sigma windows, omega-gcd a 4-bit omega table to x
     # and sigma windows; qf-dev its set's bitmap and primes to x; qf-dev and
     # hist and dev with --e mod:4:1 run counts windows with a selector, which
-    # keep their cofactors
+    # keep their cofactors; jointpoly holds primes to the root of its largest
+    # value, a flags window, the values at its primes and a block of remainders
     run = [*argv, "--x", "4000000", "--threads", "1"]
+    out = _traced_within_plan(capsys, run)[1]
+    assert _run(capsys, run + ["--budget-mb", "4096"]) == out
+
+
+def _traced_within_plan(capsys, run):
+    """(plan, output) of run, once its tracemalloc peak is found within the plan it states."""
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
     plan = int(re.search(r"plans (\d+) bytes", str(ei.value)).group(1))
@@ -559,7 +567,20 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     finally:
         tracemalloc.stop()
     assert peak <= plan
-    assert _run(capsys, run + ["--budget-mb", "4096"]) == out
+    return plan, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "1,1,0,1", "--x", "30000", "--y", "3000", "--k", "2"],
+    ["--q", "1,0,1", "--x", "1000000", "--y", "100", "--k", "2", "--threads", "2"],
+    ["--q", "-1,2", "--q", "1,1", "--x", "2200000", "--y", "2100000", "--k", "2,2",
+     "--threads", "2"],
+], ids=["cubic", "few-primes", "three-windows"])
+def test_cli_jointpoly_peak_within_budget_plan(argv, capsys):
+    # a short range still fills a block of remainders when the primes to the root are many
+    run = ["jointpoly", *argv]
+    plan, out = _traced_within_plan(capsys, run)
+    assert _run(capsys, run + ["--budget-mb", str(-(-plan >> 20))]) == out
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
