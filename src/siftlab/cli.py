@@ -127,23 +127,21 @@ def _cmd_primes(args):
     return header, [row]
 
 
-def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None = None,
+def _check_budget(args, per_int: int, extra: int = 0, prime_limit: int | None = None,
                   window: int = 24) -> None:
     """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
 
-    Per integer of [0, x]: per_int bytes (1 for an exact set's bitmap, none
-    for a congruence set or the prime table), and 8 more for the weights
-    unless f is None (no weight array) or one.  8 bytes per prime up to
-    prime_limit (default x), the table's buffer of bulk.prime_count_bound
-    entries.  Per thread, window bytes per integer of one window: 24 by
-    default, a loose upper bound on a sigma or mult window's working set
-    (traced: about 6 to 13 beside the output).  extra bytes more,
-    such as egps's omega table over [0, max s(n)].
+    Per integer of [0, x]: per_int bytes, such as a histogram's weights or
+    an exact set's bitmap.  8 bytes per prime up to prime_limit (default
+    x), the table's buffer of bulk.prime_count_bound entries.  Per thread,
+    window bytes per integer of one window: 24 by default, a loose upper
+    bound on a mult window's working set (traced: about 6 to 13 beside the
+    output).  extra bytes more, such as egps's omega table over
+    [0, max s(n)].
     """
     if args.budget_mb is None:
         return
     x = max(args.x, 2)
-    per_int += 0 if f is None or f.is_one() else 8
     y = max(x if prime_limit is None else prime_limit, 2)
     primes = 8 * bulk.prime_count_bound(y)
     windows = max(args.threads, 1) * window * min(x, bulk.DEFAULT_WINDOW)
@@ -158,11 +156,12 @@ def _check_budget(args, f, per_int: int, extra: int = 0, prime_limit: int | None
 
 def _set_table(args, f, ss, E=ALL_PRIMES) -> PrimeTable:
     """The one prime table a command over the set reads, to ss.prime_limit(x), built once
-    the --budget-mb plan of its primes, an exact set's bitmap and the counts windows holds
-    (28 bytes per window integer when E selects primes: they keep their cofactors)."""
+    the --budget-mb plan of its primes, an exact set's bitmap, the histogram's weight array
+    of length x + 1 unless f is None (weights per window) or one, and the counts windows
+    holds (28 bytes per window integer when E selects primes: they keep their cofactors)."""
     limit = max(ss.prime_limit(args.x), 2)
-    _check_budget(args, f, int(ss.kind != "cond"), prime_limit=limit,
-                  window=24 if isinstance(E, AllPrimes) else 28)
+    _check_budget(args, int(ss.kind != "cond") + (0 if f is None or f.is_one() else 8),
+                  prime_limit=limit, window=24 if isinstance(E, AllPrimes) else 28)
     return PrimeTable(limit)
 
 
@@ -344,7 +343,7 @@ def _cmd_jointpoly(args):
 
 def _cmd_apcount(args):
     # a bigomega counts window holds a uint32 word and a uint8 count per integer
-    _check_budget(args, None, 0, prime_limit=math.isqrt(max(args.x, 0)), window=7)
+    _check_budget(args, 0, prime_limit=math.isqrt(max(args.x, 0)), window=7)
     count = shifted.ap_prime_factor_count(
         args.x, args.d, args.a, args.g, args.k, threads=args.threads
     )
@@ -354,11 +353,10 @@ def _cmd_apcount(args):
 
 def _cmd_egps(args):
     # no array of length x: the 4-bit omega table over [0, S], S >= max s(n), its primes
-    # to isqrt(S), and per thread a sigma window and two windows of keys in flight, for a
-    # weight other than one a mult window and two windows of weights as well
+    # to isqrt(S), and per thread a sigma window (see _cmd_sigma_div)
     f, top = parse_weight(args.f), egps.aliquot_bound(args.x)
-    _check_budget(args, None, 0, (top + 2) // 2, prime_limit=math.isqrt(top),
-                  window=26 if f.is_one() else 50)
+    _check_budget(args, 0, (top + 2) // 2, prime_limit=math.isqrt(top),
+                  window=24 if f.is_one() else 34)
     rep = egps.egps_deviation(args.x, f, lam=args.lam, c0=args.c0, threads=args.threads)
     header = ["x", "f", "lambda", "mass", "total", "normalized",
               "excluded", "unfactored"]
@@ -370,15 +368,11 @@ def _cmd_egps(args):
     return header, rows
 
 
-def _sigma_window(f) -> int:
-    """Bytes per integer of a sigma window; a weight's mult windows, filling its array of
-    length x, hold up to about 28 beside their output when f varies with the prime."""
-    return 24 if f.is_one() else 32
-
-
 def _cmd_sigma_div(args):
     f = parse_weight(args.f)
-    _check_budget(args, f, 0, window=_sigma_window(f))  # masks come per window
+    # the primes to x; per thread a sigma window (traced: 17 bytes per integer with its
+    # keys, and the last window's, in flight) and a weight's mult window (32 in all)
+    _check_budget(args, 0, window=24 if f.is_one() else 34)
     rep = egps.count_p_divides_sigma(args.x, args.p, f, args.eps, threads=args.threads)
     header = ["x", "p", "f", "eps", "value", "bound", "ratio"]
     return header, [[args.x, args.p, args.f, args.eps, rep.value, rep.bound,
@@ -387,8 +381,10 @@ def _cmd_sigma_div(args):
 
 def _cmd_s_div(args):
     f = parse_weight(args.f)
-    # each window holds n, sigma and lpf as int64; the primes reach isqrt(x)
-    _check_budget(args, f, 0, prime_limit=math.isqrt(max(args.x, 0)), window=40)
+    # the primes to isqrt(x); per thread a sigma window that also holds n and lpf as
+    # int64 (traced: 26 bytes per integer, 34 with a weight's mult window)
+    _check_budget(args, 0, prime_limit=math.isqrt(max(args.x, 0)),
+                  window=28 if f.is_one() else 36)
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
     return header, [[args.x, args.y, args.z, args.d, args.f, value]]
@@ -396,8 +392,8 @@ def _cmd_s_div(args):
 
 def _cmd_omega_gcd(args):
     f = parse_weight(args.f)
-    # the 4-bit omega table to x; the keys come window by window
-    _check_budget(args, f, 0, (max(args.x, 0) + 2) // 2, window=_sigma_window(f))
+    # the primes and the 4-bit omega table to x; per thread a sigma window (as sigma-div)
+    _check_budget(args, 0, (max(args.x, 0) + 2) // 2, window=24 if f.is_one() else 34)
     rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v

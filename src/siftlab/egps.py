@@ -1,13 +1,14 @@
-"""Prime-factor statistics of aliquot sums s(n) = sigma(n) - n.
+"""Prime-factor statistics of sigma(n) and of aliquot sums s(n) = sigma(n) - n.
 
-The workhorse is a divisor-sum sieve run as one ordered stream of
-n-windows: each window computes s(n) = sigma(n) - n and reads omega(s(n))
-from a table of distinct prime-factor counts, 4 bits per integer
-(bulk.OmegaTable).  The table is sized to Robin's bound on max s(n)
-(aliquot_bound) but filled only as far as the largest s(n) seen so far, so
-no array of length x is held: the table's resident part is half a byte
-per integer up to max s(n), which is about 4.1 x at x = 1e9.  A weight other than
-one is computed per window (bulk.mult_window).  Everything is exact;
+The workhorse is one divisor-sum sieve run as an ordered stream of
+n-windows (_sigma_bins): each window computes sigma(n), a key turns it into
+the statistic's integer per n, and a weight other than one is computed for
+the same window (bulk.mult_window), so neither the keys nor the weights
+make an array of length x.  egps reads omega(s(n)) from a table of distinct
+prime-factor counts, 4 bits per integer (bulk.OmegaTable), sized to
+Robin's bound on max s(n) (aliquot_bound) but filled only as far as the
+largest s(n) seen so far: its resident part is half a byte per integer up
+to max s(n), which is about 4.1 x at x = 1e9.  Everything is exact;
 nothing is sampled or estimated.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, is_prime, table_upto
-from .multfunc import MultiplicativeFunction, add_windows, mertens_sum, weighted_bins
+from .multfunc import MultiplicativeFunction, add_windows, mertens_sum
 from .primesets import ALL_PRIMES
 
 GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # the lam at which egps_deviation reports a grid mass
@@ -65,6 +66,29 @@ def aliquot_bound(x: int) -> int:
     return int(x * (np.exp(np.euler_gamma) * ll + 0.6483 / ll - 1))
 
 
+def _sigma_bins(x: int, f: MultiplicativeFunction, primes, key, threads: int) -> np.ndarray:
+    """bins[k] = sum of f(n), added in ascending n, over 2 <= n <= x with key k.
+
+    key(a, b, s) gives the integer or bool keys of the window [a, b) from
+    s = sigma(n) there, an int64 buffer each stream thread reuses, which key
+    may overwrite but must not return.  For f = one the bins are exact int64
+    counts and primes may be None; otherwise primes must reach isqrt(x).
+    """
+    bufs = threading.local()  # one sigma window per stream thread, reused
+
+    def window(a: int, b: int):
+        if not hasattr(bufs, "s"):
+            bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
+        k = key(a, b, bulk.sigma_window(a, b, out=bufs.s[: b - a]))
+        if k.dtype == np.bool_:
+            k = k.view(np.uint8)  # np.add.at would read a bool index as a mask
+        w = None if f.is_one() else bulk.mult_window(a, b, primes, f.rule, f.window_primes())
+        return k, w
+
+    return add_windows(bulk.stream_windows(window, bulk.window_ranges(2, x + 1), threads),
+                       weighted=not f.is_one())
+
+
 def egps_deviation(
     x: int,
     f: MultiplicativeFunction,
@@ -96,23 +120,13 @@ def egps_deviation(
     # the weights read no table for f = one, else primes up to isqrt(x) only
     primes = None if f.is_one() else table_upto(table, math.isqrt(x) + 1).primes
     om = bulk.OmegaTable(aliquot_bound(x))
-    bufs = threading.local()  # one sigma window per stream thread, reused
 
-    def window(a: int, b: int):
-        """omega(s(n)) for n in [a, b), and f(n) unless f = one."""
-        if not hasattr(bufs, "s"):
-            bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
-        s = bulk.sigma_window(a, b, out=bufs.s[: b - a])
+    def omega_of_s(a: int, b: int, s: np.ndarray) -> np.ndarray:
         for c, d in bulk.window_ranges(a, b, bulk.CHUNK):  # s(n) >= 1 for n >= 2
             s[c - a : d - a] -= np.arange(c, d, dtype=np.int64)
-        keys = om.take(s)
-        if primes is None:
-            return keys, None
-        return keys, bulk.mult_window(a, b, primes, f.rule, f.window_primes())
+        return om.take(s)
 
-    # bins[k] = sum of f(n), added in ascending n, over 2 <= n <= x with omega(s(n)) = k
-    bins = add_windows(bulk.stream_windows(window, bulk.window_ranges(2, x + 1), threads),
-                       weighted=primes is not None)
+    bins = _sigma_bins(x, f, primes, omega_of_s, threads)
     total = 1.0 + float(bins.sum())  # n = 1 (f(1) = 1) stays in the normalization
 
     def cutoffs(lam_: float) -> tuple[int, int]:
@@ -157,12 +171,11 @@ def count_p_divides_sigma(
     if not is_prime(p, table):
         raise ValueError(f"{p} is not prime")
 
-    def hits(a: int, b: int) -> np.ndarray:
-        sig = bulk.sigma_window(a, b)
-        sig %= p
-        return sig == 0
+    def hits(a: int, b: int, s: np.ndarray) -> np.ndarray:
+        s %= p
+        return s == 0
 
-    bins = weighted_bins(f, 1, x + 1, hits, table=table, threads=threads)
+    bins = _sigma_bins(x, f, table.primes, hits, threads)
     value = float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
     m_all = mertens_sum(f, x, ALL_PRIMES, table)
     bound = (
@@ -187,20 +200,18 @@ def count_d_divides_s(
         raise ValueError("need 1 <= d <= z <= y <= x")
     table = table_upto(table, max(math.isqrt(x), 2))
 
-    def hits(a: int, b: int) -> np.ndarray:
-        ns = np.arange(a, b, dtype=np.int64)
-        s = bulk.sigma_window(a, b)
-        s -= ns
+    def hits(a: int, b: int, s: np.ndarray) -> np.ndarray:
+        s -= np.arange(a, b, dtype=np.int64)
         s %= d
         lpf = bulk.lpf_window(a, b, table.primes)
         hit = lpf > y
         hit &= s == 0
         lpf *= lpf  # and the largest prime factor unsquared: lpf**2 does not divide n
-        ns %= lpf
-        hit &= ns != 0
+        np.remainder(np.arange(a, b, dtype=np.int64), lpf, out=lpf)
+        hit &= lpf != 0
         return hit
 
-    bins = weighted_bins(f, 1, x + 1, hits, table=table, threads=threads)
+    bins = _sigma_bins(x, f, table.primes, hits, threads)
     return float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
 
 
@@ -216,12 +227,11 @@ def mean_omega_gcd_sigma(
     table = table_upto(table, x)
     om = bulk.OmegaTable(x)  # gcd(sigma(n), n) <= n, so it fills as the n-stream advances
 
-    def omega_of_gcd(a: int, b: int) -> np.ndarray:
-        g = bulk.sigma_window(a, b)
-        np.gcd(g, np.arange(a, b, dtype=np.int64), out=g)  # gcd(sigma(n), n) in place
-        return om.take(g)
+    def omega_of_gcd(a: int, b: int, s: np.ndarray) -> np.ndarray:
+        np.gcd(s, np.arange(a, b, dtype=np.int64), out=s)  # gcd(sigma(n), n) in place
+        return om.take(s)
 
-    bins = weighted_bins(f, 1, x + 1, omega_of_gcd, table=table, threads=threads)
+    bins = _sigma_bins(x, f, table.primes, omega_of_gcd, threads)
     value = 0.0
     for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time
         value += k * mass

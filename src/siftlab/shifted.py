@@ -168,8 +168,11 @@ def _check_poly_system(polys: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             raise ValueError("polynomials must not vanish at 0")
         if deg >= 2 and _has_rational_root(q, deg):
             raise ValueError("polynomials of degree 2 or 3 must have no rational root")
-    # no fixed prime factor: the product polynomial must miss a residue mod
-    # every small prime
+        if gcd(*q) > 1:  # a prime of the content divides every value
+            raise ValueError(f"system has the fixed prime factor {_divisors(gcd(*q))[1]}")
+    # no other fixed prime factor: the product polynomial must miss a residue
+    # mod every prime up to its degree + 1; above that, it vanishes everywhere
+    # mod p only when p divides some polynomial's content
     for p in bulk.primes_upto(sum(len(q) - 1 for q in polys) + 1).tolist():
         if np.any([poly_values(q, np.arange(p)) % p == 0 for q in polys], axis=0).all():
             raise ValueError(f"system has the fixed prime factor {p}")

@@ -23,7 +23,10 @@ histograms of their own and each set built a second prime table.  The last
 three, `jointpoly` over three windows and at a cubic, and a `qf:` set four
 windows long, were recorded while `jointpoly` still factored each value
 prime by prime over a table to x, and while the form's values were still
-enumerated for X of both signs.
+enumerated for X of both signs.  The last three, `sigma-div` and `s-div`
+with `--f phioverN` and `omega-gcd --f tauk:2`, each three windows long,
+were recorded while those commands still read their weights from one array
+of length x + 1.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -123,16 +126,24 @@ CORPUS = [
      "2c43f48a766036d437d015c208ed0d5992895bb3f527319db867e23e5b95b406"),
     ("dev --sieve qf:1,1,2 --x 3145745 --lambda 1.0",
      "54a624ea0526e4819dc68aaade536f44c130f9b75ce3c182024e8fce4c35ccd8"),
+    ("sigma-div --x 2200000 --p 5 --f phioverN",
+     "50cef953ba1055bba7cedf19fc3ce71b00e5211a7c11a819ecec63484db410f3"),
+    ("s-div --x 2200000 --y 1000 --z 10 --d 3 --f phioverN",
+     "5e1f0089a6a0a5239342634cc54dfcdae3ccb810f02cf7a10b04dadfdd2f6949"),
+    ("omega-gcd --x 2200000 --f tauk:2",
+     "c305d2033df8761dffbd5a7c7ad3540bf87bd9b9ca13e515934fe71c80e69774"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;
-# the last four cross 2**20, so their masses are reduced over several windows
+# the last six cross 2**20, so their masses are reduced over several windows
 BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
                   "omega-gcd --x 200000 --f phioverN",
                   "hist --x 2500000 --f zomega:1.3 --g omega --sieve explicit:2:1",
                   "egps --x 2200000 --f zomega:1.3 --lambda 2.0",
                   "hist --x 2500000 --f phioverN --g bigomega --e mod:4:1",
-                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3"]
+                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3",
+                  "sigma-div --x 2200000 --p 5 --f phioverN",
+                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f phioverN"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -8,7 +8,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from siftlab import bulk, egps
+from siftlab import bulk, cli, egps, multfunc
 from siftlab.multfunc import mu_sq, one, z_omega
 
 from oracles import ofactor, osieve, osigma
@@ -145,6 +145,24 @@ def test_egps_same_bytes_for_any_thread_count(f, monkeypatch):
         om = bulk.counts_range(int(s.max()), bulk.primes_upto(isqrt(int(s.max()))))
         assert bins1.tolist() == np.bincount(om[s[2:]]).tolist()
         assert bins1[0] == int(np.count_nonzero(osieve(X_THREE_WINDOWS)))
+
+
+SIGMA_FAMILY = [["sigma-div", "--p", "5"], ["s-div", "--y", "1000", "--z", "10", "--d", "3"],
+                ["omega-gcd"], ["egps", "--lambda", "2.0"]]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", SIGMA_FAMILY, ids=[a[0] for a in SIGMA_FAMILY])
+def test_sigma_family_builds_no_weight_array(argv, threads, monkeypatch, capsys):
+    # each of three n-windows computes its own weights; none comes from an array of length x
+    def no_array(*args, **kwargs):
+        raise AssertionError("weight array of length x built")
+
+    monkeypatch.setattr(multfunc, "values_upto", no_array)
+    monkeypatch.setattr(bulk, "mult_range", no_array)
+    run = [*argv, "--f", "phioverN", "--x", "2200000", "--threads", threads]
+    assert cli.dispatch(run) == 0
+    assert len(capsys.readouterr().out.splitlines()) >= 2
 
 
 def test_egps_fill_error_raises_without_hanging(monkeypatch):

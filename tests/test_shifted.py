@@ -327,6 +327,10 @@ def test_joint_poly_omega_system_validation():
     # X^2 + X + 2 is always even
     with pytest.raises(ValueError):
         sh.joint_poly_omega([(2, 1, 1)], 100, 50, (1,))
+    # p divides every coefficient, so every value, though p exceeds the degree + 1
+    for polys, p in [([(7, 7)], 7), ([(1, 1), (5, 0, 5)], 5), ([(-21, 14)], 7)]:
+        with pytest.raises(ValueError, match=f"the fixed prime factor {p}$"):
+            sh.joint_poly_omega(polys, 1000, 900, (2,) * len(polys))
     with pytest.raises(ValueError):
         sh.joint_poly_omega([(1, 1)], 100, 50, (1, 2))
     with pytest.raises(ValueError):

@@ -494,13 +494,18 @@ def test_cli_sigma_family_generous_budget_same_bytes(argv, capsys):
 
 
 SIGMA_MASKS = [["sigma-div", "--p", "3"],
-               ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "musq"], ["omega-gcd"]]
+               ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "musq"], ["omega-gcd"],
+               ["sigma-div", "--p", "3", "--f", "phioverN"],
+               ["s-div", "--y", "1000", "--z", "10", "--d", "3", "--f", "phioverN"],
+               ["omega-gcd", "--f", "phioverN"]]
+SIGMA_MASKS_IDS = ["sigma-div", "s-div", "omega-gcd",
+                   "sigma-div-phioverN", "s-div-phioverN", "omega-gcd-phioverN"]
 
 
-@pytest.mark.parametrize("argv", SIGMA_MASKS, ids=[a[0] for a in SIGMA_MASKS])
+@pytest.mark.parametrize("argv", SIGMA_MASKS, ids=SIGMA_MASKS_IDS)
 def test_cli_sigma_family_peak_within_budget_plan(argv, capsys):
-    # the masks and keys are filled window by window, so no int64 array of
-    # length x is held and the traced peak of a run stays inside its plan
+    # the masks, keys and weights are computed window by window, so no array
+    # of length x is held and the traced peak of a run stays inside its plan
     run = [*argv, "--x", "4000000", "--threads", "1"]
     with pytest.raises(ResourceBudgetError) as ei:
         cli.dispatch([*run, "--budget-mb", "0"])
@@ -694,3 +699,11 @@ def test_cli_jointpoly_accepts_negative_leading_coefficient(capsys):
                            "--x", "20000", "--y", "5000", "--k", "3,3"])
     assert spaced == joined
     assert spaced.splitlines()[1].split(",")[-1] == "116"
+
+
+@pytest.mark.parametrize("q", ["7,7", "5,0,5"])
+def test_cli_jointpoly_rejects_a_fixed_prime_of_the_content(q, capsys, monkeypatch):
+    # 7 and 5 divide every value, and each exceeds its polynomial's degree + 1
+    assert _exit_code(["jointpoly", "--q", q, "--x", "1000", "--y", "900", "--k", "2"],
+                      monkeypatch) == 2
+    assert f"fixed prime factor {q[0]}" in capsys.readouterr().err
