@@ -215,6 +215,27 @@ def _multiples(lo: int, hi: int, primes: np.ndarray, from_square: bool = False):
     return pos, cnt
 
 
+def runs(start: np.ndarray, cnt: np.ndarray, tag: np.ndarray):
+    """The runs start[k], start[k] + 1, ..., start[k] + cnt[k] - 1, laid end to end,
+    in batches of at most CHUNK entries: (tag[k] at each entry, the entry's integer).
+
+    As in _multiples, a batch is np.repeat plus offsets: entry t of the
+    whole list, in run k, holds t + start[k] - (the entries before run k).
+    A run may be cut between two batches.
+    """
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if ends.size else 0
+    shift = start - ends + cnt
+    for a in range(0, total, CHUNK):
+        b = min(a + CHUNK, total)
+        k0, k1 = np.searchsorted(ends, (a, b - 1), side="right").tolist()
+        k = slice(k0, k1 + 1)
+        c = np.minimum(ends[k], b) - np.maximum(ends[k] - cnt[k], a)
+        i = np.repeat(shift[k], c)
+        i += np.arange(a, b)
+        yield np.repeat(tag[k], c), i
+
+
 def spf_window(lo: int, hi: int, primes: np.ndarray, out=None) -> np.ndarray:
     """Smallest prime factor for [lo, hi) as uint32; 0 marks primes and 1.
 

@@ -240,17 +240,24 @@ def _cmd_dev(args):
     return _dev(args, *_hist_setup(args))
 
 
+# a batch of at most bulk.CHUNK entries and its scratch: at most 8 bytes in each of 8 arrays
+_BATCH = 64 * bulk.CHUNK
+
+
 def _cmd_table(args):
     if args.budget_mb is not None:
-        # per worker a bool window of products; with --shift also its prime flags and,
-        # for primes above width >> 7, the flag sieve's batch (8 bytes per cell, 64 per
-        # prime); and the primes up to the root of N^2 + |shift|, 8 bytes each
+        # per worker a bool window of products, its rows (64 bytes each, and 120 more
+        # for a strided row's bounds as Python ints) and a row batch; with --shift
+        # also its prime flags and, for primes above width >> 7, the flag sieve's batch
+        # (8 bytes per cell, 64 per prime); and the primes up to the root of
+        # N^2 + |shift|, 8 bytes each
         cells = args.n * args.n
         w = min(cells, bulk.DEFAULT_WINDOW)
         root = math.isqrt(cells + abs(args.shift or 0)) + 1
         primes = 0 if args.shift is None else bulk.prime_count_bound(root)
+        rows = 64 * args.n + 120 * min(args.n, w >> table.DENSE_SHIFT) + _BATCH
         per = w if args.shift is None else 2 * w + (8 * w + 64 * primes) * (root > w >> 7)
-        need = max(args.threads, 1) * per + 8 * primes
+        need = max(args.threads, 1) * (per + rows) + 8 * primes
         if need > args.budget_mb << 20:
             raise ResourceBudgetError(f"table plans {need} bytes, "
                                       f"over the budget of {args.budget_mb} MiB")
@@ -276,7 +283,40 @@ def _cmd_table_sifted(args):
                      blank(rep.ratio_mid)]]
 
 
+def _check_shifted_budget(args, limit: int, values: int, classes: int, acc: int) -> None:
+    """Raise ResourceBudgetError (exit 3) before the prime table of spd or lambda-image
+    when the plan exceeds --budget-mb.
+
+    8 bytes per prime up to limit, bulk.prime_count_bound of them.  The
+    int64 values m and classes, at most `values` and `classes` of them
+    (9 bytes per class: a copy is made through a bool mask).  Per thread,
+    one window: acc bytes per integer of its accumulator or marks, and of
+    the mask of its m; 25 bytes for each of its m, at most 2n / log n of n
+    integers (Montgomery-Vaughan); a batch (_BATCH); and 96 bytes per
+    integer up to isqrt(limit), for the cofactor bounds and the strided
+    classes as Python ints.
+    """
+    if args.budget_mb is None:
+        return
+    n = min(max(limit, 2), bulk.DEFAULT_WINDOW)
+    m = min(n, int(2 * n / math.log(n)) + 1)
+    primes = 8 * bulk.prime_count_bound(limit)
+    arrays = 8 * values + 9 * classes
+    windows = max(args.threads, 1) * (acc * n + 25 * m + _BATCH + 96 * (math.isqrt(limit) + 1))
+    need = primes + arrays + windows
+    if need > args.budget_mb << 20:
+        raise ResourceBudgetError(
+            f"{args.subcommand} plans {need} bytes ({primes} for the primes, {arrays} "
+            f"for the values and classes, {windows} for the windows), "
+            f"over the budget of {args.budget_mb} MiB")
+
+
 def _cmd_spd(args):
+    # the table to u*x + |v| + |a|; m = |u*p + v| for p <= x, the classes q - a for
+    # q up to the table's end; a bool window of marks per thread
+    limit = args.u * args.x + abs(args.v) + abs(args.a) + 1
+    _check_shifted_budget(args, limit, bulk.prime_count_bound(args.x),
+                          bulk.prime_count_bound(limit), 1)
     rep = shifted.shifted_divisor_count(
         args.a, args.u, args.v, args.x, args.y, threads=args.threads
     )
@@ -286,6 +326,16 @@ def _cmd_spd(args):
 
 
 def _cmd_lambda_image(args):
+    # the table to max((x - v) / u, x + 1); m = u*p + v <= x, the classes q - 1 for
+    # q <= x + 1 and the few others; per thread a uint32 accumulator below 2**32
+    # (int64 above) and the bool mask of its m
+    if args.u >= 1:
+        p_hi = (args.x - args.v) // args.u
+        limit = max(p_hi, args.x + 1)
+        extra = args.x.bit_length() + math.isqrt(args.x) + 1
+        _check_shifted_budget(args, limit, bulk.prime_count_bound(p_hi),
+                              bulk.prime_count_bound(args.x + 1) + extra,
+                              5 if args.x < 1 << 32 else 9)
     count, pi = shifted.lambda_image_intersection(
         args.u, args.v, args.x, threads=args.threads
     )
@@ -327,12 +377,17 @@ def _cmd_jointpoly(args):
     if args.budget_mb is not None:
         # the primes to the trial root; per thread a flags window of n integers, up to 64
         # bytes for each of its m <= 2n / log n primes (Montgomery-Vaughan) and a block of
-        # at most one window of entries: int64 remainders, their bool test, hit indices
-        primes = bulk.prime_count_bound(shifted.trial_root(polys, args.x))
+        # at most shifted.BLOCK entries, or one prime's: int64 remainders, their bool
+        # test, hit indices.  Before the windows, the sieve of those primes holds a
+        # segment of s integers and the positions of its primes, twice
+        root = shifted.trial_root(polys, args.x)
+        primes = bulk.prime_count_bound(root)
         n = min(max(args.y, 2), bulk.DEFAULT_WINDOW)
         m = min(n, int(2 * n / math.log(n)))
-        per = n + 64 * m + 10 * min(m * primes, bulk.DEFAULT_WINDOW)
-        need = 8 * primes + max(args.threads, 1) * per
+        per = n + 64 * m + 10 * min(m * primes, max(shifted.BLOCK, m))
+        s = min(root + 1, bulk.DEFAULT_WINDOW)
+        sieve = s + 16 * min(s, int(2 * s / math.log(s)))
+        need = 8 * primes + max(max(args.threads, 1) * per, sieve)
         if need > args.budget_mb << 20:
             raise ResourceBudgetError(f"jointpoly plans {need} bytes, "
                                       f"over the budget of {args.budget_mb} MiB")

@@ -2,9 +2,15 @@
 prime-factor counts at polynomial arguments.
 
 Every count here is one ordered stream of windows and factors nothing one
-prime at a time.  joint_poly_omega takes each window's primes from a flags
-window and finds omega of every Q_j(p) at once, by blocked trial division
-over the primes up to the root of the largest value.
+prime at a time.  spd and lambda-image sieve each window of m by divisor
+class: a class up to the window's root strides over its multiples, and the
+larger classes come in batches of at most bulk.CHUNK (class, cofactor)
+pairs, found by one searchsorted of the cofactor bounds, so no Python loop
+runs per cofactor and the work runs in numpy, a window per thread.  spd
+marks a bool window; lambda-image applies np.lcm.at at the window's m only.
+joint_poly_omega takes each window's primes from a flags window and finds
+omega of every Q_j(p) at once, by blocked trial division over the primes
+up to the root of the largest value, BLOCK entries a block.
 
 The deviations of omega over the exact sets a*p + b and the values of a
 binary quadratic form are histograms over those sets (specs.SetSpec), run
@@ -26,6 +32,7 @@ from .table import eta0
 
 # joint_poly_omega factors by trial division; a trial_root past this raises
 TRIAL_LIMIT = 10**7
+BLOCK = 2 * bulk.CHUNK  # entries (primes x open values) per block of that trial division
 
 
 @dataclass
@@ -41,32 +48,66 @@ class ShiftedDivisorReport:
     bound_ratio: float    # normalized * (log y)**eta0 * sqrt(log log y)
 
 
-def _lcm_window(lo: int, hi: int, cs: np.ndarray) -> np.ndarray:
-    """For m in [lo, hi), the lcm of the c in the sorted cs that divide m (1 if none).
+def _cofactor_batches(lo: int, hi: int, cs: np.ndarray):
+    """(c, c * j - lo) for each c in the sorted cs, all above isqrt(hi - 1), and each
+    cofactor j with c * j in [lo, hi), in batches of at most bulk.CHUNK entries.
 
-    A c up to isqrt(hi - 1) strides over its multiples; the larger c go one
-    cofactor j at a time, so both loops stay below the root.  The lcm
-    divides m, so uint32 holds it below 2**32.
+    Every such j is below the root.  One searchsorted of the j-bounds
+    ceil(lo / j) and (hi - 1) // j finds each j's run of cs, and bulk.runs
+    gathers the runs end to end, j-major.
+    """
+    if not cs.size:
+        return
+    j = np.arange(1, (hi - 1) // int(cs[0]) + 1)
+    i0 = np.searchsorted(cs, -(-lo // j))
+    cnt = np.searchsorted(cs, (hi - 1) // j, side="right") - i0
+    for pos, i in bulk.runs(i0, cnt, j):  # pos holds each entry's j until scaled
+        c = cs[i]
+        pos *= c
+        pos -= lo
+        yield c, pos
+
+
+def _lcm_window(lo: int, hi: int, cs: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """For m = lo + i, i in the offsets at, the lcm of the c in the sorted cs that
+    divide m (1 if none); at the other m of [lo, hi), that of the c up to the root.
+
+    A c up to isqrt(hi - 1) strides over its multiples.  The larger c come in
+    batches (_cofactor_batches), of which only the entries at an offset in at
+    are applied, with np.lcm.at.  The lcm divides m, so uint32 holds it
+    below 2**32.
     """
     acc = np.ones(hi - lo, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
     cut = np.searchsorted(cs, isqrt(hi - 1), side="right")
     for c in cs[:cut].tolist():
         view = acc[-lo % c :: c]
         np.lcm(view, c, out=view)
-    big = cs[cut:]
-    for j in range(1, (hi - 1) // int(big[0]) + 1 if big.size else 1):
-        i0, i1 = np.searchsorted(big, (-(-lo // j), (hi - 1) // j + 1))
-        pos = big[i0:i1] * j - lo
-        acc[pos] = np.lcm(acc[pos], big[i0:i1])
+    want = np.zeros(hi - lo, dtype=bool)
+    want[at] = True
+    for c, pos in _cofactor_batches(lo, hi, cs[cut:]):
+        keep = want[pos]
+        np.lcm.at(acc, pos[keep], c[keep].astype(acc.dtype, copy=False))
     return acc
 
 
-def _count_hits(ms: np.ndarray, cs: np.ndarray, hit, threads: int) -> int:
-    """How many m in the sorted ms have hit(_lcm_window value at m, m), window by window."""
+def _divisor_marks(lo: int, hi: int, cs: np.ndarray) -> np.ndarray:
+    """For m in [lo, hi), whether some c in the sorted cs divides m: a bool window that
+    the c up to isqrt(hi - 1) mark by stride and the larger c by batch."""
+    marks = np.zeros(hi - lo, dtype=bool)
+    cut = np.searchsorted(cs, isqrt(hi - 1), side="right")
+    for c in cs[:cut].tolist():
+        marks[-lo % c :: c] = True
+    for _, pos in _cofactor_batches(lo, hi, cs[cut:]):
+        marks[pos] = True
+    return marks
+
+
+def _count_hits(ms: np.ndarray, hits, threads: int) -> int:
+    """How many m in the sorted ms are hits, window by window: hits(lo, hi, at) gives a
+    bool for each offset m - lo in at of the window's m."""
     def worker(lo: int, hi: int) -> int:
         i0, i1 = np.searchsorted(ms, (lo, hi))
-        m = ms[i0:i1]
-        return int(np.count_nonzero(hit(_lcm_window(lo, hi, cs)[m - lo], m))) if m.size else 0
+        return int(np.count_nonzero(hits(lo, hi, ms[i0:i1] - lo))) if i1 > i0 else 0
 
     top = int(ms[-1]) if ms.size else 0
     return sum(bulk.stream_windows(worker, bulk.window_ranges(1, top + 1), threads))
@@ -88,13 +129,16 @@ def shifted_divisor_count(
         raise ValueError("need x, y >= 3")
     hi = u * x + abs(v) + abs(a) + 1
     table = table_upto(table, hi)
-    ps = table.primes[table.primes <= x]
-    ms = np.abs(u * ps + v)
-    ms = np.sort(ms[ms > 1])
-    ds = table.primes - a
-    ds = ds[(ds > y) & (ds <= (ms[-1] if ms.size else 0))]
-    count = _count_hits(ms, ds, lambda lcm_d, m: lcm_d > 1, threads)
-    pi_x = len(ps)
+    pi_x = table.pi(x)
+    ms = table.primes[:pi_x] * u
+    ms += v
+    np.abs(ms, out=ms)
+    ms.sort()
+    ms = ms[np.searchsorted(ms, 2) :]
+    top = int(ms[-1]) if ms.size else 0
+    # the d = q - a in (y, top], one int64 array as long as the classes
+    ds = table.primes[table.pi(y + a) : table.pi(top + a)] - a
+    count = _count_hits(ms, lambda lo, hi, at: _divisor_marks(lo, hi, ds)[at], threads)
     normalized = count / pi_x if pi_x else 0.0
     lly = math.log(math.log(y))
     bound_ratio = normalized * math.log(y) ** eta0() * math.sqrt(lly)
@@ -107,16 +151,26 @@ def shifted_divisor_count(
 def _lambda_classes(primes: np.ndarray, top: int) -> np.ndarray:
     """The c <= top, 2**k and (q - 1) * q**e for odd primes q, whose lcm over c | m
     is L(m), the lcm of 2**v_2(m) and of (q - 1) * q**v_q(m) over the q with
-    (q - 1) | m.  m >= 1 is a value of Carmichael lambda iff L(m) == m."""
+    (q - 1) | m.  m >= 1 is a value of Carmichael lambda iff L(m) == m.
+
+    Only the q - 1 are many.  The few others, 2**k and the (q - 1) * q**e with
+    e >= 1 (so q <= isqrt(top) + 1), are inserted into them in one copy.
+    """
+    qs = primes[np.searchsorted(primes, 3) : np.searchsorted(primes, top + 1, side="right")]
     parts = [1 << np.arange(1, top.bit_length(), dtype=np.int64)]
-    qs = primes[(primes >= 3) & (primes <= top + 1)]
-    cs = qs - 1
+    q = qs[: np.searchsorted(qs, isqrt(top) + 1, side="right")]
+    cs = q - 1
     while cs.size:
+        keep = cs <= top // q
+        cs, q = cs[keep] * q[keep], q[keep]
         parts.append(cs)
-        keep = cs <= top // qs
-        cs, qs = cs[keep] * qs[keep], qs[keep]
-    cs = np.sort(np.concatenate(parts))
-    return cs[np.diff(cs, prepend=0) > 0]
+    extra = np.sort(np.concatenate(parts))
+    extra = extra[np.diff(extra, prepend=0) > 0] + 1  # as q is stored, one above the class
+    at = np.searchsorted(qs, extra)
+    new = qs[np.minimum(at, qs.size - 1)] != extra  # qs is empty only if extra is
+    out = np.insert(qs, at[new], extra[new])
+    out -= 1
+    return out
 
 
 def lambda_image_intersection(
@@ -134,10 +188,12 @@ def lambda_image_intersection(
     p_hi = (x - v) // u
     # q - 1 = m reaches x, so the odd primes q run to x + 1
     table = table_upto(table, max(p_hi, x + 1))
-    ms = u * table.primes[table.primes <= p_hi] + v
-    ms = ms[(ms >= 1) & (ms <= x)]
+    ms = table.primes[: table.pi(p_hi)] * u  # u*p + v <= x for every p <= p_hi
+    ms += v
+    ms = ms[np.searchsorted(ms, 1) :]
     classes = _lambda_classes(table.primes, int(ms[-1]) if ms.size else 0)
-    return _count_hits(ms, classes, np.equal, threads), len(ms)
+    lam = lambda lo, hi, at: _lcm_window(lo, hi, classes, at)[at] == at + lo
+    return _count_hits(ms, lam, threads), len(ms)
 
 
 def poly_values(coeffs: tuple[int, ...], t):
@@ -212,7 +268,8 @@ def _omega(v: np.ndarray, primes: np.ndarray) -> np.ndarray:
     which reach sqrt(max |v|).
 
     A block of primes tests every value still open at once, block x values within
-    bulk.DEFAULT_WINDOW entries, and divides each of its primes out where it divides.
+    BLOCK entries (one prime at least), and divides each of its primes out where it
+    divides.
     A value closes once the next prime's square passes what is left of it; a leftover
     above 1 is then one more prime.
     """
@@ -221,7 +278,7 @@ def _omega(v: np.ndarray, primes: np.ndarray) -> np.ndarray:
     rem = np.abs(v[live])
     k = 0
     while live.size:
-        qs = primes[k : k + max(1, bulk.DEFAULT_WINDOW // live.size)]
+        qs = primes[k : k + max(1, BLOCK // live.size)]
         k += qs.size
         i, j = np.nonzero(rem % qs[:, None] == 0)
         count[live] += np.bincount(j, minlength=live.size)

@@ -2,7 +2,9 @@
 
 A(N) counts distinct entries of the N by N multiplication table; the shifted
 variant keeps only entries adjacent to a prime.  Product bitmaps are built
-in bulk's fixed-width windows, so memory stays flat in N.  The weighted
+in bulk's fixed-width windows, so memory stays flat in N: a row with many
+products in the window marks them with one strided slice, and the sparse
+rows come in batches of at most bulk.CHUNK products.  The weighted
 refinement sums f(n) over survivors of a sieve that factor as a*b with both
 factors at most sqrt(x): per window, the same product bitmap ANDed with the
 set's window.
@@ -24,6 +26,7 @@ from .multfunc import MultiplicativeFunction, add_windows, mertens_sum
 from .sift import SiftedSet, nu_sum
 
 MAX_CELLS = 1 << 40
+DENSE_SHIFT = 6  # a row a <= width >> DENSE_SHIFT strides over its marks in a window
 
 
 def eta0() -> float:
@@ -36,14 +39,26 @@ def _mark_products(seg: np.ndarray, lo: int, hi: int, N: int) -> None:
     """Mark a*b in [lo, hi) for 1 <= a <= b <= N into seg (offset lo), lo >= 1.
 
     Rows a below ceil(lo / N) end before lo and rows above isqrt(hi - 1)
-    start at a*a >= hi, so only the rows between can mark anything.
+    start at a*a >= hi, so only the rows between can mark anything.  A row
+    a <= width >> DENSE_SHIFT, whose step leaves room for 2**DENSE_SHIFT
+    marks or more in the window, keeps its strided slice; the rows above
+    come in batches of at most bulk.CHUNK marks (bulk.runs), one run of b
+    per row.
     """
-    for a in range(-(-lo // N), min(N, isqrt(hi - 1)) + 1):
-        b0 = max(a, -(-lo // a))
-        b1 = min(N, (hi - 1) // a)
-        if b0 > b1:
-            continue
-        seg[a * b0 - lo : a * b1 - lo + 1 : a] = True
+    a = np.arange(-(-lo // N), min(N, isqrt(hi - 1)) + 1)
+    b0 = np.maximum(a, -(-lo // a))
+    cnt = np.minimum(N, (hi - 1) // a) - b0 + 1
+    np.maximum(cnt, 0, out=cnt)
+    k = np.searchsorted(a, (hi - lo) >> DENSE_SHIFT, side="right")
+    live = np.flatnonzero(cnt[:k])
+    start = a[live] * b0[live] - lo
+    stop = start + a[live] * cnt[live]
+    for i, j, step in zip(start.tolist(), stop.tolist(), a[live].tolist()):
+        seg[i:j:step] = True
+    for rows, b in bulk.runs(b0[k:], cnt[k:], a[k:]):
+        b *= rows
+        b -= lo
+        seg[b] = True
 
 
 def table_count(N: int, shift: int | None = None, threads: int = 1) -> int:

@@ -26,7 +26,12 @@ prime by prime over a table to x, and while the form's values were still
 enumerated for X of both signs.  The last three, `sigma-div` and `s-div`
 with `--f phioverN` and `omega-gcd --f tauk:2`, each three windows long,
 were recorded while those commands still read their weights from one array
-of length x + 1.
+of length x + 1.  The last four, `spd` and `lambda-image` over three
+windows, `table --n 1500 --shift -1` over three windows and
+`table --n 1025 --shift 1`, whose second window, 2049 wide, holds only
+rows with fewer products than the strided split, were recorded while the
+classes above the root still went one cofactor j at a time and every
+table row had its own strided slice.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -132,6 +137,14 @@ CORPUS = [
      "5e1f0089a6a0a5239342634cc54dfcdae3ccb810f02cf7a10b04dadfdd2f6949"),
     ("omega-gcd --x 2200000 --f tauk:2",
      "c305d2033df8761dffbd5a7c7ad3540bf87bd9b9ca13e515934fe71c80e69774"),
+    ("spd --a 2 --u 1 --v 1 --x 2200000 --y 1000",
+     "048a0cd629e63be8225f43b295b74a322b81b8757734b4a4115f3e8574b322e3"),
+    ("lambda-image --u 1 --v 1 --x 2200000",
+     "9d90532515b330822857efb13e58d96d1cdf2b4dc38e0564e2aede0c7aded069"),
+    ("table --n 1500 --shift -1",
+     "22d6dc78a372d5d43bdc4c2ca964979a5d9b24e34f4e7761c0de2fa2bf87aaae"),
+    ("table --n 1025 --shift 1",
+     "1e4349ce21a709b6cb7849159abb62fae1edb0be0df688088af4fa7dd7234a9a"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

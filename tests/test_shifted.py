@@ -175,14 +175,61 @@ def test_lambda_and_spd_sieves_across_two_windows():
         # both ends of each window, where a slipped offset lands, and a random sample
         ends = range(lo, min(lo + 150, hi)), range(max(lo, hi - 1100), hi)
         sample = [*ends[0], *ends[1], *rng.integers(lo, hi, 150).tolist()]
-        lam = sh._lcm_window(lo, hi, classes)
-        marked = sh._lcm_window(lo, hi, ds) > 1
+        lam = sh._lcm_window(lo, hi, classes, np.array(sample) - lo)
+        marked = sh._divisor_marks(lo, hi, ds)
         for m in sample:
             assert (lam[m - lo] == m) == olambda_value(m), m
             divs = [1]
             for q, e in ofactor(m):
                 divs = [d * q**i for d in divs for i in range(e + 1)]
             assert marked[m - lo] == any(d > 1000 and is_prime_slow(d + 1) for d in divs), m
+
+
+def _brute_class_pass(lo, hi, cs):
+    """For each m in [lo, hi): the lcm of the c in cs dividing m, and whether there is one."""
+    lcms, hits = [], []
+    for m in range(lo, hi):
+        divs = cs[m % cs == 0].tolist()
+        lcms.append(math.lcm(*divs))
+        hits.append(bool(divs))
+    return lcms, hits
+
+
+@pytest.mark.parametrize("lo, hi, dtype", [
+    (2**32 - 700, 2**32 + 700, np.int64),   # straddles 2**32: the accumulator is int64
+    (2**32 - 1400, 2**32, np.uint32),       # ends at 2**32: the last uint32 window
+])
+def test_class_pass_at_2_32_matches_brute(lo, hi, dtype):
+    # a synthetic class list: small c strided below the root 65536, and large c
+    # that divide some m of the window (m // k) or none, up to and past hi
+    rng = np.random.default_rng(32)
+    ms = rng.integers(lo, hi, 60).tolist()
+    big = [m // k for m in ms for k in range(2, 40) if m % k == 0 and m // k > 65536]
+    cs = np.unique(np.array([2, 3, 4, 6, 10, 12, 97, 1000, 65535, 65536, *big, *ms,
+                             *rng.integers(65537, hi + 10**6, 300).tolist()], dtype=np.int64))
+    lcms, hits = _brute_class_pass(lo, hi, cs)
+    every = np.arange(hi - lo)
+    acc = sh._lcm_window(lo, hi, cs, every)
+    assert acc.dtype == dtype
+    assert acc.tolist() == lcms
+    assert sh._divisor_marks(lo, hi, cs).tolist() == hits
+    # with only some offsets wanted, those still hold the whole lcm
+    at = np.array(ms) - lo
+    assert sh._lcm_window(lo, hi, cs, at)[at].tolist() == [lcms[i] for i in at]
+
+
+@pytest.mark.parametrize("group", [1, 7])
+def test_class_batches_do_not_depend_on_group_size(group, t1e6, monkeypatch):
+    # two narrow windows, one starting at 1, with classes on both sides of the root
+    windows = [(1, 30001), (700000, 720000)]
+    classes = sh._lambda_classes(t1e6.primes, 720000)
+    ds = t1e6.primes[t1e6.primes > 100] - 1
+    want = [(sh._lcm_window(lo, hi, classes, np.arange(hi - lo)), sh._divisor_marks(lo, hi, ds))
+            for lo, hi in windows]
+    monkeypatch.setattr(bulk, "CHUNK", group)
+    for (lo, hi), (lam, marks) in zip(windows, want):
+        assert np.array_equal(sh._lcm_window(lo, hi, classes, np.arange(hi - lo)), lam)
+        assert np.array_equal(sh._divisor_marks(lo, hi, ds), marks)
 
 
 def _set_dev(sieve, x, lam, E=ALL_PRIMES):

@@ -525,9 +525,11 @@ WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["egps", "--lambda", "2.0"], ["omega-gcd"],
             ["qf-dev", "--form", "1,0,1", "--lambda", "0.3"],
             ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"],
-            ["jointpoly", "--q", "1,1", "--y", "1000000", "--k", "2"]]
+            ["jointpoly", "--q", "1,1", "--y", "1000000", "--k", "2"],
+            ["spd", "--a", "2", "--u", "1", "--v", "1", "--y", "1000"],
+            ["lambda-image", "--u", "1", "--v", "-1"]]
 WINDOWED_IDS = ["hist", "table-sifted", "apcount", "egps", "omega-gcd", "qf-dev",
-                "hist-mod4", "dev-mod4", "jointpoly"]
+                "hist-mod4", "dev-mod4", "jointpoly", "spd", "lambda-image"]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
@@ -554,7 +556,9 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # and sigma windows; qf-dev its set's bitmap and primes to x; qf-dev and
     # hist and dev with --e mod:4:1 run counts windows with a selector, which
     # keep their cofactors; jointpoly holds primes to the root of its largest
-    # value, a flags window, the values at its primes and a block of remainders
+    # value, a flags window, the values at its primes and a block of remainders;
+    # spd and lambda-image their table to u*x, the int64 values and classes, and
+    # per window its marks or accumulator and a batch of (class, cofactor) entries
     run = [*argv, "--x", "4000000", "--threads", "1"]
     out = _traced_within_plan(capsys, run)[1]
     assert _run(capsys, run + ["--budget-mb", "4096"]) == out
@@ -609,9 +613,11 @@ def test_cli_egps_budget_covers_max_aliquot_sum(x):
 
 @pytest.mark.parametrize("argv, over", [
     (["--n", "3000", "--budget-mb", "0"], True),
-    (["--n", "3000", "--budget-mb", "1"], False),  # one 1 MiB window of products
-    (["--n", "3000", "--budget-mb", "2", "--shift", "1"], True),
-    (["--n", "3000", "--budget-mb", "3", "--shift", "1"], False),  # and its flags and primes
+    (["--n", "3000", "--budget-mb", "5"], True),
+    # one 1 MiB window of products, 0.55 MB for its 3000 rows and a 4 MiB row batch
+    (["--n", "3000", "--budget-mb", "6"], False),
+    (["--n", "3000", "--budget-mb", "6", "--shift", "1"], True),
+    (["--n", "3000", "--budget-mb", "7", "--shift", "1"], False),  # and its flags and primes
 ])
 def test_cli_table_budget_counts_window_bytes(argv, over, monkeypatch):
     if over:

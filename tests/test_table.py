@@ -19,7 +19,40 @@ def test_eta0_closed_form():
 
 
 def test_table_count_small_values():
-    assert [tb.table_count(n) for n in range(1, 9)] == [1, 3, 6, 9, 14, 18, 25, 30]
+    # OEIS A027424
+    assert [tb.table_count(n) for n in range(1, 11)] == [1, 3, 6, 9, 14, 18, 25, 30, 36, 42]
+
+
+@pytest.mark.parametrize("group", [1, 7])
+def test_table_rows_do_not_depend_on_group_size(group, monkeypatch):
+    # windows with strided rows only, batched rows only, and both; and a count
+    # whose second window batches its rows
+    windows = [(1, 2**16 + 1), (4 * 10**6, 4 * 10**6 + 20000), (200000, 220000)]
+    N = 3000
+    want = []
+    for lo, hi in windows:
+        seg = np.zeros(hi - lo, dtype=bool)
+        tb._mark_products(seg, lo, hi, N)
+        want.append(seg)
+    count = tb.table_count(1025)  # its second window, 2049 wide, batches every row
+    monkeypatch.setattr(tb.bulk, "CHUNK", group)
+    for (lo, hi), seg in zip(windows, want):
+        got = np.zeros(hi - lo, dtype=bool)
+        tb._mark_products(got, lo, hi, N)
+        assert np.array_equal(got, seg)
+    assert tb.table_count(1025) == count == brute_table_counts(1025)[1025]
+
+
+def test_mark_products_matches_brute_on_both_sides_of_the_split():
+    N = 3000
+    for lo, hi in [(200000, 220000), (4 * 10**6, 4 * 10**6 + 20000), (2000, 2100)]:
+        want = np.zeros(hi - lo, dtype=bool)
+        for a in range(1, N + 1):
+            b = np.arange(max(a, -(-lo // a)), min(N, (hi - 1) // a) + 1)
+            want[a * b - lo] = True
+        seg = np.zeros(hi - lo, dtype=bool)
+        tb._mark_products(seg, lo, hi, N)
+        assert np.array_equal(seg, want)
 
 
 def test_table_count_matches_brute():
