@@ -119,6 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------- handlers
 
 def _cmd_primes(args):
+    # the primes to x, mertens_sum's f(p)/p at each of them, and the sieve's segment (traced:
+    # 2.6 bytes per integer)
+    _check_budget(args, 0, 8 * bulk.prime_count_bound(args.x), window=4)
     t = PrimeTable(max(args.x, 2))
     header = ["x", "pi", "mertens", "hr_constant"]
     row = [args.x, t.pi(args.x),
@@ -128,30 +131,39 @@ def _cmd_primes(args):
 
 
 def _check_budget(args, per_int: int, extra: int = 0, prime_limit: int | None = None,
-                  window: int = 24) -> None:
-    """Raise ResourceBudgetError (exit 3) before the prime table when the plan exceeds --budget-mb.
+                  window: int = 24, thread: int = 0, x: int | None = None,
+                  width: int | None = None) -> None:
+    """Raise ResourceBudgetError (exit 3) before any prime table, sieve or window when the
+    --budget-mb plan exceeds the budget.  The plan has four terms:
 
-    Per integer of [0, x]: per_int bytes, such as a histogram's weights or
-    an exact set's bitmap.  8 bytes per prime up to prime_limit (default
-    x), the table's buffer of bulk.prime_count_bound entries.  Per thread,
-    window bytes per integer of one window: 24 by default, a loose upper
-    bound on a mult window's working set (traced: about 6 to 13 beside the
-    output).  extra bytes more, such as egps's omega table over
-    [0, max s(n)].
+    - per_int bytes per integer of [0, x] (x defaults to --x), such as a histogram's
+      weights or an exact set's bitmap;
+    - extra bytes for other tables, such as egps's omega table over [0, max s(n)];
+    - 8 bytes per prime up to prime_limit (default x), the table's buffer of
+      bulk.prime_count_bound entries;
+    - per thread, window bytes per integer of one window of width integers (default
+      min(x, 2^20)) and thread bytes more.  24 per integer by default, a loose upper
+      bound on a mult window's working set (traced: about 6 to 13 beside the output).
     """
     if args.budget_mb is None:
         return
-    x = max(args.x, 2)
-    y = max(x if prime_limit is None else prime_limit, 2)
-    primes = 8 * bulk.prime_count_bound(y)
-    windows = max(args.threads, 1) * window * min(x, bulk.DEFAULT_WINDOW)
+    x = max(args.x if x is None else x, 2)
+    primes = 8 * bulk.prime_count_bound(x if prime_limit is None else prime_limit)
+    windows = max(args.threads, 1) * (
+        window * (min(x, bulk.DEFAULT_WINDOW) if width is None else width) + thread)
     need = per_int * (x + 1) + extra + primes + windows
     if need > args.budget_mb << 20:
         raise ResourceBudgetError(
             f"{args.subcommand} plans {need} bytes ({per_int} per integer of [0, {x}], "
-            f"{f'{extra} for other tables, ' if extra else ''}"
-            f"{primes} for the primes, {windows} for the windows), "
+            f"{extra} for other tables, {primes} for the primes, {windows} for the windows), "
             f"over the budget of {args.budget_mb} MiB")
+
+
+def _width(y: int) -> tuple[int, int]:
+    """(n, m): the width n = min(max(y, 2), 2^20) of a window over y integers, and a bound m
+    on the primes among any n of them, 2n / log n + 1 (Montgomery and Vaughan)."""
+    n = min(max(y, 2), bulk.DEFAULT_WINDOW)
+    return n, min(n, int(2 * n / math.log(n)) + 1)
 
 
 def _set_table(args, f, ss, E=ALL_PRIMES) -> PrimeTable:
@@ -245,22 +257,18 @@ _BATCH = 64 * bulk.CHUNK
 
 
 def _cmd_table(args):
-    if args.budget_mb is not None:
-        # per worker a bool window of products, its rows (64 bytes each, and 120 more
-        # for a strided row's bounds as Python ints) and a row batch; with --shift
-        # also its prime flags and, for primes above width >> 7, the flag sieve's batch
-        # (8 bytes per cell, 64 per prime); and the primes up to the root of
-        # N^2 + |shift|, 8 bytes each
-        cells = args.n * args.n
-        w = min(cells, bulk.DEFAULT_WINDOW)
-        root = math.isqrt(cells + abs(args.shift or 0)) + 1
-        primes = 0 if args.shift is None else bulk.prime_count_bound(root)
-        rows = 64 * args.n + 120 * min(args.n, w >> table.DENSE_SHIFT) + _BATCH
-        per = w if args.shift is None else 2 * w + (8 * w + 64 * primes) * (root > w >> 7)
-        need = max(args.threads, 1) * (per + rows) + 8 * primes
-        if need > args.budget_mb << 20:
-            raise ResourceBudgetError(f"table plans {need} bytes, "
-                                      f"over the budget of {args.budget_mb} MiB")
+    # per worker a bool window of products, its rows (64 bytes each, and 120 more for a
+    # strided row's bounds as Python ints) and a row batch; with --shift also its prime
+    # flags and, for primes above width >> 7, the flag sieve's batch (8 bytes per cell, 64
+    # per prime); and the primes up to the root of N^2 + |shift|, 8 bytes each
+    cells = args.n * args.n
+    w = min(cells, bulk.DEFAULT_WINDOW)
+    root = 0 if args.shift is None else math.isqrt(cells + abs(args.shift)) + 1
+    big = root > w >> 7
+    rows = 64 * args.n + 120 * min(args.n, w >> table.DENSE_SHIFT) + _BATCH
+    _check_budget(args, 0, prime_limit=root, x=cells, width=w,
+                  window=1 if args.shift is None else 2 + 8 * big,
+                  thread=rows + 64 * big * bulk.prime_count_bound(root))
     A = table.table_count(args.n, threads=args.threads)
     fr = table.ford_ratio(args.n, A) if args.n >= 3 else ""
     if args.shift is None:
@@ -283,40 +291,16 @@ def _cmd_table_sifted(args):
                      blank(rep.ratio_mid)]]
 
 
-def _check_shifted_budget(args, limit: int, values: int, classes: int, acc: int) -> None:
-    """Raise ResourceBudgetError (exit 3) before the prime table of spd or lambda-image
-    when the plan exceeds --budget-mb.
-
-    8 bytes per prime up to limit, bulk.prime_count_bound of them.  The
-    int64 values m and classes, at most `values` and `classes` of them
-    (9 bytes per class: a copy is made through a bool mask).  Per thread,
-    one window: acc bytes per integer of its accumulator or marks, and of
-    the mask of its m; 25 bytes for each of its m, at most 2n / log n of n
-    integers (Montgomery-Vaughan); a batch (_BATCH); and 96 bytes per
-    integer up to isqrt(limit), for the cofactor bounds and the strided
-    classes as Python ints.
-    """
-    if args.budget_mb is None:
-        return
-    n = min(max(limit, 2), bulk.DEFAULT_WINDOW)
-    m = min(n, int(2 * n / math.log(n)) + 1)
-    primes = 8 * bulk.prime_count_bound(limit)
-    arrays = 8 * values + 9 * classes
-    windows = max(args.threads, 1) * (acc * n + 25 * m + _BATCH + 96 * (math.isqrt(limit) + 1))
-    need = primes + arrays + windows
-    if need > args.budget_mb << 20:
-        raise ResourceBudgetError(
-            f"{args.subcommand} plans {need} bytes ({primes} for the primes, {arrays} "
-            f"for the values and classes, {windows} for the windows), "
-            f"over the budget of {args.budget_mb} MiB")
-
-
 def _cmd_spd(args):
-    # the table to u*x + |v| + |a|; m = |u*p + v| for p <= x, the classes q - a for
-    # q up to the table's end; a bool window of marks per thread
+    # the table to u*x + |v| + |a|; the int64 m = |u*p + v| for p <= x and classes q - a
+    # for q up to the table's end (9 bytes each: a copy is made through a bool mask); per
+    # thread a bool window of marks, 25 bytes for each of its m, a batch, and 96 bytes
+    # per integer up to the table's root (cofactor bounds, strided classes as Python ints)
     limit = args.u * args.x + abs(args.v) + abs(args.a) + 1
-    _check_shifted_budget(args, limit, bulk.prime_count_bound(args.x),
-                          bulk.prime_count_bound(limit), 1)
+    n, m = _width(limit)
+    _check_budget(args, 0, 8 * bulk.prime_count_bound(args.x) + 9 * bulk.prime_count_bound(limit),
+                  prime_limit=limit, window=1, width=n,
+                  thread=25 * m + _BATCH + 96 * (math.isqrt(limit) + 1))
     rep = shifted.shifted_divisor_count(
         args.a, args.u, args.v, args.x, args.y, threads=args.threads
     )
@@ -326,16 +310,16 @@ def _cmd_spd(args):
 
 
 def _cmd_lambda_image(args):
-    # the table to max((x - v) / u, x + 1); m = u*p + v <= x, the classes q - 1 for
-    # q <= x + 1 and the few others; per thread a uint32 accumulator below 2**32
-    # (int64 above) and the bool mask of its m
-    if args.u >= 1:
-        p_hi = (args.x - args.v) // args.u
-        limit = max(p_hi, args.x + 1)
-        extra = args.x.bit_length() + math.isqrt(args.x) + 1
-        _check_shifted_budget(args, limit, bulk.prime_count_bound(p_hi),
-                              bulk.prime_count_bound(args.x + 1) + extra,
-                              5 if args.x < 1 << 32 else 9)
+    # as spd, with the table to max((x - v) / u, x + 1), m = u*p + v <= x, the classes
+    # q - 1 for q <= x + 1 and the few others, and per thread a uint32 accumulator below
+    # 2**32 (int64 above) and the bool mask of its m
+    p_hi = (args.x - args.v) // max(args.u, 1)
+    limit = max(p_hi, args.x + 1)
+    n, m = _width(limit)
+    classes = bulk.prime_count_bound(args.x + 1) + args.x.bit_length() + math.isqrt(args.x) + 1
+    _check_budget(args, 0, 8 * bulk.prime_count_bound(p_hi) + 9 * classes, prime_limit=limit,
+                  window=5 if args.x < 1 << 32 else 9, width=n,
+                  thread=25 * m + _BATCH + 96 * (math.isqrt(limit) + 1))
     count, pi = shifted.lambda_image_intersection(
         args.u, args.v, args.x, threads=args.threads
     )
@@ -374,23 +358,15 @@ def _cmd_qf_dev(args):
 def _cmd_jointpoly(args):
     polys = [tuple(int(tok) for tok in q.split(",")) for q in args.q]
     targets = tuple(int(tok) for tok in args.k.split(","))
-    if args.budget_mb is not None:
-        # the primes to the trial root; per thread a flags window of n integers, up to 64
-        # bytes for each of its m <= 2n / log n primes (Montgomery-Vaughan) and a block of
-        # at most shifted.BLOCK entries, or one prime's: int64 remainders, their bool
-        # test, hit indices.  Before the windows, the sieve of those primes holds a
-        # segment of s integers and the positions of its primes, twice
-        root = shifted.trial_root(polys, args.x)
-        primes = bulk.prime_count_bound(root)
-        n = min(max(args.y, 2), bulk.DEFAULT_WINDOW)
-        m = min(n, int(2 * n / math.log(n)))
-        per = n + 64 * m + 10 * min(m * primes, max(shifted.BLOCK, m))
-        s = min(root + 1, bulk.DEFAULT_WINDOW)
-        sieve = s + 16 * min(s, int(2 * s / math.log(s)))
-        need = 8 * primes + max(max(args.threads, 1) * per, sieve)
-        if need > args.budget_mb << 20:
-            raise ResourceBudgetError(f"jointpoly plans {need} bytes, "
-                                      f"over the budget of {args.budget_mb} MiB")
+    # the primes to the trial root; per thread a flags window of n integers, up to 64 bytes
+    # for each of its m primes and a block of at most shifted.BLOCK entries, or one
+    # prime's: int64 remainders, their bool test, hit indices.  Before the windows, the
+    # sieve of those primes holds a segment of s integers and its primes' positions, twice
+    root = shifted.trial_root(polys, args.x)
+    (n, m), (s, ms) = _width(args.y), _width(root + 1)
+    block = min(m * bulk.prime_count_bound(root), max(shifted.BLOCK, m))
+    _check_budget(args, 0, s + 16 * ms, prime_limit=root, window=1, width=n,
+                  thread=64 * m + 10 * block)
     count = shifted.joint_poly_omega(polys, args.x, args.y, targets, args.threads)
     header = ["x", "y", "polys", "targets", "count"]
     return header, [[args.x, args.y, "|".join(args.q), args.k, count]]
@@ -398,7 +374,7 @@ def _cmd_jointpoly(args):
 
 def _cmd_apcount(args):
     # a bigomega counts window holds a uint32 word and a uint8 count per integer
-    _check_budget(args, 0, prime_limit=math.isqrt(max(args.x, 0)), window=7)
+    _check_budget(args, 0, prime_limit=max(math.isqrt(max(args.x, 0)), 2), window=7)
     count = shifted.ap_prime_factor_count(
         args.x, args.d, args.a, args.g, args.k, threads=args.threads
     )
@@ -438,7 +414,7 @@ def _cmd_s_div(args):
     f = parse_weight(args.f)
     # the primes to isqrt(x); per thread a sigma window that also holds n and lpf as
     # int64 (traced: 26 bytes per integer, 34 with a weight's mult window)
-    _check_budget(args, 0, prime_limit=math.isqrt(max(args.x, 0)),
+    _check_budget(args, 0, prime_limit=max(math.isqrt(max(args.x, 0)), 2),
                   window=28 if f.is_one() else 36)
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
@@ -457,9 +433,11 @@ def _cmd_omega_gcd(args):
 
 
 def _cmd_constants(args):
+    # the primes to x, their float64 copy and two temporaries of its size, and the sieve's
+    # segment
+    _check_budget(args, 0, 24 * bulk.prime_count_bound(args.x), window=4)
     rows = [["eta0", table.eta0(), "table-density exponent"]]
-    ps = bulk.primes_upto(args.x).astype(np.float64)
-    odd = ps[ps > 2]
+    odd = bulk.primes_upto(args.x)[1:].astype(np.float64)
     c2 = 2.0 * float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
     rows.append(["C2_partial", c2, f"over p <= {args.x}; tail omitted"])
     for v in range(1, 6):

@@ -57,10 +57,6 @@ class SieveCondition:
                 return rs
         return ()
 
-    def admits(self, n: int) -> bool:
-        """Scalar survivor test."""
-        return all(n % p not in rs for p, rs in self.exclusions)
-
     def spec_string(self) -> str:
         if not self.exclusions:
             return "none"

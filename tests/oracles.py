@@ -27,6 +27,11 @@ def ofactor(n: int) -> list[tuple[int, int]]:
     return parts
 
 
+def oadmits(cond, n: int) -> bool:
+    """Scalar survivor test of a sieve condition: n avoids every excluded residue."""
+    return all(n % p not in rs for p, rs in cond.exclusions)
+
+
 def osigma(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 

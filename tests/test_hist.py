@@ -14,7 +14,7 @@ import pytest
 from siftlab import arith, bulk, hist as H, multfunc as mf, sift as sf
 from siftlab.primesets import ALL_PRIMES, Complement, ResidueClasses
 
-from oracles import ofactor
+from oracles import oadmits, ofactor
 
 
 def test_histogram_small(t1e5):
@@ -45,7 +45,7 @@ def test_histogram_against_scalar_loop(t1e5):
     expect: dict[int, float] = {}
     total = 0.0
     for n in range(1, 501):
-        if not cond.admits(n):
+        if not oadmits(cond, n):
             continue
         parts = ofactor(n)
         k = sum(e for p, e in parts if p % 4 == 1)

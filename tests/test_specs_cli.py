@@ -1,5 +1,6 @@
 """Spec-string parsing and the command-line front end."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -527,9 +528,10 @@ WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"],
             ["jointpoly", "--q", "1,1", "--y", "1000000", "--k", "2"],
             ["spd", "--a", "2", "--u", "1", "--v", "1", "--y", "1000"],
-            ["lambda-image", "--u", "1", "--v", "-1"]]
+            ["lambda-image", "--u", "1", "--v", "-1"], ["primes"], ["constants"]]
 WINDOWED_IDS = ["hist", "table-sifted", "apcount", "egps", "omega-gcd", "qf-dev",
-                "hist-mod4", "dev-mod4", "jointpoly", "spd", "lambda-image"]
+                "hist-mod4", "dev-mod4", "jointpoly", "spd", "lambda-image", "primes",
+                "constants"]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
@@ -538,6 +540,7 @@ def test_cli_windowed_budget_mb_before_any_window(argv, capsys, monkeypatch):
         raise AssertionError("work started before the budget check")
 
     monkeypatch.setattr(cli, "PrimeTable", no_work)
+    monkeypatch.setattr(bulk, "primes_upto", no_work)  # constants sieves without a PrimeTable
     monkeypatch.setattr(bulk, "stream_windows", no_work)
     monkeypatch.setattr(sys, "argv", ["siftlab", *argv, "--x", "10000000", "--budget-mb", "1"])
     with pytest.raises(SystemExit) as ei:
@@ -558,7 +561,9 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # keep their cofactors; jointpoly holds primes to the root of its largest
     # value, a flags window, the values at its primes and a block of remainders;
     # spd and lambda-image their table to u*x, the int64 values and classes, and
-    # per window its marks or accumulator and a batch of (class, cofactor) entries
+    # per window its marks or accumulator and a batch of (class, cofactor) entries;
+    # primes its table, the f(p)/p of mertens_sum and the sieve's segment, and constants
+    # the primes, their float64 copy and its temporaries
     run = [*argv, "--x", "4000000", "--threads", "1"]
     out = _traced_within_plan(capsys, run)[1]
     assert _run(capsys, run + ["--budget-mb", "4096"]) == out
@@ -629,6 +634,44 @@ def test_cli_table_budget_counts_window_bytes(argv, over, monkeypatch):
             cli.dispatch(["table", *argv])
     else:
         assert cli.dispatch(["table", *argv]) == 0
+
+
+# small valid arguments for each subcommand; one that build_parser() registers without an
+# entry here fails the plan test below, so no subcommand can skip its --budget-mb plan
+EVERY_SUBCOMMAND = {
+    "primes": ["--x", "1000"], "hist": ["--x", "1000"], "hr-check": ["--x", "1000"],
+    "mgf": ["--x", "1000", "--z", "1.5"], "tails": ["--x", "1000", "--delta", "0.5"],
+    "dev": ["--x", "1000", "--lambda", "0.5"], "table": ["--n", "100"],
+    "table-sifted": ["--x", "1000"],
+    "spd": ["--a", "1", "--u", "1", "--v", "1", "--x", "1000", "--y", "10"],
+    "lambda-image": ["--u", "1", "--v", "-1", "--x", "1000"],
+    "sp-dev": ["--a", "1", "--b", "1", "--x", "1000", "--lambda", "0.3"],
+    "qf-dev": ["--form", "1,0,1", "--x", "1000", "--lambda", "0.3"],
+    "jointpoly": ["--q", "1,1", "--x", "1000", "--y", "100", "--k", "2"],
+    "apcount": ["--x", "1000", "--d", "4", "--a", "1", "--k", "2"],
+    "egps": ["--x", "1000"], "sigma-div": ["--x", "1000", "--p", "3"],
+    "s-div": ["--x", "1000", "--y", "100", "--z", "10", "--d", "3"],
+    "omega-gcd": ["--x", "1000"], "constants": ["--x", "1000"],
+}
+_SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+def test_cli_every_subcommand_plans_before_any_work(name, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(cli, "PrimeTable", no_work)
+    monkeypatch.setattr(bulk, "primes_upto", no_work)
+    monkeypatch.setattr(bulk, "stream_windows", no_work)
+    assert _exit_code([name, *EVERY_SUBCOMMAND[name], "--budget-mb", "0"], monkeypatch) == 3
+    m = re.fullmatch(r"budget exceeded: (\S+) plans (\d+) bytes \((\d+) per integer of "
+                     r"\[0, (\d+)\], (\d+) for other tables, (\d+) for the primes, (\d+) for "
+                     r"the windows\), over the budget of 0 MiB\n", capsys.readouterr().err)
+    assert m is not None and m[1] == name
+    need, per_int, x, extra, primes, windows = map(int, m.groups()[1:])
+    assert need == per_int * (x + 1) + extra + primes + windows > 0
 
 
 def test_cli_exit_codes(capsys, monkeypatch):
