@@ -137,7 +137,7 @@ def _check_budget(args, per_int: int, extra: int = 0, prime_limit: int | None = 
     --budget-mb plan exceeds the budget.  The plan has four terms:
 
     - per_int bytes per integer of [0, x] (x defaults to --x), such as a histogram's
-      weights or an exact set's bitmap;
+      weights;
     - extra bytes for other tables, such as egps's omega table over [0, max s(n)];
     - 8 bytes per prime up to prime_limit (default x), the table's buffer of
       bulk.prime_count_bound entries;
@@ -168,12 +168,18 @@ def _width(y: int) -> tuple[int, int]:
 
 def _set_table(args, f, ss, E=ALL_PRIMES) -> PrimeTable:
     """The one prime table a command over the set reads, to ss.prime_limit(x), built once
-    the --budget-mb plan of its primes, an exact set's bitmap, the histogram's weight array
-    of length x + 1 unless f is None (weights per window) or one, and the counts windows
-    holds (28 bytes per window integer when E selects primes: they keep their cofactors)."""
+    the --budget-mb plan of its primes, the histogram's weight array of length x + 1 unless
+    f is None (weights per window) or one, and the counts windows holds (28 bytes per window
+    integer when E selects primes: they keep their cofactors).  A qf: set's window holds
+    int64 arrays over its rows X <= isqrt(4cx / d) (traced: 192 bytes per row) and a batch
+    of their runs."""
     limit = max(ss.prime_limit(args.x), 2)
-    _check_budget(args, int(ss.kind != "cond") + (0 if f is None or f.is_one() else 8),
-                  prime_limit=limit, window=24 if isinstance(E, AllPrimes) else 28)
+    rows = 0
+    if ss.kind == "qf":
+        rows = math.isqrt(4 * ss.c * max(args.x, 2) // -QuadraticForm(ss.a, ss.b, ss.c).disc) + 1
+    _check_budget(args, 0 if f is None or f.is_one() else 8, prime_limit=limit,
+                  window=24 if isinstance(E, AllPrimes) else 28,
+                  thread=200 * rows + _BATCH * (rows > 0))
     return PrimeTable(limit)
 
 

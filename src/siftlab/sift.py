@@ -1,15 +1,18 @@
 """Residue sieves and the exact arithmetic sets they approximate.
 
 A sieve condition removes, for finitely many primes p, a set of nonzero
-residues mod p.  A survivor set is read window by window: a congruence set
-keeps only its condition and sieves each window it is asked for, so it
-holds no array of length x.  The same container holds the exact sets that
-sieves only bound from above, shifted primes a*p + b and values of
-positive definite binary quadratic forms, as boolean bitmaps indexed by n.
+residues mod p.  A survivor set is read window by window, and no set holds
+an array of length x.  A congruence set keeps only its condition and sieves
+each window it is asked for.  The exact sets that sieves only bound from
+above compute their windows too: shifted primes a*p + b mark the image of
+a slice of the prime table, values of a positive definite binary quadratic
+form mark the runs of each lattice row that land in the window, and a
+shifted form ANDs those with the primes of the shifted window.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -39,24 +42,6 @@ class SieveCondition:
                 if not 1 <= r <= p - 1:
                     raise ValueError(f"residue {r} mod {p} outside [1, p-1]")
 
-    @property
-    def v(self) -> int:
-        """Largest number of excluded residues at any prime."""
-        return max((len(rs) for _, rs in self.exclusions), default=0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(p for p, rs in self.exclusions if rs))
-
-    def nu(self, p: int) -> int:
-        return len(self.residues_at(p))
-
-    def residues_at(self, p: int) -> tuple[int, ...]:
-        for q, rs in self.exclusions:
-            if q == p:
-                return rs
-        return ()
-
     def spec_string(self) -> str:
         if not self.exclusions:
             return "none"
@@ -78,24 +63,25 @@ NO_SIEVE = SieveCondition(())
 @dataclass
 class SiftedSet:
     """Survivors of a sieve, or an exact set, in [1, x], read by window(a, b): a congruence
-    set sieves each window from cond (bitmap None), an exact set slices its bitmap."""
+    set sieves each window from cond, an exact set computes it with mark(a, b)."""
 
     x: int
-    bitmap: np.ndarray | None = None
     cond: SieveCondition | None = None
+    mark: Callable[[int, int], np.ndarray] | None = None
 
     def window(self, a: int, b: int) -> np.ndarray:
-        """Membership of each n in [a, b), 0 <= a <= b <= x + 1, as bools (0 is no member);
-        an exact set's window is a view of its bitmap, not to be written."""
+        """Membership of each n in [a, b), 0 <= a <= b <= x + 1, as a new bool array
+        (0 is no member)."""
         if not 0 <= a <= b <= self.x + 1:
             raise ValueError(f"window [{a}, {b}) outside [0, {self.x + 1})")
-        if self.bitmap is not None:
-            return self.bitmap[a:b]
-        seg = np.ones(b - a, dtype=bool)
-        seg[:1] = a > 0  # 0 is no member
-        for p, residues in self.cond.exclusions:
-            for r in residues:
-                seg[(r - a) % p :: p] = False
+        if self.mark is not None:
+            seg = self.mark(a, b)
+        else:
+            seg = np.ones(b - a, dtype=bool)
+            for p, residues in self.cond.exclusions:
+                for r in residues:
+                    seg[(r - a) % p :: p] = False
+        seg[:1] &= a > 0  # 0 is no member
         return seg
 
     def members(self) -> np.ndarray:
@@ -161,21 +147,25 @@ def shifted_prime_limit(a: int, b: int, x: int) -> int:
     return (x - b) // a
 
 
+def _image(primes: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.ndarray:
+    """Bools over [lo, hi), True at each a*p + b there, p in primes (a >= 1): the primes
+    from ceil((lo - b) / a) up to, not including, ceil((hi - b) / a)."""
+    seg = np.zeros(hi - lo, dtype=bool)
+    i, j = np.searchsorted(primes, (-((b - lo) // a), -((b - hi) // a)))
+    seg[a * primes[i:j] + (b - lo)] = True
+    return seg
+
+
 def exact_shifted_primes(
     a: int, b: int, x: int, table: PrimeTable | None = None
 ) -> SiftedSet:
-    """The exact set {a*p + b : p prime} intersected with [1, x]."""
+    """The exact set {a*p + b : p prime} intersected with [1, x], each window the image
+    of the table's primes that land in it."""
     p_hi = shifted_prime_limit(a, b, x)
     if x < 1:
         raise ValueError("need x >= 1")
-    bitmap = np.zeros(x + 1, dtype=bool)
-    if p_hi >= 2:
-        table = table_upto(table, p_hi)
-        ps = table.primes[table.primes <= p_hi]
-        vals = a * ps + b
-        vals = vals[(vals >= 1) & (vals <= x)]
-        bitmap[vals] = True
-    return SiftedSet(x=x, bitmap=bitmap, cond=None)
+    primes = table_upto(table, max(p_hi, 2)).primes
+    return SiftedSet(x=x, mark=lambda lo, hi: _image(primes, a, b, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -196,31 +186,54 @@ class QuadraticForm:
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def value(self, X: int, Y: int) -> int:
-        return self.a * X * X + self.b * X * Y + self.c * Y * Y
-
     def spec_string(self) -> str:
         return f"qf:{self.a},{self.b},{self.c}"
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of an int64 array, 0 <= n < 2**62.  Rounding n in
+    [k^2, (k + 1)^2) to a double moves it by under k ulp(k), so its root by under
+    ulp(k) / 2: the correctly rounded root is k or k + 1, and one step down corrects it."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    return r
+
+
+def _form_window(form: QuadraticForm, lo: int, hi: int) -> np.ndarray:
+    """Bools over [lo, hi), True at each value of the form there.
+
+    With u = 2cY + bX and d = 4ac - b^2, 4c f(X, Y) = u^2 + dX^2, so the
+    values of row X in [lo, hi) are those at 4c lo - dX^2 <= u^2 <=
+    4c (hi - 1) - dX^2: two runs of u, s <= u <= t and -t <= u <= -s, each a
+    run of Y.  f(-X, -Y) = f(X, Y), so the rows X >= 0 reach every value.
+    The runs go through bulk.runs in batches of at most bulk.CHUNK entries.
+    """
+    seg = np.zeros(hi - lo, dtype=bool)
+    a, b, c, d, m = form.a, form.b, form.c, -form.disc, 2 * form.c
+    X = np.arange(isqrt(4 * c * (hi - 1) // d) + 1 if hi > lo else 0, dtype=np.int64)
+    dxx = d * X * X
+    t = _isqrt(4 * c * (hi - 1) - dxx)
+    low = np.maximum(4 * c * lo - dxx, 0)
+    s = _isqrt(low)
+    s += s * s < low  # the ceiling
+    bx = b * X
+    start = np.concatenate((-((bx - s) // m), -((bx + t) // m)))
+    cnt = np.concatenate(((t - bx) // m, (-s - bx) // m)) - start + 1
+    for xs, ys in bulk.runs(start, np.maximum(cnt, 0), np.concatenate((X, X))):
+        v = a * xs + b * ys
+        v *= xs
+        v += c * ys * ys - lo
+        seg[v] = True
+    return seg
+
+
 def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
-    """All represented values of the form in [1, x].  f(-X, -Y) = f(X, Y) and Y runs
-    over a symmetric range, so X >= 0 reaches them all."""
+    """All represented values of the form in [1, x], a window at a time (_form_window)."""
     if x < 1:
         raise ValueError("need x >= 1")
-    d = -form.disc
-    bitmap = np.zeros(x + 1, dtype=bool)
-    x_max = isqrt(4 * form.c * x // d) + 1
-    y_max = isqrt(4 * form.a * x // d) + 1
-    ys = np.arange(-y_max, y_max + 1, dtype=np.int64)
-    cyy = form.c * ys * ys
-    bys = form.b * ys
-    for X in range(x_max + 1):
-        vals = form.a * X * X + bys * X + cyy
-        vals = vals[(vals >= 1) & (vals <= x)]
-        if vals.size:
-            bitmap[vals] = True
-    return SiftedSet(x=x, bitmap=bitmap, cond=None)
+    if 4 * form.a * form.c * x >= 1 << 62:
+        raise OverflowError(f"{form.spec_string()} up to {x} leaves int64")
+    return SiftedSet(x=x, mark=lambda lo, hi: _form_window(form, lo, hi))
 
 
 def qf_shifted_prime_limit(k: int, x: int) -> int:
@@ -231,18 +244,11 @@ def qf_shifted_prime_limit(k: int, x: int) -> int:
 def exact_qf_shifted(
     form: QuadraticForm, k: int, x: int, table: PrimeTable | None = None
 ) -> SiftedSet:
-    """Represented values n in [1, x] with n + k prime: the values' bitmap, cleared in
-    place window by window where n + k is not prime."""
-    table = table_upto(table, max(qf_shifted_prime_limit(k, x), 2))
-    bitmap = exact_qf_values(form, x).bitmap
-    bitmap[: max(-k, 0)] = False  # a negative n + k is no prime
-    for a, b in bulk.window_ranges(0, x + 1):
-        seg = bitmap[a:b]
-        ns = np.flatnonzero(seg)
-        vals = ns + (a + k)
-        pos = np.searchsorted(table.primes, vals).clip(max=len(table) - 1)
-        seg[ns[table.primes[pos] != vals]] = False
-    return SiftedSet(x=x, bitmap=bitmap, cond=None)
+    """Represented values n in [1, x] with n + k prime: each window of the values ANDed
+    with the primes of [lo + k, hi + k), sliced from the table."""
+    values = exact_qf_values(form, x).mark
+    primes = table_upto(table, max(qf_shifted_prime_limit(k, x), 2)).primes
+    return SiftedSet(x=x, mark=lambda lo, hi: values(lo, hi) & _image(primes, 1, -k, lo, hi))
 
 
 __all__ = [

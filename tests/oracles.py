@@ -170,6 +170,33 @@ def osieve(limit: int) -> np.ndarray:
     return np.frombuffer(bytes(flags), dtype=np.uint8).astype(bool)
 
 
+def oshifted_primes(a: int, b: int, x: int) -> np.ndarray:
+    """Bools over [0, x], True at each a*p + b in [1, x] with p prime, one prime at a time."""
+    out = np.zeros(x + 1, dtype=bool)
+    for p in np.flatnonzero(osieve(max((x - b) // a, 1))).tolist():
+        if 1 <= a * p + b <= x:
+            out[a * p + b] = True
+    return out
+
+
+def oform_values(a: int, b: int, c: int, x: int, k: int | None = None) -> np.ndarray:
+    """Bools over [0, x], True at each value n in [1, x] of a*X**2 + b*X*Y + c*Y**2, and
+    with n + k prime if k is given.  4c f = (2cY + bX)**2 + dX**2 and 4a f =
+    (2aX + bY)**2 + dY**2 with d = 4ac - b**2 > 0, so every point with f <= x lies in
+    the box |X| <= sqrt(4cx / d), |Y| <= sqrt(4ax / d); every point of it is evaluated."""
+    d = 4 * a * c - b * b
+    bx, by = isqrt(4 * c * x // d), isqrt(4 * a * x // d)
+    X, Y = np.meshgrid(np.arange(-bx, bx + 1), np.arange(-by, by + 1))
+    v = a * X * X + b * X * Y + c * Y * Y
+    out = np.zeros(x + 1, dtype=bool)
+    out[v[(v >= 1) & (v <= x)]] = True
+    if k is not None:
+        n = np.arange(x + 1)
+        flags = osieve(x + abs(k))
+        out &= (n + k >= 0) & flags[np.maximum(n + k, 0)]
+    return out
+
+
 def olambda_value(n: int) -> bool:
     """Whether n is a value of Carmichael lambda.
 

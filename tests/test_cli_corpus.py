@@ -31,7 +31,10 @@ windows, `table --n 1500 --shift -1` over three windows and
 `table --n 1025 --shift 1`, whose second window, 2049 wide, holds only
 rows with fewer products than the strided split, were recorded while the
 classes above the root still went one cofactor j at a time and every
-table row had its own strided slice.
+table row had its own strided slice.  The last two, `dev --sieve sp:2,-1`
+and `hist --sieve qf:1,1,2,shift=1`, each three windows long, were
+recorded while every `sp:` and `qf:` set still built a bitmap of length
+x + 1.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -145,6 +148,10 @@ CORPUS = [
      "22d6dc78a372d5d43bdc4c2ca964979a5d9b24e34f4e7761c0de2fa2bf87aaae"),
     ("table --n 1025 --shift 1",
      "1e4349ce21a709b6cb7849159abb62fae1edb0be0df688088af4fa7dd7234a9a"),
+    ("dev --sieve sp:2,-1 --x 2200000 --lambda 1.0",
+     "f3bbdb5c8e2435099ff723e0575c92d65053510de8628bd3f094c9d7122693d5"),
+    ("hist --sieve qf:1,1,2,shift=1 --x 2200000",
+     "d432a0b073f05aa65115f60c8efd8c4407fc33e152d58b4c7fa0715252232474"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

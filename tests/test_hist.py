@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siftlab import arith, bulk, hist as H, multfunc as mf, sift as sf
+from siftlab import arith, bulk, hist as H, multfunc as mf, sift as sf, specs
 from siftlab.primesets import ALL_PRIMES, Complement, ResidueClasses
 
 from oracles import oadmits, ofactor
@@ -112,6 +112,28 @@ def test_weighted_histogram_working_set_has_no_term_in_x():
         tracemalloc.stop()
     assert h.count == x // 2 and h.total == x // 2
     assert peak <= 8 * bulk.prime_count_bound(x) + 8 * bulk.DEFAULT_WINDOW
+
+
+@pytest.mark.parametrize("spec", ["sp:1,-1", "qf:1,1,2", "qf:1,0,1,shift=-3"])
+def test_exact_set_histogram_working_set_has_no_term_in_x(spec):
+    # an sp: or qf: set computes each window it is asked for, so from x to 4x the
+    # peak grows by a qf: window's rows (about 192 bytes each, some 1500 more here),
+    # not by a bitmap of 1 byte per integer of [0, x].  Both runs span two windows
+    # or more: the stream's consumer holds one window's kept keys while the next one
+    # is computed
+    ss = specs.parse_set_spec(spec)
+
+    def peak(x):
+        t = arith.PrimeTable(ss.prime_limit(x))
+        tracemalloc.start()
+        try:
+            H.weighted_histogram(ss.realize(x, t), mf.one(), table=t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    x = 2 * bulk.DEFAULT_WINDOW
+    assert peak(4 * x) - peak(x) < x // 2
 
 
 def test_congruence_window_matches_bitmap_slices():

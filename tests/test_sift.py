@@ -1,23 +1,23 @@
-"""Residue sieves, survivor bitmaps, and exact shifted-prime / form-value sets."""
+"""Residue sieves, survivor windows, and exact shifted-prime / form-value sets."""
+
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from siftlab import bulk
+from siftlab import bulk, specs
 from siftlab import sift as sf
+from siftlab.arith import PrimeTable
 
-from oracles import is_prime_slow, oadmits, or_lattice
+from oracles import is_prime_slow, oadmits, oform_values, or_lattice, oshifted_primes
 
 
 def test_condition_accessors():
-    c = sf.condition({2: (1,), 3: (1, 2)})
-    assert c.v == 2
-    assert c.support == (2, 3)
-    assert c.nu(2) == 1 and c.nu(3) == 2 and c.nu(5) == 0
-    assert c.residues_at(3) == (1, 2)
-    assert c.residues_at(7) == ()
+    # sorted by prime: at most 2 residues at a prime; none at 5 or 7
+    c = sf.condition({3: (1, 2), 2: (1,)})
+    assert c.exclusions == ((2, (1,)), (3, (1, 2)))
     assert c.spec_string() == "explicit:2:1;3:1,2"
-    assert sf.NO_SIEVE.v == 0
+    assert sf.NO_SIEVE.exclusions == ()
     assert sf.NO_SIEVE.spec_string() == "none"
 
 
@@ -89,11 +89,10 @@ def test_nu_sum():
 
 def test_preset_condition_structure():
     cond = sf.preset_shifted_prime_superset(1, 1, 100, 5)
-    assert cond.support == (2, 3, 5)
-    assert cond.residues_at(3) == (1,)
+    assert cond.exclusions == ((2, (1,)), (3, (1,)), (5, (1,)))
     # primes dividing a*b are skipped
     cond6 = sf.preset_shifted_prime_superset(6, 1, 10**4, 10)
-    assert cond6.support == (5, 7)
+    assert cond6.exclusions == ((5, (1,)), (7, (1,)))
 
 
 def test_preset_condition_admits_every_shifted_prime():
@@ -153,7 +152,7 @@ def test_exact_shifted_primes_validation(t1e5):
 def test_quadratic_form_basics():
     q = sf.QuadraticForm(1, 0, 1)
     assert q.disc == -4
-    assert q.value(3, 4) == 25
+    assert q.a * 3 * 3 + q.b * 3 * 4 + q.c * 4 * 4 == 25
     assert q.spec_string() == "qf:1,0,1"
 
 
@@ -203,6 +202,53 @@ def test_qf_shifted_negative_shift(k, x):
         n for n in range(1, x + 1) if or_lattice(n) > 0 and is_prime_slow(n + k)
     }
     assert set(s.members().tolist()) == expect
+
+
+EXACT_X = 3 * 2**16 + 5
+EXACT_ORACLES = {"sp:3,-2": lambda x: oshifted_primes(3, -2, x),
+                 "sp:1,-1": lambda x: oshifted_primes(1, -1, x),
+                 "qf:1,1,2": lambda x: oform_values(1, 1, 2, x),
+                 "qf:1,0,1,shift=-3": lambda x: oform_values(1, 0, 1, x, -3)}
+
+
+@pytest.mark.parametrize("spec", sorted(EXACT_ORACLES))
+def test_exact_set_windows_match_brute_force(spec):
+    # each window is computed on its own: the windows of every width tile the
+    # oracle's [0, x], and so do windows from 0, across the 2**16 edges and at x
+    x, E = EXACT_X, 1 << 16
+    ss = specs.parse_set_spec(spec)
+    s = ss.realize(x, PrimeTable(ss.prime_limit(x)))
+    expect = EXACT_ORACLES[spec](x)
+    for width in (997, E, 1 << 20):
+        got = [s.window(a, b) for a, b in bulk.window_ranges(0, x + 1, width)]
+        assert np.concatenate(got).tobytes() == expect.tobytes(), width
+    edges = [(0, 0), (0, 1), (0, 2), (0, 997), (0, E + 1), (E - 1, E + 1),
+             (2 * E - 498, 2 * E + 499), (3 * E - 1, x + 1), (x, x + 1), (x + 1, x + 1)]
+    for a, b in edges:
+        assert s.window(a, b).tobytes() == expect[a:b].tobytes(), (a, b)
+    assert s.count == int(np.count_nonzero(expect))
+
+
+def test_isqrt_exact_below_two_to_the_62():
+    # the float root of k^2 - 1 rounds up to k from about 2^26 on, and the step down
+    # takes it back; that of k^2 and k^2 + 1 is k even where k^2 is not a double
+    ks = np.array([1, 2, 3, 1 << 26, (1 << 26) + 1, (1 << 31) - 1], dtype=np.int64)
+    n = np.concatenate((ks * ks - 1, ks * ks, ks * ks + 1, [0, (1 << 62) - 1]))
+    assert sf._isqrt(n).tolist() == [isqrt(v) for v in n.tolist()]
+
+
+def test_form_window_far_from_zero():
+    # a window near 1e10 reads some 1e5 rows: X^2 + Y^2 with X, Y >= 0, one row at a time
+    lo, hi = 10**10 - 1000, 10**10 + 1000
+    expect = np.zeros(hi - lo, dtype=bool)
+    for X in range(isqrt(hi - 1) + 1):
+        y0 = isqrt(max(lo - X * X - 1, 0)) + (lo > X * X)
+        for Y in range(y0, isqrt(hi - 1 - X * X) + 1):
+            expect[X * X + Y * Y - lo] = True
+    s = sf.exact_qf_values(sf.QuadraticForm(1, 0, 1), hi)
+    assert s.window(lo, hi).tobytes() == expect.tobytes()
+    with pytest.raises(OverflowError):
+        sf.exact_qf_values(sf.QuadraticForm(1, 0, 1), 1 << 60)
 
 
 def test_sifted_set_members_dtype():

@@ -114,18 +114,17 @@ def test_parse_set_spec_qf():
 
 def test_parse_set_spec_avoid():
     ss = specs.parse_set_spec("avoid:1/modp<=5", 100)
-    assert ss.cond.support == (2, 3, 5)
+    assert ss.cond.exclusions == ((2, (1,)), (3, (1,)), (5, (1,)))
     assert ss.spec_string() == "avoid:1/modp<=5"
     co = specs.parse_set_spec("avoid:1/modp<=10,coprime=6", 10**4)
-    assert co.cond.support == (5, 7)
+    assert co.cond.exclusions == ((5, (1,)), (7, (1,)))
     with pytest.raises(ValueError):
         specs.parse_set_spec("avoid:1/modp<=5")  # needs x
 
 
 def test_parse_set_spec_explicit_inline_and_file(tmp_path):
     ss = specs.parse_set_spec("explicit:3:1,2;5:2")
-    assert ss.cond.support == (3, 5)
-    assert ss.cond.residues_at(3) == (1, 2)
+    assert ss.cond.exclusions == ((3, (1, 2)), (5, (2,)))
     assert ss.spec_string() == "explicit:3:1,2;5:2"
     path = tmp_path / "cond.txt"
     path.write_text("3:1,2\n5:2\n")
@@ -426,7 +425,7 @@ def test_cli_exact_set_dev_budget_mb_before_the_set(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "PrimeTable", no_set)
     assert _exit_code([*argv, "--x", "1000000", "--budget-mb", "1"], monkeypatch) == 3
     err = capsys.readouterr().err
-    assert f"{argv[0]} plans " in err and "(1 per integer of [0, 1000000]" in err
+    assert f"{argv[0]} plans " in err and "(0 per integer of [0, 1000000]" in err
     assert "over the budget of 1 MiB" in err
 
 
@@ -528,10 +527,12 @@ WINDOWED = [["hist", "--sieve", "explicit:2:1"],
             ["hist", "--e", "mod:4:1"], ["dev", "--lambda", "0.5", "--e", "mod:4:1"],
             ["jointpoly", "--q", "1,1", "--y", "1000000", "--k", "2"],
             ["spd", "--a", "2", "--u", "1", "--v", "1", "--y", "1000"],
-            ["lambda-image", "--u", "1", "--v", "-1"], ["primes"], ["constants"]]
+            ["lambda-image", "--u", "1", "--v", "-1"], ["primes"], ["constants"],
+            ["sp-dev", "--a", "1", "--b", "-1", "--lambda", "0.5"],
+            ["dev", "--sieve", "qf:1,0,1,shift=-1", "--lambda", "0.5"]]
 WINDOWED_IDS = ["hist", "table-sifted", "apcount", "egps", "omega-gcd", "qf-dev",
                 "hist-mod4", "dev-mod4", "jointpoly", "spd", "lambda-image", "primes",
-                "constants"]
+                "constants", "sp-dev", "dev-qf-shift"]
 
 
 @pytest.mark.parametrize("argv", WINDOWED, ids=WINDOWED_IDS)
@@ -556,7 +557,9 @@ def test_cli_windowed_peak_within_budget_plan(argv, capsys):
     # hist and table-sifted the primes to x and, their congruence sets sieved
     # per window, nothing per integer of x; egps holds its 4-bit omega table
     # to Robin's bound and sigma windows, omega-gcd a 4-bit omega table to x
-    # and sigma windows; qf-dev its set's bitmap and primes to x; qf-dev and
+    # and sigma windows; sp-dev and qf-dev primes to x (x + 1 for sp:1,-1 and
+    # shift=-1) and no array of length x, a qf: set's window int64 arrays over its
+    # rows and a batch of their runs; qf-dev and
     # hist and dev with --e mod:4:1 run counts windows with a selector, which
     # keep their cofactors; jointpoly holds primes to the root of its largest
     # value, a flags window, the values at its primes and a block of remainders;
