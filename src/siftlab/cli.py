@@ -275,11 +275,10 @@ def _cmd_table(args):
     _check_budget(args, 0, prime_limit=root, x=cells, width=w,
                   window=1 if args.shift is None else 2 + 8 * big,
                   thread=rows + 64 * big * bulk.prime_count_bound(root))
-    A = table.table_count(args.n, threads=args.threads)
+    A, As = table.table_count(args.n, args.shift, args.threads)
     fr = table.ford_ratio(args.n, A) if args.n >= 3 else ""
     if args.shift is None:
         return ["N", "A", "ford_ratio"], [[args.n, A, fr]]
-    As = table.table_count(args.n, shift=args.shift, threads=args.threads)
     return (["N", "A", "ford_ratio", "s", "A_shifted"],
             [[args.n, A, fr, args.shift, As]])
 
@@ -397,10 +396,10 @@ def _cmd_egps(args):
     rep = egps.egps_deviation(args.x, f, lam=args.lam, c0=args.c0, threads=args.threads)
     header = ["x", "f", "lambda", "mass", "total", "normalized",
               "excluded", "unfactored"]
-    rows = [[args.x, args.f, rep.lam, rep.mass, rep.total, rep.normalized,
+    rows = [[args.x, f.spec_string(), rep.lam, rep.mass, rep.total, rep.normalized,
              rep.excluded, rep.unfactored]]
     for (lam, norm), mass in zip(rep.grid, rep.grid_mass):
-        rows.append([args.x, args.f, lam, mass, rep.total, norm,
+        rows.append([args.x, f.spec_string(), lam, mass, rep.total, norm,
                      rep.excluded, rep.unfactored])
     return header, rows
 
@@ -412,7 +411,7 @@ def _cmd_sigma_div(args):
     _check_budget(args, 0, window=24 if f.is_one() else 34)
     rep = egps.count_p_divides_sigma(args.x, args.p, f, args.eps, threads=args.threads)
     header = ["x", "p", "f", "eps", "value", "bound", "ratio"]
-    return header, [[args.x, args.p, args.f, args.eps, rep.value, rep.bound,
+    return header, [[args.x, args.p, f.spec_string(), args.eps, rep.value, rep.bound,
                      rep.ratio]]
 
 
@@ -424,7 +423,7 @@ def _cmd_s_div(args):
                   window=28 if f.is_one() else 36)
     value = egps.count_d_divides_s(args.x, args.y, args.z, args.d, f, threads=args.threads)
     header = ["x", "y", "z", "d", "f", "value"]
-    return header, [[args.x, args.y, args.z, args.d, args.f, value]]
+    return header, [[args.x, args.y, args.z, args.d, f.spec_string(), value]]
 
 
 def _cmd_omega_gcd(args):
@@ -434,7 +433,7 @@ def _cmd_omega_gcd(args):
     rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v
-    return header, [[args.x, args.f, rep.value, blank(rep.bound),
+    return header, [[args.x, f.spec_string(), rep.value, blank(rep.bound),
                      blank(rep.ratio)]]
 
 
@@ -466,7 +465,9 @@ def _fmt(v) -> str:
 
 def render(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "jsonl":
-        out = [json.dumps(dict(zip(header, row)), separators=(", ", ": "))
+        # a non-finite float is written as the CSV writes it, since JSON has no such number
+        out = [json.dumps({h: _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+                           for h, v in zip(header, row)}, separators=(", ", ": "))
                for row in rows]
         return "\n".join(out) + "\n"
     buf = io.StringIO()

@@ -2,9 +2,10 @@
 
 The workhorse is one divisor-sum sieve run as an ordered stream of
 n-windows (_sigma_bins): each window computes sigma(n), a key turns it into
-the statistic's integer per n, and a weight other than one is computed for
-the same window (bulk.mult_window), so neither the keys nor the weights
-make an array of length x.  egps reads omega(s(n)) from a table of distinct
+the statistic's integer per n, and multfunc.weighted_bins bins the keys,
+with a weight other than one computed for the same window
+(multfunc.window_weights), so neither the keys nor the weights make an
+array of length x.  egps reads omega(s(n)) from a table of distinct
 prime-factor counts, 4 bits per integer (bulk.OmegaTable), sized to
 Robin's bound on max s(n) (aliquot_bound) but filled only as far as the
 largest s(n) seen so far: its resident part is half a byte per integer up
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, is_prime, table_upto
-from .multfunc import MultiplicativeFunction, add_windows, mertens_sum
+from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
 from .primesets import ALL_PRIMES
 
 GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # the lam at which egps_deviation reports a grid mass
@@ -76,17 +77,12 @@ def _sigma_bins(x: int, f: MultiplicativeFunction, primes, key, threads: int) ->
     """
     bufs = threading.local()  # one sigma window per stream thread, reused
 
-    def window(a: int, b: int):
+    def keys(a: int, b: int) -> np.ndarray:
         if not hasattr(bufs, "s"):
             bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
-        k = key(a, b, bulk.sigma_window(a, b, out=bufs.s[: b - a]))
-        if k.dtype == np.bool_:
-            k = k.view(np.uint8)  # np.add.at would read a bool index as a mask
-        w = None if f.is_one() else bulk.mult_window(a, b, primes, f.rule, f.window_primes())
-        return k, w
+        return key(a, b, bulk.sigma_window(a, b, out=bufs.s[: b - a]))
 
-    return add_windows(bulk.stream_windows(window, bulk.window_ranges(2, x + 1), threads),
-                       weighted=not f.is_one())
+    return weighted_bins(2, x + 1, keys, weights=window_weights(f, primes), threads=threads)
 
 
 def egps_deviation(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bulk
 from .arith import PrimeTable, table_upto
-from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, weighted_bins
+from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 from .sift import SiftedSet, nu_sum
 
@@ -73,9 +73,10 @@ def weighted_histogram(
         kept.append(np.count_nonzero(sel))
         return sel
 
-    raw = weighted_bins(f, 1, x + 1,
+    fv = None if f.is_one() else values_upto(f, x, table, threads)
+    raw = weighted_bins(1, x + 1,
                         lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
-                        members, table, threads)
+                        members, None if fv is None else lambda a, b: fv[a:b], threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
     return WeightedHistogram(
         x=x, g_kind=g_kind, E=E, f=f,
@@ -115,7 +116,7 @@ def hr_ratio(
     table = table_upto(table, x)
     M = mertens_sum(hist.f, x, hist.E, table)
     m_out = mertens_sum(hist.f, x, hist.E.complement(), table)
-    nu = nu_sum(cond, x) if cond is not None else 0.0
+    nu = nu_sum(cond, x)
     if C is None:
         C = hr_constant(x, table)
     if M + C <= 0:
@@ -180,7 +181,7 @@ def mgf_sum(
         value += z**k * hist.bins[k]
     m_in = mertens_sum(hist.f, x, hist.E, table)
     m_all = mertens_sum(hist.f, x, ALL_PRIMES, table)
-    nu = nu_sum(cond, x) if cond is not None else 0.0
+    nu = nu_sum(cond, x)
     bound = x / math.log(x) * math.exp((z - 1.0) * m_in + m_all - nu)
     return MgfReport(x=x, z=z, value=value, bound=bound, ratio=value / bound)
 
@@ -215,7 +216,7 @@ def tail_masses(
     if M <= 0:
         raise ValueError("prime sum M vanishes; tails are degenerate")
     m_all = mertens_sum(hist.f, x, ALL_PRIMES, table)
-    nu = nu_sum(cond, x) if cond is not None else 0.0
+    nu = nu_sum(cond, x)
     mass_low = hist.mass_low((1.0 - delta) * M)
     mass_high = hist.mass_high((1.0 + delta) * M)
     pref = x / math.log(x) * math.exp(m_all - nu)

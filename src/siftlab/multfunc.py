@@ -1,9 +1,11 @@
 """Nonnegative multiplicative weights and their prime sums.
 
 A weight is determined by its prime-power rule f(p**e).  Its values come
-from the bulk mult windows, and its masses are added window by window in
-ascending n.  Prime sums (Mertens-type) and the sup-distance constant to
-log log t live here too.
+from the bulk mult windows.  One driver, weighted_bins, turns a stream of
+windows into bins: each window gives its keys, its selected n and its
+weights, and the masses are added in ascending n.  The histogram, the
+sigma family and the sifted table sum all bin through it.  Prime sums
+(Mertens-type) and the sup-distance constant to log log t live here too.
 """
 
 from __future__ import annotations
@@ -63,63 +65,55 @@ def values_upto(
     return bulk.mult_range(x, table.primes, f.rule, f.window_primes(), threads=threads)
 
 
-def weighted_bins(f: MultiplicativeFunction, lo: int, hi: int, keys, sel=None,
-                  table: PrimeTable | None = None, threads: int = 1) -> np.ndarray:
-    """bins[k] = sum of f(n), added in ascending n, over the n in [lo, hi) with key k.
+def window_weights(f: MultiplicativeFunction, primes):
+    """weighted_bins' weights for f: None for f = one, else a callable giving f(n)
+    over one window [a, b) from bulk.mult_window, with primes reaching isqrt(b - 1)."""
+    if f.is_one():
+        return None
+    rule, at_primes = f.rule, f.window_primes()
+    return lambda a, b: bulk.mult_window(a, b, primes, rule, at_primes)
 
-    keys(a, b) gives the keys of one window [a, b) of [lo, hi), integers or
-    bools; sel(a, b), when given, gives the window's bools, and only the n
-    where it is True are kept.  The bins run to the largest kept key, even
-    when its mass is 0, as np.bincount's do.  For f = one they are exact int64 counts, no
-    weight array is built and table may be None; otherwise table must
-    reach isqrt(hi - 1).
 
-    The keys and sel come window by window from one bulk stream's workers,
-    so no key, index or mask array of length hi - lo is made.  A window's
-    kept keys are gathered by index, or read in place when all are kept.
-    np.add.at adds each bin's terms in index order, as np.bincount does, so
-    the doubles match one np.bincount over all kept n.
+def weighted_bins(lo: int, hi: int, keys, sel=None, weights=None, threads: int = 1) -> np.ndarray:
+    """bins[k] = the sum of the weights, added in ascending n, of the n in [lo, hi) with key k.
+
+    keys(a, b) gives the integer or bool keys of one window [a, b) of
+    [lo, hi); sel(a, b), when given, the window's bools, and only the n
+    where it is True are kept; weights(a, b), when given, the window's
+    float weights.  Without weights each kept n counts 1 and the bins are
+    exact int64 counts.  The bins run to the largest kept key, even when
+    its mass is 0, as np.bincount's do.
+
+    The callables run window by window in one bulk stream's workers, so no
+    key, weight, index or mask array of length hi - lo is made.  A window's
+    kept keys and weights are gathered by index, or read in place when all
+    are kept.  np.add.at adds each bin's terms in index order, as
+    np.bincount does, so the doubles match one np.bincount over all kept n.
     """
-    fv = None if f.is_one() else values_upto(f, hi - 1, table, threads)
-
     def window(a: int, b: int):
-        """The window's kept keys and, unless f = one, their weights."""
+        """The window's kept keys and, with weights, their weights."""
         k = keys(a, b)
         if k.dtype == np.bool_:
             k = k.view(np.uint8)  # np.add.at would read a bool index as a mask
-        part = slice(None)
+        w = None if weights is None else weights(a, b)
         if sel is not None:
             part = np.flatnonzero(sel(a, b))
-            if part.size == b - a:
-                part = slice(None)
-            else:
+            if part.size < b - a:
                 k = k[part]
-        return k, None if fv is None else fv[a:b][part]
+                w = None if w is None else w[part]
+        return k, w
 
-    return add_windows(bulk.stream_windows(window, bulk.window_ranges(lo, hi), threads),
-                       weighted=fv is not None)
-
-
-def add_windows(windows, weighted: bool) -> np.ndarray:
-    """bins[k] = the sum of the weights, added in stream order, of the keys k in windows.
-
-    windows yields (keys, weights) pairs: integer keys, and float weights of
-    the same length or, unless weighted, None, when each key counts 1 and
-    the bins are exact int64 counts.  The bins run to the largest key seen.
-    np.add.at adds each bin's terms in index order, so the doubles match one
-    np.bincount over the concatenated windows.
-    """
     bins = np.zeros(0, dtype=np.int64)  # np.bincount of nothing, weighted or not
-    for k, w in windows:
+    for k, w in bulk.stream_windows(window, bulk.window_ranges(lo, hi), threads):
         top = int(k.max()) + 1 if k.size else 0
         if top > bins.size:
-            grown = np.zeros(top, dtype=np.float64 if weighted else np.int64)
+            grown = np.zeros(top, dtype=np.int64 if weights is None else np.float64)
             grown[: bins.size] = bins
             bins = grown
-        if weighted:
-            np.add.at(bins, k, w)
-        else:
+        if w is None:
             bins[:top] += np.bincount(k)
+        else:
+            np.add.at(bins, k, w)
     return bins
 
 
@@ -291,8 +285,8 @@ def hr_constant(x: int, table: PrimeTable | None = None) -> float:
 __all__ = [
     "MultiplicativeFunction",
     "values_upto",
+    "window_weights",
     "weighted_bins",
-    "add_windows",
     "one",
     "mu_sq",
     "z_omega",

@@ -108,12 +108,12 @@ def everything(x: int) -> SiftedSet:
     return sift(x, NO_SIEVE)
 
 
-def nu_sum(cond: SieveCondition, x: int) -> float:
+def nu_sum(cond: SieveCondition | None, x: int) -> float:
     """Sum of nu(p)/p over the (finite) support intersected with [2, x], added one term at a
     time in the order of the exclusions: the builtin sum is compensated from CPython 3.12
-    on, so its bytes would depend on the interpreter."""
+    on, so its bytes would depend on the interpreter.  0.0 for no condition (None)."""
     total = 0.0
-    for p, rs in cond.exclusions:
+    for p, rs in () if cond is None else cond.exclusions:
         if p <= x:
             total += len(rs) / p
     return total

@@ -1,13 +1,14 @@
 """Multiplication-table counts and their sifted, weighted refinements.
 
 A(N) counts distinct entries of the N by N multiplication table; the shifted
-variant keeps only entries adjacent to a prime.  Product bitmaps are built
+variant keeps only entries adjacent to a prime, and both come from one
+stream that marks each window's products once.  Product bitmaps are built
 in bulk's fixed-width windows, so memory stays flat in N: a row with many
 products in the window marks them with one strided slice, and the sparse
 rows come in batches of at most bulk.CHUNK products.  The weighted
 refinement sums f(n) over survivors of a sieve that factor as a*b with both
 factors at most sqrt(x): per window, the same product bitmap ANDed with the
-set's window.
+set's window selects the n that multfunc.weighted_bins adds into one bin.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import bulk
 from .arith import PrimeTable, table_upto
 from .errors import ResourceBudgetError
 from .hist import q_rate
-from .multfunc import MultiplicativeFunction, add_windows, mertens_sum
+from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
 from .sift import SiftedSet, nu_sum
 
 MAX_CELLS = 1 << 40
@@ -61,8 +62,11 @@ def _mark_products(seg: np.ndarray, lo: int, hi: int, N: int) -> None:
         seg[b] = True
 
 
-def table_count(N: int, shift: int | None = None, threads: int = 1) -> int:
-    """Number of distinct products a*b with a, b <= N, and with a*b + shift prime if given."""
+def table_count(N: int, shift: int | None = None, threads: int = 1) -> tuple[int, int | None]:
+    """(A, A_shifted): the number of distinct products a*b with a, b <= N, and the number
+    of those with a*b + shift prime, or None when no shift is given.  One stream of
+    windows marks each window's products once and counts them before and after ANDing
+    the primes of the shifted window."""
     if N < 1:
         raise ValueError("need N >= 1")
     if shift == 0:
@@ -74,15 +78,19 @@ def table_count(N: int, shift: int | None = None, threads: int = 1) -> int:
     if shift is not None:
         primes = bulk.primes_upto(isqrt(N * N + abs(shift)) + 1)
 
-    def worker(lo: int, hi: int) -> int:
+    def worker(lo: int, hi: int) -> np.ndarray:
+        """The window's [A, A_shifted] counts, A_shifted 0 without a shift."""
         seg = np.zeros(hi - lo, dtype=bool)
         _mark_products(seg, lo, hi, N)
-        if shift is not None:
-            seg &= bulk.flags_window(lo + shift, hi + shift, primes)
-        return int(np.count_nonzero(seg))
+        count = np.count_nonzero(seg)
+        if shift is None:
+            return np.array([count, 0])
+        seg &= bulk.flags_window(lo + shift, hi + shift, primes)
+        return np.array([count, np.count_nonzero(seg)])
 
     ranges = bulk.window_ranges(1, N * N + 1)
-    return sum(bulk.stream_windows(worker, ranges, threads))
+    A, A_shifted = sum(bulk.stream_windows(worker, ranges, threads)).tolist()
+    return A, None if shift is None else A_shifted
 
 
 def ford_ratio(N: int, A: int) -> float:
@@ -125,24 +133,20 @@ def sifted_table_sum(
     B = isqrt(x)
     table = table_upto(table, x)
 
-    def worker(lo: int, hi: int):
-        """Key 0 for each kept n of the window and, unless f = one, its weight."""
+    def members(lo: int, hi: int) -> np.ndarray:
         keep = np.zeros(hi - lo, dtype=bool)
         _mark_products(keep, lo, hi, B)
         keep &= sset.window(lo, hi)
-        keys = np.zeros(np.count_nonzero(keep), dtype=np.uint8)
-        if f.is_one():
-            return keys, None
-        return keys, bulk.mult_window(lo, hi, table.primes, f.rule, f.window_primes())[keep]
+        return keep
 
-    ranges = bulk.window_ranges(1, x + 1)
-    bins = add_windows(bulk.stream_windows(worker, ranges, threads), weighted=not f.is_one())
+    bins = weighted_bins(1, x + 1, lambda lo, hi: np.zeros(hi - lo, dtype=np.uint8), members,
+                         window_weights(f, table.primes), threads)
     value = float(bins[0]) if bins.size else 0.0
 
     M = mertens_sum(f, x, table=table)
     llx = math.log(math.log(x))
     R = M * math.log(2.0) / llx
-    nu = nu_sum(sset.cond, x) if sset.cond is not None else 0.0
+    nu = nu_sum(sset.cond, x)
     pref = x / (math.log(x) * math.sqrt(M))
     bound_le_half = (1.0 + 4.0**M * math.sqrt(M) / math.log(x)) * pref * math.exp(
         2.0 * (1.0 - math.log(2.0)) * M - nu

@@ -121,13 +121,13 @@ X_THREE_WINDOWS = 3 * bulk.DEFAULT_WINDOW + 5
 def _bins_of(monkeypatch, **kwargs):
     """egps_deviation's report and the bins it read the report off."""
     got = []
-    real = egps.add_windows
+    real = egps.weighted_bins
 
     def keep(*args, **kw):
         got.append(real(*args, **kw))
         return got[-1]
 
-    monkeypatch.setattr(egps, "add_windows", keep)
+    monkeypatch.setattr(egps, "weighted_bins", keep)
     rep = egps.egps_deviation(X_THREE_WINDOWS, lam=2.0, **kwargs)
     return rep, got[-1]
 

@@ -115,10 +115,18 @@ def wb_case():
     return table, keys, sels
 
 
-def _bins(f, k, lo, sel, table):
+def _bins(k, lo, sel, weights):
     """weighted_bins over [lo, WB_X] with keys read from the array k, windows from the mask sel."""
-    return multfunc.weighted_bins(f, lo, WB_X + 1, lambda a, b: k[a:b],
-                                  None if sel is None else lambda a, b: sel[a:b], table)
+    return multfunc.weighted_bins(lo, WB_X + 1, lambda a, b: k[a:b],
+                                  None if sel is None else lambda a, b: sel[a:b], weights)
+
+
+def _weight_sources(f, table):
+    """values_upto's array of f, and f's weights as that array read a window at a time and
+    as each window's own mult_window (window_weights); both None for f = one."""
+    fv = multfunc.values_upto(f, WB_X, table)
+    return fv, {"values_upto": None if f.is_one() else lambda a, b: fv[a:b],
+                "window_weights": multfunc.window_weights(f, table.primes)}
 
 
 @pytest.mark.parametrize("spec", ["zomega:1.3", "musq", "one"])
@@ -126,18 +134,22 @@ def _bins(f, k, lo, sel, table):
 def test_weighted_bins_match_one_bincount_bit_for_bit(wb_case, spec, kind):
     table, keys, sels = wb_case
     f = parse_weight(spec)
-    fv = multfunc.values_upto(f, WB_X, table)
-    for name, (lo, sel) in sels.items():
-        k = keys[kind]
-        kept = slice(lo, None) if sel is None else sel
-        want = np.bincount(k[kept]) if f.is_one() else np.bincount(k[kept], weights=fv[kept])
-        got = _bins(f, k, lo, sel, table)
-        assert (got.dtype, got.size) == (want.dtype, want.size), name
-        assert got.tobytes() == want.tobytes(), name
-        if kind == "uint8" and not name.startswith("empty"):
-            assert got.size == 22
-            if spec == "musq":
-                assert got[21] == 0.0
+    fv, sources = _weight_sources(f, table)
+    assert (sources["window_weights"] is None) == f.is_one()
+    for source, weights in sources.items():
+        for name, (lo, sel) in sels.items():
+            k = keys[kind]
+            kept = slice(lo, None) if sel is None else sel
+            want = np.bincount(k[kept]) if f.is_one() else np.bincount(k[kept], weights=fv[kept])
+            if source == "window_weights":
+                lo = max(lo, 1)  # mult_window starts at n = 1; no mask here selects n = 0
+            got = _bins(k, lo, sel, weights)
+            assert (got.dtype, got.size) == (want.dtype, want.size), (source, name)
+            assert got.tobytes() == want.tobytes(), (source, name)
+            if kind == "uint8" and not name.startswith("empty"):
+                assert got.size == 22
+                if spec == "musq":
+                    assert got[21] == 0.0
 
 
 def _gather_masks():
@@ -160,11 +172,11 @@ def test_weighted_bins_gather_masks_by_index(wb_case, spec):
     # view when it is all True; "all" also selects n = 0, whose key is 255
     table, keys, _ = wb_case
     f = parse_weight(spec)
-    fv = multfunc.values_upto(f, WB_X, table)
+    fv, sources = _weight_sources(f, table)
     k = keys["uint8"]
     for name, sel in _gather_masks().items():
         want = np.bincount(k[sel]) if f.is_one() else np.bincount(k[sel], weights=fv[sel])
-        got = _bins(f, k, 0, sel, table)
+        got = _bins(k, 0, sel, sources["values_upto"])
         assert (got.dtype, got.size) == (want.dtype, want.size), name
         assert got.tobytes() == want.tobytes(), name
 

@@ -85,6 +85,7 @@ def test_nu_sum():
     assert sf.nu_sum(c, 10) == pytest.approx(7 / 6, rel=1e-15)
     assert sf.nu_sum(c, 2) == pytest.approx(0.5)
     assert sf.nu_sum(sf.NO_SIEVE, 100) == 0.0
+    assert sf.nu_sum(None, 100) == 0.0  # no condition
 
 
 def test_preset_condition_structure():

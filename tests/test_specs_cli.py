@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -339,6 +340,34 @@ def test_cli_jsonl(capsys):
     rec = json.loads(lines[0])
     assert rec["x"] == 1000 and rec["pi"] == 168
     assert rec["hr_constant"] == pytest.approx(0.8665129205816644)
+
+
+def _strict_json(line: str) -> dict:
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_cli_jsonl_writes_non_finite_floats_as_strings(capsys):
+    # E holds no prime up to x, so M = 0 and the degenerate report's Gaussian reference is inf
+    argv = ["dev", "--x", "500", "--e", "interval:1000:2000", "--lambda", "1.0"]
+    rec = _strict_json(_run(capsys, argv + ["--format", "jsonl"]).splitlines()[0])
+    assert rec["gauss_ref"] == "inf" and rec["M"] == 0.0 and rec["normalized"] == 1.0
+    assert _run(capsys, argv).splitlines()[1].split(",")[-1] == "inf"
+
+
+@pytest.mark.parametrize("argv", [["egps", "--x", "3000", "--lambda", "1.0"],
+                                  ["sigma-div", "--x", "3000", "--p", "3"],
+                                  ["s-div", "--x", "3000", "--y", "100", "--z", "10", "--d", "3"],
+                                  ["omega-gcd", "--x", "3000"]], ids=lambda a: a[0])
+def test_cli_sigma_family_prints_the_canonical_weight_spec(argv, capsys):
+    # as hist does: zomega:1.30 is printed as zomega:1.3, with the same bytes otherwise
+    loose = _run(capsys, argv + ["--f", "zomega:1.30"])
+    assert "zomega:1.30" not in loose
+    assert loose == _run(capsys, argv + ["--f", "zomega:1.3"])
+    col = loose.splitlines()[0].split(",").index("f")
+    assert {line.split(",")[col] for line in loose.splitlines()[1:]} == {"zomega:1.3"}
 
 
 def test_cli_budget_sec(tmp_path):
@@ -733,6 +762,11 @@ def test_cli_render_formats():
     assert text == "a,b\n1,0.1\n0,2\n"
     jl = cli.render(["a"], [[1]], "jsonl")
     assert jl == '{"a": 1}\n'
+    # JSON has no inf or nan: they are written as the CSV writes them
+    row = [[-math.inf, math.nan, 1.5, 2]]
+    assert cli.render(["a", "b", "c", "d"], row, "csv") == "a,b,c,d\n-inf,nan,1.5,2\n"
+    jl = cli.render(["a", "b", "c", "d"], row, "jsonl")
+    assert _strict_json(jl) == {"a": "-inf", "b": "nan", "c": 1.5, "d": 2}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

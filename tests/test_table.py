@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siftlab import arith, multfunc as mf, sift as sf, table as tb
+from siftlab import arith, bulk, cli, multfunc as mf, sift as sf, table as tb
 from siftlab.errors import ResourceBudgetError
 
 from oracles import brute_table_counts, is_prime_slow, ofactor, osifted_table_sum
@@ -20,7 +20,7 @@ def test_eta0_closed_form():
 
 def test_table_count_small_values():
     # OEIS A027424
-    assert [tb.table_count(n) for n in range(1, 11)] == [1, 3, 6, 9, 14, 18, 25, 30, 36, 42]
+    assert [tb.table_count(n)[0] for n in range(1, 11)] == [1, 3, 6, 9, 14, 18, 25, 30, 36, 42]
 
 
 @pytest.mark.parametrize("group", [1, 7])
@@ -34,13 +34,14 @@ def test_table_rows_do_not_depend_on_group_size(group, monkeypatch):
         seg = np.zeros(hi - lo, dtype=bool)
         tb._mark_products(seg, lo, hi, N)
         want.append(seg)
-    count = tb.table_count(1025)  # its second window, 2049 wide, batches every row
+    count = tb.table_count(1025)[0]  # its second window, 2049 wide, batches every row
     monkeypatch.setattr(tb.bulk, "CHUNK", group)
     for (lo, hi), seg in zip(windows, want):
         got = np.zeros(hi - lo, dtype=bool)
         tb._mark_products(got, lo, hi, N)
         assert np.array_equal(got, seg)
-    assert tb.table_count(1025) == count == brute_table_counts(1025)[1025]
+    assert tb.table_count(1025) == (count, None)
+    assert count == brute_table_counts(1025)[1025]
 
 
 def test_mark_products_matches_brute_on_both_sides_of_the_split():
@@ -58,13 +59,13 @@ def test_mark_products_matches_brute_on_both_sides_of_the_split():
 def test_table_count_matches_brute():
     brute = brute_table_counts(300)
     for N in (1, 2, 10, 50, 123, 300):
-        assert tb.table_count(N) == brute[N]
+        assert tb.table_count(N) == (brute[N], None)
 
 
 def test_table_count_growth():
-    prev = tb.table_count(1)
+    prev = tb.table_count(1)[0]
     for N in range(2, 61):
-        cur = tb.table_count(N)
+        cur = tb.table_count(N)[0]
         # a fresh row adds at least one and at most 2N - 1 new products
         assert prev < cur <= prev + 2 * N - 1
         prev = cur
@@ -74,8 +75,8 @@ def test_table_count_window_and_thread_invariance():
     # N^2 on both sides of one 2^20 window, and across two of them
     brute = brute_table_counts(1100)
     for N in (1024, 1025, 1100):
-        assert tb.table_count(N) == brute[N]
-        assert tb.table_count(N, threads=2) == brute[N]
+        assert tb.table_count(N) == (brute[N], None)
+        assert tb.table_count(N, threads=2) == (brute[N], None)
     assert tb.table_count(500, threads=4) == tb.table_count(500, threads=1)
 
 
@@ -87,6 +88,7 @@ def test_table_count_input_errors():
 
 
 def test_table_count_shift_matches_brute():
+    brute = brute_table_counts(50)
     for N, s in [(50, 1), (50, -1), (30, 5)]:
         expect = len(
             {
@@ -96,13 +98,15 @@ def test_table_count_shift_matches_brute():
                 if a * b + s >= 2 and is_prime_slow(a * b + s)
             }
         )
-        assert tb.table_count(N, shift=s) == expect
+        assert tb.table_count(N, shift=s) == (brute[N], expect)
 
 
 def test_table_count_shift_bounded_by_unshifted():
     for N in (20, 60):
-        assert tb.table_count(N, shift=1) <= tb.table_count(N)
-        assert tb.table_count(N, shift=-1) <= tb.table_count(N)
+        A = tb.table_count(N)[0]
+        for s in (1, -1):
+            A_again, A_shifted = tb.table_count(N, shift=s)
+            assert A_shifted <= A == A_again
 
 
 def test_table_count_shift_invariances():
@@ -118,8 +122,24 @@ def test_table_count_shift_invariances():
     for s in (1, -1):
         expect = sum(1 for n in prods if prime[n + s])
         for threads in (1, 2):
-            assert tb.table_count(N, shift=s, threads=threads) == expect
+            assert tb.table_count(N, shift=s, threads=threads) == (len(prods), expect)
     assert tb.table_count(200, shift=1, threads=4) == tb.table_count(200, shift=1)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_table_shift_marks_each_window_once(threads, capsys, monkeypatch):
+    # A and A_shifted come from one stream: N^2 = 2250000 spans three windows, each marked once
+    N, calls, real = 1500, [], tb._mark_products
+
+    def counted(seg, lo, hi, n):
+        calls.append((lo, hi))
+        real(seg, lo, hi, n)
+
+    monkeypatch.setattr(tb, "_mark_products", counted)
+    assert cli.dispatch(["table", "--n", str(N), "--shift", "1", "--threads", threads]) == 0
+    assert sorted(calls) == list(bulk.window_ranges(1, N * N + 1)) and len(calls) == 3
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert (int(row[1]), int(row[4])) == tb.table_count(N, shift=1)
 
 
 def test_table_count_shift_input_errors():
@@ -132,7 +152,7 @@ def test_table_count_shift_input_errors():
 
 
 def test_ford_ratio():
-    A = tb.table_count(1000)
+    A = tb.table_count(1000)[0]
     assert A == 248083
     got = tb.ford_ratio(1000, A)
     ln = math.log(1000)
@@ -146,7 +166,7 @@ def test_ford_ratio():
 def test_sifted_table_sum_recovers_table_count(t1e5):
     for N in (10, 30, 60):
         rep = tb.sifted_table_sum(sf.everything(N * N), mf.one(), table=t1e5)
-        assert rep.value == tb.table_count(N)
+        assert rep.value == tb.table_count(N)[0]
 
 
 def test_sifted_table_sum_sieved_matches_brute(t1e5):
