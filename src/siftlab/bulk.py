@@ -54,9 +54,11 @@ in ascending order.  flags_window takes the same split and groups, and
 primes_upto sieves in DEFAULT_WINDOW segments the same way.
 
 OmegaTable is the one table of omega(m) that several windows share: 4 bits
-per m over [0, limit], np.empty, and filled by counts_window in aligned
-DEFAULT_WINDOW windows only as far as its readers reach, so a table sized
-to a bound far above what is read costs no memory past what is read.
+per odd m over [0, limit], a quarter byte per m, since the factors of 2 are
+counted at lookup.  It is np.empty and filled by counts_window in aligned
+DEFAULT_WINDOW windows, each under its own lock, only as far as its readers
+reach, so a table sized to a bound far above what is read costs no memory
+past what is read.
 """
 
 from __future__ import annotations
@@ -638,87 +640,67 @@ def lpf_range(x, primes, threads=1, width=DEFAULT_WINDOW):
 
 
 class OmegaTable:
-    """omega(m) for 0 <= m <= limit, 4 bits per m, filled on demand.
+    """omega(m) for 0 <= m <= limit, 4 bits per odd m, filled on demand.
 
+    omega(m) = [m even] + omega(m's odd part), so only odd m are stored.
     omega(m) <= 15 for every m < 2**64, as the product of the first 16
-    primes exceeds 2**64, so two entries share a byte: m's is the low
-    nibble of byte m >> 1 for even m and the high one for odd m.  The bytes
-    are np.empty.  counts_window fills them in aligned DEFAULT_WINDOW
-    windows, and only the windows up to the largest m asked for, so the
+    primes exceeds 2**64, so two entries share a byte: byte t holds
+    omega(4t + 1) in its low nibble and omega(4t + 3) in its high one.  The
+    bytes are np.empty.  counts_window fills them in aligned DEFAULT_WINDOW
+    windows of m, and only the windows up to the largest m asked for, so the
     pages past it are never touched.
 
-    Threads may share a table.  Each window is claimed and filled by
-    exactly one thread; a thread that needs a window another has claimed
-    waits for it.  A fill that raises marks its window failed and wakes its
-    waiters: the filler, every waiter and every later reader of that window
-    raise the same exception.
+    Threads may share a table.  Each window has a lock, held while it is
+    filled.  A reader first fills, in ascending order, every empty window it
+    needs whose lock no other thread holds, so threads that need the same
+    windows fill different ones at once; then it waits for the lock of each
+    window still empty and fills it if it is empty still.  A fill that
+    raises leaves its window empty: the next reader fills it again.
     """
 
     def __init__(self, limit: int):
         if limit < 0:
             raise ValueError("limit must be nonnegative")
         self.limit = limit
-        self.nib = np.empty(limit // 2 + 1, dtype=np.uint8)
-        self._end = 2 * self.nib.size  # the windows cover [0, _end), whole bytes
+        self.nib = np.empty(limit // 4 + 1, dtype=np.uint8)
+        self._end = 4 * self.nib.size  # the windows cover [0, _end), whole bytes
         self._primes = primes_upto(isqrt(self._end - 1))
-        self._fills: list[_Fill | None] = [None] * -(-self._end // DEFAULT_WINDOW)
+        windows = -(-self._end // DEFAULT_WINDOW)
+        self._fills: list[bool | None] = [None] * windows  # True once filled
+        self._locks = [threading.Lock() for _ in range(windows)]
         self._ready = 0  # windows below this one are all filled
-        self._lock = threading.Lock()
+        self._twos = np.zeros(1 << 16, dtype=np.uint8)  # the factors of 2 in i, 16 for i = 0
+        for e in range(1, 17):
+            self._twos[:: 1 << e] = e
 
     def cover(self, top: int) -> None:
-        """Fill every window that holds an m <= top, or wait for the threads filling them.
-
-        The windows no thread has claimed are claimed and filled first, in
-        ascending order, so threads that need the same windows fill
-        different ones at once; then the windows other threads claimed are
-        waited for.
-        """
+        """Fill every window that holds an m <= top, or wait for the threads filling them."""
         if top > self.limit:
             raise ValueError(f"omega table reaches {self.limit}, not {top}")
         last = top // DEFAULT_WINDOW
-        theirs = []
-        for k in range(self._ready, last + 1):
-            fill = self._claim_and_fill(k)
-            if fill is not None:
-                theirs.append(fill)
-        for fill in theirs:
-            fill.done.wait()
-            if fill.error is not None:
-                raise fill.error
-        with self._lock:
-            self._ready = max(self._ready, last + 1)
-
-    def _claim_and_fill(self, k: int) -> _Fill | None:
-        """Fill window k if no thread has claimed it; else its _Fill, unless that is done."""
-        with self._lock:
-            fill = self._fills[k]
-            if fill is not None:
-                return None if fill.done.is_set() and fill.error is None else fill
-            fill = self._fills[k] = _Fill()
-        try:
-            self._fill(k)
-        except BaseException as exc:
-            fill.error = exc
-            raise
-        finally:
-            fill.done.set()
-        return None
+        for blocking in (False, True):
+            for k in range(self._ready, last + 1):
+                if self._fills[k] is None and self._locks[k].acquire(blocking):
+                    try:
+                        if self._fills[k] is None:
+                            self._fill(k)
+                            self._fills[k] = True
+                    finally:
+                        self._locks[k].release()
+        self._ready = max(self._ready, last + 1)  # a stale write only rescans filled windows
 
     def _fill(self, k: int) -> None:
         a = k * DEFAULT_WINDOW
         b = min(a + DEFAULT_WINDOW, self._end)
+        lo = max(a, 1)  # m = 0 is even: the table holds no entry for it
         counts = np.empty(b - a, dtype=np.uint8)
-        if a == 0:
-            counts[0] = 0  # omega(0), a key no caller reads but the byte holds
-            counts_window(1, b, self._primes, "omega", out=counts[1:])
-        else:
-            counts_window(a, b, self._primes, "omega", out=counts)
-        byte = self.nib[a >> 1 : b >> 1]
-        np.left_shift(counts[1::2], 4, out=byte)
-        byte |= counts[::2]
+        counts_window(lo, b, self._primes, "omega", out=counts[lo - a :])
+        byte = self.nib[a >> 2 : b >> 2]
+        np.left_shift(counts[3::4], 4, out=byte)
+        byte |= counts[1::4]
 
     def take(self, m: np.ndarray) -> np.ndarray:
-        """omega(m) as uint8 for an int64 array of 0 <= m <= limit, which it halves in place.
+        """omega(m) as uint8 for an int64 array of 0 <= m <= limit, which it overwrites.
 
         The windows that hold max(m) and everything below it are filled
         first.
@@ -726,19 +708,19 @@ class OmegaTable:
         if not m.size:
             return np.zeros(0, dtype=np.uint8)
         self.cover(int(m.max()))
-        shift = m.astype(np.uint8)  # m's low bit picks the nibble
-        shift &= 1
-        shift <<= 2
-        m >>= 1
+        twos = self._twos[m.astype(np.uint16)]  # the factors of 2 in m's low 16 bits
+        m >>= twos
+        for i in np.flatnonzero(twos == 16).tolist():  # 2**16 divides m: one at a time
+            v = int(m[i])
+            m[i] = v // (v & -v) if v else 1  # m = 0 reads omega(1) = 0 ...
+            twos[i] = bool(v)  # ... and counts no factor 2
+        np.minimum(twos, 1, out=twos)  # [m even]
+        shift = m.astype(np.uint8)  # bit 1 of the odd part picks the nibble
+        shift &= 2
+        shift <<= 1
+        m >>= 2
         keys = self.nib[m]
         keys >>= shift
         keys &= 15
+        keys += twos
         return keys
-
-
-class _Fill:
-    """One window of an OmegaTable: set once filled or failed, with the failure."""
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.error: BaseException | None = None

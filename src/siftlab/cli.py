@@ -388,10 +388,10 @@ def _cmd_apcount(args):
 
 
 def _cmd_egps(args):
-    # no array of length x: the 4-bit omega table over [0, S], S >= max s(n), its primes
-    # to isqrt(S), and per thread a sigma window (see _cmd_sigma_div)
+    # no array of length x: the omega table over [0, S], S >= max s(n), 4 bits per odd m,
+    # its primes to isqrt(S), and per thread a sigma window (see _cmd_sigma_div)
     f, top = parse_weight(args.f), egps.aliquot_bound(args.x)
-    _check_budget(args, 0, (top + 2) // 2, prime_limit=math.isqrt(top),
+    _check_budget(args, 0, top // 4 + 1, prime_limit=math.isqrt(top),
                   window=24 if f.is_one() else 34)
     rep = egps.egps_deviation(args.x, f, lam=args.lam, c0=args.c0, threads=args.threads)
     header = ["x", "f", "lambda", "mass", "total", "normalized",
@@ -428,8 +428,9 @@ def _cmd_s_div(args):
 
 def _cmd_omega_gcd(args):
     f = parse_weight(args.f)
-    # the primes and the 4-bit omega table to x; per thread a sigma window (as sigma-div)
-    _check_budget(args, 0, (max(args.x, 0) + 2) // 2, window=24 if f.is_one() else 34)
+    # the primes, and the omega table to x at 4 bits per odd m; per thread a sigma window
+    # (as sigma-div)
+    _check_budget(args, 0, max(args.x, 0) // 4 + 1, window=24 if f.is_one() else 34)
     rep = egps.mean_omega_gcd_sigma(args.x, f, threads=args.threads)
     header = ["x", "f", "value", "bound", "ratio"]
     blank = lambda v: "" if v is None else v

@@ -6,10 +6,10 @@ the statistic's integer per n, and multfunc.weighted_bins bins the keys,
 with a weight other than one computed for the same window
 (multfunc.window_weights), so neither the keys nor the weights make an
 array of length x.  egps reads omega(s(n)) from a table of distinct
-prime-factor counts, 4 bits per integer (bulk.OmegaTable), sized to
+prime-factor counts, 4 bits per odd integer (bulk.OmegaTable), sized to
 Robin's bound on max s(n) (aliquot_bound) but filled only as far as the
-largest s(n) seen so far: its resident part is half a byte per integer up
-to max s(n), which is about 4.1 x at x = 1e9.  Everything is exact;
+largest s(n) seen so far: its resident part is a quarter byte per integer
+up to max s(n), which is about 4.1 x at x = 1e9.  Everything is exact;
 nothing is sampled or estimated.
 """
 

@@ -70,20 +70,24 @@ def _cofactor_batches(lo: int, hi: int, cs: np.ndarray):
 
 def _lcm_window(lo: int, hi: int, cs: np.ndarray, at: np.ndarray) -> np.ndarray:
     """For m = lo + i, i in the offsets at, the lcm of the c in the sorted cs that
-    divide m (1 if none); at the other m of [lo, hi), that of the c up to the root.
+    divide m (1 if none); 1 at the other m of [lo, hi).
 
-    A c up to isqrt(hi - 1) strides over its multiples.  The larger c come in
-    batches (_cofactor_batches), of which only the entries at an offset in at
-    are applied, with np.lcm.at.  The lcm divides m, so uint32 holds it
-    below 2**32.
+    A c up to isqrt(hi - 1) strides over the wanted flags of its multiples
+    and applies np.lcm at the wanted ones.  The larger c come in batches
+    (_cofactor_batches), of which only the entries at an offset in at are
+    applied, with np.lcm.at.  The lcm divides m, so uint32 holds it below
+    2**32.
     """
     acc = np.ones(hi - lo, dtype=np.uint32 if hi <= 1 << 32 else np.int64)
-    cut = np.searchsorted(cs, isqrt(hi - 1), side="right")
-    for c in cs[:cut].tolist():
-        view = acc[-lo % c :: c]
-        np.lcm(view, c, out=view)
     want = np.zeros(hi - lo, dtype=bool)
     want[at] = True
+    cut = np.searchsorted(cs, isqrt(hi - 1), side="right")
+    for c in cs[:cut].tolist():
+        s = -lo % c
+        hit = np.flatnonzero(want[s::c])
+        hit *= c
+        hit += s
+        acc[hit] = np.lcm(acc[hit], c)
     for c, pos in _cofactor_batches(lo, hi, cs[cut:]):
         keep = want[pos]
         np.lcm.at(acc, pos[keep], c[keep].astype(acc.dtype, copy=False))

@@ -5,6 +5,7 @@ oracle on a small range, then checked for window-width and thread-count
 invariance on a larger one.
 """
 
+import collections
 import hashlib
 import threading
 import time
@@ -407,9 +408,40 @@ def test_omega_table_fills_only_to_the_largest_m_read():
         t.take(np.array([4 * W + 2]))
 
 
+def test_omega_table_fills_each_window_once_for_concurrent_readers(monkeypatch):
+    # two threads read the same three windows of a fresh table at once; each
+    # window is filled by one of them, and both get every omega
+    real = bulk.counts_window
+    calls = collections.Counter()
+
+    def slow(lo, hi, *args, **kwargs):
+        calls[lo] += 1
+        time.sleep(0.05)
+        return real(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, "counts_window", slow)
+    t = bulk.OmegaTable(3 * W)
+    m = np.arange(1, 3 * W, 997, dtype=np.int64)
+    got = [None, None]
+
+    def read(i):
+        got[i] = t.take(m.copy())
+
+    readers = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(2)]
+    for r in readers:
+        r.start()
+    for r in readers:
+        r.join(30)
+    assert not any(r.is_alive() for r in readers)
+    assert calls == {1: 1, W: 1, 2 * W: 1}
+    want = real(1, 3 * W, bulk.primes_upto(isqrt(3 * W)), "omega")[m - 1]
+    assert all(np.array_equal(g, want) for g in got)
+
+
 def test_omega_table_fill_error_reaches_every_reader(monkeypatch):
     # the window [W, 2W) fails slowly, so the other thread is waiting on it
-    # when it fails; both raise, and so does a later reader
+    # when it fails; that thread then fills it again and fails in turn, and
+    # so does a later reader
     real = bulk.counts_window
 
     def failing(lo, hi, *args, **kwargs):

@@ -6,19 +6,27 @@ class and function docstrings are not counted; a line that a multi-line
 token (a string, a bracketed expression) spans counts once.
 
     python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py [DIR] --ref REF
 
-prints one "lines  module" row per module of DIR (default src/siftlab) and
-a last row with the total.
+The first prints one "lines  module" row per module of DIR (default
+src/siftlab) and a last row with the total.  The second also reads each
+module of src/siftlab at the git revision REF (git show
+REF:src/siftlab/<module>) and prints one "ref  tree  diff  module" row per
+module at REF or in DIR, with its code lines at REF, in DIR and the
+difference (0 where the module is missing), and a last row with the totals.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
+import subprocess
 import sys
 import tokenize
 
+SRC = "src/siftlab"
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -46,17 +54,46 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def main(argv: list[str]) -> int:
-    root = argv[1] if len(argv) > 1 else os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "siftlab")
-    total = 0
+def tree_counts(root: str) -> dict[str, int]:
+    """Code lines per module of the directory root."""
+    counts = {}
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name), encoding="utf-8") as fh:
-                n = code_lines(fh.read())
-            total += n
+                counts[name] = code_lines(fh.read())
+    return counts
+
+
+def ref_counts(repo: str, ref: str) -> dict[str, int]:
+    """Code lines per module of src/siftlab at the git revision ref."""
+    git = lambda *args: subprocess.run(["git", "-C", repo, *args], check=True,
+                                       capture_output=True, text=True).stdout
+    names = git("ls-tree", "--name-only", f"{ref}:{SRC}").splitlines()
+    return {name: code_lines(git("show", f"{ref}:{SRC}/{name}"))
+            for name in sorted(names) if name.endswith(".py")}
+
+
+def main(argv: list[str]) -> int:
+    repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    ap = argparse.ArgumentParser(description="Count the code lines of src/siftlab.")
+    ap.add_argument("dir", nargs="?", default=os.path.join(repo, SRC))
+    ap.add_argument("--ref", help="also count src/siftlab at this git revision")
+    args = ap.parse_args(argv[1:])
+    tree = tree_counts(args.dir)
+    if args.ref is None:
+        for name, n in tree.items():
             print(f"{n:6d}  {name}")
-    print(f"{total:6d}  total")
+        print(f"{sum(tree.values()):6d}  total")
+        return 0
+    try:
+        old = ref_counts(repo, args.ref)
+    except subprocess.CalledProcessError as exc:
+        print(exc.stderr.strip(), file=sys.stderr)
+        return 2
+    rows = [(old.get(name, 0), tree.get(name, 0), name) for name in sorted(old.keys() | tree.keys())]
+    rows.append((sum(old.values()), sum(tree.values()), "total"))
+    for a, b, name in rows:
+        print(f"{a:6d} {b:6d} {b - a:+6d}  {name}")
     return 0
 
 
