@@ -30,7 +30,7 @@ class Factorization:
 
 
 class PrimeTable:
-    """Primes up to a fixed limit, and nothing else: membership is a binary search."""
+    """Primes up to a fixed limit, and nothing else: pi(x) is a binary search."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -40,9 +40,6 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and self.pi(n) > self.pi(n - 1)
 
     def pi(self, x: int | None = None) -> int:
         """Number of primes <= x (defaults to the table limit)."""
@@ -156,12 +153,10 @@ def kronecker(D: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def is_prime(n: int, table: PrimeTable | None = None) -> bool:
-    """Deterministic primality: table lookup when possible, else strong tests."""
+def is_prime(n: int) -> bool:
+    """Deterministic primality: trial division by the bases, then strong tests."""
     if n < 2:
         return False
-    if table is not None and n <= table.limit:
-        return n in table
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

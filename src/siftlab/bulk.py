@@ -8,9 +8,11 @@ reduction reads each result as it comes; an array builder hands each
 worker its own slice of the output (fill_windows), which the window's
 kernel fills in place: every factor kernel takes an optional out= of its
 result's dtype and length, overwrites all of it and returns it.  No window
-result is built and copied.  Window width never depends on the thread
-count, so output is bit-identical whether windows run serially or on a
-pool.
+result is built and copied.  The package has one window width,
+DEFAULT_WINDOW, which window_ranges reads when a pass starts, so setting it
+sets the width of every pass.  The width never depends on the thread count,
+so output is bit-identical whether windows run serially or on a pool, and
+no output byte depends on the width either.
 
 Per-window work uses only primes up to sqrt(hi-1).  All six factor kernels
 (spf, counts, mult, sigma, lambda, lpf) are declarations on one prime-power
@@ -56,9 +58,9 @@ primes_upto sieves in DEFAULT_WINDOW segments the same way.
 OmegaTable is the one table of omega(m) that several windows share: 4 bits
 per odd m over [0, limit], a quarter byte per m, since the factors of 2 are
 counted at lookup.  It is np.empty and filled by counts_window in aligned
-DEFAULT_WINDOW windows, each under its own lock, only as far as its readers
-reach, so a table sized to a bound far above what is read costs no memory
-past what is read.
+blocks, DEFAULT_WINDOW rounded up to a multiple of 4 when the table is
+made, each under its own lock, only as far as its readers reach, so a table
+sized to a bound far above what is read costs no memory past what is read.
 """
 
 from __future__ import annotations
@@ -121,7 +123,9 @@ def _sieve_segment(flags: np.ndarray, lo: int, primes: np.ndarray) -> None:
         flags[_multiples(lo, hi, group, from_square=True)[0]] = False
 
 
-def window_ranges(lo: int, hi: int, width: int = DEFAULT_WINDOW) -> list[tuple[int, int]]:
+def window_ranges(lo: int, hi: int, width: int | None = None) -> list[tuple[int, int]]:
+    """[lo, hi) cut into windows of width integers, DEFAULT_WINDOW (read per call) by default."""
+    width = DEFAULT_WINDOW if width is None else width
     if width < 1:
         raise ValueError("window width must be positive")
     return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
@@ -148,14 +152,13 @@ def stream_windows(worker, ranges, threads: int = 1):
             yield pending.popleft().result()
 
 
-def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1,
-                 width: int = DEFAULT_WINDOW) -> np.ndarray:
+def fill_windows(out: np.ndarray, lo: int, worker, threads: int = 1) -> np.ndarray:
     """worker(a, b, out[a - lo : b - lo]) fills each window [a, b) of [lo, lo + len(out)).
 
     The worker writes its destination slice in place; nothing is copied.
     """
     for _ in stream_windows(lambda a, b: worker(a, b, out[a - lo : b - lo]),
-                            window_ranges(lo, lo + len(out), width), threads):
+                            window_ranges(lo, lo + len(out)), threads):
         pass
     return out
 
@@ -605,36 +608,34 @@ def lpf_window(lo, hi, primes, out=None) -> np.ndarray:
     return lpf
 
 
-def _assemble(worker, x: int, dtype, threads: int, width: int) -> np.ndarray:
+def _assemble(worker, x: int, dtype, threads: int) -> np.ndarray:
     out = np.zeros(x + 1, dtype=dtype)
-    fill_windows(out[1:], 1, worker, threads, width)
+    fill_windows(out[1:], 1, worker, threads)
     return out
 
 
-def counts_range(x, primes, kind="omega", selector=None, threads=1, width=DEFAULT_WINDOW):
+def counts_range(x, primes, kind="omega", selector=None, threads=1):
     """Array c with c[n] = omega(n, E) or bigomega(n, E) for 0 <= n <= x."""
     return _assemble(lambda a, b, dest: counts_window(a, b, primes, kind, selector, out=dest),
-                     x, np.uint8, threads, width)
+                     x, np.uint8, threads)
 
 
-def mult_range(x, primes, rule, prime_vec, threads=1, width=DEFAULT_WINDOW):
+def mult_range(x, primes, rule, prime_vec, threads=1):
     """Array v with v[n] = f(n) for a multiplicative f; v[0] = 0."""
     out = _assemble(lambda a, b, dest: mult_window(a, b, primes, rule, prime_vec, out=dest),
-                    x, np.float64, threads, width)
+                    x, np.float64, threads)
     out[0] = 0.0
     return out
 
 
-def sigma_range(x, threads=1, width=DEFAULT_WINDOW):
+def sigma_range(x, threads=1):
     """Array s with s[n] = sigma(n); s[0] = 0."""
-    return _assemble(lambda a, b, dest: sigma_window(a, b, out=dest), x, np.int64, threads,
-                     width)
+    return _assemble(lambda a, b, dest: sigma_window(a, b, out=dest), x, np.int64, threads)
 
 
-def lpf_range(x, primes, threads=1, width=DEFAULT_WINDOW):
+def lpf_range(x, primes, threads=1):
     """Array l with l[n] = largest prime factor of n (1 for n = 1); l[0] = 0."""
-    out = _assemble(lambda a, b, dest: lpf_window(a, b, primes, out=dest), x, np.int64,
-                    threads, width)
+    out = _assemble(lambda a, b, dest: lpf_window(a, b, primes, out=dest), x, np.int64, threads)
     out[0] = 0
     return out
 
@@ -646,9 +647,11 @@ class OmegaTable:
     omega(m) <= 15 for every m < 2**64, as the product of the first 16
     primes exceeds 2**64, so two entries share a byte: byte t holds
     omega(4t + 1) in its low nibble and omega(4t + 3) in its high one.  The
-    bytes are np.empty.  counts_window fills them in aligned DEFAULT_WINDOW
-    windows of m, and only the windows up to the largest m asked for, so the
-    pages past it are never touched.
+    bytes are np.empty.  counts_window fills them in aligned windows of m, one
+    block wide, and only the windows up to the largest m asked for, so the
+    pages past it are never touched.  The block is DEFAULT_WINDOW as the table
+    is made, rounded up to a multiple of 4, so that each window starts and
+    ends on a byte: an odd block would split a byte between two windows.
 
     Threads may share a table.  Each window has a lock, held while it is
     filled.  A reader first fills, in ascending order, every empty window it
@@ -665,7 +668,8 @@ class OmegaTable:
         self.nib = np.empty(limit // 4 + 1, dtype=np.uint8)
         self._end = 4 * self.nib.size  # the windows cover [0, _end), whole bytes
         self._primes = primes_upto(isqrt(self._end - 1))
-        windows = -(-self._end // DEFAULT_WINDOW)
+        self._block = -(-DEFAULT_WINDOW // 4) * 4  # whole bytes per window too
+        windows = -(-self._end // self._block)
         self._fills: list[bool | None] = [None] * windows  # True once filled
         self._locks = [threading.Lock() for _ in range(windows)]
         self._ready = 0  # windows below this one are all filled
@@ -677,7 +681,7 @@ class OmegaTable:
         """Fill every window that holds an m <= top, or wait for the threads filling them."""
         if top > self.limit:
             raise ValueError(f"omega table reaches {self.limit}, not {top}")
-        last = top // DEFAULT_WINDOW
+        last = top // self._block
         for blocking in (False, True):
             for k in range(self._ready, last + 1):
                 if self._fills[k] is None and self._locks[k].acquire(blocking):
@@ -690,8 +694,8 @@ class OmegaTable:
         self._ready = max(self._ready, last + 1)  # a stale write only rescans filled windows
 
     def _fill(self, k: int) -> None:
-        a = k * DEFAULT_WINDOW
-        b = min(a + DEFAULT_WINDOW, self._end)
+        a = k * self._block
+        b = min(a + self._block, self._end)
         lo = max(a, 1)  # m = 0 is even: the table holds no entry for it
         counts = np.empty(b - a, dtype=np.uint8)
         counts_window(lo, b, self._primes, "omega", out=counts[lo - a :])

@@ -126,7 +126,7 @@ def _cmd_primes(args):
     header = ["x", "pi", "mertens", "hr_constant"]
     row = [args.x, t.pi(args.x),
            multfunc.mertens_sum(multfunc.one(), args.x, table=t),
-           multfunc.hr_constant(args.x, t)]
+           multfunc.hr_constant(args.x)]
     return header, [row]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, is_prime, table_upto
+from .arith import PrimeTable, is_prime
 from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
 from .primesets import ALL_PRIMES
 
@@ -90,7 +90,6 @@ def egps_deviation(
     f: MultiplicativeFunction,
     lam: float | None = None,
     c0: float | None = None,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> EgpsReport:
     """Weighted mass of {n <= x : |omega(s(n)) - log log x| >= lam * sqrt(log log x)}.
@@ -114,7 +113,7 @@ def egps_deviation(
         raise ValueError("lam must be positive")
 
     # the weights read no table for f = one, else primes up to isqrt(x) only
-    primes = None if f.is_one() else table_upto(table, math.isqrt(x) + 1).primes
+    primes = None if f.is_one() else PrimeTable(math.isqrt(x) + 1).primes
     om = bulk.OmegaTable(aliquot_bound(x))
 
     def omega_of_s(a: int, b: int, s: np.ndarray) -> np.ndarray:
@@ -155,7 +154,6 @@ def count_p_divides_sigma(
     x: int, p: int,
     f: MultiplicativeFunction,
     eps: float = 0.5,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> CountReport:
     """Weighted count of n <= x with p | sigma(n), with its reference bound."""
@@ -163,9 +161,9 @@ def count_p_divides_sigma(
         raise ValueError("need x >= 3")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    table = table_upto(table, x)
-    if not is_prime(p, table):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    table = PrimeTable(x)
 
     def hits(a: int, b: int, s: np.ndarray) -> np.ndarray:
         s %= p
@@ -184,7 +182,6 @@ def count_p_divides_sigma(
 def count_d_divides_s(
     x: int, y: int, z: int, d: int,
     f: MultiplicativeFunction,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> float:
     """Weighted count of n <= x with d | s(n), largest prime factor above y,
@@ -194,7 +191,7 @@ def count_d_divides_s(
         raise ValueError("need x >= 3")
     if not 1 <= d <= z <= y <= x:
         raise ValueError("need 1 <= d <= z <= y <= x")
-    table = table_upto(table, max(math.isqrt(x), 2))
+    table = PrimeTable(max(math.isqrt(x), 2))
 
     def hits(a: int, b: int, s: np.ndarray) -> np.ndarray:
         s -= np.arange(a, b, dtype=np.int64)
@@ -214,13 +211,12 @@ def count_d_divides_s(
 def mean_omega_gcd_sigma(
     x: int,
     f: MultiplicativeFunction,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> CountReport:
     """Weighted sum of omega(gcd(sigma(n), n)) with its slow-growth bound."""
     if x < 3:
         raise ValueError("need x >= 3")
-    table = table_upto(table, x)
+    table = PrimeTable(x)
     om = bulk.OmegaTable(x)  # gcd(sigma(n), n) <= n, so it fills as the n-stream advances
 
     def omega_of_gcd(a: int, b: int, s: np.ndarray) -> np.ndarray:

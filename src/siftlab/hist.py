@@ -12,8 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bulk
 from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
@@ -31,7 +29,6 @@ class WeightedHistogram:
     f: MultiplicativeFunction
     bins: dict[int, float]
     total: float
-    count: int
 
     def mass_low(self, cutoff: float) -> float:
         """Total mass at k <= cutoff."""
@@ -66,22 +63,12 @@ def weighted_histogram(
         raise ValueError(f"unknown statistic {g_kind!r}")
     table = table_upto(table, max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
-    kept = []  # each window's member count, appended by the stream's workers
-
-    def members(a: int, b: int) -> np.ndarray:
-        sel = sset.window(a, b)
-        kept.append(np.count_nonzero(sel))
-        return sel
-
     fv = None if f.is_one() else values_upto(f, x, table, threads)
     raw = weighted_bins(1, x + 1,
                         lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
-                        members, None if fv is None else lambda a, b: fv[a:b], threads)
+                        sset.window, None if fv is None else lambda a, b: fv[a:b], threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
-    return WeightedHistogram(
-        x=x, g_kind=g_kind, E=E, f=f,
-        bins=bins, total=float(raw.sum()), count=int(sum(kept)),
-    )
+    return WeightedHistogram(x=x, g_kind=g_kind, E=E, f=f, bins=bins, total=float(raw.sum()))
 
 
 @dataclass
@@ -118,7 +105,7 @@ def hr_ratio(
     m_out = mertens_sum(hist.f, x, hist.E.complement(), table)
     nu = nu_sum(cond, x)
     if C is None:
-        C = hr_constant(x, table)
+        C = hr_constant(x)
     if M + C <= 0:
         raise ValueError("M + C must be positive")
     k_max = int(beta * M)

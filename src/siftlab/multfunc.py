@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,6 @@ class MultiplicativeFunction:
     spec: str
     prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
     prime_value: float | None = None  # f(p) when it is the same number at every prime
-    params: tuple = field(default_factory=tuple)
 
     def at_primes(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized f(p) over an array of primes."""
@@ -136,7 +135,7 @@ def z_omega(z: float) -> MultiplicativeFunction:
         raise ValueError("z must be nonnegative")
     return MultiplicativeFunction(
         "z_omega", lambda p, e: z, f"zomega:{z:g}",
-        prime_value=float(z), params=(z,),
+        prime_value=float(z),
     )
 
 
@@ -147,7 +146,7 @@ def z_bigomega(z: float) -> MultiplicativeFunction:
         warnings.warn("z >= 2 leaves the valid range at the prime 2", stacklevel=2)
     return MultiplicativeFunction(
         "z_bigomega", lambda p, e: z**e, f"zbigomega:{z:g}",
-        prime_value=float(z), params=(z,),
+        prime_value=float(z),
     )
 
 
@@ -156,7 +155,7 @@ def tau_k(k: int) -> MultiplicativeFunction:
         raise ValueError("k must be a positive integer")
     return MultiplicativeFunction(
         "tau_k", lambda p, e: float(math.comb(e + k - 1, e)), f"tauk:{k}",
-        prime_value=float(k), params=(k,),
+        prime_value=float(k),
     )
 
 
@@ -258,20 +257,19 @@ def mertens_sum(
     return float(np.sum(terms))
 
 
-def hr_constant(x: int, table: PrimeTable | None = None) -> float:
+def hr_constant(x: int) -> float:
     """Sup over t in [2, x] of |sum_{p <= t} 1/p - log log t|.
 
     The running sum jumps at primes and log log t grows in between, so the
     sup is attained at a one-sided limit at some prime (or at t = x).
     Past t = 286, |sum_{p <= t} 1/p - log log t| < 0.2615 + 1/(2 log**2 t)
     < 0.28 (Rosser & Schoenfeld 1962, Thm 5), below the value 0.866... at
-    t = 2, so no prime past 286 is read.
+    t = 2, so only the primes up to 286 are read, sieved here.
     """
     if x < 2:
         raise ValueError("need x >= 2")
     x = min(x, 286)
-    table = table_upto(table, x)
-    ps = table.primes[table.primes <= x].astype(np.float64)
+    ps = bulk.primes_upto(x).astype(np.float64)
     csum = np.cumsum(1.0 / ps)
     ll = np.log(np.log(ps))
     best = float(np.max(np.abs(csum - ll)))           # right limits at primes

@@ -26,7 +26,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, table_upto
+from .arith import PrimeTable
 from .errors import ResourceBudgetError
 from .table import eta0
 
@@ -118,8 +118,7 @@ def _count_hits(ms: np.ndarray, hits, threads: int) -> int:
 
 
 def shifted_divisor_count(
-    a: int, u: int, v: int, x: int, y: int,
-    table: PrimeTable | None = None, threads: int = 1,
+    a: int, u: int, v: int, x: int, y: int, threads: int = 1,
 ) -> ShiftedDivisorReport:
     """Count primes p <= x such that u*p + v has a divisor d > y with d + a prime.
 
@@ -132,7 +131,7 @@ def shifted_divisor_count(
     if x < 3 or y < 3:
         raise ValueError("need x, y >= 3")
     hi = u * x + abs(v) + abs(a) + 1
-    table = table_upto(table, hi)
+    table = PrimeTable(hi)
     pi_x = table.pi(x)
     ms = table.primes[:pi_x] * u
     ms += v
@@ -177,9 +176,7 @@ def _lambda_classes(primes: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def lambda_image_intersection(
-    u: int, v: int, x: int, table: PrimeTable | None = None, threads: int = 1
-) -> tuple[int, int]:
+def lambda_image_intersection(u: int, v: int, x: int, threads: int = 1) -> tuple[int, int]:
     """(count, pi) where count = #{p prime : u*p + v in [1, x] is a lambda value}.
 
     pi counts the primes p with u*p + v in [1, x].  Each window of m sieves
@@ -191,7 +188,7 @@ def lambda_image_intersection(
         raise ValueError("need x >= 1")
     p_hi = (x - v) // u
     # q - 1 = m reaches x, so the odd primes q run to x + 1
-    table = table_upto(table, max(p_hi, x + 1))
+    table = PrimeTable(max(p_hi, x + 1))
     ms = table.primes[: table.pi(p_hi)] * u  # u*p + v <= x for every p <= p_hi
     ms += v
     ms = ms[np.searchsorted(ms, 1) :]
@@ -332,8 +329,7 @@ def joint_poly_omega(
 
 
 def ap_prime_factor_count(
-    x: int, d: int, a: int, g_kind: str, k: int,
-    table: PrimeTable | None = None, threads: int = 1,
+    x: int, d: int, a: int, g_kind: str, k: int, threads: int = 1,
 ) -> int:
     """Count n <= x with n = a mod d and omega(n) or bigomega(n) equal to k.
 
@@ -346,7 +342,7 @@ def ap_prime_factor_count(
         raise ValueError("need gcd(a, d) = 1")
     if g_kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown statistic {g_kind!r}")
-    primes = table_upto(table, max(isqrt(x), 2)).primes
+    primes = PrimeTable(max(isqrt(x), 2)).primes
 
     def hits(lo: int, hi: int) -> int:
         g = bulk.counts_window(lo, hi, primes, g_kind)

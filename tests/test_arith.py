@@ -53,13 +53,13 @@ def test_prime_table_counts(t1e6):
 
 
 def test_prime_table_membership(t1e5):
-    assert 2 in t1e5
-    assert 99991 in t1e5
-    assert 1 not in t1e5
-    assert 0 not in t1e5
-    assert 99993 not in t1e5
+    # n is in the table exactly when pi steps at n; 99991 is the last prime below 10**5
+    steps = lambda n: t1e5.pi(n) - t1e5.pi(n - 1)
+    assert steps(2) == 1 and steps(99991) == 1
+    assert steps(0) == 0 and steps(1) == 0 and steps(99993) == 0
+    assert t1e5.primes[0] == 2 and t1e5.primes[-1] == 99991
     # out of range is just absent, not an error
-    assert 10**6 not in t1e5
+    assert steps(10**6) == 0
 
 
 def test_prime_table_rejects_tiny_limit():
@@ -72,7 +72,7 @@ def test_prime_table_rejects_tiny_limit():
 def test_prime_table_limit_two():
     t = arith.PrimeTable(2)
     assert t.pi() == 1
-    assert 2 in t
+    assert t.primes.tolist() == [2]
 
 
 def test_prime_table_matches_slow_sieve(t1e5):
@@ -95,7 +95,7 @@ def test_prime_table_segments_match_sieve_flags(n):
     assert t.primes.dtype == np.int64
     assert np.array_equal(t.primes, np.flatnonzero(flags))
     for m in [-1, *range(min(n, 5000) + 1), n, n + 1]:
-        assert (m in t) == (0 <= m <= n and bool(flags[m])), m
+        assert (t.pi(m) > t.pi(m - 1)) == (0 <= m <= n and bool(flags[m])), m
 
 
 def test_prime_count_bound_covers_every_prime_count():
@@ -278,17 +278,16 @@ def test_kronecker_rejects_nonpositive():
         arith.kronecker(5, -3)
 
 
-def test_is_prime_small_and_table(t1e5):
+def test_is_prime_small_values():
     assert arith.is_prime(2)
     assert arith.is_prime(3)
     assert not arith.is_prime(1)
     assert not arith.is_prime(0)
     assert not arith.is_prime(-7)
     assert not arith.is_prime(25)
-    assert arith.is_prime(99991, t1e5)
-    assert not arith.is_prime(99993, t1e5)
-    # above the table the strong test takes over
-    assert arith.is_prime(10**5 + 3, t1e5)
+    assert arith.is_prime(99991)
+    assert not arith.is_prime(99993)
+    assert arith.is_prime(10**5 + 3)
 
 
 def test_is_prime_large_values():
@@ -301,8 +300,9 @@ def test_is_prime_large_values():
 
 
 def test_is_prime_agrees_with_sieve(t1e5):
+    primes = set(t1e5.primes.tolist())
     for n in range(2, 2000):
-        assert arith.is_prime(n) == (n in t1e5)
+        assert arith.is_prime(n) == (n in primes)
 
 
 def test_spf_array_is_int64(t1e5):

@@ -177,13 +177,15 @@ def test_counts_window_input_errors():
         bulk.counts_window(1, 10, primes, kind="tau")
 
 
-def test_counts_range_alignment_and_threads():
+def test_counts_range_alignment_and_threads(window_width):
     primes = bulk.primes_upto(200)
-    c = bulk.counts_range(20000, primes, "omega", threads=1, width=4096)
+    window_width(4096)
+    c = bulk.counts_range(20000, primes, "omega", threads=1)
     assert c[0] == 0 and c[1] == 0 and c[2] == 1 and c[12] == 2
-    c4 = bulk.counts_range(20000, primes, "omega", threads=4, width=4096)
+    c4 = bulk.counts_range(20000, primes, "omega", threads=4)
     assert c.tobytes() == c4.tobytes()
-    cw = bulk.counts_range(20000, primes, "omega", threads=1, width=977)
+    window_width(977)
+    cw = bulk.counts_range(20000, primes, "omega", threads=1)
     assert c.tobytes() == cw.tobytes()
 
 
@@ -258,22 +260,25 @@ def test_lpf_range_against_oracle():
         assert lp[n] == ofactor(n)[-1][0]
 
 
-def test_range_builders_thread_invariant():
+def test_range_builders_thread_invariant(window_width):
     primes = bulk.primes_upto(500)
     E = ResidueClasses(4, (1,))
+    default = bulk.DEFAULT_WINDOW
     for build in (
-        lambda t, w: bulk.counts_range(60000, primes, "bigomega", E, threads=t, width=w),
-        lambda t, w: bulk.mult_range(
+        lambda t: bulk.counts_range(60000, primes, "bigomega", E, threads=t),
+        lambda t: bulk.mult_range(
             60000, primes, lambda p, e: e + 1 / p, lambda a: 1 + 1 / a.astype(np.float64),
-            threads=t, width=w,
+            threads=t,
         ),
-        lambda t, w: bulk.sigma_range(60000, threads=t, width=w),
-        lambda t, w: lambda_upto(60000, primes, threads=t, width=w),
-        lambda t, w: bulk.lpf_range(60000, primes, threads=t, width=w),
+        lambda t: bulk.sigma_range(60000, threads=t),
+        lambda t: lambda_upto(60000, primes, threads=t),
+        lambda t: bulk.lpf_range(60000, primes, threads=t),
     ):
-        ref = build(1, bulk.DEFAULT_WINDOW).tobytes()
-        assert build(1, 8192).tobytes() == ref
-        assert build(8, 8192).tobytes() == ref
+        window_width(default)
+        ref = build(1).tobytes()
+        window_width(8192)
+        assert build(1).tobytes() == ref
+        assert build(8).tobytes() == ref
 
 
 def _extra_bytes(build, x: int) -> int:
@@ -289,22 +294,21 @@ def _extra_bytes(build, x: int) -> int:
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", ["counts", "mult"])
-def test_range_memory_does_not_grow_with_x(kind, threads):
+def test_range_memory_does_not_grow_with_x(kind, threads, window_width):
     # Each window writes its slice of the output as it finishes, so beside the
     # output a range holds at most one working set and one window per thread,
     # however many windows it has.  Keeping every window's result until all are
     # done, and copying them out afterwards, fails this: 27 windows hold 24
     # windows more than 3 do.  The working set is measured with 1 thread at 3
     # windows; 2 threads overlap theirs by a varying amount, up to twice that.
-    width = 1 << 16
+    width = window_width(1 << 16)
     musq = parse_weight("musq")
     primes = bulk.primes_upto(isqrt(27 * width))
 
     def build(x, threads):
         if kind == "counts":
-            return bulk.counts_range(x, primes, "omega", threads=threads, width=width)
-        return bulk.mult_range(x, primes, musq.rule, musq.at_primes, threads=threads,
-                               width=width)
+            return bulk.counts_range(x, primes, "omega", threads=threads)
+        return bulk.mult_range(x, primes, musq.rule, musq.at_primes, threads=threads)
 
     window_out = width * build(1, 1).itemsize
     working_set = _extra_bytes(lambda x: build(x, 1), 3 * width)
@@ -312,15 +316,15 @@ def test_range_memory_does_not_grow_with_x(kind, threads):
         working_set + window_out)
 
 
-def test_counts_range_window_working_set():
+def test_counts_range_window_working_set(window_width):
     # Without a selector a window's kernel keeps one packed uint16 word per
     # integer and no cofactors, and its finish compares one dyadic block at
     # a time into a bool, so beside the output it holds about 3.2 bytes per
     # integer of a window.  A uint32 cofactor accumulator and its dividend
     # took that to about 8.1.
-    width = 1 << 16
+    width = window_width(1 << 16)
     primes = bulk.primes_upto(isqrt(3 * width))
-    extra = _extra_bytes(lambda x: bulk.counts_range(x, primes, "omega", width=width), 3 * width)
+    extra = _extra_bytes(lambda x: bulk.counts_range(x, primes, "omega"), 3 * width)
     assert extra <= 4 * width
 
 
@@ -406,6 +410,19 @@ def test_omega_table_fills_only_to_the_largest_m_read():
     assert t.take(np.zeros(0, dtype=np.int64)).size == 0
     with pytest.raises(ValueError, match="reaches"):
         t.take(np.array([4 * W + 2]))
+
+
+def test_omega_table_at_an_odd_width(window_width):
+    # the table reads the width once and rounds it up to whole bytes, 980, so no
+    # byte of odd m is split between two windows' fills
+    window_width(977)
+    t = bulk.OmegaTable(100003)
+    assert t.take(np.array([0, 5, 2000])).tolist() == [0, 1, 2]
+    assert [f is not None for f in t._fills[:4]] == [True, True, True, False]
+    assert sum(f is not None for f in t._fills) == 3  # 2000 lies in the third window
+    got = t.take(np.arange(100004, dtype=np.int64))
+    want = bulk.counts_window(1, 100004, bulk.primes_upto(isqrt(100003)), "omega")
+    assert got[0] == 0 and np.array_equal(got[1:], want)
 
 
 def test_omega_table_fills_each_window_once_for_concurrent_readers(monkeypatch):
@@ -626,7 +643,7 @@ def test_kernel_bytes_pinned():
     assert digest.hexdigest() == KERNEL_BYTES_SHA256
 
 
-def _check_mult_rule(rule):
+def _check_mult_rule(rule, window_width):
     primes = bulk.primes_upto(200)
     ones = lambda a: np.ones(len(a))
     v = bulk.mult_range(30000, primes, rule, ones)
@@ -636,18 +653,19 @@ def _check_mult_rule(rule):
             want *= rule(p, e)
         assert v[n] == want, n
     # width 8192 batches the primes above 64
-    assert bulk.mult_range(30000, primes, rule, ones, width=8192).tobytes() == v.tobytes()
+    window_width(8192)
+    assert bulk.mult_range(30000, primes, rule, ones).tobytes() == v.tobytes()
 
 
-def test_mult_rule_with_identity_at_p():
+def test_mult_rule_with_identity_at_p(window_width):
     # f(p) = 1 skips the strided pass; the multiples of p**2 still get f(p**e)
-    _check_mult_rule(lambda p, e: 1.0 if e == 1 else 3.0)
+    _check_mult_rule(lambda p, e: 1.0 if e == 1 else 3.0, window_width)
 
 
-def test_mult_deep_rule_with_identity_at_p():
+def test_mult_deep_rule_with_identity_at_p(window_width):
     # f(p**e) differs again from e = 3 on, so each f(p**e) must be applied to
     # the values saved before f(p**2) was written, not on top of it
-    _check_mult_rule(lambda p, e: 1.0 if e == 1 else float(e * e + 1))
+    _check_mult_rule(lambda p, e: 1.0 if e == 1 else float(e * e + 1), window_width)
 
 
 # The walk multiplies small parts in uint32 up to hi = 2**32 and in int64

@@ -34,7 +34,20 @@ classes above the root still went one cofactor j at a time and every
 table row had its own strided slice.  The last two, `dev --sieve sp:2,-1`
 and `hist --sieve qf:1,1,2,shift=1`, each three windows long, were
 recorded while every `sp:` and `qf:` set still built a bitmap of length
-x + 1.
+x + 1.  The last four, `hr-check`, `tails`, `primes` and `constants`, were
+recorded while `hr_constant` still read a prime table passed to it and
+while `bulk.window_ranges` still bound its width at import; with them every
+subcommand that `build_parser()` registers has an entry, and a test checks
+that.
+
+Every invocation also runs with one thread at the window width 9973, set
+through `bulk.DEFAULT_WINDOW`, which every pass reads when it starts, and
+must print the same bytes there.  The runs below 9973 integers are one
+window either way; the others cut their masses at other n.  Summing each
+window's float weights before adding them to the bins fails 11 of these
+runs, `mgf --x 200000 ... zomega:1.3` and `omega-gcd --x 200000 --f
+phioverN` among them, which are one window at the default width and so
+keep their bytes there.
 
 One hash moved on purpose: `mgf --x 200000 --z 1.5 --f zomega:1.3` was
 re-recorded when `mgf` began to read the histogram, z**k times bin k in
@@ -51,6 +64,7 @@ function or constant it never reads, or an `__all__` entry it does not
 define, so code that nothing reaches shows.
 """
 
+import argparse
 import ast
 import hashlib
 import io
@@ -152,6 +166,14 @@ CORPUS = [
      "f3bbdb5c8e2435099ff723e0575c92d65053510de8628bd3f094c9d7122693d5"),
     ("hist --sieve qf:1,1,2,shift=1 --x 2200000",
      "d432a0b073f05aa65115f60c8efd8c4407fc33e152d58b4c7fa0715252232474"),
+    ("hr-check --x 2200000 --f zomega:1.3",
+     "0e0b059ff0e8f843f849b0c1b8030d02d7bc102bffa47fd2e30ed58251f9bb96"),
+    ("tails --x 2200000 --delta 0.5 --f phioverN --g bigomega",
+     "67895c8c315fcc77b435998d3d31ee4362eac56971c7a3fc670b609219907413"),
+    ("primes --x 2200000",
+     "2dcefb0be60c060e8d045b146ebcfcf3a86f493734b967b4920d1134e821bc31"),
+    ("constants --x 2200000",
+     "1d600ad29a63643b25c2d3637eb7693734d9822bcd9e88bf24bd1416917aaaf2"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;
@@ -174,6 +196,24 @@ def test_cli_output_bytes_unchanged(argv, digest, threads):
     with redirect_stdout(buf):
         assert cli.dispatch(argv.split() + ["--threads", threads]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("argv, digest", CORPUS, ids=[argv for argv, _ in CORPUS])
+def test_cli_output_bytes_hold_at_an_odd_window_width(argv, digest, window_width):
+    # 9973 is prime, so no window edge falls where a power of two would put it,
+    # and every run past 9973 integers spans several windows
+    window_width(9973)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.dispatch(argv.split() + ["--threads", "1"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_every_subcommand_has_a_corpus_entry():
+    names = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(set(names) - {argv.split()[0] for argv, _ in CORPUS}) == []
 
 
 @pytest.mark.parametrize("argv", BLAS_SENSITIVE)

@@ -60,9 +60,9 @@ def test_aliquot_window_input_errors():
         _aliquot_window(10, 10)
 
 
-def test_egps_deviation_matches_brute(t1e5):
+def test_egps_deviation_matches_brute():
     x, lam = 100, 1.0
-    rep = egps.egps_deviation(x, one(), lam=lam, table=t1e5)
+    rep = egps.egps_deviation(x, one(), lam=lam)
     llx = math.log(math.log(x))
     thr = lam * math.sqrt(llx)
     expect = sum(
@@ -78,10 +78,10 @@ def test_egps_deviation_matches_brute(t1e5):
     assert rep.k_high == math.ceil(llx + thr) == 3
 
 
-def test_egps_deviation_weighted(t1e5):
+def test_egps_deviation_weighted():
     x, lam = 100, 1.0
     f = z_omega(2)
-    rep = egps.egps_deviation(x, f, lam=lam, table=t1e5)
+    rep = egps.egps_deviation(x, f, lam=lam)
     llx = math.log(math.log(x))
     thr = lam * math.sqrt(llx)
     mass = sum(
@@ -95,9 +95,9 @@ def test_egps_deviation_weighted(t1e5):
 
 
 @pytest.mark.parametrize("f", [one(), mu_sq(), z_omega(1.3)], ids=lambda f: f.spec)
-def test_egps_grid_matches_per_n_masks(f, t1e5):
+def test_egps_grid_matches_per_n_masks(f):
     x = 3000
-    rep = egps.egps_deviation(x, f, lam=3.0, table=t1e5)
+    rep = egps.egps_deviation(x, f, lam=3.0)
     llx = math.log(math.log(x))
     om = {n: _omega(_aliquot(n)) for n in range(2, x + 1)}
     fv = {n: _weight(f, n) for n in range(1, x + 1)}
@@ -191,24 +191,24 @@ def test_egps_fill_error_raises_without_hanging(monkeypatch):
     assert len(errors) == 1 and "forced" in str(errors[0])
 
 
-def test_weighted_sigma_masses_match_oracle_sums(t1e5):
+def test_weighted_sigma_masses_match_oracle_sums():
     x, f = 600, z_omega(1.3)
     sig = {n: osigma(n) for n in range(1, x + 1)}
     fv = {n: _weight(f, n) for n in range(1, x + 1)}
-    got = egps.count_p_divides_sigma(x, 3, f, table=t1e5).value
+    got = egps.count_p_divides_sigma(x, 3, f).value
     assert got == pytest.approx(sum(fv[n] for n in sig if sig[n] % 3 == 0), rel=1e-12)
-    got = egps.count_d_divides_s(x, 20, 10, 5, f, table=t1e5)
+    got = egps.count_d_divides_s(x, 20, 10, 5, f)
     expect = sum(fv[n] for n in range(2, x + 1)
                  if ofactor(n)[-1][0] > 20 and ofactor(n)[-1][1] == 1
                  and (sig[n] - n) % 5 == 0)
     assert got == pytest.approx(expect, rel=1e-12)
-    got = egps.mean_omega_gcd_sigma(x, f, table=t1e5).value
+    got = egps.mean_omega_gcd_sigma(x, f).value
     expect = sum(_omega(math.gcd(sig[n], n)) * fv[n] for n in sig)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_egps_deviation_grid_is_nonincreasing(t1e5):
-    rep = egps.egps_deviation(10**4, one(), lam=1.0, table=t1e5)
+def test_egps_deviation_grid_is_nonincreasing():
+    rep = egps.egps_deviation(10**4, one(), lam=1.0)
     vals = [v for _, v in rep.grid]
     assert len(vals) == 6
     assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -216,8 +216,8 @@ def test_egps_deviation_grid_is_nonincreasing(t1e5):
     assert by_g[1.0] == pytest.approx(rep.normalized)
 
 
-def test_egps_deviation_tiny_threshold(t1e5):
-    rep = egps.egps_deviation(100, one(), lam=1e-9, table=t1e5)
+def test_egps_deviation_tiny_threshold():
+    rep = egps.egps_deviation(100, one(), lam=1e-9)
     # every n >= 2 deviates, n = 1 stays only in the normalization
     assert rep.normalized == pytest.approx(99 / 100)
 
@@ -233,33 +233,33 @@ def test_egps_deviation_fourth_log_calibration():
     assert direct.mass == rep.mass
 
 
-def test_egps_deviation_input_errors(t1e5):
+def test_egps_deviation_input_errors():
     with pytest.raises(ValueError):
-        egps.egps_deviation(15, one(), lam=1.0, table=t1e5)
+        egps.egps_deviation(15, one(), lam=1.0)
     with pytest.raises(ValueError):
-        egps.egps_deviation(100, one(), table=t1e5)
+        egps.egps_deviation(100, one())
     with pytest.raises(ValueError):
-        egps.egps_deviation(100, one(), lam=1.0, c0=1.0, table=t1e5)
+        egps.egps_deviation(100, one(), lam=1.0, c0=1.0)
     with pytest.raises(ValueError):
-        egps.egps_deviation(100, one(), lam=-2.0, table=t1e5)
+        egps.egps_deviation(100, one(), lam=-2.0)
     # the fourth logarithm is not positive this low
     with pytest.raises(ValueError):
-        egps.egps_deviation(10**4, one(), c0=1.0, table=t1e5)
+        egps.egps_deviation(10**4, one(), c0=1.0)
 
 
-def test_count_p_divides_sigma(t1e5):
-    rep = egps.count_p_divides_sigma(100, 3, one(), table=t1e5)
+def test_count_p_divides_sigma():
+    rep = egps.count_p_divides_sigma(100, 3, one())
     expect = sum(1 for n in range(1, 101) if osigma(n) % 3 == 0)
     assert rep.value == expect == 65
     assert rep.ratio == pytest.approx(rep.value / rep.bound)
 
 
-def test_count_p_divides_sigma_bound_shape(t1e5):
+def test_count_p_divides_sigma_bound_shape():
     x, p, eps = 10**4, 7, 0.5
-    rep = egps.count_p_divides_sigma(x, p, one(), eps=eps, table=t1e5)
+    rep = egps.count_p_divides_sigma(x, p, one(), eps=eps)
     from siftlab.multfunc import mertens_sum
 
-    m = mertens_sum(one(), x, table=t1e5)
+    m = mertens_sum(one(), x)
     expect = (
         (p ** (-(1.0 - eps) / 2.0) + math.log(math.log(x)) / p)
         * x / math.log(x) * math.exp(m)
@@ -267,15 +267,15 @@ def test_count_p_divides_sigma_bound_shape(t1e5):
     assert rep.bound == pytest.approx(expect, rel=1e-12)
 
 
-def test_count_p_divides_sigma_unreachable_prime(t1e5):
-    rep = egps.count_p_divides_sigma(10, 97, one(), table=t1e5)
+def test_count_p_divides_sigma_unreachable_prime():
+    rep = egps.count_p_divides_sigma(10, 97, one())
     assert rep.value == 0.0
 
 
 def test_count_p_divides_sigma_double_count_consistency(t1e5):
     x = 10**4
     total = sum(
-        egps.count_p_divides_sigma(x, int(p), one(), table=t1e5).value
+        egps.count_p_divides_sigma(x, int(p), one()).value
         for p in t1e5.primes[t1e5.primes <= 50]
     )
     expect = 0
@@ -284,19 +284,19 @@ def test_count_p_divides_sigma_double_count_consistency(t1e5):
     assert total == expect
 
 
-def test_count_p_divides_sigma_input_errors(t1e5):
+def test_count_p_divides_sigma_input_errors():
     with pytest.raises(ValueError):
-        egps.count_p_divides_sigma(2, 3, one(), table=t1e5)
+        egps.count_p_divides_sigma(2, 3, one())
     with pytest.raises(ValueError):
-        egps.count_p_divides_sigma(100, 4, one(), table=t1e5)
+        egps.count_p_divides_sigma(100, 4, one())
     with pytest.raises(ValueError):
-        egps.count_p_divides_sigma(100, 3, one(), eps=1.0, table=t1e5)
+        egps.count_p_divides_sigma(100, 3, one(), eps=1.0)
     with pytest.raises(ValueError):
-        egps.count_p_divides_sigma(100, 3, one(), eps=0.0, table=t1e5)
+        egps.count_p_divides_sigma(100, 3, one(), eps=0.0)
 
 
-def test_count_d_divides_s_matches_brute(t1e5):
-    got = egps.count_d_divides_s(200, 20, 10, 5, one(), table=t1e5)
+def test_count_d_divides_s_matches_brute():
+    got = egps.count_d_divides_s(200, 20, 10, 5, one())
     expect = 0
     for n in range(2, 201):
         parts = ofactor(n)
@@ -306,20 +306,20 @@ def test_count_d_divides_s_matches_brute(t1e5):
     assert got == expect == 11
 
 
-def test_count_d_divides_s_trivial_modulus(t1e5):
+def test_count_d_divides_s_trivial_modulus():
     # d = 1 keeps every rough, unsquared survivor
-    full = egps.count_d_divides_s(300, 15, 1, 1, one(), table=t1e5)
+    full = egps.count_d_divides_s(300, 15, 1, 1, one())
     expect = sum(
         1
         for n in range(2, 301)
         if ofactor(n)[-1][0] > 15 and ofactor(n)[-1][1] == 1
     )
     assert full == expect
-    assert egps.count_d_divides_s(300, 15, 5, 5, one(), table=t1e5) <= full
+    assert egps.count_d_divides_s(300, 15, 5, 5, one()) <= full
 
 
-def test_count_d_divides_s_weighted(t1e5):
-    got = egps.count_d_divides_s(200, 20, 10, 5, z_omega(2), table=t1e5)
+def test_count_d_divides_s_weighted():
+    got = egps.count_d_divides_s(200, 20, 10, 5, z_omega(2))
     expect = 0.0
     for n in range(2, 201):
         parts = ofactor(n)
@@ -328,19 +328,19 @@ def test_count_d_divides_s_weighted(t1e5):
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_count_d_divides_s_input_errors(t1e5):
+def test_count_d_divides_s_input_errors():
     with pytest.raises(ValueError):
-        egps.count_d_divides_s(2, 2, 1, 1, one(), table=t1e5)
+        egps.count_d_divides_s(2, 2, 1, 1, one())
     with pytest.raises(ValueError):
-        egps.count_d_divides_s(100, 20, 10, 0, one(), table=t1e5)
+        egps.count_d_divides_s(100, 20, 10, 0, one())
     with pytest.raises(ValueError):
-        egps.count_d_divides_s(100, 20, 30, 5, one(), table=t1e5)
+        egps.count_d_divides_s(100, 20, 30, 5, one())
     with pytest.raises(ValueError):
-        egps.count_d_divides_s(100, 200, 10, 5, one(), table=t1e5)
+        egps.count_d_divides_s(100, 200, 10, 5, one())
 
 
-def test_mean_omega_gcd_sigma(t1e5):
-    rep = egps.mean_omega_gcd_sigma(2000, one(), table=t1e5)
+def test_mean_omega_gcd_sigma():
+    rep = egps.mean_omega_gcd_sigma(2000, one())
     expect = 0
     for n in range(1, 2001):
         g = math.gcd(osigma(n), n)
@@ -350,10 +350,10 @@ def test_mean_omega_gcd_sigma(t1e5):
     assert rep.bound is None and rep.ratio is None
 
 
-def test_mean_omega_gcd_sigma_pointwise(t1e5):
+def test_mean_omega_gcd_sigma_pointwise():
     # primes contribute nothing; n = 6 contributes omega(6) = 2
-    one_rep = egps.mean_omega_gcd_sigma(6, one(), table=t1e5)
+    one_rep = egps.mean_omega_gcd_sigma(6, one())
     by_hand = [0, 0, 0, 0, 0, 2]  # n = 1..6
     assert one_rep.value == sum(by_hand)
     with pytest.raises(ValueError):
-        egps.mean_omega_gcd_sigma(2, one(), table=t1e5)
+        egps.mean_omega_gcd_sigma(2, one())

@@ -18,10 +18,11 @@ from oracles import oadmits, ofactor
 
 
 def test_histogram_small(t1e5):
-    h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
+    s = sf.everything(10)
+    h = H.weighted_histogram(s, mf.one(), table=t1e5)
     assert h.bins == {0: 1.0, 1: 7.0, 2: 2.0}
     assert h.total == 10.0
-    assert h.count == 10
+    assert s.count == 10
     assert h.g_kind == "omega"
 
 
@@ -29,7 +30,7 @@ def test_tail_masses_add_in_ascending_k():
     # one float addition per bin in ascending k, as CPython 3.11's sum adds;
     # the compensated sum of CPython 3.12 and later would give 1.0 here
     h = H.WeightedHistogram(x=2, g_kind="omega", E=ALL_PRIMES, f=mf.one(),
-                            bins={0: 1e16, 1: 1.0, 2: -1e16}, total=1.0, count=3)
+                            bins={0: 1e16, 1: 1.0, 2: -1e16}, total=1.0)
     assert h.mass_low(2) == 0.0
     assert h.mass_high(0) == 0.0
     assert h.mass_low(1) == 1e16
@@ -110,7 +111,7 @@ def test_weighted_histogram_working_set_has_no_term_in_x():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.count == x // 2 and h.total == x // 2
+    assert sset.count == x // 2 and h.total == x // 2
     assert peak <= 8 * bulk.prime_count_bound(x) + 8 * bulk.DEFAULT_WINDOW
 
 
@@ -164,7 +165,7 @@ def test_hr_ratio_bound_shape(t1e5):
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
     rep = H.hr_ratio(h, table=t1e5)
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
-    C = mf.hr_constant(x, t1e5)
+    C = mf.hr_constant(x)
     assert rep.M == pytest.approx(M)
     assert rep.C == pytest.approx(C)
     assert rep.k_max == int(2.0 * M)
@@ -191,7 +192,7 @@ def test_hr_ratio_zero_mass_bin_reports_zero(t1e5):
 def test_hr_ratio_larger_constant_shrinks_ratios(t1e5):
     x = 10**4
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
-    C = mf.hr_constant(x, t1e5)
+    C = mf.hr_constant(x)
     a = H.hr_ratio(h, C=C, table=t1e5)
     b = H.hr_ratio(h, C=2 * C, table=t1e5)
     for k in a.general:

@@ -41,8 +41,8 @@ def _brute_shifted_divisor(a, u, v, x, y):
     return hits
 
 
-def test_shifted_divisor_count_small(t1e6):
-    rep = sh.shifted_divisor_count(1, 1, -1, 20, 3, table=t1e6)
+def test_shifted_divisor_count_small():
+    rep = sh.shifted_divisor_count(1, 1, -1, 20, 3)
     assert rep.count == 6
     assert rep.pi_x == 8
     assert rep.normalized == pytest.approx(6 / 8)
@@ -51,86 +51,86 @@ def test_shifted_divisor_count_small(t1e6):
     assert rep.bound_ratio == pytest.approx(expect, rel=1e-14)
 
 
-def test_shifted_divisor_count_matches_brute(t1e6):
+def test_shifted_divisor_count_matches_brute():
     for a, u, v, x, y in [(1, 1, -1, 20, 3), (1, 1, 1, 50, 4), (-1, 2, 1, 40, 3), (1, 1, -10, 30, 3)]:
-        rep = sh.shifted_divisor_count(a, u, v, x, y, table=t1e6)
+        rep = sh.shifted_divisor_count(a, u, v, x, y)
         assert rep.count == _brute_shifted_divisor(a, u, v, x, y)
 
 
-def test_shifted_divisor_count_thread_invariant(t1e6):
-    a = sh.shifted_divisor_count(1, 1, -1, 3000, 10, table=t1e6, threads=1)
-    b = sh.shifted_divisor_count(1, 1, -1, 3000, 10, table=t1e6, threads=8)
+def test_shifted_divisor_count_thread_invariant():
+    a = sh.shifted_divisor_count(1, 1, -1, 3000, 10, threads=1)
+    b = sh.shifted_divisor_count(1, 1, -1, 3000, 10, threads=8)
     assert a.count == b.count
 
 
-def test_shifted_divisor_count_input_errors(t1e6):
+def test_shifted_divisor_count_input_errors():
     with pytest.raises(ValueError):
-        sh.shifted_divisor_count(0, 1, 1, 20, 3, table=t1e6)
+        sh.shifted_divisor_count(0, 1, 1, 20, 3)
     with pytest.raises(ValueError):
-        sh.shifted_divisor_count(1, 0, 1, 20, 3, table=t1e6)
+        sh.shifted_divisor_count(1, 0, 1, 20, 3)
     with pytest.raises(ValueError):
-        sh.shifted_divisor_count(1, 1, 1, 2, 3, table=t1e6)
+        sh.shifted_divisor_count(1, 1, 1, 2, 3)
     with pytest.raises(ValueError):
-        sh.shifted_divisor_count(1, 1, 1, 20, 2, table=t1e6)
+        sh.shifted_divisor_count(1, 1, 1, 20, 2)
 
 
-def _sieved_values(top, table):
+def _sieved_values(top):
     """The n <= top that lambda_image_intersection finds in the image.
 
     With u = 1 and v = n - 2 the only prime p with p + v in [1, n] is 2, so
     the count is 1 exactly when n itself is a lambda value.
     """
     return [n for n in range(1, top + 1)
-            if sh.lambda_image_intersection(1, n - 2, n, table) == (1, 1)]
+            if sh.lambda_image_intersection(1, n - 2, n) == (1, 1)]
 
 
-def test_lambda_image_membership_small(t1e6):
+def test_lambda_image_membership_small():
     want = [1, 2, 4, 6, 8, 10, 12, 16, 18, 20, 22, 24, 28, 30]
-    assert _sieved_values(30, t1e6) == want
+    assert _sieved_values(30) == want
     assert [n for n in range(1, 31) if olambda_value(n)] == want
 
 
-def test_lambda_image_odd_and_validation(t1e6):
-    odd = [n for n in _sieved_values(101, t1e6) if n % 2]
+def test_lambda_image_odd_and_validation():
+    odd = [n for n in _sieved_values(101) if n % 2]
     assert odd == [1]
     for n in (1, 3, 5, 7, 9, 99, 101):
         assert olambda_value(n) == (n == 1)
     with pytest.raises(ValueError):
-        sh.lambda_image_intersection(1, -2, 0, t1e6)
+        sh.lambda_image_intersection(1, -2, 0)
 
 
 def test_lambda_image_matches_exhaustive_image(t1e6):
     # the image restricted to [1, 300] is already realized by m <= 10**6
     lam = lambda_upto(10**6, t1e6.primes)
     image = [n for n in np.unique(lam[1:]).tolist() if n <= 300]
-    assert _sieved_values(300, t1e6) == image
+    assert _sieved_values(300) == image
     assert [n for n in range(1, 301) if olambda_value(n)] == image
 
 
-def test_lambda_image_intersection_values(t1e6):
+def test_lambda_image_intersection_values():
     # only p = 2 is itself a lambda value
-    assert sh.lambda_image_intersection(1, 0, 100, t1e6) == (1, 25)
+    assert sh.lambda_image_intersection(1, 0, 100) == (1, 25)
     # p - 1 is always attained (as the value at p), so the count is full
-    assert sh.lambda_image_intersection(1, -1, 1000, t1e6) == (168, 168)
+    assert sh.lambda_image_intersection(1, -1, 1000) == (168, 168)
     # 2p + 1 is odd and above 1, so never attained
-    assert sh.lambda_image_intersection(2, 1, 100, t1e6) == (0, 15)
-    assert sh.lambda_image_intersection(1, 5, 6, t1e6) == (0, 0)
+    assert sh.lambda_image_intersection(2, 1, 100) == (0, 15)
+    assert sh.lambda_image_intersection(1, 5, 6) == (0, 0)
 
 
-def test_lambda_image_intersection_input_errors(t1e6):
+def test_lambda_image_intersection_input_errors():
     with pytest.raises(ValueError):
-        sh.lambda_image_intersection(0, 1, 100, t1e6)
+        sh.lambda_image_intersection(0, 1, 100)
     with pytest.raises(ValueError):
-        sh.lambda_image_intersection(1, 1, 0, t1e6)
+        sh.lambda_image_intersection(1, 1, 0)
 
 
 @pytest.mark.parametrize("a, u, v, x, y", [
     (-1, 1, -3, 60, 3), (-2, 2, -5, 80, 3), (-3, 3, -7, 90, 4), (1, 1, -5, 100, 3), (-1, 2, -9, 200, 5),
 ])
-def test_shifted_divisor_count_skips_m_at_most_1(t1e6, a, u, v, x, y):
+def test_shifted_divisor_count_skips_m_at_most_1(a, u, v, x, y):
     ps = [p for p in range(2, x + 1) if is_prime_slow(p)]
     assert any(abs(u * p + v) <= 1 for p in ps)
-    rep = sh.shifted_divisor_count(a, u, v, x, y, table=t1e6)
+    rep = sh.shifted_divisor_count(a, u, v, x, y)
     assert rep.count == _brute_shifted_divisor(a, u, v, x, y)
     assert rep.pi_x == len(ps)
 
@@ -139,8 +139,6 @@ def test_shifted_divisor_count_skips_m_at_most_1(t1e6, a, u, v, x, y):
 def test_lambda_image_intersection_reaches_q_at_x_plus_1(u, v, x, want):
     # m = x is a value only through q = x + 1 = 103 or 29, one past max(p_hi, x)
     assert sh.lambda_image_intersection(u, v, x) == want
-    table = PrimeTable(max((x - v) // u, x))
-    assert sh.lambda_image_intersection(u, v, x, table) == want
 
 
 def test_lambda_image_intersection_sweep_x_plus_1_prime(t1e5):
@@ -161,10 +159,10 @@ def test_lambda_and_spd_sieves_across_two_windows():
     windows = bulk.window_ranges(1, x + 1)
     assert len(windows) == 2 and windows[0][1] == 2**20 + 1
     for v in (1, -1):
-        counts = {sh.lambda_image_intersection(1, v, x, table, threads=t) for t in (1, 2)}
+        counts = {sh.lambda_image_intersection(1, v, x, threads=t) for t in (1, 2)}
         assert len(counts) == 1
     for a, v in ((1, -1), (-1, 1)):
-        counts = {sh.shifted_divisor_count(a, 1, v, x, 1000, table, threads=t).count
+        counts = {sh.shifted_divisor_count(a, 1, v, x, 1000, threads=t).count
                   for t in (1, 2)}
         assert len(counts) == 1
     ds = table.primes - 1
@@ -486,13 +484,13 @@ def test_joint_poly_omega_budget():
         sh.joint_poly_omega([(2, 0, 0, 1)], 10**6, 10, (1,))
 
 
-def test_ap_prime_factor_count(t1e6):
+def test_ap_prime_factor_count():
     got = sh.ap_prime_factor_count(100, 4, 1, "omega", 2)
     expect = sum(
         1 for n in range(1, 101) if n % 4 == 1 and len(ofactor(n)) == 2
     )
     assert got == expect == 9
-    assert sh.ap_prime_factor_count(100, 3, 1, "omega", 2, t1e6) == 16
+    assert sh.ap_prime_factor_count(100, 3, 1, "omega", 2) == 16
 
 
 def test_ap_prime_factor_count_partitions(t1e6):
@@ -514,7 +512,7 @@ def test_ap_prime_factor_count_multiplicity(t1e6):
 
 
 @pytest.mark.parametrize("d, a", [(1, 0), (4, 3)])
-def test_ap_prime_factor_count_brute(d, a, t1e6):
+def test_ap_prime_factor_count_brute(d, a):
     # d = 1 strides from n = 1 (a % d = 0 would otherwise start at n = 0)
     x = 300
     for g_kind in ("omega", "bigomega"):
@@ -524,7 +522,7 @@ def test_ap_prime_factor_count_brute(d, a, t1e6):
                     len(ofactor(n)) if g_kind == "omega"
                     else sum(e for _, e in ofactor(n))) == k
             )
-            assert sh.ap_prime_factor_count(x, d, a, g_kind, k, t1e6) == expect
+            assert sh.ap_prime_factor_count(x, d, a, g_kind, k) == expect
 
 
 def test_ap_prime_factor_count_input_errors(t1e6):

@@ -54,18 +54,18 @@ def test_sift_matches_scalar_admits():
         assert s.contains(n) == oadmits(cond, n)
 
 
-def test_sift_thread_invariant():
+def test_sift_thread_invariant(window_width):
     # the set is sieved as its windows are read: by 1 or 8 threads, at any width
     cond = sf.condition({2: (1,), 3: (2,), 7: (1, 3, 5)})
     s = sf.sift(50000, cond)
 
-    def realize(threads, width):
+    def realize(threads):
         return bulk.fill_windows(np.empty(50001, dtype=bool), 0,
-                                 lambda a, b, dest: np.copyto(dest, s.window(a, b)),
-                                 threads, width)
+                                 lambda a, b, dest: np.copyto(dest, s.window(a, b)), threads)
 
-    a = realize(1, bulk.DEFAULT_WINDOW)
-    b = realize(8, 997)
+    a = realize(1)
+    window_width(997)
+    b = realize(8)
     assert a.tobytes() == b.tobytes()
 
 

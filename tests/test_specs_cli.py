@@ -23,8 +23,8 @@ from siftlab.sift import NO_SIEVE
 def test_parse_weight_names():
     assert specs.parse_weight("one").name == "one"
     assert specs.parse_weight("musq").name == "mu_sq"
-    assert specs.parse_weight("zomega:2.5").params == (2.5,)
-    assert specs.parse_weight("tauk:3").params == (3,)
+    assert specs.parse_weight("zomega:2.5").spec_string() == "zomega:2.5"
+    assert specs.parse_weight("tauk:3").spec_string() == "tauk:3"
     assert specs.parse_weight("r4").name == "r_over_4"
     assert specs.parse_weight("s2s").name == "sum2sq_indicator"
     assert specs.parse_weight("phioverN").name == "phi_over_n"
