@@ -190,15 +190,14 @@ def _hist_setup(args):
 
 
 def _histogram(args, f, E, ss, t):
-    """The histogram step: the set, realized with the prime table t, and its histogram."""
-    sset = ss.realize(args.x, t)
-    return sset, hist.weighted_histogram(sset, f, args.g, E, t, args.threads)
+    """The histogram step: the set's histogram, realized and counted with the prime table t."""
+    return hist.weighted_histogram(ss.realize(args.x, t), f, args.g, E, t, args.threads)
 
 
 def _hist_rows(args, variant: str, C: float | None, beta: float):
     f, E, ss, t = _hist_setup(args)
-    sset, h = _histogram(args, f, E, ss, t)
-    rep = hist.hr_ratio(h, sset.cond, C=C, beta=beta, table=t)
+    h = _histogram(args, f, E, ss, t)
+    rep = hist.hr_ratio(h, C=C, beta=beta)
     use_prime = variant == "prime" and rep.prime_variant is not None
     ratios = rep.prime_variant if use_prime else rep.general
     rows = []
@@ -221,8 +220,7 @@ def _cmd_hr_check(args):
 
 def _cmd_mgf(args):
     f, E, ss, t = _hist_setup(args)
-    sset, h = _histogram(args, f, E, ss, t)
-    rep = hist.mgf_sum(h, args.z, sset.cond, t)
+    rep = hist.mgf_sum(_histogram(args, f, E, ss, t), args.z)
     header = ["x", "f", "g", "E", "sieve", "z", "value", "bound", "ratio"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
                      ss.spec_string(), args.z, rep.value, rep.bound, rep.ratio]]
@@ -230,8 +228,7 @@ def _cmd_mgf(args):
 
 def _cmd_tails(args):
     f, E, ss, t = _hist_setup(args)
-    sset, h = _histogram(args, f, E, ss, t)
-    rep = hist.tail_masses(h, args.delta, sset.cond, t)
+    rep = hist.tail_masses(_histogram(args, f, E, ss, t), args.delta)
     header = ["x", "f", "g", "E", "sieve", "delta", "M", "mass_low", "mass_high",
               "bound_low", "bound_high", "ratio_low", "ratio_high"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
@@ -249,9 +246,8 @@ def _dev_row(rep) -> list:
 
 
 def _dev(args, f, E, ss, t):
-    """The deviation row of g over the set, read with the prime table t."""
-    h = _histogram(args, f, E, ss, t)[1]
-    return _DEV_HEADER, [_dev_row(hist.deviation(h, args.lam, table=t))]
+    """The deviation row of g over the set, counted with the prime table t."""
+    return _DEV_HEADER, [_dev_row(hist.deviation(_histogram(args, f, E, ss, t), args.lam))]
 
 
 def _cmd_dev(args):

@@ -109,8 +109,9 @@ def egps_deviation(
                 "fourth logarithm not positive at this x; pass lam directly"
             )
         lam = c0 * math.sqrt(l4)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        via = "" if c0 is None else f" from c0 = {c0}"
+        raise ValueError(f"lam must be positive and finite, got {lam}{via}")
 
     # the weights read no table for f = one, else primes up to isqrt(x) only
     primes = None if f.is_one() else PrimeTable(math.isqrt(x) + 1).primes

@@ -16,12 +16,17 @@ from . import bulk
 from .arith import PrimeTable, table_upto
 from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
-from .sift import SiftedSet, nu_sum
+from .sift import SieveCondition, SiftedSet, nu_sum
 
 
 @dataclass
 class WeightedHistogram:
-    """bins[k] = sum of f(n) over set members with g(n, E) = k."""
+    """bins[k] = sum of f(n) over set members with g(n, E) = k.
+
+    table is the prime table the bins were counted with, which reaches x, and
+    cond the set's sieve condition (None for an exact set); the reports read
+    their prime sums from table and their nu(p)/p sum from cond.
+    """
 
     x: int
     g_kind: str
@@ -29,6 +34,8 @@ class WeightedHistogram:
     f: MultiplicativeFunction
     bins: dict[int, float]
     total: float
+    table: PrimeTable
+    cond: SieveCondition | None = None
 
     def mass_low(self, cutoff: float) -> float:
         """Total mass at k <= cutoff."""
@@ -68,7 +75,8 @@ def weighted_histogram(
                         lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
                         sset.window, None if fv is None else lambda a, b: fv[a:b], threads)
     bins = {int(k): float(m) for k, m in enumerate(raw) if m > 0}
-    return WeightedHistogram(x=x, g_kind=g_kind, E=E, f=f, bins=bins, total=float(raw.sum()))
+    return WeightedHistogram(x=x, g_kind=g_kind, E=E, f=f, bins=bins, total=float(raw.sum()),
+                             table=table, cond=sset.cond)
 
 
 @dataclass
@@ -84,26 +92,24 @@ class HrRatioReport:
     prime_variant: dict[int, float] | None  # full-prime-set variant, (k-1)!
 
 
-def hr_ratio(
-    hist: WeightedHistogram,
-    cond=None,
-    C: float | None = None,
-    beta: float = 2.0,
-    table: PrimeTable | None = None,
-) -> HrRatioReport:
+def hr_ratio(hist: WeightedHistogram, C: float | None = None, beta: float = 2.0) -> HrRatioReport:
     """Compare histogram bins against the factorial-decay bound.
 
     The bound for bin k is x * (M + C)**k / (k! * log x) times
-    exp(M_complement - nu_sum); when E is all primes the sharper variant
+    exp(M_complement - nu_sum), nu_sum read from hist.cond; a bin of no mass
+    reads 0.0.  When E is all primes the sharper variant
     with exponent k - 1 and (k - 1)! is reported as well.
     """
     x = hist.x
     if x < 3:
         raise ValueError("need x >= 3 so log log x > 0")
-    table = table_upto(table, x)
-    M = mertens_sum(hist.f, x, hist.E, table)
-    m_out = mertens_sum(hist.f, x, hist.E.complement(), table)
-    nu = nu_sum(cond, x)
+    if C is not None and not math.isfinite(C):
+        raise ValueError(f"C must be finite, got {C}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    M = mertens_sum(hist.f, x, hist.E, hist.table)
+    m_out = mertens_sum(hist.f, x, hist.E.complement(), hist.table)
+    nu = nu_sum(hist.cond, x)
     if C is None:
         C = hr_constant(x)
     if M + C <= 0:
@@ -116,10 +122,10 @@ def hr_ratio(
     for k in range(0, k_max + 1):
         mass = hist.bins.get(k, 0.0)
         lb = base + k * math.log(M + C) - math.lgamma(k + 1)
-        general[k] = mass / math.exp(lb)
+        general[k] = mass / math.exp(lb) if mass else 0.0  # at large k the bound underflows to 0
         if prime_variant is not None and k >= 1:
             lbp = math.log(x) - math.log(logx) - nu + (k - 1) * math.log(M + C) - math.lgamma(k)
-            prime_variant[k] = mass / math.exp(lbp)
+            prime_variant[k] = mass / math.exp(lbp) if mass else 0.0
     return HrRatioReport(
         x=x, M=M, C=C, beta=beta, k_max=k_max,
         general=general, prime_variant=prime_variant,
@@ -144,21 +150,15 @@ class MgfReport:
     ratio: float
 
 
-def mgf_sum(
-    hist: WeightedHistogram,
-    z: float,
-    cond=None,
-    table: PrimeTable | None = None,
-) -> MgfReport:
+def mgf_sum(hist: WeightedHistogram, z: float) -> MgfReport:
     """Exact moment-generating sum of the histogram, sum of z**k * bins[k], with its bound."""
     x = hist.x
     if x < 3:
         raise ValueError("need x >= 3")
-    if z <= 0:
-        raise ValueError("z must be positive")
-    table = table_upto(table, x)
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
     if hist.g_kind == "bigomega":
-        p0 = hist.E.smallest(table.primes[: table.pi(x)])
+        p0 = hist.E.smallest(hist.table.primes[: hist.table.pi(x)])
         if p0 is not None and z >= p0:
             raise ValueError(
                 f"z = {z} leaves the valid range: need z < {p0}, the smallest prime in E"
@@ -166,9 +166,9 @@ def mgf_sum(
     value = 0.0
     for k in sorted(hist.bins):  # ascending k, one add at a time
         value += z**k * hist.bins[k]
-    m_in = mertens_sum(hist.f, x, hist.E, table)
-    m_all = mertens_sum(hist.f, x, ALL_PRIMES, table)
-    nu = nu_sum(cond, x)
+    m_in = mertens_sum(hist.f, x, hist.E, hist.table)
+    m_all = mertens_sum(hist.f, x, ALL_PRIMES, hist.table)
+    nu = nu_sum(hist.cond, x)
     bound = x / math.log(x) * math.exp((z - 1.0) * m_in + m_all - nu)
     return MgfReport(x=x, z=z, value=value, bound=bound, ratio=value / bound)
 
@@ -186,24 +186,18 @@ class TailReport:
     ratio_high: float
 
 
-def tail_masses(
-    hist: WeightedHistogram,
-    delta: float,
-    cond=None,
-    table: PrimeTable | None = None,
-) -> TailReport:
+def tail_masses(hist: WeightedHistogram, delta: float) -> TailReport:
     """Exact masses below (1-delta)M and above (1+delta)M with tail bounds."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     x = hist.x
     if x < 3:
         raise ValueError("need x >= 3")
-    table = table_upto(table, x)
-    M = mertens_sum(hist.f, x, hist.E, table)
+    M = mertens_sum(hist.f, x, hist.E, hist.table)
     if M <= 0:
         raise ValueError("prime sum M vanishes; tails are degenerate")
-    m_all = mertens_sum(hist.f, x, ALL_PRIMES, table)
-    nu = nu_sum(cond, x)
+    m_all = mertens_sum(hist.f, x, ALL_PRIMES, hist.table)
+    nu = nu_sum(hist.cond, x)
     mass_low = hist.mass_low((1.0 - delta) * M)
     mass_high = hist.mass_high((1.0 + delta) * M)
     pref = x / math.log(x) * math.exp(m_all - nu)
@@ -240,18 +234,14 @@ class DeviationReport:
     degenerate: bool = False
 
 
-def deviation(
-    hist: WeightedHistogram,
-    lam: float,
-    table: PrimeTable | None = None,
-) -> DeviationReport:
+def deviation(hist: WeightedHistogram, lam: float) -> DeviationReport:
     """Two-sided deviation masses at threshold lam standard units."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if hist.total <= 0:
         raise ValueError("empty set: total mass is zero")
     x = hist.x
-    M = mertens_sum(hist.f, x, hist.E, table)
+    M = mertens_sum(hist.f, x, hist.E, hist.table)
     if M <= 0:
         # every bin deviates; flag rather than divide by zero in the reference
         k_low = max(hist.bins)

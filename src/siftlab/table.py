@@ -132,6 +132,9 @@ def sifted_table_sum(
         raise ValueError("need x >= 3")
     B = isqrt(x)
     table = table_upto(table, x)
+    M = mertens_sum(f, x, table=table)
+    if M <= 0:
+        raise ValueError("prime sum M vanishes; the bounds are degenerate")
 
     def members(lo: int, hi: int) -> np.ndarray:
         keep = np.zeros(hi - lo, dtype=bool)
@@ -143,7 +146,6 @@ def sifted_table_sum(
                          window_weights(f, table.primes), threads)
     value = float(bins[0]) if bins.size else 0.0
 
-    M = mertens_sum(f, x, table=table)
     llx = math.log(math.log(x))
     R = M * math.log(2.0) / llx
     nu = nu_sum(sset.cond, x)

@@ -112,7 +112,7 @@ def test_check_03_bound_ratio_stability(t1e7):
     maxima = []
     for x in (10**5, 10**6, 10**7):
         h = hist.weighted_histogram(everything(x), f, "omega", table=t1e7, threads=8)
-        rep = hist.hr_ratio(h, table=t1e7)
+        rep = hist.hr_ratio(h)
         k_hi = int(2 * math.log(math.log(x)))
         maxima.append(max(rep.general[k] for k in range(1, k_hi + 1)))
     spread = max(maxima) / min(maxima)
@@ -247,7 +247,7 @@ def test_check_09_generating_function_identity(t1e5):
         h = hist.weighted_histogram(sset, f, "omega", table=t1e5)
         fv = multfunc.values_upto(f, x, t1e5)[sset.window(0, x + 1)]
         for z in (0.5, 1.0, 1.5):
-            rep = hist.mgf_sum(h, z, table=t1e5)
+            rep = hist.mgf_sum(h, z)
             brute = float(np.sum(fv * np.power(z, om, dtype=np.float64)))
             worst = max(worst, abs(rep.value - brute) / brute)
             if z == 1.0 and not rep.value == brute == h.total:

@@ -1,0 +1,38 @@
+"""tools/code_lines.py: code lines and parameter names per module."""
+
+import importlib.util
+import os
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+_spec = importlib.util.spec_from_file_location(
+    "code_lines", os.path.join(HERE, os.pardir, "tools", "code_lines.py"))
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SNIPPET = '''\
+def report(hist, table=None, *rest, cond=None, **opts):
+    """A docstring."""
+    pick = lambda table: table
+    return pick(cond)
+
+
+async def fill(table, /, lo, hi):
+    return table
+'''
+
+
+def test_param_names_reads_every_kind_of_parameter():
+    assert sorted(code_lines.param_names(SNIPPET)) == sorted(
+        ["hist", "table", "rest", "cond", "opts", "table", "table", "lo", "hi"])
+
+
+def test_params_prints_one_row_per_module_and_the_totals(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("def one(cond):\n    return cond\n")
+    assert code_lines.main(["code_lines.py", str(tmp_path), "--params", "table", "cond"]) == 0
+    assert capsys.readouterr().out == (
+        " table   cond  module\n"
+        "     3      1  a.py\n"
+        "     0      1  b.py\n"
+        "     3      2  total\n"
+    )

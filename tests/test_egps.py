@@ -245,6 +245,12 @@ def test_egps_deviation_input_errors():
     # the fourth logarithm is not positive this low
     with pytest.raises(ValueError):
         egps.egps_deviation(10**4, one(), c0=1.0)
+    # lam is checked before any sieving; at 10^7 the fourth logarithm is positive,
+    # so c0 reaches lam = c0 * sqrt(log log log log x)
+    for lam, c0 in ((math.inf, None), (math.nan, None), (None, math.inf), (None, math.nan),
+                    (None, -1.0)):
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            egps.egps_deviation(10**7, one(), lam=lam, c0=c0)
 
 
 def test_count_p_divides_sigma():

@@ -4,6 +4,7 @@ Bound formulas are recomputed independently inside the tests from the
 published shapes, so ratio bookkeeping cannot drift unnoticed.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -26,11 +27,11 @@ def test_histogram_small(t1e5):
     assert h.g_kind == "omega"
 
 
-def test_tail_masses_add_in_ascending_k():
+def test_tail_masses_add_in_ascending_k(t1e5):
     # one float addition per bin in ascending k, as CPython 3.11's sum adds;
     # the compensated sum of CPython 3.12 and later would give 1.0 here
     h = H.WeightedHistogram(x=2, g_kind="omega", E=ALL_PRIMES, f=mf.one(),
-                            bins={0: 1e16, 1: 1.0, 2: -1e16}, total=1.0)
+                            bins={0: 1e16, 1: 1.0, 2: -1e16}, total=1.0, table=t1e5)
     assert h.mass_low(2) == 0.0
     assert h.mass_high(0) == 0.0
     assert h.mass_low(1) == 1e16
@@ -163,7 +164,7 @@ def test_congruence_window_matches_bitmap_slices():
 def test_hr_ratio_bound_shape(t1e5):
     x = 10**4
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
-    rep = H.hr_ratio(h, table=t1e5)
+    rep = H.hr_ratio(h)
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
     C = mf.hr_constant(x)
     assert rep.M == pytest.approx(M)
@@ -182,19 +183,53 @@ def test_hr_ratio_bound_shape(t1e5):
 
 def test_hr_ratio_zero_mass_bin_reports_zero(t1e5):
     h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
-    rep = H.hr_ratio(h, beta=4.0, table=t1e5)
+    rep = H.hr_ratio(h, beta=4.0)
     assert rep.k_max == 4
     assert rep.general[3] == 0.0 and rep.general[4] == 0.0
     assert rep.prime_variant[3] == 0.0
     assert sorted(rep.general) == [0, 1, 2, 3, 4]
 
 
+def test_hr_ratio_zero_mass_bins_past_an_underflowing_bound(t1e5):
+    # at beta = 200 the bound of bin k underflows to 0 long before k_max = 360; a
+    # bin of no mass reads 0.0 without a division, and a bin with mass is unchanged
+    h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
+    wide, narrow = H.hr_ratio(h, beta=200.0), H.hr_ratio(h)
+    assert max(h.bins) == narrow.k_max < wide.k_max == int(200.0 * wide.M)
+    assert all(wide.general[k] == 0.0 for k in range(narrow.k_max + 1, wide.k_max + 1))
+    assert all(wide.prime_variant[k] == 0.0 for k in range(narrow.k_max + 1, wide.k_max + 1))
+    assert {k: wide.general[k] for k in narrow.general} == narrow.general
+    assert {k: wide.prime_variant[k] for k in narrow.prime_variant} == narrow.prime_variant
+
+
+def test_histogram_and_its_four_reports_build_one_prime_table(monkeypatch):
+    # the reports read the table the histogram was counted with, so the library
+    # path sieves the primes to x once, as the CLI does
+    built = []
+    init = arith.PrimeTable.__init__
+
+    def counted(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    monkeypatch.setattr(arith.PrimeTable, "__init__", counted)
+    h = H.weighted_histogram(sf.sift(20000, sf.condition({3: (1,)})), mf.one())
+    H.hr_ratio(h)
+    H.mgf_sum(h, 1.5)
+    H.tail_masses(h, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        H.deviation(h, 1.0)
+    assert built == [20000]
+    assert h.table.limit == 20000 and h.cond == sf.condition({3: (1,)})
+
+
 def test_hr_ratio_larger_constant_shrinks_ratios(t1e5):
     x = 10**4
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
     C = mf.hr_constant(x)
-    a = H.hr_ratio(h, C=C, table=t1e5)
-    b = H.hr_ratio(h, C=2 * C, table=t1e5)
+    a = H.hr_ratio(h, C=C)
+    b = H.hr_ratio(h, C=2 * C)
     for k in a.general:
         if k >= 1 and a.general[k] > 0:
             assert b.general[k] < a.general[k]
@@ -204,7 +239,7 @@ def test_hr_ratio_restricted_set_has_no_prime_variant(t1e5):
     h = H.weighted_histogram(
         sf.everything(1000), mf.one(), E=ResidueClasses(4, (1,)), table=t1e5
     )
-    rep = H.hr_ratio(h, table=t1e5)
+    rep = H.hr_ratio(h)
     assert rep.prime_variant is None
     assert all(r >= 0.0 for r in rep.general.values())
 
@@ -213,8 +248,9 @@ def test_hr_ratio_sieve_discount(t1e5):
     cond = sf.condition({2: (1,), 3: (1, 2)})
     s = sf.sift(10**4, cond)
     h = H.weighted_histogram(s, mf.one(), table=t1e5)
-    with_nu = H.hr_ratio(h, cond=cond, table=t1e5)
-    without = H.hr_ratio(h, table=t1e5)
+    assert h.cond == cond
+    with_nu = H.hr_ratio(h)
+    without = H.hr_ratio(dataclasses.replace(h, cond=None))
     nu = sf.nu_sum(cond, 10**4)
     for k in with_nu.general:
         if without.general[k] > 0:
@@ -226,11 +262,15 @@ def test_hr_ratio_sieve_discount(t1e5):
 def test_hr_ratio_input_errors(t1e5):
     h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
     with pytest.raises(ValueError):
-        H.hr_ratio(
-            H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5), table=t1e5
-        )
+        H.hr_ratio(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5))
     with pytest.raises(ValueError):
-        H.hr_ratio(h, C=-10.0, table=t1e5)
+        H.hr_ratio(h, C=-10.0)
+    for C in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^C must be finite"):
+            H.hr_ratio(h, C=C)
+    for beta in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^beta must be positive and finite"):
+            H.hr_ratio(h, beta=beta)
 
 
 def test_q_rate():
@@ -256,7 +296,7 @@ def test_mgf_value_is_exact(t1e5):
     ev = sf.everything(x)
     for z in (0.5, 1.5):
         for f in (mf.one(), mf.tau_k(2)):
-            rep = H.mgf_sum(H.weighted_histogram(ev, f, table=t1e5), z, table=t1e5)
+            rep = H.mgf_sum(H.weighted_histogram(ev, f, table=t1e5), z)
             expect = sum(
                 math.prod(float(f.rule(p, e)) for p, e in ofactor(n))
                 * z ** len(ofactor(n))
@@ -267,12 +307,11 @@ def test_mgf_value_is_exact(t1e5):
 
 
 def test_mgf_at_one_counts_the_set(t1e5):
-    rep = H.mgf_sum(H.weighted_histogram(sf.everything(300), mf.one(), table=t1e5), 1.0,
-                    table=t1e5)
+    rep = H.mgf_sum(H.weighted_histogram(sf.everything(300), mf.one(), table=t1e5), 1.0)
     assert rep.value == 300.0
     cond = sf.condition({2: (1,)})
     s = sf.sift(300, cond)
-    rep2 = H.mgf_sum(H.weighted_histogram(s, mf.one(), table=t1e5), 1.0, cond, t1e5)
+    rep2 = H.mgf_sum(H.weighted_histogram(s, mf.one(), table=t1e5), 1.0)
     assert rep2.value == float(s.count)
 
 
@@ -281,7 +320,7 @@ def test_mgf_bound_shape(t1e5):
     cond = sf.condition({2: (1,)})
     s = sf.sift(x, cond)
     E = ResidueClasses(4, (1,))
-    rep = H.mgf_sum(H.weighted_histogram(s, mf.one(), E=E, table=t1e5), 1.5, cond, t1e5)
+    rep = H.mgf_sum(H.weighted_histogram(s, mf.one(), E=E, table=t1e5), 1.5)
     m_in = mf.mertens_sum(mf.one(), x, E, t1e5)
     m_all = mf.mertens_sum(mf.one(), x, table=t1e5)
     nu = sf.nu_sum(cond, x)
@@ -293,13 +332,13 @@ def test_mgf_multiplicity_statistic_range_limit(t1e5):
     ev = sf.everything(100)
     h = H.weighted_histogram(ev, mf.one(), "bigomega", table=t1e5)
     with pytest.raises(ValueError):
-        H.mgf_sum(h, 2.0, table=t1e5)
-    rep = H.mgf_sum(h, 1.9, table=t1e5)
+        H.mgf_sum(h, 2.0)
+    rep = H.mgf_sum(h, 1.9)
     assert rep.value > 0
     # restricting to odd primes re-admits z = 2
     odd = H.weighted_histogram(ev, mf.one(), "bigomega", E=ResidueClasses(4, (1, 3)),
                                table=t1e5)
-    rep2 = H.mgf_sum(odd, 2.0, table=t1e5)
+    rep2 = H.mgf_sum(odd, 2.0)
     assert rep2.value > 0
 
 
@@ -315,17 +354,18 @@ def test_raw_multiplicity_growth_is_log_squared(t1e5):
 
 def test_mgf_input_errors(t1e5):
     with pytest.raises(ValueError):
-        H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), 0.0,
-                  table=t1e5)
+        H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), 0.0)
     with pytest.raises(ValueError):
-        H.mgf_sum(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5), 1.0,
-                  table=t1e5)
+        H.mgf_sum(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5), 1.0)
+    for z in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^z must be positive and finite"):
+            H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), z)
 
 
 def test_tail_masses_shape(t1e5):
     x = 10**4
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
-    rep = H.tail_masses(h, 0.5, table=t1e5)
+    rep = H.tail_masses(h, 0.5)
     M = rep.M
     assert rep.mass_low == h.mass_low(0.5 * M)
     assert rep.mass_high == h.mass_high(1.5 * M)
@@ -340,7 +380,7 @@ def test_tail_masses_shape(t1e5):
 
 def test_tail_masses_near_delta_one(t1e5):
     h = H.weighted_histogram(sf.everything(10**4), mf.one(), table=t1e5)
-    rep = H.tail_masses(h, 0.999, table=t1e5)
+    rep = H.tail_masses(h, 0.999)
     assert rep.mass_low >= 1.0  # n = 1 always sits in the low tail
     assert rep.bound_low > 0 and rep.bound_high > 0
 
@@ -349,16 +389,16 @@ def test_tail_masses_input_errors(t1e5):
     h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
-            H.tail_masses(h, bad, table=t1e5)
+            H.tail_masses(h, bad)
     empty_E = Complement(ALL_PRIMES)
     h0 = H.weighted_histogram(sf.everything(100), mf.one(), E=empty_E, table=t1e5)
     with pytest.raises(ValueError):
-        H.tail_masses(h0, 0.5, table=t1e5)
+        H.tail_masses(h0, 0.5)
 
 
 def test_deviation_tiny_threshold_captures_everything(t1e5):
     h = H.weighted_histogram(sf.everything(1000), mf.one(), table=t1e5)
-    rep = H.deviation(h, 1e-9, table=t1e5)
+    rep = H.deviation(h, 1e-9)
     # M is irrational here, so every integer bin deviates
     assert rep.normalized == 1.0
     assert rep.mass_low + rep.mass_high == h.total
@@ -368,7 +408,7 @@ def test_deviation_monotone_in_threshold(t1e5):
     h = H.weighted_histogram(sf.everything(10**4), mf.one(), table=t1e5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        vals = [H.deviation(h, lam, table=t1e5).normalized for lam in (0.5, 1.0, 1.5, 2.0)]
+        vals = [H.deviation(h, lam).normalized for lam in (0.5, 1.0, 1.5, 2.0)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -376,7 +416,7 @@ def test_deviation_gauss_reference(t1e5):
     h = H.weighted_histogram(sf.everything(1000), mf.one(), table=t1e5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = H.deviation(h, 1.25, table=t1e5)
+        rep = H.deviation(h, 1.25)
     assert rep.gauss_ref == pytest.approx(math.exp(-1.25**2 / 2) / 1.25, rel=1e-15)
     assert rep.total == h.total
 
@@ -384,14 +424,14 @@ def test_deviation_gauss_reference(t1e5):
 def test_deviation_warns_above_half_sigma(t1e5):
     h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
     with pytest.warns(UserWarning):
-        H.deviation(h, 5.0, table=t1e5)
+        H.deviation(h, 5.0)
 
 
 def test_deviation_degenerate_mean(t1e5):
     h = H.weighted_histogram(
         sf.everything(100), mf.one(), E=Complement(ALL_PRIMES), table=t1e5
     )
-    rep = H.deviation(h, 1.0, table=t1e5)
+    rep = H.deviation(h, 1.0)
     assert rep.degenerate
     assert rep.normalized == 1.0
     assert rep.gauss_ref == math.inf
@@ -404,7 +444,7 @@ def test_deviation_integer_cutoffs(t1e5):
     h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
     for lam in (0.3, 0.5, 0.7):
-        rep = H.deviation(h, lam, table=t1e5)
+        rep = H.deviation(h, lam)
         assert rep.k_low == math.floor(M - lam * math.sqrt(M))
         assert rep.k_high == math.ceil(M + lam * math.sqrt(M))
         assert rep.mass_low == sum(1 for k in omegas if k <= rep.k_low)
@@ -413,7 +453,7 @@ def test_deviation_integer_cutoffs(t1e5):
     h0 = H.weighted_histogram(
         sf.everything(100), mf.one(), E=Complement(ALL_PRIMES), table=t1e5
     )
-    rep = H.deviation(h0, 1.0, table=t1e5)
+    rep = H.deviation(h0, 1.0)
     assert (rep.k_low, rep.k_high) == (0, 1)
     assert (rep.mass_low, rep.mass_high) == (100.0, 0.0)
 
@@ -421,8 +461,11 @@ def test_deviation_integer_cutoffs(t1e5):
 def test_deviation_input_errors(t1e5):
     h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
     with pytest.raises(ValueError):
-        H.deviation(h, 0.0, table=t1e5)
+        H.deviation(h, 0.0)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^lam must be positive and finite"):
+            H.deviation(h, lam)
     empty = H.weighted_histogram(sf.sift(1, sf.condition({2: (1,)})), mf.one(), table=t1e5)
     assert empty.total == 0.0
     with pytest.raises(ValueError):
-        H.deviation(empty, 1.0, table=t1e5)
+        H.deviation(empty, 1.0)

@@ -237,8 +237,7 @@ def _set_dev(sieve, x, lam, E=ALL_PRIMES):
     t = PrimeTable(ss.prime_limit(x))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return deviation(weighted_histogram(ss.realize(x, t), one(), "omega", E, t), lam,
-                         table=t)
+        return deviation(weighted_histogram(ss.realize(x, t), one(), "omega", E, t), lam)
 
 
 def _cli_dev_row(argv):

@@ -731,6 +731,31 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert "overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("hr-check --x 100 --C inf", "C must be finite"),
+    ("mgf --x 100 --z nan", "z must be positive and finite"),
+    ("dev --x 100 --lambda inf", "lam must be positive and finite"),
+    ("hist --x 100 --beta -1", "beta must be positive and finite"),
+    ("hist --x 100 --beta nan", "beta must be positive and finite"),
+    ("egps --x 1000 --lambda inf", "lam must be positive and finite"),
+    ("egps --x 10000000 --c0 nan", "lam must be positive and finite"),
+    ("table-sifted --x 100 --f zomega:0", "prime sum M vanishes"),
+    ("table-sifted --x 100 --f zbigomega:0", "prime sum M vanishes"),
+])
+def test_cli_rejects_a_report_parameter_out_of_range(argv, message, capsys, monkeypatch):
+    assert _exit_code(argv.split(), monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_cli_hist_zero_mass_bins_past_k_max_do_not_divide(capsys):
+    # at x = 100 every bin lies at k <= 3 = int(2M); --beta 200 adds only bins of
+    # no mass, whose bounds underflow, so it prints what --beta 2 prints
+    wide = _run(capsys, ["hist", "--x", "100", "--beta", "200"])
+    assert wide == _run(capsys, ["hist", "--x", "100"])
+
+
 def test_cli_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.build_parser().parse_args(["primes", "--nope"])

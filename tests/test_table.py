@@ -205,6 +205,13 @@ def test_sifted_table_sum_regimes(t1e5):
     assert out.bound_mid is None
 
 
+@pytest.mark.parametrize("f", [mf.z_omega(0.0), mf.z_bigomega(0.0)])
+def test_sifted_table_sum_rejects_a_vanishing_prime_sum(f, t1e5):
+    # f(p) = 0 at every prime, so M = 0 and the bounds would divide by sqrt(M)
+    with pytest.raises(ValueError, match="prime sum M vanishes"):
+        tb.sifted_table_sum(sf.everything(100), f, table=t1e5)
+
+
 def test_sifted_table_sum_bound_shapes(t1e5):
     x = 900
     rep = tb.sifted_table_sum(sf.everything(x), mf.one(), table=t1e5)

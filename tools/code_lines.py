@@ -7,6 +7,7 @@ token (a string, a bracketed expression) spans counts once.
 
     python3 tools/code_lines.py [DIR]
     python3 tools/code_lines.py [DIR] --ref REF
+    python3 tools/code_lines.py [DIR] --params NAME [NAME ...]
 
 The first prints one "lines  module" row per module of DIR (default
 src/siftlab) and a last row with the total.  The second also reads each
@@ -14,6 +15,10 @@ module of src/siftlab at the git revision REF (git show
 REF:src/siftlab/<module>) and prints one "ref  tree  diff  module" row per
 module at REF or in DIR, with its code lines at REF, in DIR and the
 difference (0 where the module is missing), and a last row with the totals.
+The third counts parameters instead of lines: a header row with the NAMEs,
+then per module of DIR how many parameters of its functions and lambdas
+(positional, keyword-only, *args and **kwargs) carry each NAME, and a last
+row with the totals.
 """
 
 from __future__ import annotations
@@ -44,6 +49,17 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def param_names(source: str) -> list[str]:
+    """The name of every parameter of every function and lambda in one module's source."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names += [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+    return names
+
+
 def code_lines(source: str) -> int:
     """The number of code lines in one module's source."""
     skip = docstring_lines(ast.parse(source))
@@ -54,13 +70,13 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def tree_counts(root: str) -> dict[str, int]:
-    """Code lines per module of the directory root."""
+def tree_counts(root: str, measure=code_lines) -> dict:
+    """measure(source) per module of the directory root: code lines by default."""
     counts = {}
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name), encoding="utf-8") as fh:
-                counts[name] = code_lines(fh.read())
+                counts[name] = measure(fh.read())
     return counts
 
 
@@ -77,8 +93,18 @@ def main(argv: list[str]) -> int:
     repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     ap = argparse.ArgumentParser(description="Count the code lines of src/siftlab.")
     ap.add_argument("dir", nargs="?", default=os.path.join(repo, SRC))
-    ap.add_argument("--ref", help="also count src/siftlab at this git revision")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--ref", help="also count src/siftlab at this git revision")
+    mode.add_argument("--params", nargs="+", metavar="NAME",
+                      help="count the function parameters with these names instead")
     args = ap.parse_args(argv[1:])
+    if args.params is not None:
+        rows = [[names.count(p) for p in args.params] + [name]
+                for name, names in tree_counts(args.dir, param_names).items()]
+        rows.append([sum(col) for col in zip(*(row[:-1] for row in rows))] + ["total"])
+        for row in [args.params + ["module"]] + rows:
+            print(" ".join(f"{v:>6}" for v in row[:-1]) + f"  {row[-1]}")
+        return 0
     tree = tree_counts(args.dir)
     if args.ref is None:
         for name, n in tree.items():
