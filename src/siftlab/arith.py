@@ -48,11 +48,6 @@ class PrimeTable:
         return int(np.searchsorted(self.primes, x, side="right"))
 
 
-def table_upto(table: PrimeTable | None, limit: int) -> PrimeTable:
-    """The given table when it reaches limit, else a new PrimeTable(limit)."""
-    return table if table is not None and table.limit >= limit else PrimeTable(limit)
-
-
 class FactorWindow:
     """Smallest-prime-factor window for [lo, hi), built segment by segment."""
 
@@ -184,7 +179,6 @@ __all__ = [
     "Factorization",
     "PrimeTable",
     "FactorWindow",
-    "table_upto",
     "factorize",
     "kronecker",
     "is_prime",

@@ -100,9 +100,10 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def flags_window(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Primality flags for [lo, hi); primes must cover sqrt(hi-1)."""
-    if lo >= hi:
-        return np.zeros(0, dtype=bool)
+    """Primality flags for [lo, hi); primes must cover sqrt(hi-1).  A window wholly
+    below 2 has no primes."""
+    if hi <= max(lo, 2):
+        return np.zeros(max(hi - lo, 0), dtype=bool)
     flags = np.ones(hi - lo, dtype=bool)
     _sieve_segment(flags, lo, primes)
     return flags

@@ -166,37 +166,37 @@ def _width(y: int) -> tuple[int, int]:
     return n, min(n, int(2 * n / math.log(n)) + 1)
 
 
-def _set_table(args, f, ss, E=ALL_PRIMES) -> PrimeTable:
-    """The one prime table a command over the set reads, to ss.prime_limit(x), built once
-    the --budget-mb plan of its primes, the histogram's weight array of length x + 1 unless
-    f is None (weights per window) or one, and the counts windows holds (28 bytes per window
-    integer when E selects primes: they keep their cofactors).  A qf: set's window holds
-    int64 arrays over its rows X <= isqrt(4cx / d) (traced: 192 bytes per row) and a batch
-    of their runs."""
-    limit = max(ss.prime_limit(args.x), 2)
+def _plan_set(args, f, ss, E=ALL_PRIMES) -> None:
+    """The --budget-mb plan of a command over the set: the one prime table to x it reads,
+    whatever the set; the histogram's weight array of length x + 1 unless f is None
+    (weights per window) or one; and the counts windows (28 bytes per window integer when
+    E selects primes: they keep their cofactors).  An sp: or shifted qf: set sieves the
+    primes it reads per window, and its image, flags and flag sieve fit in those bytes
+    (traced for sp:1,-1 at 2^20 near 1e8: 2.2 per integer, 4.0 with the counts).  A qf:
+    set's window holds int64 arrays over its rows X <= isqrt(4cx / d) (traced: 192
+    bytes per row) and a batch of their runs."""
     rows = 0
     if ss.kind == "qf":
         rows = math.isqrt(4 * ss.c * max(args.x, 2) // -QuadraticForm(ss.a, ss.b, ss.c).disc) + 1
-    _check_budget(args, 0 if f is None or f.is_one() else 8, prime_limit=limit,
+    _check_budget(args, 0 if f is None or f.is_one() else 8,
                   window=24 if isinstance(E, AllPrimes) else 28,
                   thread=200 * rows + _BATCH * (rows > 0))
-    return PrimeTable(limit)
 
 
 def _hist_setup(args):
-    """The table step of the histogram family: --f, --e and --sieve, and the prime table."""
-    f, ss, E = parse_weight(args.f), parse_set_spec(args.sieve, args.x), parse_primeset(args.e)
-    return f, E, ss, _set_table(args, f, ss, E)
+    """The parse step of the histogram family: --f, --e and --sieve."""
+    return parse_weight(args.f), parse_primeset(args.e), parse_set_spec(args.sieve, args.x)
 
 
-def _histogram(args, f, E, ss, t):
-    """The histogram step: the set's histogram, realized and counted with the prime table t."""
-    return hist.weighted_histogram(ss.realize(args.x, t), f, args.g, E, t, args.threads)
+def _histogram(args, f, E, ss):
+    """The set's histogram, planned, realized and counted."""
+    _plan_set(args, f, ss, E)
+    return hist.weighted_histogram(ss.realize(args.x), f, args.g, E, args.threads)
 
 
 def _hist_rows(args, variant: str, C: float | None, beta: float):
-    f, E, ss, t = _hist_setup(args)
-    h = _histogram(args, f, E, ss, t)
+    f, E, ss = _hist_setup(args)
+    h = _histogram(args, f, E, ss)
     rep = hist.hr_ratio(h, C=C, beta=beta)
     use_prime = variant == "prime" and rep.prime_variant is not None
     ratios = rep.prime_variant if use_prime else rep.general
@@ -219,16 +219,16 @@ def _cmd_hr_check(args):
 
 
 def _cmd_mgf(args):
-    f, E, ss, t = _hist_setup(args)
-    rep = hist.mgf_sum(_histogram(args, f, E, ss, t), args.z)
+    f, E, ss = _hist_setup(args)
+    rep = hist.mgf_sum(_histogram(args, f, E, ss), args.z)
     header = ["x", "f", "g", "E", "sieve", "z", "value", "bound", "ratio"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
                      ss.spec_string(), args.z, rep.value, rep.bound, rep.ratio]]
 
 
 def _cmd_tails(args):
-    f, E, ss, t = _hist_setup(args)
-    rep = hist.tail_masses(_histogram(args, f, E, ss, t), args.delta)
+    f, E, ss = _hist_setup(args)
+    rep = hist.tail_masses(_histogram(args, f, E, ss), args.delta)
     header = ["x", "f", "g", "E", "sieve", "delta", "M", "mass_low", "mass_high",
               "bound_low", "bound_high", "ratio_low", "ratio_high"]
     return header, [[args.x, f.spec_string(), args.g, E.spec_string(),
@@ -237,21 +237,16 @@ def _cmd_tails(args):
                      rep.ratio_low, rep.ratio_high]]
 
 
-_DEV_HEADER = ["x", "lambda", "M", "mass_low", "mass_high", "normalized", "gauss_ref"]
-
-
-def _dev_row(rep) -> list:
-    return [rep.x, rep.lam, rep.M, rep.mass_low, rep.mass_high,
-            rep.normalized, rep.gauss_ref]
-
-
-def _dev(args, f, E, ss, t):
-    """The deviation row of g over the set, counted with the prime table t."""
-    return _DEV_HEADER, [_dev_row(hist.deviation(_histogram(args, f, E, ss, t), args.lam))]
+def _dev(args, h):
+    """The deviation row of g over the set, read from its histogram h."""
+    rep = hist.deviation(h, args.lam)
+    return (["x", "lambda", "M", "mass_low", "mass_high", "normalized", "gauss_ref"],
+            [[rep.x, rep.lam, rep.M, rep.mass_low, rep.mass_high, rep.normalized,
+              rep.gauss_ref]])
 
 
 def _cmd_dev(args):
-    return _dev(args, *_hist_setup(args))
+    return _dev(args, _histogram(args, *_hist_setup(args)))
 
 
 # a batch of at most bulk.CHUNK entries and its scratch: at most 8 bytes in each of 8 arrays
@@ -281,8 +276,8 @@ def _cmd_table(args):
 
 def _cmd_table_sifted(args):
     f, ss = parse_weight(args.f), parse_set_spec(args.sieve, args.x)
-    t = _set_table(args, None, ss)  # weights come window by window
-    rep = table.sifted_table_sum(ss.realize(args.x, t), f, t, args.threads)
+    _plan_set(args, None, ss)  # weights come window by window
+    rep = table.sifted_table_sum(ss.realize(args.x), f, args.threads)
     header = ["x", "f", "sieve", "value", "R", "M", "regime",
               "bound_le_half", "ratio_le_half", "bound_mid", "ratio_mid"]
     blank = lambda v: "" if v is None else v
@@ -331,13 +326,12 @@ def _cmd_lambda_image(args):
 
 def _cmd_sp_dev(args):
     f, E = parse_weight(args.f), parse_primeset(args.e)
-    ss = SetSpec(kind="sp", a=args.a, b=args.b)
-    return _dev(args, f, E, ss, _set_table(args, f, ss, E))
+    return _dev(args, _histogram(args, f, E, SetSpec(kind="sp", a=args.a, b=args.b)))
 
 
 def _check_split(disc: int, E, primes: np.ndarray) -> None:
     """Raise ValueError if a prime of E among primes does not split for disc.  A call
-    of its own, so that none of its arrays lives on into the histogram."""
+    of its own, so that none of its arrays lives on into the report."""
     sel = primes[np.asarray(E.mask(primes), dtype=bool)]
     bad = sel[~KroneckerSign(disc, 1).mask(sel)]
     if bad.size:
@@ -350,10 +344,9 @@ def _cmd_qf_dev(args):
     if args.e is None:
         args.e = f"kron:{form.disc}:+1"
     f, E = multfunc.one(), parse_primeset(args.e)
-    ss = SetSpec(kind="qf", a=a, b=b, c=c, shift=args.shift)
-    t = _set_table(args, f, ss, E)
-    _check_split(form.disc, E, t.primes[: t.pi(args.x)])
-    return _dev(args, f, E, ss, t)
+    h = _histogram(args, f, E, SetSpec(kind="qf", a=a, b=b, c=c, shift=args.shift))
+    _check_split(form.disc, E, h.table.primes[: h.table.pi(args.x)])
+    return _dev(args, h)
 
 
 def _cmd_jointpoly(args):

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import bulk
-from .arith import PrimeTable, table_upto
+from .arith import PrimeTable
 from .multfunc import MultiplicativeFunction, hr_constant, mertens_sum, values_upto, weighted_bins
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 from .sift import SieveCondition, SiftedSet, nu_sum
@@ -61,14 +61,14 @@ def weighted_histogram(
     f: MultiplicativeFunction,
     g_kind: str = "omega",
     E: PrimeSubset = ALL_PRIMES,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> WeightedHistogram:
-    """Exact histogram of g(n, E) over the set, weighted by f."""
+    """Exact histogram of g(n, E) over the set, weighted by f, counted with the one prime
+    table to x that it builds and carries."""
     x = sset.x
     if g_kind not in ("omega", "bigomega"):
         raise ValueError(f"unknown statistic {g_kind!r}")
-    table = table_upto(table, max(x, 2))
+    table = PrimeTable(max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
     fv = None if f.is_one() else values_upto(f, x, table, threads)
     raw = weighted_bins(1, x + 1,
@@ -87,9 +87,20 @@ class HrRatioReport:
     M: float                      # prime sum over E
     C: float                      # additive constant in (M + C)**k
     beta: float
-    k_max: int                    # largest k reported, floor(beta * M)
+    k_max: int                    # floor(beta * M); reports stop here or at the last bin
     general: dict[int, float]     # all-E bound with k! and exp(M on E-complement)
     prime_variant: dict[int, float] | None  # full-prime-set variant, (k-1)!
+
+
+def _ratio(mass: float, log_bound: float, k: int, C: float) -> float:
+    """mass / exp(log_bound), 0.0 for a bin of no mass; ValueError when a bin with mass
+    has a bound past the doubles (an overflow, or an underflow to 0)."""
+    if not mass:
+        return 0.0
+    try:
+        return mass / math.exp(log_bound)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"C = {C} puts the bound of bin {k} outside the doubles") from None
 
 
 def hr_ratio(hist: WeightedHistogram, C: float | None = None, beta: float = 2.0) -> HrRatioReport:
@@ -98,7 +109,8 @@ def hr_ratio(hist: WeightedHistogram, C: float | None = None, beta: float = 2.0)
     The bound for bin k is x * (M + C)**k / (k! * log x) times
     exp(M_complement - nu_sum), nu_sum read from hist.cond; a bin of no mass
     reads 0.0.  When E is all primes the sharper variant
-    with exponent k - 1 and (k - 1)! is reported as well.
+    with exponent k - 1 and (k - 1)! is reported as well.  Both stop at
+    min(k_max, the largest occupied bin): every k past it would read 0.0.
     """
     x = hist.x
     if x < 3:
@@ -119,13 +131,13 @@ def hr_ratio(hist: WeightedHistogram, C: float | None = None, beta: float = 2.0)
     base = math.log(x) - math.log(logx) + (m_out - nu)
     general = {}
     prime_variant = {} if isinstance(hist.E, AllPrimes) else None
-    for k in range(0, k_max + 1):
+    for k in range(0, min(k_max, max(hist.bins, default=-1)) + 1):
         mass = hist.bins.get(k, 0.0)
         lb = base + k * math.log(M + C) - math.lgamma(k + 1)
-        general[k] = mass / math.exp(lb) if mass else 0.0  # at large k the bound underflows to 0
+        general[k] = _ratio(mass, lb, k, C)
         if prime_variant is not None and k >= 1:
             lbp = math.log(x) - math.log(logx) - nu + (k - 1) * math.log(M + C) - math.lgamma(k)
-            prime_variant[k] = mass / math.exp(lbp) if mass else 0.0
+            prime_variant[k] = _ratio(mass, lbp, k, C)
     return HrRatioReport(
         x=x, M=M, C=C, beta=beta, k_max=k_max,
         general=general, prime_variant=prime_variant,

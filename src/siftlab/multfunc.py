@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, table_upto
+from .arith import PrimeTable
 from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 
 
@@ -243,10 +243,12 @@ def mertens_sum(
     f: MultiplicativeFunction, x: int, E: PrimeSubset = ALL_PRIMES,
     table: PrimeTable | None = None,
 ) -> float:
-    """Sum of f(p)/p over primes p <= x restricted to E."""
+    """Sum of f(p)/p over primes p <= x restricted to E, read from table when it reaches
+    x, else from a new PrimeTable(x)."""
     if x < 2:
         return 0.0
-    table = table_upto(table, x)
+    if table is None or table.limit < x:
+        table = PrimeTable(x)
     ps = table.primes[: table.pi(x)]  # a view; all primes need no mask and no copy
     if not isinstance(E, AllPrimes):
         ps = ps[np.asarray(E.mask(ps), dtype=bool)]

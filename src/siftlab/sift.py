@@ -2,12 +2,14 @@
 
 A sieve condition removes, for finitely many primes p, a set of nonzero
 residues mod p.  A survivor set is read window by window, and no set holds
-an array of length x.  A congruence set keeps only its condition and sieves
-each window it is asked for.  The exact sets that sieves only bound from
-above compute their windows too: shifted primes a*p + b mark the image of
-a slice of the prime table, values of a positive definite binary quadratic
-form mark the runs of each lattice row that land in the window, and a
-shifted form ANDs those with the primes of the shifted window.
+an array of length x, and none reads a prime table.  A congruence set keeps
+only its condition and sieves each window it is asked for.  The exact sets
+that sieves only bound from above compute their windows too: shifted primes
+a*p + b mark the image of the p-range that lands in the window, flagged by
+bulk.flags_window with base primes to the root of the set's largest p;
+values of a positive definite binary quadratic form mark the runs of each
+lattice row that land in the window, and a shifted form ANDs those with the
+image of the primes of the shifted window.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, is_prime, table_upto
+from .arith import is_prime
 
 
 @dataclass(frozen=True)
@@ -138,34 +140,32 @@ def preset_shifted_prime_superset(a: int, b: int, x: int, z: int) -> SieveCondit
     return condition(excl)
 
 
-def shifted_prime_limit(a: int, b: int, x: int) -> int:
-    """The largest p with a*p + b <= x, the primes exact_shifted_primes reads."""
+def _image(a: int, b: int, p_hi: int) -> Callable[[int, int], np.ndarray]:
+    """mark(lo, hi) for the a*p + b, p prime <= p_hi (a >= 1): bools over [lo, hi), the
+    flags of the p-range [ceil((lo - b) / a), ceil((hi - b) / a)), clipped at 0, laid
+    a apart.  For hi <= a*p_hi + b + 1 each p-range ends at or below p_hi, so the base
+    primes to isqrt(p_hi) cover it."""
+    base = bulk.primes_upto(isqrt(max(p_hi, 0)))
+
+    def mark(lo: int, hi: int) -> np.ndarray:
+        seg = np.zeros(hi - lo, dtype=bool)
+        p0, p1 = max(-((b - lo) // a), 0), max(-((b - hi) // a), 0)
+        seg[a * p0 + b - lo :: a] = bulk.flags_window(p0, p1, base)  # p1 - p0 entries
+        return seg
+
+    return mark
+
+
+def exact_shifted_primes(a: int, b: int, x: int) -> SiftedSet:
+    """The exact set {a*p + b : p prime} intersected with [1, x], each window the image
+    of its own p-range (_image)."""
     if gcd(a, b) != 1:
         raise ValueError("need gcd(a, b) = 1")
     if a < 1 or b == 0:
         raise ValueError("need a >= 1 and b != 0")
-    return (x - b) // a
-
-
-def _image(primes: np.ndarray, a: int, b: int, lo: int, hi: int) -> np.ndarray:
-    """Bools over [lo, hi), True at each a*p + b there, p in primes (a >= 1): the primes
-    from ceil((lo - b) / a) up to, not including, ceil((hi - b) / a)."""
-    seg = np.zeros(hi - lo, dtype=bool)
-    i, j = np.searchsorted(primes, (-((b - lo) // a), -((b - hi) // a)))
-    seg[a * primes[i:j] + (b - lo)] = True
-    return seg
-
-
-def exact_shifted_primes(
-    a: int, b: int, x: int, table: PrimeTable | None = None
-) -> SiftedSet:
-    """The exact set {a*p + b : p prime} intersected with [1, x], each window the image
-    of the table's primes that land in it."""
-    p_hi = shifted_prime_limit(a, b, x)
     if x < 1:
         raise ValueError("need x >= 1")
-    primes = table_upto(table, max(p_hi, 2)).primes
-    return SiftedSet(x=x, mark=lambda lo, hi: _image(primes, a, b, lo, hi))
+    return SiftedSet(x=x, mark=_image(a, b, (x - b) // a))
 
 
 @dataclass(frozen=True)
@@ -236,19 +236,13 @@ def exact_qf_values(form: QuadraticForm, x: int) -> SiftedSet:
     return SiftedSet(x=x, mark=lambda lo, hi: _form_window(form, lo, hi))
 
 
-def qf_shifted_prime_limit(k: int, x: int) -> int:
-    """The primes exact_qf_shifted reads: past every n + k with n <= x."""
-    return x + max(k, 0) + 1
-
-
-def exact_qf_shifted(
-    form: QuadraticForm, k: int, x: int, table: PrimeTable | None = None
-) -> SiftedSet:
+def exact_qf_shifted(form: QuadraticForm, k: int, x: int) -> SiftedSet:
     """Represented values n in [1, x] with n + k prime: each window of the values ANDed
-    with the primes of [lo + k, hi + k), sliced from the table."""
+    with the flags of the primes of [lo + k, hi + k) (_image, base primes to
+    isqrt(x + k))."""
     values = exact_qf_values(form, x).mark
-    primes = table_upto(table, max(qf_shifted_prime_limit(k, x), 2)).primes
-    return SiftedSet(x=x, mark=lambda lo, hi: values(lo, hi) & _image(primes, 1, -k, lo, hi))
+    primes = _image(1, -k, x + k)
+    return SiftedSet(x=x, mark=lambda lo, hi: values(lo, hi) & primes(lo, hi))
 
 
 __all__ = [
@@ -260,10 +254,8 @@ __all__ = [
     "everything",
     "nu_sum",
     "preset_shifted_prime_superset",
-    "shifted_prime_limit",
     "exact_shifted_primes",
     "QuadraticForm",
     "exact_qf_values",
-    "qf_shifted_prime_limit",
     "exact_qf_shifted",
 ]

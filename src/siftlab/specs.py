@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import multfunc
-from .arith import PrimeTable, is_prime
+from .arith import is_prime
 from .primesets import (
     ALL_PRIMES,
     Interval,
@@ -36,8 +36,6 @@ from .sift import (
     exact_qf_values,
     exact_shifted_primes,
     preset_shifted_prime_superset,
-    qf_shifted_prime_limit,
-    shifted_prime_limit,
     sift,
 )
 
@@ -105,24 +103,16 @@ class SetSpec:
     shift: int | None = None
     raw: str = "none"
 
-    def prime_limit(self, x: int) -> int:
-        """The primes a histogram over the set reads: to x, and as far as
-        realize needs them for a*p + b or for the primality of n + shift."""
-        if self.kind == "sp":
-            return max(x, shifted_prime_limit(self.a, self.b, x))
-        if self.kind == "qf" and self.shift is not None:
-            return qf_shifted_prime_limit(self.shift, x)
-        return x
-
-    def realize(self, x: int, table: PrimeTable | None = None) -> SiftedSet:
+    def realize(self, x: int) -> SiftedSet:
+        """The set in [1, x]; an exact set sieves the primes it reads itself."""
         if self.kind == "cond":
             return sift(x, self.cond)
         if self.kind == "sp":
-            return exact_shifted_primes(self.a, self.b, x, table)
+            return exact_shifted_primes(self.a, self.b, x)
         form = QuadraticForm(self.a, self.b, self.c)
         if self.shift is None:
             return exact_qf_values(form, x)
-        return exact_qf_shifted(form, self.shift, x, table)
+        return exact_qf_shifted(form, self.shift, x)
 
     def spec_string(self) -> str:
         if self.kind == "cond":

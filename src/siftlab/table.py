@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable, table_upto
+from .arith import PrimeTable
 from .errors import ResourceBudgetError
 from .hist import q_rate
 from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
@@ -117,7 +117,6 @@ class SiftedTableReport:
 def sifted_table_sum(
     sset: SiftedSet,
     f: MultiplicativeFunction,
-    table: PrimeTable | None = None,
     threads: int = 1,
 ) -> SiftedTableReport:
     """Weighted count of survivors lying in the sqrt(x) multiplication table.
@@ -125,13 +124,14 @@ def sifted_table_sum(
     Each window ANDs the set's window with the bitmap of products a*b,
     a <= b <= isqrt(x).  Weights come from the window sieve and are added
     one by one in ascending n to one running sum across the windows, so the
-    value is the same double as summing f(n) survivor by survivor.
+    value is the same double as summing f(n) survivor by survivor.  The prime sum
+    and the weights read one prime table to x, built here.
     """
     x = sset.x
     if x < 3:
         raise ValueError("need x >= 3")
     B = isqrt(x)
-    table = table_upto(table, x)
+    table = PrimeTable(x)
     M = mertens_sum(f, x, table=table)
     if M <= 0:
         raise ValueError("prime sum M vanishes; the bounds are degenerate")

@@ -106,12 +106,12 @@ def test_check_02_max_order_oracle(t1e5):
           f"{mism} mismatches on n <= {x} in {dt:.1f}s (limit 30s)")
 
 
-def test_check_03_bound_ratio_stability(t1e7):
+def test_check_03_bound_ratio_stability():
     start = time.monotonic()
     f = multfunc.one()
     maxima = []
     for x in (10**5, 10**6, 10**7):
-        h = hist.weighted_histogram(everything(x), f, "omega", table=t1e7, threads=8)
+        h = hist.weighted_histogram(everything(x), f, "omega", threads=8)
         rep = hist.hr_ratio(h)
         k_hi = int(2 * math.log(math.log(x)))
         maxima.append(max(rep.general[k] for k in range(1, k_hi + 1)))
@@ -145,8 +145,7 @@ def test_check_05_sifted_table_shape():
     f = multfunc.one()
     vals = []
     for x in (10**4, 10**6):
-        t = PrimeTable(x)
-        rep = table.sifted_table_sum(everything(x), f, t, threads=8)
+        rep = table.sifted_table_sum(everything(x), f, threads=8)
         denom = (x * math.exp((1.0 - hist.q_rate(1.0 / rep.R)) * rep.M)
                  / (math.log(x) * math.sqrt(rep.M)))
         vals.append(rep.value / denom)
@@ -195,7 +194,7 @@ def test_check_07_lambda_image(t1e7):
           f" {frac_neg:.5f} (in [0.3,1.5]) vs {frac_pos:.5f} (smaller); {dt:.0f}s")
 
 
-def test_check_08_aliquot_omega_deviation(t1e7):
+def test_check_08_aliquot_omega_deviation():
     # At fixed lam the tail condition on the integer omega is a step in x,
     # so the raw mass is a sawtooth for omega(n) itself (0.000250 ->
     # 0.002293 -> 0.000172 for f = 1). Compare omega(s(n)) with omega(n)
@@ -206,7 +205,7 @@ def test_check_08_aliquot_omega_deviation(t1e7):
         seqs[label], refs[label], ratios[label], scales[label] = [], [], [], []
         for x in (10**5, 10**6, 10**7):
             rep = egps.egps_deviation(x, f, lam=2.0, threads=8)
-            h = hist.weighted_histogram(everything(x), f, "omega", table=t1e7)
+            h = hist.weighted_histogram(everything(x), f, "omega")
             ref = h.mass_low(rep.k_low) + h.mass_high(rep.k_high)
             if rep.k_low >= 0:
                 ref -= 1.0  # n = 1: omega 0, f(1) = 1
@@ -244,7 +243,7 @@ def test_check_09_generating_function_identity(t1e5):
     worst = 0.0
     exact_total = True
     for f in (multfunc.one(), multfunc.mu_sq()):
-        h = hist.weighted_histogram(sset, f, "omega", table=t1e5)
+        h = hist.weighted_histogram(sset, f, "omega")
         fv = multfunc.values_upto(f, x, t1e5)[sset.window(0, x + 1)]
         for z in (0.5, 1.0, 1.5):
             rep = hist.mgf_sum(h, z)

@@ -20,7 +20,7 @@ from siftlab.primesets import ALL_PRIMES, ResidueClasses
 from siftlab.specs import parse_weight
 
 from conftest import lambda_upto
-from oracles import ofactor, olam, osieve, osigma
+from oracles import is_prime_slow, ofactor, olam, osieve, osigma
 
 
 def test_sieve_flags_and_primes_upto():
@@ -41,6 +41,15 @@ def test_flags_window_matches_full_sieve():
         got = bulk.flags_window(lo, hi, primes)
         assert np.array_equal(got, full[lo:hi])
     assert bulk.flags_window(10, 10, primes).size == 0
+
+
+def test_flags_window_below_two():
+    # a window that starts below 0 flags no n < 2; one wholly below 2 has no primes
+    # and reads all False rather than taking the root of a negative number
+    primes = bulk.primes_upto(10)
+    assert bulk.flags_window(-10, 5, primes).tolist() == [is_prime_slow(n) for n in range(-10, 5)]
+    assert bulk.flags_window(-10, -3, primes).tolist() == [False] * 7
+    assert bulk.flags_window(-3, 2, primes).tolist() == [False] * 5
 
 
 def test_window_ranges_partition():

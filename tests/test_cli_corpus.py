@@ -38,7 +38,11 @@ x + 1.  The last four, `hr-check`, `tails`, `primes` and `constants`, were
 recorded while `hr_constant` still read a prime table passed to it and
 while `bulk.window_ranges` still bound its width at import; with them every
 subcommand that `build_parser()` registers has an entry, and a test checks
-that.
+that.  The last three, `dev --sieve sp:7,-3`, whose p-range is a seventh of
+its window, `hist --sieve qf:1,0,1,shift=-3000`, whose shifted windows cross
+0 at the width 9973, and `table-sifted --sieve sp:1,1 --f phioverN`, a float
+weight over an `sp:` set, were recorded while every `sp:` and
+`qf:...,shift=K` window still sliced its primes from a prime table to x.
 
 Every invocation also runs with one thread at the window width 9973, set
 through `bulk.DEFAULT_WINDOW`, which every pass reads when it starts, and
@@ -174,6 +178,12 @@ CORPUS = [
      "2dcefb0be60c060e8d045b146ebcfcf3a86f493734b967b4920d1134e821bc31"),
     ("constants --x 2200000",
      "1d600ad29a63643b25c2d3637eb7693734d9822bcd9e88bf24bd1416917aaaf2"),
+    ("dev --sieve sp:7,-3 --x 2200000 --lambda 1.0",
+     "a5ca38689e83d73eae1fdcc684f5a5e1142b44d484703001312567b650f2bbff"),
+    ("hist --sieve qf:1,0,1,shift=-3000 --x 2200000",
+     "20ca25d3ba6f755ef835d475ff0df79e3b86a21ac7a46b6c4c26d450a92f5d7b"),
+    ("table-sifted --sieve sp:1,1 --f phioverN --x 2200000",
+     "927d2b0001b0141ac838ccf9623d64a34cab2b871188c61f2d9b8031dd7baa8f"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;

@@ -36,3 +36,25 @@ def test_params_prints_one_row_per_module_and_the_totals(tmp_path, capsys):
         "     0      1  b.py\n"
         "     3      2  total\n"
     )
+
+
+def test_params_at_a_ref_prints_each_name_at_the_ref_in_the_tree_and_the_difference(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    at_ref = {"a.py": code_lines.param_names("def f(table, cond):\n    return table\n"),
+              "gone.py": code_lines.param_names("def g(table):\n    return table\n")}
+    seen = []
+
+    def fake_ref_counts(repo, ref, measure):
+        seen.append((ref, measure))
+        return at_ref
+
+    monkeypatch.setattr(code_lines, "ref_counts", fake_ref_counts)
+    argv = ["code_lines.py", str(tmp_path), "--params", "table", "cond", "lo", "--ref", "REV"]
+    assert code_lines.main(argv) == 0
+    assert seen == [("REV", code_lines.param_names)]
+    assert capsys.readouterr().out == (
+        "     2      3     +1  table\n"
+        "     1      1     +0  cond\n"
+        "     0      1     +1  lo\n"
+    )

@@ -18,9 +18,9 @@ from siftlab.primesets import ALL_PRIMES, Complement, ResidueClasses
 from oracles import oadmits, ofactor
 
 
-def test_histogram_small(t1e5):
+def test_histogram_small():
     s = sf.everything(10)
-    h = H.weighted_histogram(s, mf.one(), table=t1e5)
+    h = H.weighted_histogram(s, mf.one())
     assert h.bins == {0: 1.0, 1: 7.0, 2: 2.0}
     assert h.total == 10.0
     assert s.count == 10
@@ -38,12 +38,12 @@ def test_tail_masses_add_in_ascending_k(t1e5):
     assert h.mass_high(1) == -1e16
 
 
-def test_histogram_against_scalar_loop(t1e5):
+def test_histogram_against_scalar_loop():
     cond = sf.condition({2: (1,), 7: (3,)})
     sset = sf.sift(500, cond)
     E = ResidueClasses(4, (1,))
     f = mf.tau_k(2)
-    h = H.weighted_histogram(sset, f, "bigomega", E, table=t1e5)
+    h = H.weighted_histogram(sset, f, "bigomega", E)
     expect: dict[int, float] = {}
     total = 0.0
     for n in range(1, 501):
@@ -58,8 +58,8 @@ def test_histogram_against_scalar_loop(t1e5):
     assert h.total == pytest.approx(total)
 
 
-def test_histogram_mass_cutoffs(t1e5):
-    h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
+def test_histogram_mass_cutoffs():
+    h = H.weighted_histogram(sf.everything(10), mf.one())
     assert h.mass_low(0) == 1.0
     assert h.mass_low(1) == 8.0
     assert h.mass_high(1) == 9.0
@@ -68,30 +68,29 @@ def test_histogram_mass_cutoffs(t1e5):
     assert isinstance(h.mass_low(0), float)
 
 
-def test_histogram_rejects_unknown_statistic(t1e5):
+def test_histogram_rejects_unknown_statistic():
     with pytest.raises(ValueError):
-        H.weighted_histogram(sf.everything(10), mf.one(), "tau", table=t1e5)
+        H.weighted_histogram(sf.everything(10), mf.one(), "tau")
 
 
-def test_histogram_thread_invariant(t1e5):
+def test_histogram_thread_invariant():
     s = sf.sift(30000, sf.condition({3: (1,)}))
-    a = H.weighted_histogram(s, mf.z_omega(2), table=t1e5, threads=1)
-    b = H.weighted_histogram(s, mf.z_omega(2), table=t1e5, threads=8)
+    a = H.weighted_histogram(s, mf.z_omega(2), threads=1)
+    b = H.weighted_histogram(s, mf.z_omega(2), threads=8)
     assert a.bins == b.bins
 
 
 def test_histogram_holds_no_counts_array_of_length_x():
-    # The counts come window by window from one stream, so beyond its inputs
-    # the histogram holds one window's working set, the peak at x = one
-    # window, whatever x is.  A uint8 counts array of length x + 1 adds
-    # x bytes between the two.
+    # The counts come window by window from one stream, so beyond its prime
+    # table (a buffer of prime_count_bound int64) the histogram holds one
+    # window's working set, the peak at x = one window, whatever x is.  A
+    # uint8 counts array of length x + 1 adds x bytes between the two.
     def peak(x):
-        t = arith.PrimeTable(x)
         sset = sf.sift(x, sf.NO_SIEVE)
         tracemalloc.start()
         try:
-            H.weighted_histogram(sset, mf.one(), table=t)
-            return tracemalloc.get_traced_memory()[1]
+            H.weighted_histogram(sset, mf.one())
+            return tracemalloc.get_traced_memory()[1] - 8 * bulk.prime_count_bound(x)
         finally:
             tracemalloc.stop()
 
@@ -119,18 +118,17 @@ def test_weighted_histogram_working_set_has_no_term_in_x():
 @pytest.mark.parametrize("spec", ["sp:1,-1", "qf:1,1,2", "qf:1,0,1,shift=-3"])
 def test_exact_set_histogram_working_set_has_no_term_in_x(spec):
     # an sp: or qf: set computes each window it is asked for, so from x to 4x the
-    # peak grows by a qf: window's rows (about 192 bytes each, some 1500 more here),
-    # not by a bitmap of 1 byte per integer of [0, x].  Both runs span two windows
-    # or more: the stream's consumer holds one window's kept keys while the next one
-    # is computed
+    # peak beyond the histogram's prime table grows by a qf: window's rows (about
+    # 192 bytes each, some 1500 more here), not by a bitmap of 1 byte per integer
+    # of [0, x].  Both runs span two windows or more: the stream's consumer holds
+    # one window's kept keys while the next one is computed
     ss = specs.parse_set_spec(spec)
 
     def peak(x):
-        t = arith.PrimeTable(ss.prime_limit(x))
         tracemalloc.start()
         try:
-            H.weighted_histogram(ss.realize(x, t), mf.one(), table=t)
-            return tracemalloc.get_traced_memory()[1]
+            H.weighted_histogram(ss.realize(x), mf.one())
+            return tracemalloc.get_traced_memory()[1] - 8 * bulk.prime_count_bound(x)
         finally:
             tracemalloc.stop()
 
@@ -163,7 +161,7 @@ def test_congruence_window_matches_bitmap_slices():
 
 def test_hr_ratio_bound_shape(t1e5):
     x = 10**4
-    h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
+    h = H.weighted_histogram(sf.everything(x), mf.one())
     rep = H.hr_ratio(h)
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
     C = mf.hr_constant(x)
@@ -181,23 +179,26 @@ def test_hr_ratio_bound_shape(t1e5):
         assert r == pytest.approx(mass / bound, rel=1e-10)
 
 
-def test_hr_ratio_zero_mass_bin_reports_zero(t1e5):
-    h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
+def test_hr_ratio_zero_mass_bin_reports_zero():
+    h = H.weighted_histogram(sf.everything(10), mf.one())
     rep = H.hr_ratio(h, beta=4.0)
-    assert rep.k_max == 4
-    assert rep.general[3] == 0.0 and rep.general[4] == 0.0
-    assert rep.prime_variant[3] == 0.0
-    assert sorted(rep.general) == [0, 1, 2, 3, 4]
+    assert rep.k_max == 4 and max(h.bins) == 2
+    assert rep.general.get(3, 0.0) == 0.0 and rep.general.get(4, 0.0) == 0.0
+    assert rep.prime_variant.get(3, 0.0) == 0.0
+    # the report stops at the largest occupied bin: every k past it reads 0.0
+    assert sorted(rep.general) == [0, 1, 2] and sorted(rep.prime_variant) == [1, 2]
 
 
-def test_hr_ratio_zero_mass_bins_past_an_underflowing_bound(t1e5):
-    # at beta = 200 the bound of bin k underflows to 0 long before k_max = 360; a
-    # bin of no mass reads 0.0 without a division, and a bin with mass is unchanged
-    h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
+def test_hr_ratio_zero_mass_bins_past_an_underflowing_bound():
+    # at beta = 200 the bound of bin k underflows to 0 long before k_max = 360; the
+    # report stops at the last bin, so every k past it reads 0.0 without a division,
+    # and a bin with mass is unchanged
+    h = H.weighted_histogram(sf.everything(100), mf.one())
     wide, narrow = H.hr_ratio(h, beta=200.0), H.hr_ratio(h)
     assert max(h.bins) == narrow.k_max < wide.k_max == int(200.0 * wide.M)
-    assert all(wide.general[k] == 0.0 for k in range(narrow.k_max + 1, wide.k_max + 1))
-    assert all(wide.prime_variant[k] == 0.0 for k in range(narrow.k_max + 1, wide.k_max + 1))
+    assert all(wide.general.get(k, 0.0) == 0.0 for k in range(narrow.k_max + 1, wide.k_max + 1))
+    assert all(wide.prime_variant.get(k, 0.0) == 0.0
+               for k in range(narrow.k_max + 1, wide.k_max + 1))
     assert {k: wide.general[k] for k in narrow.general} == narrow.general
     assert {k: wide.prime_variant[k] for k in narrow.prime_variant} == narrow.prime_variant
 
@@ -224,9 +225,9 @@ def test_histogram_and_its_four_reports_build_one_prime_table(monkeypatch):
     assert h.table.limit == 20000 and h.cond == sf.condition({3: (1,)})
 
 
-def test_hr_ratio_larger_constant_shrinks_ratios(t1e5):
+def test_hr_ratio_larger_constant_shrinks_ratios():
     x = 10**4
-    h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
+    h = H.weighted_histogram(sf.everything(x), mf.one())
     C = mf.hr_constant(x)
     a = H.hr_ratio(h, C=C)
     b = H.hr_ratio(h, C=2 * C)
@@ -235,19 +236,19 @@ def test_hr_ratio_larger_constant_shrinks_ratios(t1e5):
             assert b.general[k] < a.general[k]
 
 
-def test_hr_ratio_restricted_set_has_no_prime_variant(t1e5):
+def test_hr_ratio_restricted_set_has_no_prime_variant():
     h = H.weighted_histogram(
-        sf.everything(1000), mf.one(), E=ResidueClasses(4, (1,)), table=t1e5
+        sf.everything(1000), mf.one(), E=ResidueClasses(4, (1,))
     )
     rep = H.hr_ratio(h)
     assert rep.prime_variant is None
     assert all(r >= 0.0 for r in rep.general.values())
 
 
-def test_hr_ratio_sieve_discount(t1e5):
+def test_hr_ratio_sieve_discount():
     cond = sf.condition({2: (1,), 3: (1, 2)})
     s = sf.sift(10**4, cond)
-    h = H.weighted_histogram(s, mf.one(), table=t1e5)
+    h = H.weighted_histogram(s, mf.one())
     assert h.cond == cond
     with_nu = H.hr_ratio(h)
     without = H.hr_ratio(dataclasses.replace(h, cond=None))
@@ -259,10 +260,10 @@ def test_hr_ratio_sieve_discount(t1e5):
             )
 
 
-def test_hr_ratio_input_errors(t1e5):
-    h = H.weighted_histogram(sf.everything(10), mf.one(), table=t1e5)
+def test_hr_ratio_input_errors():
+    h = H.weighted_histogram(sf.everything(10), mf.one())
     with pytest.raises(ValueError):
-        H.hr_ratio(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5))
+        H.hr_ratio(H.weighted_histogram(sf.everything(2), mf.one()))
     with pytest.raises(ValueError):
         H.hr_ratio(h, C=-10.0)
     for C in (math.inf, -math.inf, math.nan):
@@ -291,12 +292,12 @@ def test_q_rate_convex_on_grid():
     assert vals[0] > vals[1] > vals[2] < vals[3] < vals[4] < vals[5]
 
 
-def test_mgf_value_is_exact(t1e5):
+def test_mgf_value_is_exact():
     x = 300
     ev = sf.everything(x)
     for z in (0.5, 1.5):
         for f in (mf.one(), mf.tau_k(2)):
-            rep = H.mgf_sum(H.weighted_histogram(ev, f, table=t1e5), z)
+            rep = H.mgf_sum(H.weighted_histogram(ev, f), z)
             expect = sum(
                 math.prod(float(f.rule(p, e)) for p, e in ofactor(n))
                 * z ** len(ofactor(n))
@@ -306,12 +307,12 @@ def test_mgf_value_is_exact(t1e5):
             assert rep.ratio == pytest.approx(rep.value / rep.bound, rel=1e-15)
 
 
-def test_mgf_at_one_counts_the_set(t1e5):
-    rep = H.mgf_sum(H.weighted_histogram(sf.everything(300), mf.one(), table=t1e5), 1.0)
+def test_mgf_at_one_counts_the_set():
+    rep = H.mgf_sum(H.weighted_histogram(sf.everything(300), mf.one()), 1.0)
     assert rep.value == 300.0
     cond = sf.condition({2: (1,)})
     s = sf.sift(300, cond)
-    rep2 = H.mgf_sum(H.weighted_histogram(s, mf.one(), table=t1e5), 1.0)
+    rep2 = H.mgf_sum(H.weighted_histogram(s, mf.one()), 1.0)
     assert rep2.value == float(s.count)
 
 
@@ -320,7 +321,7 @@ def test_mgf_bound_shape(t1e5):
     cond = sf.condition({2: (1,)})
     s = sf.sift(x, cond)
     E = ResidueClasses(4, (1,))
-    rep = H.mgf_sum(H.weighted_histogram(s, mf.one(), E=E, table=t1e5), 1.5)
+    rep = H.mgf_sum(H.weighted_histogram(s, mf.one(), E=E), 1.5)
     m_in = mf.mertens_sum(mf.one(), x, E, t1e5)
     m_all = mf.mertens_sum(mf.one(), x, table=t1e5)
     nu = sf.nu_sum(cond, x)
@@ -328,16 +329,15 @@ def test_mgf_bound_shape(t1e5):
     assert rep.bound == pytest.approx(expect, rel=1e-12)
 
 
-def test_mgf_multiplicity_statistic_range_limit(t1e5):
+def test_mgf_multiplicity_statistic_range_limit():
     ev = sf.everything(100)
-    h = H.weighted_histogram(ev, mf.one(), "bigomega", table=t1e5)
+    h = H.weighted_histogram(ev, mf.one(), "bigomega")
     with pytest.raises(ValueError):
         H.mgf_sum(h, 2.0)
     rep = H.mgf_sum(h, 1.9)
     assert rep.value > 0
     # restricting to odd primes re-admits z = 2
-    odd = H.weighted_histogram(ev, mf.one(), "bigomega", E=ResidueClasses(4, (1, 3)),
-                               table=t1e5)
+    odd = H.weighted_histogram(ev, mf.one(), "bigomega", E=ResidueClasses(4, (1, 3)))
     rep2 = H.mgf_sum(odd, 2.0)
     assert rep2.value > 0
 
@@ -352,19 +352,19 @@ def test_raw_multiplicity_growth_is_log_squared(t1e5):
     assert ratio == pytest.approx(0.30721898385426094, rel=1e-12)
 
 
-def test_mgf_input_errors(t1e5):
+def test_mgf_input_errors():
     with pytest.raises(ValueError):
-        H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), 0.0)
+        H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one()), 0.0)
     with pytest.raises(ValueError):
-        H.mgf_sum(H.weighted_histogram(sf.everything(2), mf.one(), table=t1e5), 1.0)
+        H.mgf_sum(H.weighted_histogram(sf.everything(2), mf.one()), 1.0)
     for z in (math.inf, math.nan):
         with pytest.raises(ValueError, match="^z must be positive and finite"):
-            H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5), z)
+            H.mgf_sum(H.weighted_histogram(sf.everything(100), mf.one()), z)
 
 
 def test_tail_masses_shape(t1e5):
     x = 10**4
-    h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
+    h = H.weighted_histogram(sf.everything(x), mf.one())
     rep = H.tail_masses(h, 0.5)
     M = rep.M
     assert rep.mass_low == h.mass_low(0.5 * M)
@@ -378,42 +378,42 @@ def test_tail_masses_shape(t1e5):
     assert rep.ratio_high == pytest.approx(rep.mass_high / rep.bound_high)
 
 
-def test_tail_masses_near_delta_one(t1e5):
-    h = H.weighted_histogram(sf.everything(10**4), mf.one(), table=t1e5)
+def test_tail_masses_near_delta_one():
+    h = H.weighted_histogram(sf.everything(10**4), mf.one())
     rep = H.tail_masses(h, 0.999)
     assert rep.mass_low >= 1.0  # n = 1 always sits in the low tail
     assert rep.bound_low > 0 and rep.bound_high > 0
 
 
-def test_tail_masses_input_errors(t1e5):
-    h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
+def test_tail_masses_input_errors():
+    h = H.weighted_histogram(sf.everything(100), mf.one())
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             H.tail_masses(h, bad)
     empty_E = Complement(ALL_PRIMES)
-    h0 = H.weighted_histogram(sf.everything(100), mf.one(), E=empty_E, table=t1e5)
+    h0 = H.weighted_histogram(sf.everything(100), mf.one(), E=empty_E)
     with pytest.raises(ValueError):
         H.tail_masses(h0, 0.5)
 
 
-def test_deviation_tiny_threshold_captures_everything(t1e5):
-    h = H.weighted_histogram(sf.everything(1000), mf.one(), table=t1e5)
+def test_deviation_tiny_threshold_captures_everything():
+    h = H.weighted_histogram(sf.everything(1000), mf.one())
     rep = H.deviation(h, 1e-9)
     # M is irrational here, so every integer bin deviates
     assert rep.normalized == 1.0
     assert rep.mass_low + rep.mass_high == h.total
 
 
-def test_deviation_monotone_in_threshold(t1e5):
-    h = H.weighted_histogram(sf.everything(10**4), mf.one(), table=t1e5)
+def test_deviation_monotone_in_threshold():
+    h = H.weighted_histogram(sf.everything(10**4), mf.one())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vals = [H.deviation(h, lam).normalized for lam in (0.5, 1.0, 1.5, 2.0)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
-def test_deviation_gauss_reference(t1e5):
-    h = H.weighted_histogram(sf.everything(1000), mf.one(), table=t1e5)
+def test_deviation_gauss_reference():
+    h = H.weighted_histogram(sf.everything(1000), mf.one())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = H.deviation(h, 1.25)
@@ -421,15 +421,15 @@ def test_deviation_gauss_reference(t1e5):
     assert rep.total == h.total
 
 
-def test_deviation_warns_above_half_sigma(t1e5):
-    h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
+def test_deviation_warns_above_half_sigma():
+    h = H.weighted_histogram(sf.everything(100), mf.one())
     with pytest.warns(UserWarning):
         H.deviation(h, 5.0)
 
 
-def test_deviation_degenerate_mean(t1e5):
+def test_deviation_degenerate_mean():
     h = H.weighted_histogram(
-        sf.everything(100), mf.one(), E=Complement(ALL_PRIMES), table=t1e5
+        sf.everything(100), mf.one(), E=Complement(ALL_PRIMES)
     )
     rep = H.deviation(h, 1.0)
     assert rep.degenerate
@@ -441,7 +441,7 @@ def test_deviation_degenerate_mean(t1e5):
 def test_deviation_integer_cutoffs(t1e5):
     x = 3000
     omegas = [len(ofactor(n)) for n in range(1, x + 1)]
-    h = H.weighted_histogram(sf.everything(x), mf.one(), table=t1e5)
+    h = H.weighted_histogram(sf.everything(x), mf.one())
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
     for lam in (0.3, 0.5, 0.7):
         rep = H.deviation(h, lam)
@@ -451,21 +451,21 @@ def test_deviation_integer_cutoffs(t1e5):
         assert rep.mass_high == sum(1 for k in omegas if k >= rep.k_high)
     # degenerate report: every n sits in bin 0, all of it in the low tail
     h0 = H.weighted_histogram(
-        sf.everything(100), mf.one(), E=Complement(ALL_PRIMES), table=t1e5
+        sf.everything(100), mf.one(), E=Complement(ALL_PRIMES)
     )
     rep = H.deviation(h0, 1.0)
     assert (rep.k_low, rep.k_high) == (0, 1)
     assert (rep.mass_low, rep.mass_high) == (100.0, 0.0)
 
 
-def test_deviation_input_errors(t1e5):
-    h = H.weighted_histogram(sf.everything(100), mf.one(), table=t1e5)
+def test_deviation_input_errors():
+    h = H.weighted_histogram(sf.everything(100), mf.one())
     with pytest.raises(ValueError):
         H.deviation(h, 0.0)
     for lam in (math.inf, math.nan):
         with pytest.raises(ValueError, match="^lam must be positive and finite"):
             H.deviation(h, lam)
-    empty = H.weighted_histogram(sf.sift(1, sf.condition({2: (1,)})), mf.one(), table=t1e5)
+    empty = H.weighted_histogram(sf.sift(1, sf.condition({2: (1,)})), mf.one())
     assert empty.total == 0.0
     with pytest.raises(ValueError):
         H.deviation(empty, 1.0)

@@ -231,13 +231,12 @@ def test_class_batches_do_not_depend_on_group_size(group, t1e6, monkeypatch):
 
 
 def _set_dev(sieve, x, lam, E=ALL_PRIMES):
-    """hist.deviation of omega over a set spec, on the one prime table the CLI builds
-    for it; the CLI's dev row must print the same numbers."""
-    ss = parse_set_spec(sieve, x)
-    t = PrimeTable(ss.prime_limit(x))
+    """hist.deviation of omega over a set spec, on the histogram the CLI counts for it;
+    the CLI's dev row must print the same numbers."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return deviation(weighted_histogram(ss.realize(x, t), one(), "omega", E, t), lam)
+        return deviation(weighted_histogram(parse_set_spec(sieve, x).realize(x), one(), "omega",
+                                            E), lam)
 
 
 def _cli_dev_row(argv):

@@ -1,13 +1,14 @@
 """Residue sieves, survivor windows, and exact shifted-prime / form-value sets."""
 
+import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
 
-from siftlab import bulk, specs
+from siftlab import arith, bulk, specs
+from siftlab import multfunc as mf
 from siftlab import sift as sf
-from siftlab.arith import PrimeTable
 
 from oracles import is_prime_slow, oadmits, oform_values, or_lattice, oshifted_primes
 
@@ -103,10 +104,10 @@ def test_preset_condition_admits_every_shifted_prime():
             assert oadmits(cond, p + 1)
 
 
-def test_preset_condition_superset_at_scale(t1e5):
+def test_preset_condition_superset_at_scale():
     x, z = 10**5, 300
     cond = sf.preset_shifted_prime_superset(1, 1, x, z)
-    exact = sf.exact_shifted_primes(1, 1, x, t1e5)
+    exact = sf.exact_shifted_primes(1, 1, x)
     for n in exact.members().tolist():
         if n > z + 1:
             assert oadmits(cond, n)
@@ -123,31 +124,31 @@ def test_preset_condition_validation():
         sf.preset_shifted_prime_superset(1, 1, 100, 11)
 
 
-def test_exact_shifted_primes_small(t1e5):
-    assert sf.exact_shifted_primes(1, 1, 30, t1e5).members().tolist() == [
+def test_exact_shifted_primes_small():
+    assert sf.exact_shifted_primes(1, 1, 30).members().tolist() == [
         3, 4, 6, 8, 12, 14, 18, 20, 24, 30,
     ]
-    assert sf.exact_shifted_primes(2, 1, 30, t1e5).members().tolist() == [
+    assert sf.exact_shifted_primes(2, 1, 30).members().tolist() == [
         5, 7, 11, 15, 23, 27,
     ]
-    assert sf.exact_shifted_primes(1, -1, 30, t1e5).members().tolist() == [
+    assert sf.exact_shifted_primes(1, -1, 30).members().tolist() == [
         1, 2, 4, 6, 10, 12, 16, 18, 22, 28, 30,
     ]
 
 
-def test_exact_shifted_primes_brute(t1e5):
-    got = set(sf.exact_shifted_primes(3, -2, 200, t1e5).members().tolist())
+def test_exact_shifted_primes_brute():
+    got = set(sf.exact_shifted_primes(3, -2, 200).members().tolist())
     expect = {3 * p - 2 for p in range(2, 100) if is_prime_slow(p) and 3 * p - 2 <= 200}
     assert got == expect
 
 
-def test_exact_shifted_primes_validation(t1e5):
+def test_exact_shifted_primes_validation():
     with pytest.raises(ValueError):
-        sf.exact_shifted_primes(2, 4, 100, t1e5)
+        sf.exact_shifted_primes(2, 4, 100)
     with pytest.raises(ValueError):
-        sf.exact_shifted_primes(1, 0, 100, t1e5)
+        sf.exact_shifted_primes(1, 0, 100)
     with pytest.raises(ValueError):
-        sf.exact_shifted_primes(1, 1, 0, t1e5)
+        sf.exact_shifted_primes(1, 1, 0)
 
 
 def test_quadratic_form_basics():
@@ -186,16 +187,17 @@ def test_qf_values_other_form():
     assert set(s.members().tolist()) == expect
 
 
-def test_qf_shifted(t1e5):
-    s = sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), 1, 50, t1e5)
+def test_qf_shifted():
+    s = sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), 1, 50)
     expect = {
         n for n in range(1, 51) if or_lattice(n) > 0 and is_prime_slow(n + 1)
     }
     assert set(s.members().tolist()) == expect
 
 
-# with k = -3, n = 1 and n = 2 give n + k < 0; the table then reaches x + 1 = 53,
-# a prime, so an index that wrapped to the end of the flags would keep n = 2
+# with k = -3, n = 1 and n = 2 give n + k < 0, where the p-range is clipped at 0;
+# x + 1 = 53 is prime, so an index that wrapped to the end of the window would
+# keep n = 2
 @pytest.mark.parametrize("k, x", [(-1, 50), (-3, 52)])
 def test_qf_shifted_negative_shift(k, x):
     s = sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), k, x)
@@ -218,7 +220,7 @@ def test_exact_set_windows_match_brute_force(spec):
     # oracle's [0, x], and so do windows from 0, across the 2**16 edges and at x
     x, E = EXACT_X, 1 << 16
     ss = specs.parse_set_spec(spec)
-    s = ss.realize(x, PrimeTable(ss.prime_limit(x)))
+    s = ss.realize(x)
     expect = EXACT_ORACLES[spec](x)
     for width in (997, E, 1 << 20):
         got = [s.window(a, b) for a, b in bulk.window_ranges(0, x + 1, width)]
@@ -228,6 +230,48 @@ def test_exact_set_windows_match_brute_force(spec):
     for a, b in edges:
         assert s.window(a, b).tobytes() == expect[a:b].tobytes(), (a, b)
     assert s.count == int(np.count_nonzero(expect))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sf.exact_shifted_primes(1, -1, 10**7),
+    lambda: sf.exact_qf_shifted(sf.QuadraticForm(1, 0, 1), -1, 10**7),
+], ids=["sp:1,-1", "qf:1,0,1,shift=-1"])
+def test_exact_set_holds_no_prime_table(make, monkeypatch):
+    # each window sieves its own p-range, so the set holds only its base primes
+    # to the root of its largest p (446 of them here), not a prime table to x
+    # (6.2 MB)
+    built = []
+    init = arith.PrimeTable.__init__
+
+    def spy_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(arith.PrimeTable, "__init__", spy_init)
+    tracemalloc.start()
+    try:
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [] and peak < 64 << 10
+
+
+def test_sp_window_fits_the_set_plan():
+    # one 2^20 window of sp:1,-1 near 1e8 through the histogram's window pass:
+    # the omega counts, the set's image, its p-range's flags and the flag
+    # sieve's scratch peak at about 4 bytes per integer (2.2 for the set's
+    # window alone), inside the 24 per window integer that cli._plan_set plans
+    W, x = 1 << 20, 10**8
+    s, primes = sf.exact_shifted_primes(1, -1, x), bulk.primes_upto(isqrt(x))
+    tracemalloc.start()
+    try:
+        mf.weighted_bins(x + 1 - W, x + 1, lambda a, b: bulk.counts_window(a, b, primes, "omega"),
+                         s.window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * W
 
 
 def test_isqrt_exact_below_two_to_the_62():

@@ -139,19 +139,19 @@ def test_parse_set_spec_errors():
             specs.parse_set_spec(bad, 100)
 
 
-def test_set_spec_realize(t1e5):
+def test_set_spec_realize():
     from siftlab.sift import exact_shifted_primes, sift
 
     ss = specs.parse_set_spec("explicit:2:1")
     assert np.array_equal(
-        ss.realize(50, t1e5).window(0, 51), sift(50, ss.cond).window(0, 51)
+        ss.realize(50).window(0, 51), sift(50, ss.cond).window(0, 51)
     )
     sp = specs.parse_set_spec("sp:1,1")
     assert np.array_equal(
-        sp.realize(50, t1e5).window(0, 51), exact_shifted_primes(1, 1, 50, t1e5).window(0, 51)
+        sp.realize(50).window(0, 51), exact_shifted_primes(1, 1, 50).window(0, 51)
     )
     qs = specs.parse_set_spec("qf:1,0,1,shift=-1")
-    got = qs.realize(50, t1e5)
+    got = qs.realize(50)
     assert got.count > 0
 
 
@@ -458,22 +458,22 @@ def test_cli_exact_set_dev_budget_mb_before_the_set(argv, capsys, monkeypatch):
     assert "over the budget of 1 MiB" in err
 
 
-# commands over a set, each with the limit of the one prime table it reads at x = 20000:
-# x, (x - b) // a for sp:a,b past x, and x + max(K, 0) + 1 for qf:...,shift=K
-ONE_TABLE = [(["sp-dev", "--a", "1", "--b", "-1", "--f", "zomega:1.3", "--lambda", "0.5"], 20001),
-             (["sp-dev", "--a", "2", "--b", "-1", "--f", "musq", "--g", "bigomega",
-               "--e", "mod:4:1", "--lambda", "0.5"], 20000),
-             (["qf-dev", "--form", "1,0,1", "--shift", "-1", "--lambda", "0.5"], 20001),
-             (["qf-dev", "--form", "1,1,2", "--g", "bigomega", "--lambda", "1.0"], 20000),
-             (["dev", "--sieve", "sp:1,-1", "--lambda", "1.0"], 20001),
-             (["hist", "--sieve", "qf:1,0,1,shift=1"], 20002),
-             (["table-sifted", "--sieve", "qf:1,0,1,shift=2", "--f", "musq"], 20003),
-             (["table-sifted", "--sieve", "explicit:3:1"], 20000)]
+# commands over a set: each reads one prime table, to x = 20000, whatever the set; an sp:
+# or shifted qf: set sieves the primes it reads itself, window by window
+ONE_TABLE = [["sp-dev", "--a", "1", "--b", "-1", "--f", "zomega:1.3", "--lambda", "0.5"],
+             ["sp-dev", "--a", "2", "--b", "-1", "--f", "musq", "--g", "bigomega",
+              "--e", "mod:4:1", "--lambda", "0.5"],
+             ["qf-dev", "--form", "1,0,1", "--shift", "-1", "--lambda", "0.5"],
+             ["qf-dev", "--form", "1,1,2", "--g", "bigomega", "--lambda", "1.0"],
+             ["dev", "--sieve", "sp:1,-1", "--lambda", "1.0"],
+             ["hist", "--sieve", "qf:1,0,1,shift=1"],
+             ["table-sifted", "--sieve", "qf:1,0,1,shift=2", "--f", "musq"],
+             ["table-sifted", "--sieve", "explicit:3:1"]]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("argv, limit", ONE_TABLE, ids=[" ".join(a[:3]) for a, _ in ONE_TABLE])
-def test_cli_set_commands_build_one_prime_table_as_planned(argv, limit, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", ONE_TABLE, ids=[" ".join(a[:3]) for a in ONE_TABLE])
+def test_cli_set_commands_build_one_prime_table_as_planned(argv, capsys, monkeypatch):
     built, planned = [], []
     init, check = arith.PrimeTable.__init__, cli._check_budget
 
@@ -488,7 +488,7 @@ def test_cli_set_commands_build_one_prime_table_as_planned(argv, limit, capsys, 
     monkeypatch.setattr(arith.PrimeTable, "__init__", spy_init)
     monkeypatch.setattr(cli, "_check_budget", spy_check)
     _run(capsys, [*argv, "--x", "20000", "--budget-mb", "4096"])
-    assert built == planned == [limit]
+    assert built == planned == [20000]
 
 
 @pytest.mark.parametrize("argv", EXACT_DEV, ids=["sp-dev", "qf-dev", "qf-dev-shift"])
@@ -733,6 +733,7 @@ def test_cli_exit_codes(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, message", [
     ("hr-check --x 100 --C inf", "C must be finite"),
+    ("hr-check --x 100 --C 1e300", "C = 1e+300 puts the bound of bin 2 outside the doubles"),
     ("mgf --x 100 --z nan", "z must be positive and finite"),
     ("dev --x 100 --lambda inf", "lam must be positive and finite"),
     ("hist --x 100 --beta -1", "beta must be positive and finite"),
@@ -754,6 +755,13 @@ def test_cli_hist_zero_mass_bins_past_k_max_do_not_divide(capsys):
     # no mass, whose bounds underflow, so it prints what --beta 2 prints
     wide = _run(capsys, ["hist", "--x", "100", "--beta", "200"])
     assert wide == _run(capsys, ["hist", "--x", "100"])
+
+
+def test_cli_hist_stops_at_the_last_bin_whatever_beta(capsys):
+    # k_max = int(1e300 * M) has 300 digits; the report stops at the largest
+    # occupied bin, 3 here, so the run ends at once and prints what --beta 2 prints
+    huge = _run(capsys, ["hist", "--x", "100", "--beta", "1e300"])
+    assert huge == _run(capsys, ["hist", "--x", "100"])
 
 
 def test_cli_unknown_flag_exits_two(capsys):

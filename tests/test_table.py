@@ -89,7 +89,8 @@ def test_table_count_input_errors():
 
 def test_table_count_shift_matches_brute():
     brute = brute_table_counts(50)
-    for N, s in [(50, 1), (50, -1), (30, 5)]:
+    # at N = 2, shift -5 takes the products 1, 2 and 4 to one window wholly below 2
+    for N, s in [(50, 1), (50, -1), (30, 5), (2, -5)]:
         expect = len(
             {
                 a * b
@@ -163,58 +164,58 @@ def test_ford_ratio():
         tb.ford_ratio(2, 3)
 
 
-def test_sifted_table_sum_recovers_table_count(t1e5):
+def test_sifted_table_sum_recovers_table_count():
     for N in (10, 30, 60):
-        rep = tb.sifted_table_sum(sf.everything(N * N), mf.one(), table=t1e5)
+        rep = tb.sifted_table_sum(sf.everything(N * N), mf.one())
         assert rep.value == tb.table_count(N)[0]
 
 
-def test_sifted_table_sum_sieved_matches_brute(t1e5):
+def test_sifted_table_sum_sieved_matches_brute():
     N = 30
     cond = sf.condition({2: (1,)})
     s = sf.sift(N * N, cond)
-    rep = tb.sifted_table_sum(s, mf.one(), table=t1e5)
+    rep = tb.sifted_table_sum(s, mf.one())
     expect = len(
         {a * b for a in range(1, N + 1) for b in range(a, N + 1) if (a * b) % 2 == 0}
     )
     assert rep.value == expect
 
 
-def test_sifted_table_sum_weighted_matches_brute(t1e5):
+def test_sifted_table_sum_weighted_matches_brute():
     N = 20
-    rep = tb.sifted_table_sum(sf.everything(N * N), mf.tau_k(2), table=t1e5)
+    rep = tb.sifted_table_sum(sf.everything(N * N), mf.tau_k(2))
     prods = {a * b for a in range(1, N + 1) for b in range(a, N + 1)}
     expect = sum(math.prod(e + 1 for _, e in ofactor(n)) for n in prods)
     assert rep.value == pytest.approx(expect, rel=1e-12)
 
 
-def test_sifted_table_sum_regimes(t1e5):
-    mid = tb.sifted_table_sum(sf.everything(900), mf.one(), table=t1e5)
+def test_sifted_table_sum_regimes():
+    mid = tb.sifted_table_sum(sf.everything(900), mf.one())
     assert mid.regime == "mid"
     assert 0.5 < mid.R < 1.0
     assert mid.bound_mid is not None and mid.ratio_mid == pytest.approx(
         mid.value / mid.bound_mid
     )
-    low = tb.sifted_table_sum(sf.everything(10**4), mf.z_omega(0.5), table=t1e5)
+    low = tb.sifted_table_sum(sf.everything(10**4), mf.z_omega(0.5))
     assert low.regime == "le-half"
     assert low.R <= 0.5
     assert low.bound_mid is None and low.ratio_mid is None
-    out = tb.sifted_table_sum(sf.everything(3), mf.one(), table=t1e5)
+    out = tb.sifted_table_sum(sf.everything(3), mf.one())
     assert out.regime == "out-of-range"
     assert out.R > 1.0
     assert out.bound_mid is None
 
 
 @pytest.mark.parametrize("f", [mf.z_omega(0.0), mf.z_bigomega(0.0)])
-def test_sifted_table_sum_rejects_a_vanishing_prime_sum(f, t1e5):
+def test_sifted_table_sum_rejects_a_vanishing_prime_sum(f):
     # f(p) = 0 at every prime, so M = 0 and the bounds would divide by sqrt(M)
     with pytest.raises(ValueError, match="prime sum M vanishes"):
-        tb.sifted_table_sum(sf.everything(100), f, table=t1e5)
+        tb.sifted_table_sum(sf.everything(100), f)
 
 
 def test_sifted_table_sum_bound_shapes(t1e5):
     x = 900
-    rep = tb.sifted_table_sum(sf.everything(x), mf.one(), table=t1e5)
+    rep = tb.sifted_table_sum(sf.everything(x), mf.one())
     M = mf.mertens_sum(mf.one(), x, table=t1e5)
     pref = x / (math.log(x) * math.sqrt(M))
     expect_le = (1.0 + 4.0**M * math.sqrt(M) / math.log(x)) * pref * math.exp(
@@ -229,39 +230,38 @@ def test_sifted_table_sum_bound_shapes(t1e5):
     assert rep.bound_mid == pytest.approx(expect_mid, rel=1e-12)
 
 
-def test_sifted_table_sum_thread_invariant(t1e5):
-    a = tb.sifted_table_sum(sf.everything(2500), mf.one(), table=t1e5, threads=1)
-    b = tb.sifted_table_sum(sf.everything(2500), mf.one(), table=t1e5, threads=8)
+def test_sifted_table_sum_thread_invariant():
+    a = tb.sifted_table_sum(sf.everything(2500), mf.one(), threads=1)
+    b = tb.sifted_table_sum(sf.everything(2500), mf.one(), threads=8)
     assert a.value == b.value
 
 
-def test_sifted_table_sum_rejects_tiny_x(t1e5):
+def test_sifted_table_sum_rejects_tiny_x():
     with pytest.raises(ValueError):
-        tb.sifted_table_sum(sf.everything(2), mf.one(), table=t1e5)
+        tb.sifted_table_sum(sf.everything(2), mf.one())
 
 
 def test_sifted_table_sum_across_two_windows():
     x = (1 << 20) + 4097
     B = math.isqrt(x)
     prods = {a * b for a in range(1, B + 1) for b in range(a, B + 1) if a * b <= x}
-    t = arith.PrimeTable(x)
-    rep = tb.sifted_table_sum(sf.everything(x), mf.one(), table=t)
+    rep = tb.sifted_table_sum(sf.everything(x), mf.one())
     assert rep.value == len(prods)
     # {2: (1,)} removes the odd residue class, so the even products survive
     even = sf.sift(x, sf.condition({2: (1,)}))
-    rep = tb.sifted_table_sum(even, mf.one(), table=t, threads=2)
+    rep = tb.sifted_table_sum(even, mf.one(), threads=2)
     assert rep.value == len({n for n in prods if n % 2 == 0})
 
 
 @pytest.mark.parametrize("f", [mf.z_omega(1.3), mf.phi_over_n()], ids=lambda f: f.spec)
-def test_sifted_table_sum_equals_divisor_oracle_bitwise(f, t1e5):
+def test_sifted_table_sum_equals_divisor_oracle_bitwise(f):
     # the weights are summed one by one in ascending n, exactly as the
     # factor-and-divisor oracle does, so the doubles agree to the last bit
     x = 2 * 10**4
     sset = sf.everything(x)
     expect = osifted_table_sum(range(1, x + 1), x, f.rule)
     for threads in (1, 2):
-        assert tb.sifted_table_sum(sset, f, table=t1e5, threads=threads).value == expect
+        assert tb.sifted_table_sum(sset, f, threads=threads).value == expect
 
 
 @pytest.mark.parametrize("f", [mf.z_omega(1.3), mf.phi_over_n()], ids=lambda f: f.spec)
@@ -278,4 +278,4 @@ def test_sifted_table_sum_is_one_running_sum_across_windows(f):
     for w in mf.values_upto(f, x, t)[kept].tolist():
         expect += w
     for threads in (1, 2):
-        assert tb.sifted_table_sum(sf.everything(x), f, table=t, threads=threads).value == expect
+        assert tb.sifted_table_sum(sf.everything(x), f, threads=threads).value == expect

@@ -8,6 +8,7 @@ token (a string, a bracketed expression) spans counts once.
     python3 tools/code_lines.py [DIR]
     python3 tools/code_lines.py [DIR] --ref REF
     python3 tools/code_lines.py [DIR] --params NAME [NAME ...]
+    python3 tools/code_lines.py [DIR] --params NAME [NAME ...] --ref REF
 
 The first prints one "lines  module" row per module of DIR (default
 src/siftlab) and a last row with the total.  The second also reads each
@@ -18,7 +19,8 @@ difference (0 where the module is missing), and a last row with the totals.
 The third counts parameters instead of lines: a header row with the NAMEs,
 then per module of DIR how many parameters of its functions and lambdas
 (positional, keyword-only, *args and **kwargs) carry each NAME, and a last
-row with the totals.
+row with the totals.  The fourth prints one "ref  tree  diff  NAME" row per
+NAME: its parameters in all of src/siftlab at REF, in DIR and the difference.
 """
 
 from __future__ import annotations
@@ -80,12 +82,13 @@ def tree_counts(root: str, measure=code_lines) -> dict:
     return counts
 
 
-def ref_counts(repo: str, ref: str) -> dict[str, int]:
-    """Code lines per module of src/siftlab at the git revision ref."""
+def ref_counts(repo: str, ref: str, measure=code_lines) -> dict:
+    """measure(source) per module of src/siftlab at the git revision ref: code lines by
+    default."""
     git = lambda *args: subprocess.run(["git", "-C", repo, *args], check=True,
                                        capture_output=True, text=True).stdout
     names = git("ls-tree", "--name-only", f"{ref}:{SRC}").splitlines()
-    return {name: code_lines(git("show", f"{ref}:{SRC}/{name}"))
+    return {name: measure(git("show", f"{ref}:{SRC}/{name}"))
             for name in sorted(names) if name.endswith(".py")}
 
 
@@ -93,31 +96,35 @@ def main(argv: list[str]) -> int:
     repo = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     ap = argparse.ArgumentParser(description="Count the code lines of src/siftlab.")
     ap.add_argument("dir", nargs="?", default=os.path.join(repo, SRC))
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument("--ref", help="also count src/siftlab at this git revision")
-    mode.add_argument("--params", nargs="+", metavar="NAME",
-                      help="count the function parameters with these names instead")
+    ap.add_argument("--ref", help="also count src/siftlab at this git revision")
+    ap.add_argument("--params", nargs="+", metavar="NAME",
+                    help="count the function parameters with these names instead")
     args = ap.parse_args(argv[1:])
-    if args.params is not None:
-        rows = [[names.count(p) for p in args.params] + [name]
-                for name, names in tree_counts(args.dir, param_names).items()]
+    measure = code_lines if args.params is None else param_names
+    tree = tree_counts(args.dir, measure)
+    if args.ref is None and args.params is not None:
+        rows = [[names.count(p) for p in args.params] + [name] for name, names in tree.items()]
         rows.append([sum(col) for col in zip(*(row[:-1] for row in rows))] + ["total"])
         for row in [args.params + ["module"]] + rows:
             print(" ".join(f"{v:>6}" for v in row[:-1]) + f"  {row[-1]}")
         return 0
-    tree = tree_counts(args.dir)
     if args.ref is None:
         for name, n in tree.items():
             print(f"{n:6d}  {name}")
         print(f"{sum(tree.values()):6d}  total")
         return 0
     try:
-        old = ref_counts(repo, args.ref)
+        old = ref_counts(repo, args.ref, measure)
     except subprocess.CalledProcessError as exc:
         print(exc.stderr.strip(), file=sys.stderr)
         return 2
-    rows = [(old.get(name, 0), tree.get(name, 0), name) for name in sorted(old.keys() | tree.keys())]
-    rows.append((sum(old.values()), sum(tree.values()), "total"))
+    if args.params is not None:
+        total = lambda counts, p: sum(names.count(p) for names in counts.values())
+        rows = [(total(old, p), total(tree, p), p) for p in args.params]
+    else:
+        rows = [(old.get(name, 0), tree.get(name, 0), name)
+                for name in sorted(old.keys() | tree.keys())]
+        rows.append((sum(old.values()), sum(tree.values()), "total"))
     for a, b, name in rows:
         print(f"{a:6d} {b:6d} {b - a:+6d}  {name}")
     return 0
