@@ -43,6 +43,10 @@ its window, `hist --sieve qf:1,0,1,shift=-3000`, whose shifted windows cross
 0 at the width 9973, and `table-sifted --sieve sp:1,1 --f phioverN`, a float
 weight over an `sp:` set, were recorded while every `sp:` and
 `qf:...,shift=K` window still sliced its primes from a prime table to x.
+The last three, `hist --f r4`, `table-sifted --f s2s` and `sigma-div --f
+Noverphi`, the weights whose f(p) is not one number at every prime, were
+recorded while a weight still had two fields for f(p) and its windows read
+base primes that the caller passed in.
 
 Every invocation also runs with one thread at the window width 9973, set
 through `bulk.DEFAULT_WINDOW`, which every pass reads when it starts, and
@@ -184,10 +188,16 @@ CORPUS = [
      "20ca25d3ba6f755ef835d475ff0df79e3b86a21ac7a46b6c4c26d450a92f5d7b"),
     ("table-sifted --sieve sp:1,1 --f phioverN --x 2200000",
      "927d2b0001b0141ac838ccf9623d64a34cab2b871188c61f2d9b8031dd7baa8f"),
+    ("hist --x 2200000 --f r4 --g bigomega",
+     "23ba72efb09b8696aa11f5838165510ccbec8caf439ef0f38325ce6b9a5ec77f"),
+    ("table-sifted --x 2200000 --f s2s --sieve explicit:3:1",
+     "111015c4725a549917fdf29c79c909203a8f0b2095912a35a26b5a0f477889ab"),
+    ("sigma-div --x 2200000 --p 3 --f Noverphi",
+     "97dd4cf4f3a4ee867a4bb0f4cc166c9ef6b92d7edb87f375ed23f62dcb62e32e"),
 ]
 
 # weights that are not integers, so any reordering of the sum shows in the bytes;
-# the last six cross 2**20, so their masses are reduced over several windows
+# the last seven cross 2**20, so their masses are reduced over several windows
 BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
                   "omega-gcd --x 200000 --f phioverN",
                   "hist --x 2500000 --f zomega:1.3 --g omega --sieve explicit:2:1",
@@ -195,7 +205,8 @@ BLAS_SENSITIVE = ["mgf --x 200000 --z 1.5 --f zomega:1.3",
                   "hist --x 2500000 --f phioverN --g bigomega --e mod:4:1",
                   "s-div --x 2200000 --y 1000 --z 10 --d 3 --f zomega:1.3",
                   "sigma-div --x 2200000 --p 5 --f phioverN",
-                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f phioverN"]
+                  "s-div --x 2200000 --y 1000 --z 10 --d 3 --f phioverN",
+                  "sigma-div --x 2200000 --p 3 --f Noverphi"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
