@@ -4,8 +4,11 @@ The workhorse is one divisor-sum sieve run as an ordered stream of
 n-windows (_sigma_bins): each window computes sigma(n), a key turns it into
 the statistic's integer per n, and multfunc.weighted_bins bins the keys,
 with a weight other than one computed for the same window
-(multfunc.window_weights), so neither the keys nor the weights make an
-array of length x.  egps reads omega(s(n)) from a table of distinct
+(multfunc.window_weights, which sieves the primes up to isqrt(x) those
+windows read), so neither the keys nor the weights make an array of
+length x.  The prime sums (multfunc.mertens_sum) read primes to x, so
+they run before the stream and their table is freed before any window.
+egps reads omega(s(n)) from a table of distinct
 prime-factor counts, 4 bits per odd integer (bulk.OmegaTable), sized to
 Robin's bound on max s(n) (aliquot_bound) but filled only as far as the
 largest s(n) seen so far: its resident part is a quarter byte per integer
@@ -24,7 +27,6 @@ import numpy as np
 from . import bulk
 from .arith import PrimeTable, is_prime
 from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
-from .primesets import ALL_PRIMES
 
 GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)  # the lam at which egps_deviation reports a grid mass
 
@@ -67,13 +69,14 @@ def aliquot_bound(x: int) -> int:
     return int(x * (np.exp(np.euler_gamma) * ll + 0.6483 / ll - 1))
 
 
-def _sigma_bins(x: int, f: MultiplicativeFunction, primes, key, threads: int) -> np.ndarray:
+def _sigma_bins(x: int, f: MultiplicativeFunction, key, threads: int) -> np.ndarray:
     """bins[k] = sum of f(n), added in ascending n, over 2 <= n <= x with key k.
 
     key(a, b, s) gives the integer or bool keys of the window [a, b) from
     s = sigma(n) there, an int64 buffer each stream thread reuses, which key
     may overwrite but must not return.  For f = one the bins are exact int64
-    counts and primes may be None; otherwise primes must reach isqrt(x).
+    counts; otherwise the weights' windows read the primes up to isqrt(x),
+    which window_weights sieves.
     """
     bufs = threading.local()  # one sigma window per stream thread, reused
 
@@ -82,7 +85,7 @@ def _sigma_bins(x: int, f: MultiplicativeFunction, primes, key, threads: int) ->
             bufs.s = np.empty(bulk.DEFAULT_WINDOW, dtype=np.int64)
         return key(a, b, bulk.sigma_window(a, b, out=bufs.s[: b - a]))
 
-    return weighted_bins(2, x + 1, keys, weights=window_weights(f, primes), threads=threads)
+    return weighted_bins(2, x + 1, keys, weights=window_weights(f, x), threads=threads)
 
 
 def egps_deviation(
@@ -113,8 +116,6 @@ def egps_deviation(
         via = "" if c0 is None else f" from c0 = {c0}"
         raise ValueError(f"lam must be positive and finite, got {lam}{via}")
 
-    # the weights read no table for f = one, else primes up to isqrt(x) only
-    primes = None if f.is_one() else PrimeTable(math.isqrt(x) + 1).primes
     om = bulk.OmegaTable(aliquot_bound(x))
 
     def omega_of_s(a: int, b: int, s: np.ndarray) -> np.ndarray:
@@ -122,7 +123,7 @@ def egps_deviation(
             s[c - a : d - a] -= np.arange(c, d, dtype=np.int64)
         return om.take(s)
 
-    bins = _sigma_bins(x, f, primes, omega_of_s, threads)
+    bins = _sigma_bins(x, f, omega_of_s, threads)
     total = 1.0 + float(bins.sum())  # n = 1 (f(1) = 1) stays in the normalization
 
     def cutoffs(lam_: float) -> tuple[int, int]:
@@ -164,15 +165,14 @@ def count_p_divides_sigma(
         raise ValueError("eps must lie in (0, 1)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    table = PrimeTable(x)
+    m_all = mertens_sum(f, x)  # before the stream, so its primes to x are freed first
 
     def hits(a: int, b: int, s: np.ndarray) -> np.ndarray:
         s %= p
         return s == 0
 
-    bins = _sigma_bins(x, f, table.primes, hits, threads)
+    bins = _sigma_bins(x, f, hits, threads)
     value = float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
-    m_all = mertens_sum(f, x, ALL_PRIMES, table)
     bound = (
         (p ** (-(1.0 - eps) / 2.0) + math.log(math.log(x)) / p)
         * x / math.log(x) * math.exp(m_all)
@@ -205,7 +205,7 @@ def count_d_divides_s(
         hit &= lpf != 0
         return hit
 
-    bins = _sigma_bins(x, f, table.primes, hits, threads)
+    bins = _sigma_bins(x, f, hits, threads)
     return float(bins[1:].sum())  # bin 1, or nothing when no n qualifies
 
 
@@ -217,18 +217,17 @@ def mean_omega_gcd_sigma(
     """Weighted sum of omega(gcd(sigma(n), n)) with its slow-growth bound."""
     if x < 3:
         raise ValueError("need x >= 3")
-    table = PrimeTable(x)
+    m_all = mertens_sum(f, x)  # before the stream, so its primes to x are freed first
     om = bulk.OmegaTable(x)  # gcd(sigma(n), n) <= n, so it fills as the n-stream advances
 
     def omega_of_gcd(a: int, b: int, s: np.ndarray) -> np.ndarray:
         np.gcd(s, np.arange(a, b, dtype=np.int64), out=s)  # gcd(sigma(n), n) in place
         return om.take(s)
 
-    bins = _sigma_bins(x, f, table.primes, omega_of_gcd, threads)
+    bins = _sigma_bins(x, f, omega_of_gcd, threads)
     value = 0.0
     for k, mass in enumerate(bins.tolist()):  # ascending k, one add at a time
         value += k * mass
-    m_all = mertens_sum(f, x, ALL_PRIMES, table)
     lll = math.log(math.log(math.log(x))) if math.log(math.log(x)) > 1 else None
     l4 = math.log(lll) if lll is not None and lll > 1 else None
     bound = x / math.log(x) * math.exp(m_all) * l4 if l4 is not None and l4 > 0 else None

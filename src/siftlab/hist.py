@@ -70,7 +70,7 @@ def weighted_histogram(
         raise ValueError(f"unknown statistic {g_kind!r}")
     table = PrimeTable(max(x, 2))
     selector = None if isinstance(E, AllPrimes) else E
-    fv = None if f.is_one() else values_upto(f, x, table, threads)
+    fv = None if f.is_one() else values_upto(f, x, threads)
     raw = weighted_bins(1, x + 1,
                         lambda a, b: bulk.counts_window(a, b, table.primes, g_kind, selector),
                         sset.window, None if fv is None else lambda a, b: fv[a:b], threads)

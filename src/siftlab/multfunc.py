@@ -1,7 +1,10 @@
 """Nonnegative multiplicative weights and their prime sums.
 
-A weight is determined by its prime-power rule f(p**e).  Its values come
-from the bulk mult windows.  One driver, weighted_bins, turns a stream of
+A weight is its canonical spec, its prime-power rule f(p**e) and f(p),
+and the builtins are registered once, by spec name (BUILTINS).  Its values
+come from the bulk mult windows, which read base primes to isqrt(x) that
+values_upto and window_weights sieve themselves, so a caller passes a
+weight only x.  One driver, weighted_bins, turns a stream of
 windows into bins: each window gives its keys, its selected n and its
 weights, and the masses are added in ascending n.  The histogram, the
 sigma family and the sifted table sum all bin through it.  Prime sums
@@ -24,52 +27,57 @@ from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 
 @dataclass(frozen=True)
 class MultiplicativeFunction:
-    """A multiplicative weight given by its value rule on prime powers."""
+    """A multiplicative weight: its canonical spec, its rule on prime powers, and f(p).
 
-    name: str
-    rule: Callable[[int, int], float]
+    rule(p, e) gives f(p**e).  prime gives f(p) in the form bulk.mult_window
+    takes it: a number when f(p) is the same at every prime, else a
+    vectorized callable over an int64 array of primes; None reads rule(p, 1)
+    one prime at a time.
+    """
+
     spec: str
-    prime_vec: Callable[[np.ndarray], np.ndarray] | None = None
-    prime_value: float | None = None  # f(p) when it is the same number at every prime
+    rule: Callable[[int, int], float]
+    prime: float | Callable[[np.ndarray], np.ndarray] | None = None
 
     def at_primes(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized f(p) over an array of primes."""
-        if self.prime_value is not None:
-            return np.full(len(arr), self.prime_value)
-        if self.prime_vec is not None:
-            return np.asarray(self.prime_vec(np.asarray(arr)), dtype=np.float64)
-        return np.fromiter(
-            (self.rule(int(p), 1) for p in arr), dtype=np.float64, count=len(arr)
-        )
+        if self.prime is None:
+            return np.fromiter(
+                (self.rule(int(p), 1) for p in arr), dtype=np.float64, count=len(arr)
+            )
+        if callable(self.prime):
+            return np.asarray(self.prime(np.asarray(arr)), dtype=np.float64)
+        return np.full(len(arr), self.prime, dtype=np.float64)
 
     def window_primes(self):
-        """f at the primes as bulk.mult_window takes it: prime_value, else at_primes."""
-        return self.at_primes if self.prime_value is None else self.prime_value
+        """f at the primes as bulk.mult_window takes it: prime, else at_primes."""
+        return self.at_primes if self.prime is None else self.prime
 
     def spec_string(self) -> str:
         return self.spec
 
     def is_one(self) -> bool:
-        return self.name == "one"
+        return self.spec == "one"
 
 
-def values_upto(
-    f: MultiplicativeFunction, x: int, table: PrimeTable, threads: int = 1
-) -> np.ndarray:
-    """Array v with v[n] = f(n) for 0 <= n <= x (v[0] = 0)."""
+def values_upto(f: MultiplicativeFunction, x: int, threads: int = 1) -> np.ndarray:
+    """Array v with v[n] = f(n) for 0 <= n <= x (v[0] = 0), from windows that read the
+    primes up to isqrt(x), sieved here."""
     if f.is_one():
         out = np.ones(x + 1, dtype=np.float64)
         out[0] = 0.0
         return out
-    return bulk.mult_range(x, table.primes, f.rule, f.window_primes(), threads=threads)
+    primes = bulk.primes_upto(math.isqrt(x))
+    return bulk.mult_range(x, primes, f.rule, f.window_primes(), threads=threads)
 
 
-def window_weights(f: MultiplicativeFunction, primes):
-    """weighted_bins' weights for f: None for f = one, else a callable giving f(n)
-    over one window [a, b) from bulk.mult_window, with primes reaching isqrt(b - 1)."""
+def window_weights(f: MultiplicativeFunction, x: int):
+    """weighted_bins' weights for f over windows [a, b) with b <= x + 1: None for f = one,
+    else a callable giving f(n) over one window from bulk.mult_window, which reads the
+    primes up to isqrt(x), sieved here."""
     if f.is_one():
         return None
-    rule, at_primes = f.rule, f.window_primes()
+    rule, at_primes, primes = f.rule, f.window_primes(), bulk.primes_upto(math.isqrt(x))
     return lambda a, b: bulk.mult_window(a, b, primes, rule, at_primes)
 
 
@@ -119,44 +127,38 @@ def weighted_bins(lo: int, hi: int, keys, sel=None, weights=None, threads: int =
 # ---------------------------------------------------------------- builtins
 
 def one() -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        "one", lambda p, e: 1.0, "one", prime_value=1.0,
-    )
+    return MultiplicativeFunction("one", lambda p, e: 1.0, 1.0)
 
 
 def mu_sq() -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        "mu_sq", lambda p, e: 1.0 if e == 1 else 0.0, "musq", prime_value=1.0,
-    )
+    return MultiplicativeFunction("musq", lambda p, e: 1.0 if e == 1 else 0.0, 1.0)
+
+
+def _z_spec(name: str, z: float) -> str:
+    """name:z for a nonnegative finite z (else ValueError), z spelled with :g when that
+    parses back to z, else with repr."""
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be nonnegative and finite")
+    short = f"{z:g}"
+    return f"{name}:{short if float(short) == z else repr(z)}"
 
 
 def z_omega(z: float) -> MultiplicativeFunction:
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    return MultiplicativeFunction(
-        "z_omega", lambda p, e: z, f"zomega:{z:g}",
-        prime_value=float(z),
-    )
+    return MultiplicativeFunction(_z_spec("zomega", z), lambda p, e: z, float(z))
 
 
 def z_bigomega(z: float) -> MultiplicativeFunction:
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    spec = _z_spec("zbigomega", z)
     if z >= 2:
         warnings.warn("z >= 2 leaves the valid range at the prime 2", stacklevel=2)
-    return MultiplicativeFunction(
-        "z_bigomega", lambda p, e: z**e, f"zbigomega:{z:g}",
-        prime_value=float(z),
-    )
+    return MultiplicativeFunction(spec, lambda p, e: z**e, float(z))
 
 
 def tau_k(k: int) -> MultiplicativeFunction:
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return MultiplicativeFunction(
-        "tau_k", lambda p, e: float(math.comb(e + k - 1, e)), f"tauk:{k}",
-        prime_value=float(k),
-    )
+    return MultiplicativeFunction(f"tauk:{k}", lambda p, e: float(math.comb(e + k - 1, e)),
+                                  float(k))
 
 
 def r_over_4() -> MultiplicativeFunction:
@@ -167,14 +169,10 @@ def r_over_4() -> MultiplicativeFunction:
             return float(e + 1)
         return 1.0 if e % 2 == 0 else 0.0
 
-    def pv(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
+    def prime(a: np.ndarray) -> np.ndarray:
         return np.where(a == 2, 1.0, np.where(a % 4 == 1, 2.0, 0.0))
 
-    return MultiplicativeFunction(
-        "r_over_4", rule, "r4",
-        prime_vec=pv,
-    )
+    return MultiplicativeFunction("r4", rule, prime)
 
 
 def sum2sq_indicator() -> MultiplicativeFunction:
@@ -183,55 +181,37 @@ def sum2sq_indicator() -> MultiplicativeFunction:
             return 0.0
         return 1.0
 
-    def pv(a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        return np.where(a % 4 == 3, 0.0, 1.0)
-
-    return MultiplicativeFunction(
-        "sum2sq_indicator", rule, "s2s",
-        prime_vec=pv,
-    )
+    return MultiplicativeFunction("s2s", rule, lambda a: np.where(a % 4 == 3, 0.0, 1.0))
 
 
 def phi_over_n() -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        "phi_over_n", lambda p, e: 1.0 - 1.0 / p, "phioverN",
-        prime_vec=lambda a: 1.0 - 1.0 / np.asarray(a, dtype=np.float64),
-    )
+    return MultiplicativeFunction("phioverN", lambda p, e: 1.0 - 1.0 / p,
+                                  lambda a: 1.0 - 1.0 / a.astype(np.float64))
 
 
 def n_over_phi() -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        "n_over_phi", lambda p, e: p / (p - 1.0), "Noverphi",
-        prime_vec=lambda a: np.asarray(a, dtype=np.float64) / (np.asarray(a) - 1.0),
-    )
+    return MultiplicativeFunction("Noverphi", lambda p, e: p / (p - 1.0),
+                                  lambda a: a.astype(np.float64) / (a - 1.0))
 
 
-_BUILTINS: dict[str, Callable] = {
-    "one": one,
-    "mu_sq": mu_sq,
-    "musq": mu_sq,
-    "z_omega": z_omega,
-    "zomega": z_omega,
-    "z_bigomega": z_bigomega,
-    "zbigomega": z_bigomega,
-    "tau_k": tau_k,
-    "tauk": tau_k,
-    "r_over_4": r_over_4,
-    "r4": r_over_4,
-    "sum2sq_indicator": sum2sq_indicator,
-    "s2s": sum2sq_indicator,
-    "phi_over_n": phi_over_n,
-    "phioverN": phi_over_n,
-    "n_over_phi": n_over_phi,
-    "Noverphi": n_over_phi,
+# spec name -> (constructor, the type of its one parameter or None)
+BUILTINS: dict[str, tuple[Callable[..., MultiplicativeFunction], type | None]] = {
+    "one": (one, None),
+    "musq": (mu_sq, None),
+    "zomega": (z_omega, float),
+    "zbigomega": (z_bigomega, float),
+    "tauk": (tau_k, int),
+    "r4": (r_over_4, None),
+    "s2s": (sum2sq_indicator, None),
+    "phioverN": (phi_over_n, None),
+    "Noverphi": (n_over_phi, None),
 }
 
 
 def builtin(name: str, *params) -> MultiplicativeFunction:
-    """Look up a named builtin weight, applying numeric parameters if any."""
+    """Look up a builtin weight by its spec name, applying numeric parameters if any."""
     try:
-        ctor = _BUILTINS[name]
+        ctor = BUILTINS[name][0]
     except KeyError:
         raise ValueError(f"unknown builtin weight {name!r}") from None
     return ctor(*params)
@@ -284,6 +264,7 @@ def hr_constant(x: int) -> float:
 
 __all__ = [
     "MultiplicativeFunction",
+    "BUILTINS",
     "values_upto",
     "window_weights",
     "weighted_bins",

@@ -1,7 +1,7 @@
 """Parsing for the small command-line spec languages.
 
 Weight specs:   one | musq | zomega:Z | zbigomega:Z | tauk:K | r4 | s2s
-                | phioverN | Noverphi
+                | phioverN | Noverphi   (multfunc.BUILTINS; Z >= 0 finite)
 Prime subsets:  all | pmin:P0 | mod:M:r1,r2 | kron:D:+1 | list:FILE
                 | interval:A:B | not:SPEC
 Set specs:      none | avoid:B/modp<=Z[,coprime=A] | explicit:FILE
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import multfunc
-from .arith import is_prime
 from .primesets import (
     ALL_PRIMES,
     Interval,
@@ -31,7 +30,6 @@ from .sift import (
     QuadraticForm,
     SieveCondition,
     SiftedSet,
-    condition,
     exact_qf_shifted,
     exact_qf_values,
     exact_shifted_primes,
@@ -42,18 +40,17 @@ from .sift import (
 
 def parse_weight(spec: str) -> multfunc.MultiplicativeFunction:
     name, _, arg = spec.partition(":")
+    if name not in multfunc.BUILTINS:
+        raise ValueError(f"bad weight spec {spec!r}")
+    ctor, param = multfunc.BUILTINS[name]
     try:
-        if name in ("one", "musq", "r4", "s2s", "phioverN", "Noverphi"):
+        if param is None:
             if arg:
                 raise ValueError(f"{name} takes no parameter")
-            return multfunc.builtin(name)
-        if name in ("zomega", "zbigomega"):
-            return multfunc.builtin(name, float(arg))
-        if name == "tauk":
-            return multfunc.builtin(name, int(arg))
+            return ctor()
+        return ctor(param(arg))
     except ValueError as exc:
         raise ValueError(f"bad weight spec {spec!r}: {exc}") from None
-    raise ValueError(f"bad weight spec {spec!r}")
 
 
 def parse_primeset(spec: str) -> PrimeSubset:
@@ -168,19 +165,18 @@ def _parse_avoid(rest: str, spec: str, x: int | None) -> SetSpec:
 
 
 def _parse_explicit(path: str) -> SieveCondition:
-    excl: dict[int, tuple[int, ...]] = {}
+    """The condition of p:r1,r2;... inline or one p:r1,r2 per line of a file; SieveCondition
+    checks the primes and residues."""
     if ";" in path or (":" in path):
         lines = path.split(";")
     else:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
+    excl = []
     for line in lines:
         p_str, _, rs = line.partition(":")
-        p = int(p_str)
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        excl[p] = tuple(int(r) for r in rs.split(","))
-    return condition(excl)
+        excl.append((int(p_str), tuple(int(r) for r in rs.split(","))))
+    return SieveCondition(tuple(sorted(excl)))
 
 
 __all__ = [

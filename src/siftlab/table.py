@@ -20,7 +20,6 @@ from math import isqrt
 import numpy as np
 
 from . import bulk
-from .arith import PrimeTable
 from .errors import ResourceBudgetError
 from .hist import q_rate
 from .multfunc import MultiplicativeFunction, mertens_sum, weighted_bins, window_weights
@@ -125,14 +124,13 @@ def sifted_table_sum(
     a <= b <= isqrt(x).  Weights come from the window sieve and are added
     one by one in ascending n to one running sum across the windows, so the
     value is the same double as summing f(n) survivor by survivor.  The prime sum
-    and the weights read one prime table to x, built here.
+    runs before the stream, so its primes to x are freed before any window.
     """
     x = sset.x
     if x < 3:
         raise ValueError("need x >= 3")
     B = isqrt(x)
-    table = PrimeTable(x)
-    M = mertens_sum(f, x, table=table)
+    M = mertens_sum(f, x)
     if M <= 0:
         raise ValueError("prime sum M vanishes; the bounds are degenerate")
 
@@ -143,7 +141,7 @@ def sifted_table_sum(
         return keep
 
     bins = weighted_bins(1, x + 1, lambda lo, hi: np.zeros(hi - lo, dtype=np.uint8), members,
-                         window_weights(f, table.primes), threads)
+                         window_weights(f, x), threads)
     value = float(bins[0]) if bins.size else 0.0
 
     llx = math.log(math.log(x))

@@ -781,7 +781,7 @@ def test_mult_window_prime_value_matches_callable(lo, hi):
     for spec in CONSTANT_AT_PRIMES:
         f = parse_weight(spec)
         got = []
-        for prime_vec in (f.at_primes, f.prime_value):
+        for prime_vec in (f.at_primes, f.prime):
             dirty = np.full(8 * (hi - lo), 0xAB, dtype=np.uint8).view(np.float64)
             assert bulk.mult_window(lo, hi, primes, f.rule, prime_vec, out=dirty) is dirty
             got.append(dirty.tobytes())

@@ -8,8 +8,9 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from siftlab import bulk, cli, egps, multfunc
+from siftlab import bulk, cli, egps, multfunc, table
 from siftlab.multfunc import mu_sq, one, z_omega
+from siftlab.sift import everything
 
 from oracles import ofactor, osieve, osigma
 
@@ -163,6 +164,30 @@ def test_sigma_family_builds_no_weight_array(argv, threads, monkeypatch, capsys)
     run = [*argv, "--f", "phioverN", "--x", "2200000", "--threads", threads]
     assert cli.dispatch(run) == 0
     assert len(capsys.readouterr().out.splitlines()) >= 2
+
+
+PRIME_SUM_FIRST = {
+    "sigma-div": (egps, lambda f: egps.count_p_divides_sigma(30000, 3, f)),
+    "omega-gcd": (egps, lambda f: egps.mean_omega_gcd_sigma(30000, f)),
+    "table-sifted": (table, lambda f: table.sifted_table_sum(everything(30000), f)),
+}
+
+
+@pytest.mark.parametrize("name", PRIME_SUM_FIRST)
+def test_prime_sum_runs_before_the_stream_and_builds_the_only_table(name, monkeypatch):
+    # the prime sum's table to x is the one table built, and mertens_sum drops it
+    # before any window runs; the weights' windows sieve their primes to isqrt(x)
+    module, run = PRIME_SUM_FIRST[name]
+    events = []
+
+    def spy(event, real):
+        return lambda *args, **kwargs: events.append(event) or real(*args, **kwargs)
+
+    monkeypatch.setattr(multfunc, "PrimeTable", spy("table", multfunc.PrimeTable))
+    monkeypatch.setattr(module, "weighted_bins", spy("stream", multfunc.weighted_bins))
+    monkeypatch.setattr(egps, "PrimeTable", spy("egps table", egps.PrimeTable))
+    run(z_omega(1.3))
+    assert events == ["table", "stream"]
 
 
 def test_egps_fill_error_raises_without_hanging(monkeypatch):

@@ -1,7 +1,5 @@
 """Multiplicative weights, their window values and masses, and prime sums."""
 
-import inspect
-import itertools
 import math
 
 import numpy as np
@@ -71,25 +69,27 @@ def test_weight_constructor_errors():
 
 
 def test_eval_rejects_negative_rule(t1e5):
-    bad = multfunc.MultiplicativeFunction(
-        "bad", lambda p, e: -1.0, "bad"
-    )
+    bad = multfunc.MultiplicativeFunction("bad", lambda p, e: -1.0)
     with pytest.raises(ValueError, match="negative"):
         _weights(bad, t1e5)
 
 
 def test_builtin_lookup():
-    assert multfunc.builtin("one").name == "one"
-    assert multfunc.builtin("musq").name == "mu_sq"
+    assert multfunc.builtin("one").spec == "one"
+    assert multfunc.builtin("musq").spec == "musq"
     assert multfunc.builtin("zomega", 3).spec_string() == "zomega:3"
-    assert multfunc.builtin("Noverphi").name == "n_over_phi"
-    with pytest.raises(ValueError):
-        multfunc.builtin("nope")
+    assert multfunc.builtin("Noverphi").spec == "Noverphi"
+    # one name per weight, its spec's name
+    assert sorted(multfunc.BUILTINS) == ["Noverphi", "musq", "one", "phioverN", "r4", "s2s",
+                                         "tauk", "zbigomega", "zomega"]
+    for bad in ("nope", "mu_sq", "n_over_phi"):
+        with pytest.raises(ValueError, match="unknown builtin weight"):
+            multfunc.builtin(bad)
 
 
-def test_values_upto_matches_pointwise(t1e5):
+def test_values_upto_matches_pointwise():
     for f in (multfunc.one(), multfunc.z_omega(2), multfunc.tau_k(3), multfunc.mu_sq()):
-        v = multfunc.values_upto(f, 2000, t1e5)
+        v = multfunc.values_upto(f, 2000)
         assert v[0] == 0.0
         for n in range(1, 2001):
             assert v[n] == pytest.approx(_oracle_weight(f, n), rel=1e-12)
@@ -124,9 +124,9 @@ def _bins(k, lo, sel, weights):
 def _weight_sources(f, table):
     """values_upto's array of f, and f's weights as that array read a window at a time and
     as each window's own mult_window (window_weights); both None for f = one."""
-    fv = multfunc.values_upto(f, WB_X, table)
+    fv = multfunc.values_upto(f, WB_X)
     return fv, {"values_upto": None if f.is_one() else lambda a, b: fv[a:b],
-                "window_weights": multfunc.window_weights(f, table.primes)}
+                "window_weights": multfunc.window_weights(f, WB_X)}
 
 
 @pytest.mark.parametrize("spec", ["zomega:1.3", "musq", "one"])
@@ -235,23 +235,23 @@ def test_at_primes_vector_agrees_with_rule(t1e5):
         assert np.allclose(vec, scalar, rtol=1e-15)
 
 
-# sample values for each builtin constructor's parameters, by parameter name
-_SAMPLE_PARAMS = {"z": (0.0, 0.5, 1.0, 1.3), "k": (1, 3)}
+# sample parameter lists for each builtin, by the type of its parameter
+_SAMPLE_PARAMS = {None: [()], float: [(0.0,), (0.5,), (1.0,), (1.3,)], int: [(1,), (3,)]}
 
 
-def test_weights_constant_at_primes_declare_prime_value(t1e5):
-    # A weight with one value at every prime and no prime_value pays the
-    # cofactor finish in every mult window; a prime_value that is not
-    # rule(p, 1) would move the bytes the number path prints.  A constructor
-    # parameter missing from _SAMPLE_PARAMS fails here with a KeyError.
+def test_weights_constant_at_primes_give_prime_as_a_number(t1e5):
+    # A weight with one value at every prime and a callable or no prime pays
+    # the cofactor finish in every mult window; a number prime that is not
+    # rule(p, 1) would move the bytes the number path prints.  A parameter
+    # type missing from _SAMPLE_PARAMS fails here with a KeyError.
     ps = t1e5.primes[t1e5.primes <= 10**4]
-    for name, ctor in multfunc._BUILTINS.items():
-        names = list(inspect.signature(ctor).parameters)
-        for params in itertools.product(*(_SAMPLE_PARAMS[n] for n in names)):
+    for name, (ctor, param) in multfunc.BUILTINS.items():
+        for params in _SAMPLE_PARAMS[param]:
             f = ctor(*params)
+            assert f.spec.partition(":")[0] == name
             at_p = [f.rule(int(p), 1) for p in ps]
-            if f.prime_value is None:
+            if f.prime is None or callable(f.prime):
                 assert len(set(at_p)) > 1 and np.unique(f.at_primes(ps)).size > 1, (name, params)
             else:
-                assert at_p == [f.prime_value] * len(ps), (name, params)
-                assert f.window_primes() == f.prime_value
+                assert at_p == [f.prime] * len(ps), (name, params)
+                assert f.window_primes() == f.prime

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from siftlab import arith, bulk, cli, primesets, sift, specs
+from siftlab import arith, bulk, cli, multfunc, primesets, sift, specs
 from siftlab import __version__
 from siftlab.errors import ResourceBudgetError
 from siftlab.primesets import ALL_PRIMES, Complement, Explicit
@@ -21,18 +21,23 @@ from siftlab.sift import NO_SIEVE
 # ------------------------------------------------------------------- specs
 
 def test_parse_weight_names():
-    assert specs.parse_weight("one").name == "one"
-    assert specs.parse_weight("musq").name == "mu_sq"
-    assert specs.parse_weight("zomega:2.5").spec_string() == "zomega:2.5"
-    assert specs.parse_weight("tauk:3").spec_string() == "tauk:3"
-    assert specs.parse_weight("r4").name == "r_over_4"
-    assert specs.parse_weight("s2s").name == "sum2sq_indicator"
-    assert specs.parse_weight("phioverN").name == "phi_over_n"
-    assert specs.parse_weight("Noverphi").name == "n_over_phi"
+    # each spec parses to its constructor's weight: the same spec and the same rule
+    cases = {"one": multfunc.one(), "musq": multfunc.mu_sq(), "zomega:2.5": multfunc.z_omega(2.5),
+             "zbigomega:1.5": multfunc.z_bigomega(1.5), "tauk:3": multfunc.tau_k(3),
+             "r4": multfunc.r_over_4(), "s2s": multfunc.sum2sq_indicator(),
+             "phioverN": multfunc.phi_over_n(), "Noverphi": multfunc.n_over_phi()}
+    for spec, f in cases.items():
+        got = specs.parse_weight(spec)
+        assert got.spec == f.spec == spec
+        powers = [(p, e) for p in (2, 3, 5, 7, 13) for e in (1, 2, 3)]
+        assert [got.rule(p, e) for p, e in powers] == [f.rule(p, e) for p, e in powers], spec
 
 
 def test_parse_weight_round_trip():
-    for s in ("one", "musq", "zomega:2.5", "tauk:3", "r4", "s2s", "phioverN", "Noverphi"):
+    # a z that :g, 6 significant digits, would round is spelled in full
+    for s in ("one", "musq", "zomega:2.5", "tauk:3", "r4", "s2s", "phioverN", "Noverphi",
+              "zomega:1.3", "zomega:2", "zomega:1.5", "zomega:1e-07", "zomega:1.23457",
+              "zomega:1.23456789", "zbigomega:0.30000000000000004"):
         assert specs.parse_weight(s).spec_string() == s
 
 
@@ -42,7 +47,8 @@ def test_parse_weight_warns_on_large_multiplicity_base():
 
 
 def test_parse_weight_errors():
-    for bad in ("one:5", "zomega", "zomega:abc", "tauk:1.5", "nope", ""):
+    for bad in ("one:5", "zomega", "zomega:abc", "tauk:1.5", "nope", "",
+                "zomega:inf", "zomega:nan", "zbigomega:inf", "zbigomega:nan"):
         with pytest.raises(ValueError):
             specs.parse_weight(bad)
 
@@ -134,9 +140,18 @@ def test_parse_set_spec_explicit_inline_and_file(tmp_path):
 
 
 def test_parse_set_spec_errors():
-    for bad in ("avoid:1/xx", "sp:1", "qf:1,0", "mystery:1", "explicit:4:1"):
+    for bad in ("avoid:1/xx", "sp:1", "qf:1,0", "mystery:1", "explicit:4:1",
+                "explicit:3:1;3:2"):
         with pytest.raises(ValueError):
             specs.parse_set_spec(bad, 100)
+
+
+def test_parse_explicit_file_rejects_a_prime_listed_twice(tmp_path):
+    # as an inline spec does, rather than keeping the last line
+    path = tmp_path / "excl.txt"
+    path.write_text("3:1\n5:2\n3:2\n")
+    with pytest.raises(ValueError, match=r"prime 3 listed twice$"):
+        specs.parse_set_spec(f"explicit:{path}", 100)
 
 
 def test_set_spec_realize():
@@ -742,12 +757,23 @@ def test_cli_exit_codes(capsys, monkeypatch):
     ("egps --x 10000000 --c0 nan", "lam must be positive and finite"),
     ("table-sifted --x 100 --f zomega:0", "prime sum M vanishes"),
     ("table-sifted --x 100 --f zbigomega:0", "prime sum M vanishes"),
+    ("hist --x 100 --f zomega:inf", "bad weight spec 'zomega:inf': z must be nonnegative and finite"),
+    ("mgf --x 100 --z 1.5 --f zomega:inf", "bad weight spec 'zomega:inf': z must be nonnegative"),
+    ("hist --x 100 --f zomega:nan", "bad weight spec 'zomega:nan': z must be nonnegative"),
+    ("hist --x 100 --sieve explicit:3:1;3:2", "bad set spec 'explicit:3:1;3:2': prime 3 listed twice"),
 ])
 def test_cli_rejects_a_report_parameter_out_of_range(argv, message, capsys, monkeypatch):
     assert _exit_code(argv.split(), monkeypatch) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_cli_prints_the_weight_it_ran(capsys):
+    # two z that :g spells alike print apart, each as it was given
+    for z in ("1.23456789", "1.23457"):
+        out = _run(capsys, ["mgf", "--x", "1000", "--z", "1.5", "--f", f"zomega:{z}"])
+        assert out.splitlines()[1].split(",")[1] == f"zomega:{z}"
 
 
 def test_cli_hist_zero_mass_bins_past_k_max_do_not_divide(capsys):

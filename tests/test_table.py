@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siftlab import arith, bulk, cli, multfunc as mf, sift as sf, table as tb
+from siftlab import bulk, cli, multfunc as mf, sift as sf, table as tb
 from siftlab.errors import ResourceBudgetError
 
 from oracles import brute_table_counts, is_prime_slow, ofactor, osifted_table_sum
@@ -270,12 +270,11 @@ def test_sifted_table_sum_is_one_running_sum_across_windows(f):
     # n, not summed per window and then added up
     x = 3_000_017
     B = math.isqrt(x)
-    t = arith.PrimeTable(x)
     kept = np.zeros(x + 1, dtype=bool)
     for a in range(1, B + 1):
         kept[a * a : a * B + 1 : a] = True
     expect = 0.0
-    for w in mf.values_upto(f, x, t)[kept].tolist():
+    for w in mf.values_upto(f, x)[kept].tolist():
         expect += w
     for threads in (1, 2):
         assert tb.sifted_table_sum(sf.everything(x), f, threads=threads).value == expect
