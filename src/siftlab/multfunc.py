@@ -1,14 +1,15 @@
 """Nonnegative multiplicative weights and their prime sums.
 
-A weight is its canonical spec, its prime-power rule f(p**e) and f(p),
-and the builtins are registered once, by spec name (BUILTINS).  Its values
-come from the bulk mult windows, which read base primes to isqrt(x) that
-values_upto and window_weights sieve themselves, so a caller passes a
-weight only x.  One driver, weighted_bins, turns a stream of
-windows into bins: each window gives its keys, its selected n and its
-weights, and the masses are added in ascending n.  The histogram, the
-sigma family and the sifted table sum all bin through it.  Prime sums
-(Mertens-type) and the sup-distance constant to log log t live here too.
+A weight is its canonical spec, its prime-power rule f(p**e) and f(p), a
+number or a vectorized callable, and the builtins are registered once, by
+spec name (BUILTINS).  Its values come from the bulk mult windows, which
+read base primes to isqrt(x) that values_upto and window_weights sieve
+themselves, so a caller passes a weight only x.  One driver, weighted_bins,
+turns a stream of windows into bins: each window gives its keys, its
+selected n and its weights, and the masses are added in ascending n.  The
+histogram, the sigma family and the sifted table sum all bin through it.
+Prime sums (Mertens-type) and the sup-distance constant to log log t live
+here too.
 """
 
 from __future__ import annotations
@@ -29,29 +30,19 @@ from .primesets import ALL_PRIMES, AllPrimes, PrimeSubset
 class MultiplicativeFunction:
     """A multiplicative weight: its canonical spec, its rule on prime powers, and f(p).
 
-    rule(p, e) gives f(p**e).  prime gives f(p) in the form bulk.mult_window
-    takes it: a number when f(p) is the same at every prime, else a
-    vectorized callable over an int64 array of primes; None reads rule(p, 1)
-    one prime at a time.
+    rule(p, e) gives f(p**e).  prime gives f(p), as bulk.mult_window takes
+    it: a number or a vectorized callable over an int64 array of primes.
     """
 
     spec: str
     rule: Callable[[int, int], float]
-    prime: float | Callable[[np.ndarray], np.ndarray] | None = None
+    prime: float | Callable[[np.ndarray], np.ndarray]
 
     def at_primes(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized f(p) over an array of primes."""
-        if self.prime is None:
-            return np.fromiter(
-                (self.rule(int(p), 1) for p in arr), dtype=np.float64, count=len(arr)
-            )
         if callable(self.prime):
             return np.asarray(self.prime(np.asarray(arr)), dtype=np.float64)
         return np.full(len(arr), self.prime, dtype=np.float64)
-
-    def window_primes(self):
-        """f at the primes as bulk.mult_window takes it: prime, else at_primes."""
-        return self.at_primes if self.prime is None else self.prime
 
     def spec_string(self) -> str:
         return self.spec
@@ -63,12 +54,8 @@ class MultiplicativeFunction:
 def values_upto(f: MultiplicativeFunction, x: int, threads: int = 1) -> np.ndarray:
     """Array v with v[n] = f(n) for 0 <= n <= x (v[0] = 0), from windows that read the
     primes up to isqrt(x), sieved here."""
-    if f.is_one():
-        out = np.ones(x + 1, dtype=np.float64)
-        out[0] = 0.0
-        return out
     primes = bulk.primes_upto(math.isqrt(x))
-    return bulk.mult_range(x, primes, f.rule, f.window_primes(), threads=threads)
+    return bulk.mult_range(x, primes, f.rule, f.prime, threads=threads)
 
 
 def window_weights(f: MultiplicativeFunction, x: int):
@@ -77,8 +64,8 @@ def window_weights(f: MultiplicativeFunction, x: int):
     primes up to isqrt(x), sieved here."""
     if f.is_one():
         return None
-    rule, at_primes, primes = f.rule, f.window_primes(), bulk.primes_upto(math.isqrt(x))
-    return lambda a, b: bulk.mult_window(a, b, primes, rule, at_primes)
+    rule, prime, primes = f.rule, f.prime, bulk.primes_upto(math.isqrt(x))
+    return lambda a, b: bulk.mult_window(a, b, primes, rule, prime)
 
 
 def weighted_bins(lo: int, hi: int, keys, sel=None, weights=None, threads: int = 1) -> np.ndarray:
@@ -232,8 +219,6 @@ def mertens_sum(
     ps = table.primes[: table.pi(x)]  # a view; all primes need no mask and no copy
     if not isinstance(E, AllPrimes):
         ps = ps[np.asarray(E.mask(ps), dtype=bool)]
-    if ps.size == 0:
-        return 0.0
     terms = f.at_primes(ps)  # a new array, divided in place
     terms /= ps
     return float(np.sum(terms))

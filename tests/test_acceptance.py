@@ -80,7 +80,7 @@ def test_check_01_arithmetic_oracle_suite(t1e5):
     s_a = sig_a - np.arange(x + 1)
     ph_a = bulk.mult_range(x, t1e5.primes, lambda p, e: p ** (e - 1) * (p - 1),
                            lambda q: q - 1.0)
-    mu_a = bulk.mult_range(x, t1e5.primes, musq.rule, musq.window_primes())
+    mu_a = bulk.mult_range(x, t1e5.primes, musq.rule, musq.prime)
     mu_a *= np.where(om_a % 2 == 1, -1.0, 1.0)
     lam_a = lambda_upto(x, t1e5.primes)
     got = np.stack([om_a, bo_a, sig_a, s_a, ph_a, lam_a, mu_a], axis=1).tolist()

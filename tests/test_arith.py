@@ -32,7 +32,7 @@ def _classical(lo, hi, table):
         "sigma": sig,
         "s": sig - np.arange(lo, hi),
         "phi": mult(*PHI),
-        "mu": mult(musq.rule, musq.window_primes()) * (1 - 2 * (om % 2)),  # musq * (-1)**omega
+        "mu": mult(musq.rule, musq.prime) * (1 - 2 * (om % 2)),  # musq * (-1)**omega
         "rad": mult(*RAD),
         "squarefull": mult(*SQUAREFULL),
         "lambda": bulk.lambda_window(lo, hi, table.primes),

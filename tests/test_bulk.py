@@ -732,7 +732,7 @@ def test_kernel_bytes_pinned_across_chunks():
         for spec in ("musq", "zomega:1.3", "phioverN"):
             f = parse_weight(spec)
             arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.at_primes))
-            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.window_primes()))
+            arrays.append(bulk.mult_window(lo, hi, primes, f.rule, f.prime))
         for arr in arrays:
             digest.update(arr.tobytes())
     assert digest.hexdigest() == CHUNKED_BYTES_SHA256

@@ -14,7 +14,7 @@ from oracles import ofactor, ohr_constant
 
 def _weights(f, table):
     """f on [1, 400) from the window kernel the CLI runs: w[n - 1] = f(n)."""
-    return bulk.mult_window(1, 400, table.primes, f.rule, f.window_primes())
+    return bulk.mult_window(1, 400, table.primes, f.rule, f.prime)
 
 
 def _oracle_weight(f, n):
@@ -69,7 +69,8 @@ def test_weight_constructor_errors():
 
 
 def test_eval_rejects_negative_rule(t1e5):
-    bad = multfunc.MultiplicativeFunction("bad", lambda p, e: -1.0)
+    bad = multfunc.MultiplicativeFunction("bad", lambda p, e: -1.0,
+                                          lambda a: np.full(a.shape, -1.0))
     with pytest.raises(ValueError, match="negative"):
         _weights(bad, t1e5)
 
@@ -227,20 +228,29 @@ def test_sup_distance_nondecreasing():
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def test_at_primes_vector_agrees_with_rule(t1e5):
-    ps = t1e5.primes[:100]
-    for f in (multfunc.z_omega(2.5), multfunc.r_over_4(), multfunc.phi_over_n()):
-        vec = f.at_primes(ps)
-        scalar = [f.rule(int(p), 1) for p in ps]
-        assert np.allclose(vec, scalar, rtol=1e-15)
-
-
 # sample parameter lists for each builtin, by the type of its parameter
 _SAMPLE_PARAMS = {None: [()], float: [(0.0,), (0.5,), (1.0,), (1.3,)], int: [(1,), (3,)]}
 
 
+def test_at_primes_vector_agrees_with_rule(t1e5):
+    # prime is the one source of f(p): the mult windows' cofactor finish and
+    # mertens_sum both read it, so every builtin's must be rule(p, 1)
+    ps = t1e5.primes[t1e5.primes <= 10**4]
+    for name, (ctor, param) in multfunc.BUILTINS.items():
+        for params in _SAMPLE_PARAMS[param]:
+            f = ctor(*params)
+            vec = f.at_primes(ps)
+            scalar = [f.rule(int(p), 1) for p in ps]
+            np.testing.assert_allclose(vec, scalar, rtol=1e-15, atol=0, err_msg=f"{name}{params}")
+
+
+def test_weight_needs_its_value_at_the_primes():
+    with pytest.raises(TypeError):
+        multfunc.MultiplicativeFunction("bare", lambda p, e: 1.0)
+
+
 def test_weights_constant_at_primes_give_prime_as_a_number(t1e5):
-    # A weight with one value at every prime and a callable or no prime pays
+    # A weight with one value at every prime and a callable prime pays
     # the cofactor finish in every mult window; a number prime that is not
     # rule(p, 1) would move the bytes the number path prints.  A parameter
     # type missing from _SAMPLE_PARAMS fails here with a KeyError.
@@ -250,8 +260,7 @@ def test_weights_constant_at_primes_give_prime_as_a_number(t1e5):
             f = ctor(*params)
             assert f.spec.partition(":")[0] == name
             at_p = [f.rule(int(p), 1) for p in ps]
-            if f.prime is None or callable(f.prime):
+            if callable(f.prime):
                 assert len(set(at_p)) > 1 and np.unique(f.at_primes(ps)).size > 1, (name, params)
             else:
                 assert at_p == [f.prime] * len(ps), (name, params)
-                assert f.window_primes() == f.prime
